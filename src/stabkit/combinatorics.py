@@ -57,7 +57,8 @@ def gaussian_binomial(n: int, k: int, d: int) -> int:
     result = 1
     for j in range(1, k + 1):
         result, rem = divmod(result * (d ** (n - k + j) - 1), d**j - 1)
-        assert rem == 0, "partial Gaussian binomial product must stay integral"
+        if rem:
+            raise RuntimeError("partial Gaussian binomial product must stay integral")
     return result
 
 

@@ -68,7 +68,8 @@ def frame_potential_combinatorial(d: int, n: int, t: int) -> Fraction:
     total = Fraction(0)
     for k in range(n + 1):
         e = (n - k) * (n - k + 3 - 2 * t)
-        assert e % 2 == 0
+        if e % 2:
+            raise RuntimeError("intersection-sum exponent must be even")
         total += gaussian_binomial(n, k, d) * Fraction(d) ** (e // 2)
     return total / stabilizer_count(d, n)
 
@@ -151,7 +152,8 @@ def frame_potential_fixed_state(
         raise ResourceCapError(f"fixed-state sum over {count} states exceeds cap {state_cap}")
     if vectors is None:
         pairs = realized_states(d, n, state_cap=state_cap, matrix_cap=matrix_cap)
-        assert pairs[0][0].zeta.is_zero()
+        if not pairs[0][0].zeta.is_zero():
+            raise RuntimeError("the first enumerated state must have coset representative 0")
         vectors = [vec for _, vec in pairs]
     stack = np.array(vectors)
     return _pairwise_sum(_overlap_powers(stack, stack[0], t)) / count

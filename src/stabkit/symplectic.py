@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .combinatorics import gaussian_binomial, require_prime
+from .combinatorics import gaussian_binomial, lagrangian_count, require_prime
 from .errors import ResourceCapError
 
 DEFAULT_ENUM_CAP = 10**7
@@ -385,18 +385,51 @@ def _iter_subspaces(d: int, m: int, k: int) -> Iterator[Subspace]:
 def enumerate_lagrangians(d: int, n: int, *, cap: int = DEFAULT_ENUM_CAP) -> Iterator[Subspace]:
     """Every Lagrangian subspace of Z_d^{2n} exactly once.
 
-    Implemented as a plain isotropy filter over all n-dimensional subspaces,
-    deliberately not via the extension recursion, so the two can act as
-    independent witnesses for each other. The cap guards the scan size
-    binom(2n, n)_d, not just the Lagrangian count.
+    A prefix-pruned isotropy filter over the n-dimensional RREF subspaces:
+    rows are chosen one at a time, and a row that pairs non-trivially with an
+    earlier one cuts off its whole subtree, since isotropy is a pairwise
+    condition on generators. Rows are tried in the order enumerate_subspaces
+    varies them, so the survivors come out in exactly its order. This stays
+    independent of the extension recursion (extensions_through), so the two
+    act as witnesses for each other. The cap guards the Lagrangian count
+    prod_{j=1..n} (d^j + 1).
     """
     require_prime(d)
     if n < 1:
         raise ValueError("n must be positive")
-    scan = gaussian_binomial(2 * n, n, d)
-    if scan > cap:
-        raise ResourceCapError(f"Lagrangian enumeration scans {scan} subspaces, cap is {cap}")
-    return (s for s in _iter_subspaces(d, 2 * n, n) if is_isotropic(s))
+    count = lagrangian_count(d, n)
+    if count > cap:
+        raise ResourceCapError(f"enumeration of {count} Lagrangians exceeds cap {cap}")
+    return _iter_lagrangians(d, n)
+
+
+def _iter_lagrangians(d: int, n: int) -> Iterator[Subspace]:
+    m = 2 * n
+    for pivots in itertools.combinations(range(m), n):
+        # Per row, every (row, form row) choice in lexicographic order of its free entries.
+        choices = []
+        for c in pivots:
+            free = [j for j in range(c + 1, m) if j not in pivots]
+            rows = []
+            for vals in itertools.product(range(d), repeat=len(free)):
+                row = [0] * m
+                row[c] = 1
+                for j, v in zip(free, vals):
+                    row[j] = v
+                rows.append((tuple(row), _form_row(row, n, d)))
+            choices.append(rows)
+        yield from _isotropic_completions(d, m, choices, [])
+
+
+def _isotropic_completions(d: int, m: int, choices: list, prefix: list) -> Iterator[Subspace]:
+    if len(prefix) == len(choices):
+        yield Subspace(d, m, tuple(row for row, _ in prefix))
+        return
+    for row, form in choices[len(prefix)]:
+        if all(sum(a * b for a, b in zip(form, prev)) % d == 0 for prev, _ in prefix):
+            prefix.append((row, form))
+            yield from _isotropic_completions(d, m, choices, prefix)
+            prefix.pop()
 
 
 def intersection_spectrum(m_sub: Subspace, *, cap: int = DEFAULT_ENUM_CAP) -> dict[int, int]:
@@ -473,7 +506,8 @@ def _dual_partners(k_sub: Subspace, a_rows: Sequence[Row]) -> list[Row]:
     k = k_sub.dim
     rhs = [[0] * k + [1 if i == j else 0 for i in range(m)] for j in range(m)]
     solved = _solve_linear_system(constraints, rhs, d, w)
-    assert all(c is not None for c in solved), "dual-partner system must be solvable"
+    if any(c is None for c in solved):
+        raise RuntimeError("dual-partner system must be solvable")
     cs = [list(c) for c in solved]  # type: ignore[union-attr]
     a_vecs = [PhaseVector(d, n, a) for a in a_rows]
     c_vecs = [PhaseVector(d, n, tuple(c)) for c in cs]
@@ -486,10 +520,12 @@ def _dual_partners(k_sub: Subspace, a_rows: Sequence[Row]) -> list[Row]:
                 b = [(x - s[i][l] * y) % d for x, y in zip(b, a_rows[l])]
         out.append(tuple(b))
     b_vecs = [PhaseVector(d, n, b) for b in out]
-    assert all(
+    if not all(
         symplectic_form(a_vecs[i], b_vecs[j]) == (1 if i == j else 0) for i in range(m) for j in range(m)
-    )
-    assert all(symplectic_form(b_vecs[i], b_vecs[j]) == 0 for i in range(m) for j in range(m))
+    ):
+        raise RuntimeError("dual partners must pair as [a_i, b_j] = delta_ij")
+    if not all(symplectic_form(b_vecs[i], b_vecs[j]) == 0 for i in range(m) for j in range(m)):
+        raise RuntimeError("dual partners must span an isotropic subspace")
     return out
 
 
@@ -595,7 +631,8 @@ def graph_adjacency(n_sub: Subspace, m_sub: Subspace) -> tuple[Row, ...]:
     b_rows = _dual_partners(Subspace.zero(d, w), a_rows)
     basis_matrix = [[(a_rows[c][r] if c < n else b_rows[c - n][r]) for c in range(w)] for r in range(w)]
     coords = _solve_linear_system(basis_matrix, [list(g) for g in n_sub.generators], d, w)
-    assert all(c is not None for c in coords), "full symplectic basis must express every vector"
+    if any(c is None for c in coords):
+        raise RuntimeError("full symplectic basis must express every vector")
     alpha = [list(c[:n]) for c in coords]  # type: ignore[index]
     beta = [list(c[n:]) for c in coords]  # type: ignore[index]
     beta_inv = _matrix_inverse(beta, d)
@@ -604,5 +641,6 @@ def graph_adjacency(n_sub: Subspace, m_sub: Subspace) -> tuple[Row, ...]:
     adj = tuple(
         tuple(sum(beta_inv[j][r] * alpha[r][i] for r in range(n)) % d for i in range(n)) for j in range(n)
     )
-    assert all(adj[i][j] == adj[j][i] for i in range(n) for j in range(n)), "adjacency must be symmetric"
+    if any(adj[i][j] != adj[j][i] for i in range(n) for j in range(n)):
+        raise RuntimeError("adjacency must be symmetric")
     return adj

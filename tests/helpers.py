@@ -7,7 +7,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from stabkit import realized_states
+from stabkit import enumerate_subspaces, is_isotropic, realized_states
 
 
 @lru_cache(maxsize=None)
@@ -18,6 +18,11 @@ def cached_states(d: int, n: int):
 
 def cached_vectors(d: int, n: int) -> list[np.ndarray]:
     return [vec for _, vec in cached_states(d, n)]
+
+
+def lagrangians_by_filter(d: int, n: int) -> list:
+    """Oracle: every n-dim subspace of Z_d^{2n} kept when isotropic, in enumeration order."""
+    return [s for s in enumerate_subspaces(d, 2 * n, n) if is_isotropic(s)]
 
 
 def pascal_binomial(n: int, k: int, _memo={}) -> int:

@@ -10,6 +10,8 @@ import pytest
 from stabkit import FramePotentialReport, StabilizerState, Subspace
 from stabkit.cli import main
 
+from helpers import lagrangians_by_filter
+
 
 def run_cli(args):
     out = io.StringIO()
@@ -97,6 +99,13 @@ def test_enumerate_lagrangians_lines():
     assert len(lines) == 15
     subs = [Subspace.from_json_dict(json.loads(line)) for line in lines]
     assert len(set(subs)) == 15
+
+
+def test_enumerate_lagrangians_stream_order():
+    code, out, _ = run_cli(["enumerate", "lagrangians", "--d", "2", "--n", "3"])
+    assert code == 0
+    witness = lagrangians_by_filter(2, 3)
+    assert out.splitlines() == [json.dumps(s.to_json_dict(), separators=(",", ":")) for s in witness]
 
 
 def test_enumerate_states_lines():

@@ -31,8 +31,9 @@ from stabkit import (
     transversal_count,
 )
 from stabkit.errors import ResourceCapError
+from stabkit.symplectic import DEFAULT_ENUM_CAP, _dual_partners
 
-from helpers import count_subspaces_bruteforce
+from helpers import count_subspaces_bruteforce, lagrangians_by_filter
 
 
 def pv(d, n, *coords):
@@ -221,6 +222,36 @@ def test_enumerate_lagrangians_cap():
         enumerate_lagrangians(2, 9)
 
 
+def test_enumerate_lagrangians_cap_guards_lagrangian_count():
+    count = lagrangian_count(3, 2)
+    assert len(list(enumerate_lagrangians(3, 2, cap=count))) == count
+    with pytest.raises(ResourceCapError, match=rf"\b{count}\b.*\b{count - 1}\b"):
+        enumerate_lagrangians(3, 2, cap=count - 1)
+
+
+def test_enumerate_lagrangians_accepts_2_5_at_default_cap():
+    # 75,735 Lagrangians fit the default cap although binom(10, 5)_2 does not.
+    assert gaussian_binomial(10, 5, 2) > DEFAULT_ENUM_CAP
+    enumerate_lagrangians(2, 5)
+
+
+def test_enumerate_lagrangians_matches_filter_witness_in_order():
+    for d, n in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 2)]:
+        assert list(enumerate_lagrangians(d, n)) == lagrangians_by_filter(d, n)
+
+
+def test_enumerate_lagrangians_matches_extension_union_at_2_4():
+    d, n = 2, 4
+    m_sub = Subspace.from_rows([[1 if j == i else 0 for j in range(2 * n)] for i in range(n)], d=d, width=2 * n)
+    constructed = set()
+    for k in range(n + 1):
+        for k_sub in _subspaces_of(m_sub, k):
+            constructed.update(extensions_through(m_sub, k_sub))
+    lags = list(enumerate_lagrangians(d, n))
+    assert len(lags) == len(set(lags)) == lagrangian_count(d, n)
+    assert set(lags) == constructed
+
+
 # ---------------------------------------------------------------------------
 # intersection spectra
 
@@ -327,6 +358,13 @@ def test_extensions_through_rejects_bad_k():
     if not all(lags[0].contains_coords(g) for g in outside.generators):
         with pytest.raises(ValueError):
             extensions_through(lags[0], outside)
+
+
+def test_dual_partners_raises_when_unsolvable():
+    # a = e_1 lies in K, so [k, b] = 0 and [a, b] = 1 cannot both hold.
+    k_sub = canonicalize([pv(2, 1, 1, 0)])
+    with pytest.raises(RuntimeError, match="solvable"):
+        _dual_partners(k_sub, [(1, 0)])
 
 
 # ---------------------------------------------------------------------------
