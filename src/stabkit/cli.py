@@ -22,7 +22,6 @@ from . import potential, stabilizer
 from .weyl import (
     DEFAULT_MATRIX_CAP,
     _omega_power,
-    tau_order as weyl_tau_order,
     verify_commutation,
     verify_composition,
     weyl,
@@ -34,12 +33,11 @@ from .combinatorics import (
     stabilizer_count,
     transversal_count,
 )
-from .errors import NonPrimeModulusError, ResourceCapError
+from .errors import NonPrimeModulusError, ResourceCapError, check_cap
 from .symplectic import (
     DEFAULT_ENUM_CAP,
     PhaseVector,
     enumerate_lagrangians,
-    intersect,
     intersection_spectrum,
     symplectic_form,
 )
@@ -130,18 +128,13 @@ def _decimal12(fr) -> str:
 
 
 def _plan_numeric_engine(d: int, n: int, method: str, args) -> str | None:
-    """Pick the numeric engine for one n, enforcing caps before realization."""
+    """Pick the numeric engine for one n; the pair cap is checked before realization."""
     if method == "exact":
         return None
-    count = stabilizer_count(d, n)
-    fits_pairs = count * count <= args.pair_cap
-    fits_states = count <= args.state_cap
-    if method == "bruteforce" or (method == "all" and fits_pairs):
-        if not fits_pairs:
-            raise ResourceCapError(f"brute force needs {count * count} state pairs, cap is {args.pair_cap}")
+    pairs = stabilizer_count(d, n) ** 2
+    if method == "bruteforce" or (method == "all" and pairs <= args.pair_cap):
+        check_cap("brute-force state pairs", pairs, args.pair_cap)
         return "bruteforce"
-    if not fits_states:
-        raise ResourceCapError(f"fixed-state sum over {count} states exceeds cap {args.state_cap}")
     return "fixed-state"
 
 
@@ -241,16 +234,12 @@ def cmd_enumerate(args) -> int:
         _write("\n".join(lines) + "\n", args.output)
         return 0
     if args.what == "states":
-        lines = []
         if args.realize:
-            for m_sub in enumerate_lagrangians(args.d, args.n, cap=args.enum_cap):
-                for zeta, vec in stabilizer.stabilizer_basis(m_sub, cap=args.matrix_cap):
-                    state = stabilizer.StabilizerState(m_sub, zeta)
-                    lines.append(json.dumps(state.to_json_dict(amplitudes=vec), separators=(",", ":")))
+            pairs = stabilizer.realized_states(args.d, args.n, state_cap=args.state_cap, matrix_cap=args.matrix_cap)
+            dicts = [state.to_json_dict(amplitudes=vec) for state, vec in pairs]
         else:
-            for state in stabilizer.enumerate_states(args.d, args.n, cap=args.state_cap):
-                lines.append(json.dumps(state.to_json_dict(), separators=(",", ":")))
-        _write("\n".join(lines) + "\n", args.output)
+            dicts = [state.to_json_dict() for state in stabilizer.enumerate_states(args.d, args.n, cap=args.state_cap)]
+        _write("\n".join(json.dumps(obj, separators=(",", ":")) for obj in dicts) + "\n", args.output)
         return 0
     # spectrum: empirical kappa against the closed formula.
     first = next(iter(enumerate_lagrangians(args.d, args.n, cap=args.enum_cap)))
@@ -305,14 +294,9 @@ def run_verification(
     require_prime(d)
     if n < 1 or t_max < 1:
         raise ValueError("n and t_max must be positive")
-    dim = d**n
-    if dim > matrix_cap:
-        raise ResourceCapError(f"matrix dimension {dim} exceeds cap {matrix_cap}")
     count = stabilizer_count(d, n)
-    if count > state_cap:
-        raise ResourceCapError(f"{count} states exceed cap {state_cap}")
-    if count * count > pair_cap:
-        raise ResourceCapError(f"overlap cross-check needs {count * count} pairs, cap is {pair_cap}")
+    check_cap("states", count, state_cap)
+    check_cap("overlap cross-check state pairs", count * count, pair_cap)
 
     checks: list[CheckResult] = []
     lagrangians = list(enumerate_lagrangians(d, n, cap=enum_cap))
@@ -325,10 +309,7 @@ def run_verification(
         )
     )
 
-    reference = lagrangians[0]
-    spectrum = {k: 0 for k in range(n + 1)}
-    for other in lagrangians:
-        spectrum[intersect(reference, other).dim] += 1
+    spectrum = intersection_spectrum(lagrangians[0], cap=enum_cap)
     kappa_ok = all(spectrum[k] == kappa(d, n, k) for k in range(n + 1))
     checks.append(
         CheckResult(
@@ -351,6 +332,7 @@ def run_verification(
     checks.append(CheckResult("weyl-composition", comp_ok, f"{len(points) ** 2} pairs"))
     comm_ok = all(verify_commutation(u, v, cap=matrix_cap) for u in points for v in points)
     checks.append(CheckResult("weyl-commutation", comm_ok, f"{len(points) ** 2} pairs"))
+    dim = d**n
     trace_dev = 0.0
     for v in points:
         tr = np.trace(weyl(v, cap=matrix_cap))
@@ -362,7 +344,7 @@ def run_verification(
     eigen_dev = 0.0
     gram_dev = 0.0
     for m_sub, basis in bases:
-        terms = stabilizer._basis_weyl_terms(m_sub, cap=matrix_cap)
+        terms = stabilizer.weyl_representation(m_sub, cap=matrix_cap)
         for zeta, vec in basis:
             for m_vec, mat in terms:
                 phase = _omega_power(d, symplectic_form(zeta, m_vec))
@@ -374,21 +356,12 @@ def run_verification(
     checks.append(CheckResult("basis-gram", gram_dev <= 1e-10, f"{len(bases)} bases, max dev {gram_dev:.2e}"))
 
     overlap_dev = 0.0
-    order = weyl_tau_order(d)
     stacks = [np.array([vec for _, vec in basis]) for _, basis in bases]
-    for mi, (m_sub, basis_m) in enumerate(bases):
-        for nj in range(mi, len(bases)):
-            n_sub, basis_n = bases[nj]
-            k_sub, aligned = stabilizer._alignment_data(m_sub, n_sub)
-            base = 1.0 / d ** (n - k_sub.dim)
+    for mi, m_sub in enumerate(lagrangians):
+        for nj in range(mi, len(lagrangians)):
             amps = np.conj(stacks[mi]) @ stacks[nj].T
-            numeric_block = amps.real**2 + amps.imag**2
-            for a, (zeta, _) in enumerate(basis_m):
-                for b, (iota, _) in enumerate(basis_n):
-                    diff = zeta - iota
-                    vanishes = any((2 * symplectic_form(diff, g) + delta) % order for g, delta in aligned)
-                    exact = 0.0 if vanishes else base
-                    overlap_dev = max(overlap_dev, abs(float(numeric_block[a, b]) - exact))
+            exact = np.array(stabilizer.overlap_table(m_sub, lagrangians[nj]), dtype=float)
+            overlap_dev = max(overlap_dev, float(np.max(np.abs(amps.real**2 + amps.imag**2 - exact))))
     checks.append(
         CheckResult("overlap-exact-numeric", overlap_dev <= 1e-10, f"{count * count} pairs, max dev {overlap_dev:.2e}")
     )

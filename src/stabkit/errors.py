@@ -1,4 +1,4 @@
-"""Shared exception types."""
+"""Shared exception types and the one resource-cap check."""
 
 
 class NonPrimeModulusError(ValueError):
@@ -11,3 +11,9 @@ class ResourceCapError(RuntimeError):
     Caps are hard errors on purpose: silently truncating an enumeration
     would invalidate every count built on top of it.
     """
+
+
+def check_cap(what: str, need: int, cap: int) -> None:
+    """Raise ResourceCapError when ``need`` units of ``what`` exceed ``cap``."""
+    if need > cap:
+        raise ResourceCapError(f"{what}: need {need}, cap {cap}")

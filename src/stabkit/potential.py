@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .combinatorics import gaussian_binomial, require_prime, stabilizer_count, welch_bound
-from .errors import ResourceCapError
+from .errors import check_cap
 from .stabilizer import DEFAULT_STATE_CAP, realized_states
 from .weyl import DEFAULT_MATRIX_CAP
 
@@ -41,6 +41,11 @@ def resolve_threads(threads: int | None = None) -> int:
     if threads < 1:
         raise ValueError("thread count must be positive")
     return threads
+
+
+def _worker_count(threads: int, tasks: int, cpus: int) -> int:
+    """Pool size: no more workers than tasks, nor than four per CPU."""
+    return max(1, min(threads, tasks, 4 * cpus))
 
 
 def _validate(d: int, n: int, t: int) -> None:
@@ -113,11 +118,7 @@ def frame_potential_bruteforce(
     """
     _validate(d, n, t)
     count = stabilizer_count(d, n)
-    if count * count > pair_cap:
-        raise ResourceCapError(
-            f"brute force needs {count * count} state pairs, cap is {pair_cap};"
-            " the fixed-state engine covers larger ensembles"
-        )
+    check_cap("brute-force state pairs", count * count, pair_cap)
     if vectors is None:
         vectors = [vec for _, vec in realized_states(d, n, state_cap=count, matrix_cap=matrix_cap)]
     stack = np.array(vectors)
@@ -125,7 +126,8 @@ def frame_potential_bruteforce(
     def row_total(i: int) -> float:
         return _pairwise_sum(_overlap_powers(stack, stack[i], t))
 
-    with ThreadPoolExecutor(max_workers=resolve_threads(threads)) as pool:
+    workers = _worker_count(resolve_threads(threads), count, os.cpu_count() or 1)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         rows = list(pool.map(row_total, range(count)))
     return _pairwise_sum(rows) / (count * count)
 
@@ -148,8 +150,7 @@ def frame_potential_fixed_state(
     """
     _validate(d, n, t)
     count = stabilizer_count(d, n)
-    if count > state_cap:
-        raise ResourceCapError(f"fixed-state sum over {count} states exceeds cap {state_cap}")
+    check_cap("fixed-state sum states", count, state_cap)
     if vectors is None:
         pairs = realized_states(d, n, state_cap=state_cap, matrix_cap=matrix_cap)
         if not pairs[0][0].zeta.is_zero():

@@ -13,12 +13,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .combinatorics import require_prime, stabilizer_count
-from .errors import ResourceCapError
+from .errors import check_cap
 from .weyl import (
     DEFAULT_MATRIX_CAP,
     _omega_power,
@@ -87,8 +87,8 @@ class StabilizerState:
         return cls(sub, PhaseVector(obj["d"], obj["n"], tuple(obj["zeta"])))
 
 
-def _basis_weyl_terms(m_sub: Subspace, *, cap: int = DEFAULT_MATRIX_CAP) -> list[tuple[PhaseVector, np.ndarray]]:
-    """(m, w_B(m)) for every m in M, in lexicographic coefficient order."""
+def weyl_representation(m_sub: Subspace, *, cap: int = DEFAULT_MATRIX_CAP) -> list[tuple[PhaseVector, np.ndarray]]:
+    """(m, w_B(m)) for every m in M, B its canonical generators, in lexicographic coefficient order."""
     basis = m_sub.generator_vectors()
     terms = []
     for coeffs in itertools.product(range(m_sub.d), repeat=m_sub.dim):
@@ -109,7 +109,7 @@ def projector(m_sub: Subspace, v: PhaseVector, *, cap: int = DEFAULT_MATRIX_CAP)
     """Rank-one projector d^{-n} sum_{m in M} omega^{[v,m]} w_B(m)."""
     if not is_lagrangian(m_sub):
         raise ValueError("projector needs a Lagrangian subspace")
-    return _group_projector(_basis_weyl_terms(m_sub, cap=cap), v, m_sub.d, m_sub.n)
+    return _group_projector(weyl_representation(m_sub, cap=cap), v, m_sub.d, m_sub.n)
 
 
 def _extract_unit_vector(rho: np.ndarray) -> np.ndarray:
@@ -138,7 +138,7 @@ def stabilizer_basis(m_sub: Subspace, *, cap: int = DEFAULT_MATRIX_CAP) -> list[
     """
     if not is_lagrangian(m_sub):
         raise ValueError("needs a Lagrangian subspace")
-    terms = _basis_weyl_terms(m_sub, cap=cap)
+    terms = weyl_representation(m_sub, cap=cap)
     out = []
     for zeta in coset_representatives(m_sub):
         rho = _group_projector(terms, zeta, m_sub.d, m_sub.n)
@@ -167,32 +167,56 @@ def _alignment_data(m_sub: Subspace, n_sub: Subspace) -> tuple[Subspace, list[tu
     return k_sub, gens
 
 
-def overlap_exact(a: StabilizerState, b: StabilizerState) -> Fraction:
-    """|<M,zeta|N,iota>|^2 of the realized states, as an exact rational.
+def _overlap_rule(m_sub: Subspace, n_sub: Subspace) -> tuple[Fraction, Callable, Callable]:
+    """The overlap rule for the states of M against those of N, as a key match.
 
-    Equals d^{-n} |K| with K = M cap N when omega^{[zeta-iota, g]} tau^{delta(g)}
-    = 1 for every generator g of K, and 0 otherwise. delta is the exact
-    alignment phase between the two canonical per-Lagrangian representations;
-    it vanishes identically for odd d, for equal Lagrangians, and for
-    transverse pairs, where the condition reduces to [zeta-iota, g] = 0.
+    |<M,zeta|N,iota>|^2 equals d^{-n} |K| with K = M cap N when
+    omega^{[zeta-iota, g]} tau^{delta(g)} = 1 for every generator g of K, and
+    0 otherwise. delta is the exact alignment phase between the two canonical
+    per-Lagrangian representations; it vanishes identically for odd d, for
+    equal Lagrangians, and for transverse pairs. In tau exponents the
+    condition reads 2[zeta,g] + delta(g) = 2[iota,g] modulo the order of tau,
+    which is exact because 2 (x mod d) = 2x (mod 2d). Returns d^{-n} |K| and
+    the key functions of zeta and of iota; a pair overlaps iff its keys match.
     """
-    if (a.d, a.n) != (b.d, b.n):
+    if (m_sub.d, m_sub.n) != (n_sub.d, n_sub.n):
         raise ValueError("states live in different spaces")
-    k_sub, gens = _alignment_data(a.lagrangian, b.lagrangian)
-    diff = a.zeta - b.zeta
-    order = tau_order(a.d)
-    for g, delta in gens:
-        if (2 * symplectic_form(diff, g) + delta) % order:
-            return Fraction(0)
-    return Fraction(a.d**k_sub.dim, a.d**a.n)
+    k_sub, gens = _alignment_data(m_sub, n_sub)
+    order = tau_order(m_sub.d)
+
+    def key_m(zeta: PhaseVector) -> tuple[int, ...]:
+        return tuple((2 * symplectic_form(zeta, g) + delta) % order for g, delta in gens)
+
+    def key_n(iota: PhaseVector) -> tuple[int, ...]:
+        return tuple(2 * symplectic_form(iota, g) % order for g, _ in gens)
+
+    return Fraction(m_sub.d**k_sub.dim, m_sub.d**m_sub.n), key_m, key_n
+
+
+def overlap_exact(a: StabilizerState, b: StabilizerState) -> Fraction:
+    """|<M,zeta|N,iota>|^2 of the realized states, as an exact rational."""
+    value, key_m, key_n = _overlap_rule(a.lagrangian, b.lagrangian)
+    return value if key_m(a.zeta) == key_n(b.zeta) else Fraction(0)
+
+
+def overlap_table(m_sub: Subspace, n_sub: Subspace) -> list[list[Fraction]]:
+    """overlap_exact for every state of M (rows) against every state of N.
+
+    Rows and columns follow coset_representatives order, as stabilizer_basis
+    does. Each key is computed once, so a block costs O(d^n) form evaluations
+    per generator of M cap N.
+    """
+    value, key_m, key_n = _overlap_rule(m_sub, n_sub)
+    zero = Fraction(0)
+    keys_m = [key_m(zeta) for zeta in coset_representatives(m_sub)]
+    keys_n = [key_n(iota) for iota in coset_representatives(n_sub)]
+    return [[value if row == col else zero for col in keys_n] for row in keys_m]
 
 
 def enumerate_states(d: int, n: int, *, cap: int = DEFAULT_STATE_CAP) -> Iterator[StabilizerState]:
     """All S(d,n) stabilizer states: Lagrangians outer, coset reps inner."""
     require_prime(d)
-    total = stabilizer_count(d, n)
-    if total > cap:
-        raise ResourceCapError(f"enumeration of {total} states exceeds cap {cap}")
+    check_cap("states", stabilizer_count(d, n), cap)
     return (
         StabilizerState(m_sub, zeta)
         for m_sub in enumerate_lagrangians(d, n)
@@ -205,9 +229,7 @@ def realized_states(
 ) -> list[tuple[StabilizerState, np.ndarray]]:
     """Every stabilizer state with its Hilbert-space vector, in enumeration order."""
     require_prime(d)
-    total = stabilizer_count(d, n)
-    if total > state_cap:
-        raise ResourceCapError(f"realization of {total} states exceeds cap {state_cap}")
+    check_cap("realized states", stabilizer_count(d, n), state_cap)
     out = []
     for m_sub in enumerate_lagrangians(d, n):
         for zeta, vec in stabilizer_basis(m_sub, cap=matrix_cap):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .combinatorics import gaussian_binomial, lagrangian_count, require_prime
-from .errors import ResourceCapError
+from .errors import check_cap
 
 DEFAULT_ENUM_CAP = 10**7
 
@@ -359,9 +359,7 @@ def enumerate_subspaces(d: int, ambient_dim: int, k: int, *, cap: int = DEFAULT_
     require_prime(d)
     if not 0 <= k <= ambient_dim:
         raise ValueError(f"need 0 <= k <= ambient dimension, got k={k}, ambient={ambient_dim}")
-    total = gaussian_binomial(ambient_dim, k, d)
-    if total > cap:
-        raise ResourceCapError(f"enumeration of {total} subspaces exceeds cap {cap}")
+    check_cap("subspaces", gaussian_binomial(ambient_dim, k, d), cap)
     return _iter_subspaces(d, ambient_dim, k)
 
 
@@ -397,9 +395,7 @@ def enumerate_lagrangians(d: int, n: int, *, cap: int = DEFAULT_ENUM_CAP) -> Ite
     require_prime(d)
     if n < 1:
         raise ValueError("n must be positive")
-    count = lagrangian_count(d, n)
-    if count > cap:
-        raise ResourceCapError(f"enumeration of {count} Lagrangians exceeds cap {cap}")
+    check_cap("Lagrangians", lagrangian_count(d, n), cap)
     return _iter_lagrangians(d, n)
 
 
@@ -543,9 +539,7 @@ def extensions_through(m_sub: Subspace, k_sub: Subspace, *, cap: int = DEFAULT_E
     if not all(m_sub.contains_coords(g) for g in k_sub.generators):
         raise ValueError("K must be contained in M")
     m = m_sub.dim - k_sub.dim
-    total = m_sub.d ** (m * (m + 1) // 2)
-    if total > cap:
-        raise ResourceCapError(f"extension enumeration of {total} Lagrangians exceeds cap {cap}")
+    check_cap("Lagrangian extensions", m_sub.d ** (m * (m + 1) // 2), cap)
     return _iter_extensions(m_sub, k_sub, m)
 
 

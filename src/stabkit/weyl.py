@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ResourceCapError
+from .errors import check_cap
 from .symplectic import PhaseVector, _rref, _solve_linear_system, symplectic_form, symplectic_form_lift
 
 DEFAULT_MATRIX_CAP = 4096
@@ -71,13 +71,6 @@ def _register_matrix(d: int, p: int, q: int) -> np.ndarray:
     return out
 
 
-def _check_matrix_cap(d: int, n: int, cap: int) -> int:
-    dim = d**n
-    if dim > cap:
-        raise ResourceCapError(f"matrix dimension {dim} exceeds cap {cap}")
-    return dim
-
-
 def _zx_matrix(d: int, pvec: Sequence[int], qvec: Sequence[int]) -> np.ndarray:
     mats = [_register_matrix(d, p % d, q % d) for p, q in zip(pvec, qvec)]
     return reduce(np.kron, mats)
@@ -119,7 +112,7 @@ class WeylOperator:
         return out
 
     def matrix(self, *, cap: int = DEFAULT_MATRIX_CAP) -> np.ndarray:
-        _check_matrix_cap(self.point.d, self.point.n, cap)
+        check_cap("matrix dimension", self.point.d**self.point.n, cap)
         return self.phase.value() * _zx_matrix(self.point.d, self.point.p, self.point.q)
 
 
@@ -130,14 +123,14 @@ def _as_tuple(x: int | Sequence[int]) -> tuple[int, ...]:
 def shift(q: int | Sequence[int], d: int, *, cap: int = DEFAULT_MATRIX_CAP) -> np.ndarray:
     """x(q)|x> = |x+q>, tensored over registers."""
     qt = _as_tuple(q)
-    _check_matrix_cap(d, len(qt), cap)
+    check_cap("matrix dimension", d ** len(qt), cap)
     return _zx_matrix(d, (0,) * len(qt), qt)
 
 
 def boost(p: int | Sequence[int], d: int, *, cap: int = DEFAULT_MATRIX_CAP) -> np.ndarray:
     """z(p)|x> = omega^{p.x}|x>, tensored over registers."""
     pt = _as_tuple(p)
-    _check_matrix_cap(d, len(pt), cap)
+    check_cap("matrix dimension", d ** len(pt), cap)
     return _zx_matrix(d, pt, (0,) * len(pt))
 
 

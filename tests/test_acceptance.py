@@ -30,8 +30,8 @@ from stabkit import (
     verify_composition,
     welch_bound,
     weyl,
+    weyl_representation,
 )
-from stabkit.stabilizer import _basis_weyl_terms
 from stabkit.weyl import _omega_power
 
 
@@ -98,7 +98,7 @@ def test_criterion_05_hilbert_space_oracles():
         dim = d**n
         for m_sub in enumerate_lagrangians(d, n):
             basis = stabilizer_basis(m_sub)
-            terms = _basis_weyl_terms(m_sub)
+            terms = weyl_representation(m_sub)
             for zeta, vec in basis:
                 for m_vec, mat in terms:
                     phase = _omega_power(d, symplectic_form(zeta, m_vec))

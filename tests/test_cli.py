@@ -4,11 +4,15 @@ import contextlib
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from stabkit import FramePotentialReport, StabilizerState, Subspace
-from stabkit.cli import main
+from stabkit import FramePotentialReport, ResourceCapError, StabilizerState, Subspace
+from stabkit.cli import main, run_verification
 
 from helpers import lagrangians_by_filter
 
@@ -127,6 +131,27 @@ def test_enumerate_states_realized():
         assert abs(norm - 1) <= 1e-10
 
 
+def test_enumerate_states_realized_matches_plain_stream():
+    code, plain, _ = run_cli(["enumerate", "states", "--d", "2", "--n", "2"])
+    assert code == 0
+    code, realized, _ = run_cli(["enumerate", "states", "--d", "2", "--n", "2", "--realize"])
+    assert code == 0
+    stripped = []
+    for line in realized.splitlines():
+        obj = json.loads(line)
+        del obj["amplitudes"]
+        stripped.append(json.dumps(obj, separators=(",", ":")))
+    assert stripped == plain.splitlines()
+    assert len(stripped) == 60
+
+
+def test_enumerate_states_realized_respects_state_cap():
+    code, out, err = run_cli(["enumerate", "states", "--d", "2", "--n", "2", "--realize", "--state-cap", "10"])
+    assert code == 3
+    assert out == ""
+    assert "60" in err and "10" in err
+
+
 def test_enumerate_spectrum():
     code, out, _ = run_cli(["enumerate", "spectrum", "--d", "2", "--n", "2", "--format", "csv"])
     assert code == 0
@@ -155,6 +180,46 @@ def test_verify_resource_cap():
     code, _, err = run_cli(["verify", "--d", "2", "--n", "9"])
     assert code == 3
     assert "cap" in err
+
+
+def _refuse(name):
+    def refused(*args, **kwargs):
+        raise AssertionError(f"{name} ran before the cap pre-check")
+
+    return refused
+
+
+def test_verify_cap_precheck_runs_before_enumeration(monkeypatch):
+    for module in ("stabkit.cli", "stabkit.symplectic", "stabkit.stabilizer"):
+        monkeypatch.setattr(f"{module}.enumerate_lagrangians", _refuse("enumerate_lagrangians"))
+    with pytest.raises(ResourceCapError):
+        run_verification(2, 5, 4)
+
+
+def test_bruteforce_pair_cap_precheck_runs_before_realization(monkeypatch):
+    for module in ("stabkit.stabilizer", "stabkit.potential"):
+        monkeypatch.setattr(f"{module}.realized_states", _refuse("realized_states"))
+    code, out, err = run_cli(["frame-potential", "--d", "2", "--n", "5", "--t", "2", "--method", "bruteforce"])
+    assert code == 3 and out == ""
+    assert "cap" in err
+
+
+def test_verify_matrix_cap_exits_3():
+    code, out, err = run_cli(["verify", "--d", "2", "--n", "3", "--matrix-cap", "4"])
+    assert code == 3 and out == ""
+    assert "matrix dimension" in err
+
+
+def test_verify_output_unchanged_under_optimize_flag():
+    # Invariants must not rest on assert, which -O strips.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = ["-m", "stabkit", "verify", "--d", "2", "--n", "2", "--t-max", "4"]
+    plain = subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True, timeout=120)
+    optimized = subprocess.run([sys.executable, "-O", *argv], env=env, capture_output=True, text=True, timeout=120)
+    assert plain.returncode == 0 and optimized.returncode == 0
+    assert "result: PASS" in plain.stdout
+    assert optimized.stdout == plain.stdout
 
 
 def test_usage_errors_exit_2():

@@ -17,7 +17,7 @@ from stabkit import (
     welch_bound,
 )
 from stabkit.errors import NonPrimeModulusError, ResourceCapError
-from stabkit.potential import _pairwise_sum, fraction_str, parse_fraction
+from stabkit.potential import _pairwise_sum, _worker_count, fraction_str, parse_fraction
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +128,13 @@ def test_bruteforce_thread_count_invariance():
     one = frame_potential_bruteforce(2, 2, 3, vectors=vectors, threads=1)
     many = frame_potential_bruteforce(2, 2, 3, vectors=vectors, threads=4)
     assert one == many
+
+
+def test_worker_count_is_bounded_by_tasks_and_cpus():
+    assert _worker_count(5, 1080, 8) == 5
+    assert _worker_count(1000, 1080, 2) == 8
+    assert _worker_count(16, 6, 8) == 6
+    assert _worker_count(1, 0, 1) == 1
 
 
 def test_numeric_engine_caps():

@@ -17,15 +17,16 @@ from stabkit import (
     intersect,
     is_transverse,
     overlap_exact,
+    overlap_table,
     projector,
     stabilizer_basis,
     stabilizer_count,
     state_vector,
     symplectic_form,
     weyl_basis,
+    weyl_representation,
 )
 from stabkit.errors import ResourceCapError
-from stabkit.stabilizer import _basis_weyl_terms
 from stabkit.weyl import _omega_power
 
 
@@ -83,7 +84,7 @@ def test_single_qubit_states_are_the_six_rays():
 def test_eigenvalue_equations():
     for d, n in [(2, 1), (2, 2), (3, 1), (3, 2)]:
         for m_sub in enumerate_lagrangians(d, n):
-            terms = _basis_weyl_terms(m_sub)
+            terms = weyl_representation(m_sub)
             for zeta, vec in stabilizer_basis(m_sub):
                 for m_vec, mat in terms:
                     phase = _omega_power(d, symplectic_form(zeta, m_vec))
@@ -139,6 +140,19 @@ def test_overlap_exact_matches_realized_vectors():
                 amp = np.vdot(va, vb)
                 numeric = float(amp.real**2 + amp.imag**2)
                 assert abs(numeric - float(overlap_exact(a, b))) <= 1e-10
+
+
+def test_overlap_table_matches_overlap_exact():
+    # (2, 2) has Lagrangian pairs whose alignment phase delta is nonzero.
+    for d, n in [(2, 2), (3, 1)]:
+        lagrangians = list(enumerate_lagrangians(d, n))
+        bases = {m_sub: [StabilizerState(m_sub, zeta) for zeta, _ in stabilizer_basis(m_sub)] for m_sub in lagrangians}
+        for m_sub in lagrangians:
+            for n_sub in lagrangians:
+                table = overlap_table(m_sub, n_sub)
+                assert len(table) == len(bases[m_sub]) == d**n
+                for a, row in zip(bases[m_sub], table):
+                    assert row == [overlap_exact(a, b) for b in bases[n_sub]]
 
 
 def test_nonzero_overlap_count_per_lagrangian_pair():
