@@ -96,6 +96,12 @@ def _pairwise_sum(values: Sequence[float]) -> float:
     return vals[0]
 
 
+def _state_stack(vectors: Sequence[np.ndarray], count: int) -> np.ndarray:
+    if len(vectors) != count:
+        raise ValueError(f"expected all {count} state vectors, got {len(vectors)}")
+    return np.array(vectors)
+
+
 def _overlap_powers(stack: np.ndarray, ref: np.ndarray, t: int) -> list[float]:
     amps = stack @ np.conj(ref)
     return ((amps.real**2 + amps.imag**2) ** t).tolist()
@@ -121,7 +127,7 @@ def frame_potential_bruteforce(
     check_cap("brute-force state pairs", count * count, pair_cap)
     if vectors is None:
         vectors = [vec for _, vec in realized_states(d, n, state_cap=count, matrix_cap=matrix_cap)]
-    stack = np.array(vectors)
+    stack = _state_stack(vectors, count)
 
     def row_total(i: int) -> float:
         return _pairwise_sum(_overlap_powers(stack, stack[i], t))
@@ -156,7 +162,7 @@ def frame_potential_fixed_state(
         if not pairs[0][0].zeta.is_zero():
             raise RuntimeError("the first enumerated state must have coset representative 0")
         vectors = [vec for _, vec in pairs]
-    stack = np.array(vectors)
+    stack = _state_stack(vectors, count)
     return _pairwise_sum(_overlap_powers(stack, stack[0], t)) / count
 
 

@@ -19,23 +19,19 @@ import numpy as np
 
 from .combinatorics import require_prime, stabilizer_count
 from .errors import check_cap
-from .weyl import (
-    DEFAULT_MATRIX_CAP,
-    _omega_power,
-    basis_weyl_operator,
-    solve_in_basis,
-    tau_order,
-)
+from .weyl import DEFAULT_MATRIX_CAP, _omega_power, basis_weyl_operator, tau_order
 from .symplectic import (
     PhaseVector,
+    Row,
     Subspace,
     _complete_basis,
+    _form_lift,
+    _trusted,
     canonical_coset_representative,
     coset_representatives,
     enumerate_lagrangians,
     intersect,
     is_lagrangian,
-    symplectic_form,
 )
 
 DEFAULT_STATE_CAP = 10**6
@@ -49,8 +45,6 @@ class StabilizerState:
     def __post_init__(self) -> None:
         if not is_lagrangian(self.lagrangian):
             raise ValueError("subspace is not Lagrangian")
-        if (self.zeta.d, self.zeta.n) != (self.lagrangian.d, self.lagrangian.n):
-            raise ValueError("coset representative lives in a different space")
         if canonical_coset_representative(self.lagrangian, self.zeta) != self.zeta:
             raise ValueError("coset representative is not canonical; use from_coset")
 
@@ -101,7 +95,7 @@ def _group_projector(terms: Sequence[tuple[PhaseVector, np.ndarray]], v: PhaseVe
     dim = d**n
     rho = np.zeros((dim, dim), dtype=np.complex128)
     for m, mat in terms:
-        rho += _omega_power(d, symplectic_form(v, m)) * mat
+        rho += _omega_power(d, _form_lift(v.coords, m.coords, n)) * mat
     return rho / d**n
 
 
@@ -109,6 +103,8 @@ def projector(m_sub: Subspace, v: PhaseVector, *, cap: int = DEFAULT_MATRIX_CAP)
     """Rank-one projector d^{-n} sum_{m in M} omega^{[v,m]} w_B(m)."""
     if not is_lagrangian(m_sub):
         raise ValueError("projector needs a Lagrangian subspace")
+    if (v.d, v.n) != (m_sub.d, m_sub.n):
+        raise ValueError("vector lives in a different space")
     return _group_projector(weyl_representation(m_sub, cap=cap), v, m_sub.d, m_sub.n)
 
 
@@ -146,57 +142,41 @@ def stabilizer_basis(m_sub: Subspace, *, cap: int = DEFAULT_MATRIX_CAP) -> list[
     return out
 
 
-def _alignment_data(m_sub: Subspace, n_sub: Subspace) -> tuple[Subspace, list[tuple[PhaseVector, int]]]:
-    """Generators of K = M cap N with the exact phase mismatch of the two reps.
+def _overlap_key(m_sub: Subspace, k_sub: Subspace) -> Callable[[Row], tuple[int, ...]]:
+    """zeta -> (2[zeta,g] + e_M(g)) mod the order of tau, over the generators g of K.
 
-    w_{B_M} and w_{B_N} restricted to K agree only up to a character when d is
-    even, because each state uses its own canonical basis. The mismatch on a
-    generator g is tau^{delta} with delta = e_M(g) - e_N(g), computed
-    symbolically, so the overlap condition below stays exact.
+    tau^{e_M(g)} is the phase of w_{B_M}(g), B_M the canonical basis of M; the
+    coefficients of g in B_M are its entries at M's pivots, because B_M is in
+    RREF. 2[zeta,g] may use the integer lift, since 2 (x mod d) = 2x (mod 2d).
     """
-    k_sub = intersect(m_sub, n_sub)
-    basis_m = m_sub.generator_vectors()
-    basis_n = n_sub.generator_vectors()
+    basis, pivots, n = m_sub.generator_vectors(), m_sub.pivots, m_sub.n
     order = tau_order(m_sub.d)
-    gens = []
-    for row in k_sub.generators:
-        g = PhaseVector(m_sub.d, m_sub.n, row)
-        e_m = basis_weyl_operator(basis_m, solve_in_basis(basis_m, g)).phase.exponent
-        e_n = basis_weyl_operator(basis_n, solve_in_basis(basis_n, g)).phase.exponent
-        gens.append((g, (e_m - e_n) % order))
-    return k_sub, gens
+    terms = [(g, basis_weyl_operator(basis, [g[c] for c in pivots]).phase.exponent) for g in k_sub.generators]
+    return lambda zeta: tuple((2 * _form_lift(zeta, g, n) + e) % order for g, e in terms)
 
 
 def _overlap_rule(m_sub: Subspace, n_sub: Subspace) -> tuple[Fraction, Callable, Callable]:
     """The overlap rule for the states of M against those of N, as a key match.
 
-    |<M,zeta|N,iota>|^2 equals d^{-n} |K| with K = M cap N when
-    omega^{[zeta-iota, g]} tau^{delta(g)} = 1 for every generator g of K, and
-    0 otherwise. delta is the exact alignment phase between the two canonical
-    per-Lagrangian representations; it vanishes identically for odd d, for
-    equal Lagrangians, and for transverse pairs. In tau exponents the
-    condition reads 2[zeta,g] + delta(g) = 2[iota,g] modulo the order of tau,
-    which is exact because 2 (x mod d) = 2x (mod 2d). Returns d^{-n} |K| and
-    the key functions of zeta and of iota; a pair overlaps iff its keys match.
+    |<M,zeta|N,iota>|^2 equals d^{-n} |K| with K = M cap N when every Weyl
+    operator on K has the same eigenvalue on both states, and 0 otherwise. The
+    two states use their own canonical bases, whose representations of K
+    differ by a character when d is even, so the condition reads
+    omega^{[zeta,g]} tau^{e_M(g)} = omega^{[iota,g]} tau^{e_N(g)} on every
+    generator g of K: exactly when the _overlap_key of zeta under M equals
+    that of iota under N. Returns d^{-n} |K| and the key functions of M and N.
     """
     if (m_sub.d, m_sub.n) != (n_sub.d, n_sub.n):
         raise ValueError("states live in different spaces")
-    k_sub, gens = _alignment_data(m_sub, n_sub)
-    order = tau_order(m_sub.d)
-
-    def key_m(zeta: PhaseVector) -> tuple[int, ...]:
-        return tuple((2 * symplectic_form(zeta, g) + delta) % order for g, delta in gens)
-
-    def key_n(iota: PhaseVector) -> tuple[int, ...]:
-        return tuple(2 * symplectic_form(iota, g) % order for g, _ in gens)
-
-    return Fraction(m_sub.d**k_sub.dim, m_sub.d**m_sub.n), key_m, key_n
+    k_sub = intersect(m_sub, n_sub)
+    value = Fraction(m_sub.d**k_sub.dim, m_sub.d**m_sub.n)
+    return value, _overlap_key(m_sub, k_sub), _overlap_key(n_sub, k_sub)
 
 
 def overlap_exact(a: StabilizerState, b: StabilizerState) -> Fraction:
     """|<M,zeta|N,iota>|^2 of the realized states, as an exact rational."""
     value, key_m, key_n = _overlap_rule(a.lagrangian, b.lagrangian)
-    return value if key_m(a.zeta) == key_n(b.zeta) else Fraction(0)
+    return value if key_m(a.zeta.coords) == key_n(b.zeta.coords) else Fraction(0)
 
 
 def overlap_table(m_sub: Subspace, n_sub: Subspace) -> list[list[Fraction]]:
@@ -208,8 +188,8 @@ def overlap_table(m_sub: Subspace, n_sub: Subspace) -> list[list[Fraction]]:
     """
     value, key_m, key_n = _overlap_rule(m_sub, n_sub)
     zero = Fraction(0)
-    keys_m = [key_m(zeta) for zeta in coset_representatives(m_sub)]
-    keys_n = [key_n(iota) for iota in coset_representatives(n_sub)]
+    keys_m = [key_m(zeta.coords) for zeta in coset_representatives(m_sub)]
+    keys_n = [key_n(iota.coords) for iota in coset_representatives(n_sub)]
     return [[value if row == col else zero for col in keys_n] for row in keys_m]
 
 
@@ -218,7 +198,7 @@ def enumerate_states(d: int, n: int, *, cap: int = DEFAULT_STATE_CAP) -> Iterato
     require_prime(d)
     check_cap("states", stabilizer_count(d, n), cap)
     return (
-        StabilizerState(m_sub, zeta)
+        _trusted(StabilizerState, m_sub, zeta)
         for m_sub in enumerate_lagrangians(d, n)
         for zeta in coset_representatives(m_sub)
     )
@@ -233,7 +213,7 @@ def realized_states(
     out = []
     for m_sub in enumerate_lagrangians(d, n):
         for zeta, vec in stabilizer_basis(m_sub, cap=matrix_cap):
-            out.append((StabilizerState(m_sub, zeta), vec))
+            out.append((_trusted(StabilizerState, m_sub, zeta), vec))
     return out
 
 

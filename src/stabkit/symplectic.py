@@ -26,6 +26,17 @@ DEFAULT_ENUM_CAP = 10**7
 Row = tuple[int, ...]
 
 
+def _trusted(cls, *fields):
+    """An instance of the frozen dataclass cls from fields the library built in
+    canonical form; __post_init__ does not run, so it must never see outside input."""
+    obj = object.__new__(cls)
+    # Field by field, as the generated __init__ does: touching obj.__dict__ would
+    # give every instance its own dict instead of the shared-key layout.
+    for name, value in zip(cls.__dataclass_fields__, fields, strict=True):
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 @dataclass(frozen=True)
 class PhaseVector:
     """An element of Z_d^{2n}, split as (p_1..p_n, q_1..q_n)."""
@@ -58,28 +69,36 @@ class PhaseVector:
         if (self.d, self.n) != (other.d, other.n):
             raise ValueError("phase vectors live in different spaces")
 
+    def _reduced(self, coords: Iterable[int]) -> "PhaseVector":
+        return _trusted(PhaseVector, self.d, self.n, tuple(c % self.d for c in coords))
+
     def __add__(self, other: "PhaseVector") -> "PhaseVector":
         self._check_compatible(other)
-        return PhaseVector(self.d, self.n, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return self._reduced(a + b for a, b in zip(self.coords, other.coords))
 
     def __sub__(self, other: "PhaseVector") -> "PhaseVector":
         self._check_compatible(other)
-        return PhaseVector(self.d, self.n, tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return self._reduced(a - b for a, b in zip(self.coords, other.coords))
 
     def __neg__(self) -> "PhaseVector":
-        return PhaseVector(self.d, self.n, tuple(-a for a in self.coords))
+        return self._reduced(-a for a in self.coords)
 
     def scaled(self, c: int) -> "PhaseVector":
-        return PhaseVector(self.d, self.n, tuple(c * a for a in self.coords))
+        return self._reduced(c * a for a in self.coords)
 
     def is_zero(self) -> bool:
         return not any(self.coords)
 
 
+def _form_lift(u: Sequence[int], v: Sequence[int], n: int) -> int:
+    # u_p.v_q - u_q.v_p on the coordinates as given, with no reduction.
+    return sum(u[i] * v[n + i] - u[n + i] * v[i] for i in range(n))
+
+
 def symplectic_form(u: PhaseVector, v: PhaseVector) -> int:
     """[u, v] = u_p.v_q - u_q.v_p reduced mod d."""
     u._check_compatible(v)
-    return symplectic_form_lift(u, v) % u.d
+    return _form_lift(u.coords, v.coords, u.n) % u.d
 
 
 def symplectic_form_lift(u: PhaseVector, v: PhaseVector) -> int:
@@ -89,7 +108,7 @@ def symplectic_form_lift(u: PhaseVector, v: PhaseVector) -> int:
     modular in even dimension.
     """
     u._check_compatible(v)
-    return sum(a * b for a, b in zip(u.p, v.q)) - sum(a * b for a, b in zip(u.q, v.p))
+    return _form_lift(u.coords, v.coords, u.n)
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +237,15 @@ class Subspace:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]], *, d: int, width: int) -> "Subspace":
+        """Span of the given integer rows, each of length width, in canonical form."""
+        require_prime(d)
+        if width < 1:
+            raise ValueError("ambient dimension must be positive")
+        rows = list(rows)
+        if any(len(row) != width for row in rows):
+            raise ValueError(f"every row must have {width} entries")
         reduced, pivots = _rref(rows, d)
-        return cls(d, width, tuple(tuple(r) for r in reduced[: len(pivots)]))
+        return _trusted(cls, d, width, tuple(tuple(r) for r in reduced[: len(pivots)]))
 
     @property
     def dim(self) -> int:
@@ -266,7 +292,7 @@ class Subspace:
 
     def generator_vectors(self) -> tuple[PhaseVector, ...]:
         n = self.n
-        return tuple(PhaseVector(self.d, n, row) for row in self.generators)
+        return tuple(_trusted(PhaseVector, self.d, n, row) for row in self.generators)
 
     def to_json_dict(self) -> dict:
         return {
@@ -284,13 +310,13 @@ class Subspace:
 def canonicalize(rows: Iterable[PhaseVector], *, d: int | None = None, n: int | None = None) -> Subspace:
     """Span of the given phase vectors in canonical form; dependent rows drop out.
 
-    d and n are only needed when rows is empty.
+    d and n are only needed when rows is empty; when given, every row must match them.
     """
     rows = list(rows)
     if rows:
-        d, n = rows[0].d, rows[0].n
-        for v in rows:
-            rows[0]._check_compatible(v)
+        d, n = rows[0].d if d is None else d, rows[0].n if n is None else n
+        if any((v.d, v.n) != (d, n) for v in rows):
+            raise ValueError(f"every phase vector must live in Z_{d}^{2 * n}")
     if d is None or n is None:
         raise ValueError("empty row list needs explicit d and n")
     return Subspace.from_rows([v.coords for v in rows], d=d, width=2 * n)
@@ -326,13 +352,13 @@ def complement(s: Subspace) -> Subspace:
 
 
 def intersect(a: Subspace, b: Subspace) -> Subspace:
-    """A ∩ B via the Zassenhaus block trick."""
+    """A ∩ B via the Zassenhaus block trick. The reduced rows with a zero left half
+    have their pivots, cleared in every other row, on the right: those halves are RREF."""
     _check_same_ambient(a, b)
     w = a.width
     rows = [list(g) + list(g) for g in a.generators] + [list(g) + [0] * w for g in b.generators]
     reduced, pivots = _rref(rows, a.d)
-    inter = [row[w:] for row in reduced[: len(pivots)] if not any(row[:w])]
-    return Subspace.from_rows(inter, d=a.d, width=w)
+    return _trusted(Subspace, a.d, w, tuple(tuple(row[w:]) for row in reduced[: len(pivots)] if not any(row[:w])))
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
@@ -363,21 +389,27 @@ def enumerate_subspaces(d: int, ambient_dim: int, k: int, *, cap: int = DEFAULT_
     return _iter_subspaces(d, ambient_dim, k)
 
 
+def _fill_free(d: int, base: Row, free: Sequence[int]) -> Iterator[Row]:
+    """base with every Z_d assignment to the free columns, in lexicographic order."""
+    for vals in itertools.product(range(d), repeat=len(free)):
+        row = list(base)
+        for j, v in zip(free, vals):
+            row[j] = v
+        yield tuple(row)
+
+
+def _rref_rows(d: int, m: int, pivots: Sequence[int]) -> list[list[Row]]:
+    """Per pivot c, every RREF row leading at c: free entries right of c, off the other pivots."""
+    return [
+        list(_fill_free(d, tuple(int(j == c) for j in range(m)), [j for j in range(c + 1, m) if j not in pivots]))
+        for c in pivots
+    ]
+
+
 def _iter_subspaces(d: int, m: int, k: int) -> Iterator[Subspace]:
-    if k == 0:
-        yield Subspace.zero(d, m)
-        return
     for pivots in itertools.combinations(range(m), k):
-        pivot_set = set(pivots)
-        free_pos = [(i, j) for i in range(k) for j in range(pivots[i] + 1, m) if j not in pivot_set]
-        base = [[0] * m for _ in range(k)]
-        for i, c in enumerate(pivots):
-            base[i][c] = 1
-        for vals in itertools.product(range(d), repeat=len(free_pos)):
-            rows = [row[:] for row in base]
-            for (i, j), v in zip(free_pos, vals):
-                rows[i][j] = v
-            yield Subspace(d, m, tuple(tuple(r) for r in rows))
+        for rows in itertools.product(*_rref_rows(d, m, pivots)):
+            yield _trusted(Subspace, d, m, rows)
 
 
 def enumerate_lagrangians(d: int, n: int, *, cap: int = DEFAULT_ENUM_CAP) -> Iterator[Subspace]:
@@ -402,24 +434,13 @@ def enumerate_lagrangians(d: int, n: int, *, cap: int = DEFAULT_ENUM_CAP) -> Ite
 def _iter_lagrangians(d: int, n: int) -> Iterator[Subspace]:
     m = 2 * n
     for pivots in itertools.combinations(range(m), n):
-        # Per row, every (row, form row) choice in lexicographic order of its free entries.
-        choices = []
-        for c in pivots:
-            free = [j for j in range(c + 1, m) if j not in pivots]
-            rows = []
-            for vals in itertools.product(range(d), repeat=len(free)):
-                row = [0] * m
-                row[c] = 1
-                for j, v in zip(free, vals):
-                    row[j] = v
-                rows.append((tuple(row), _form_row(row, n, d)))
-            choices.append(rows)
+        choices = [[(row, _form_row(row, n, d)) for row in rows] for rows in _rref_rows(d, m, pivots)]
         yield from _isotropic_completions(d, m, choices, [])
 
 
 def _isotropic_completions(d: int, m: int, choices: list, prefix: list) -> Iterator[Subspace]:
     if len(prefix) == len(choices):
-        yield Subspace(d, m, tuple(row for row, _ in prefix))
+        yield _trusted(Subspace, d, m, tuple(row for row, _ in prefix))
         return
     for row, form in choices[len(prefix)]:
         if all(sum(a * b for a, b in zip(form, prev)) % d == 0 for prev, _ in prefix):
@@ -505,9 +526,7 @@ def _dual_partners(k_sub: Subspace, a_rows: Sequence[Row]) -> list[Row]:
     if any(c is None for c in solved):
         raise RuntimeError("dual-partner system must be solvable")
     cs = [list(c) for c in solved]  # type: ignore[union-attr]
-    a_vecs = [PhaseVector(d, n, a) for a in a_rows]
-    c_vecs = [PhaseVector(d, n, tuple(c)) for c in cs]
-    s = [[symplectic_form(ci, cj) for cj in c_vecs] for ci in c_vecs]
+    s = [[_form_lift(ci, cj, n) % d for cj in cs] for ci in cs]
     out = []
     for i in range(m):
         b = list(cs[i])
@@ -515,12 +534,9 @@ def _dual_partners(k_sub: Subspace, a_rows: Sequence[Row]) -> list[Row]:
             if s[i][l]:
                 b = [(x - s[i][l] * y) % d for x, y in zip(b, a_rows[l])]
         out.append(tuple(b))
-    b_vecs = [PhaseVector(d, n, b) for b in out]
-    if not all(
-        symplectic_form(a_vecs[i], b_vecs[j]) == (1 if i == j else 0) for i in range(m) for j in range(m)
-    ):
+    if not all(_form_lift(a_rows[i], out[j], n) % d == (i == j) for i in range(m) for j in range(m)):
         raise RuntimeError("dual partners must pair as [a_i, b_j] = delta_ij")
-    if not all(symplectic_form(b_vecs[i], b_vecs[j]) == 0 for i in range(m) for j in range(m)):
+    if not all(_form_lift(out[i], out[j], n) % d == 0 for i in range(m) for j in range(m)):
         raise RuntimeError("dual partners must span an isotropic subspace")
     return out
 
@@ -573,19 +589,16 @@ def coset_representatives(m_sub: Subspace) -> Iterator[PhaseVector]:
     coordinates; the class of 0 is represented by the zero vector.
     """
     n = m_sub.n
-    pivot_set = set(m_sub.pivots)
-    free = [c for c in range(m_sub.width) if c not in pivot_set]
-    for vals in itertools.product(range(m_sub.d), repeat=len(free)):
-        coords = [0] * m_sub.width
-        for c, v in zip(free, vals):
-            coords[c] = v
-        yield PhaseVector(m_sub.d, n, tuple(coords))
+    pivots = m_sub.pivots
+    free = [c for c in range(m_sub.width) if c not in pivots]
+    for coords in _fill_free(m_sub.d, (0,) * m_sub.width, free):
+        yield _trusted(PhaseVector, m_sub.d, n, coords)
 
 
 def canonical_coset_representative(m_sub: Subspace, v: PhaseVector) -> PhaseVector:
     if (v.d, 2 * v.n) != (m_sub.d, m_sub.width):
         raise ValueError("vector lives in a different space")
-    return PhaseVector(v.d, v.n, m_sub.reduce_coords(v.coords))
+    return _trusted(PhaseVector, v.d, v.n, m_sub.reduce_coords(v.coords))
 
 
 # ---------------------------------------------------------------------------

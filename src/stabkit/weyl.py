@@ -106,7 +106,8 @@ class WeylOperator:
     def pow(self, k: int) -> "WeylOperator":
         if k < 0:
             raise ValueError("negative powers not supported")
-        out = WeylOperator.identity(self.point.d, self.point.n)
+        # The identity on this operator's space, from a vector the library already checked.
+        out = WeylOperator(TauPhase(self.point.d, 0), self.point.scaled(0))
         for _ in range(k):
             out = out @ self
         return out
@@ -166,11 +167,8 @@ def basis_weyl_operator(basis: Sequence[PhaseVector], coefficients: Sequence[int
     """Symbolic product prod_i w(u_i)^{c_i} in basis order."""
     if len(basis) != len(coefficients):
         raise ValueError("coefficient count must match basis size")
-    d, n = basis[0].d, basis[0].n
-    out = WeylOperator.identity(d, n)
-    for u, c in zip(basis, coefficients):
-        out = out @ WeylOperator.from_point(u).pow(c % d)
-    return out
+    d = basis[0].d
+    return reduce(WeylOperator.__matmul__, (WeylOperator.from_point(u).pow(c % d) for u, c in zip(basis, coefficients)))
 
 
 def weyl_basis(basis: Sequence[PhaseVector], m: PhaseVector, *, cap: int = DEFAULT_MATRIX_CAP) -> np.ndarray:

@@ -137,6 +137,16 @@ def test_worker_count_is_bounded_by_tasks_and_cpus():
     assert _worker_count(1, 0, 1) == 1
 
 
+def test_numeric_engines_reject_a_partial_vector_list():
+    vecs = cached_vectors(2, 1)
+    assert frame_potential_fixed_state(2, 1, 2, vectors=vecs) == pytest.approx(1 / 3)
+    for wrong in (vecs[:3], vecs + vecs[:3]):
+        with pytest.raises(ValueError, match="6 state vectors"):
+            frame_potential_fixed_state(2, 1, 2, vectors=wrong)
+        with pytest.raises(ValueError, match="6 state vectors"):
+            frame_potential_bruteforce(2, 1, 2, vectors=wrong, threads=1)
+
+
 def test_numeric_engine_caps():
     with pytest.raises(ResourceCapError):
         frame_potential_bruteforce(2, 2, 2, pair_cap=100)

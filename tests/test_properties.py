@@ -1,0 +1,81 @@
+"""Property-based tests of the subspace algebra over Z_d^{2n}."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from stabkit import PhaseVector, Subspace, canonicalize, complement, intersect, subspace_sum
+
+PROPERTY_SETTINGS = settings(derandomize=True, max_examples=60, deadline=None)
+
+
+@st.composite
+def spaces(draw):
+    return draw(st.sampled_from([2, 3, 5])), draw(st.integers(1, 3))
+
+
+def rows_in(d, n):
+    row = st.lists(st.integers(-2 * d, 2 * d), min_size=2 * n, max_size=2 * n)
+    return st.lists(row, max_size=2 * n + 1)
+
+
+@st.composite
+def subspace_pairs(draw):
+    d, n = draw(spaces())
+    a = Subspace.from_rows(draw(rows_in(d, n)), d=d, width=2 * n)
+    b = Subspace.from_rows(draw(rows_in(d, n)), d=d, width=2 * n)
+    return a, b
+
+
+@st.composite
+def subspace_and_vector(draw):
+    d, n = draw(spaces())
+    a = Subspace.from_rows(draw(rows_in(d, n)), d=d, width=2 * n)
+    v = draw(st.lists(st.integers(-2 * d, 2 * d), min_size=2 * n, max_size=2 * n))
+    return a, v
+
+
+def assert_canonical(s):
+    # The public constructor re-runs the canonical-form check on every field.
+    assert Subspace(s.d, s.width, s.generators) == s
+
+
+@PROPERTY_SETTINGS
+@given(subspace_pairs())
+def test_dimension_formula(pair):
+    a, b = pair
+    meet, join = intersect(a, b), subspace_sum(a, b)
+    assert meet.dim + join.dim == a.dim + b.dim
+    for s in (a, b, meet, join):
+        assert_canonical(s)
+
+
+@PROPERTY_SETTINGS
+@given(subspace_pairs())
+def test_complement_dimension_and_involution(pair):
+    a, _ = pair
+    perp = complement(a)
+    assert perp.dim == a.width - a.dim
+    assert complement(perp) == a
+    assert_canonical(perp)
+
+
+@PROPERTY_SETTINGS
+@given(subspace_pairs())
+def test_canonicalization_is_idempotent(pair):
+    a, _ = pair
+    assert Subspace.from_rows(a.generators, d=a.d, width=a.width) == a
+    assert canonicalize(a.generator_vectors(), d=a.d, n=a.n) == a
+
+
+@PROPERTY_SETTINGS
+@given(subspace_and_vector())
+def test_reduce_coords_is_consistent(case):
+    a, v = case
+    r = a.reduce_coords(v)
+    assert all(0 <= x < a.d for x in r)
+    assert a.reduce_coords(r) == r
+    assert a.contains_coords([x - y for x, y in zip(v, r)])
+    assert a.contains_coords(v) == (not any(r))
+    shifted = [x + sum(g[j] for g in a.generators) for j, x in enumerate(v)]
+    assert a.reduce_coords(shifted) == r
+    assert a.contains(PhaseVector(a.d, a.n, tuple(v))) == a.contains_coords(v)

@@ -54,3 +54,23 @@ def test_resource_cap_error_is_raised_only_by_check_cap():
         and "ResourceCapError" in ast.unparse(node.exc)
     ]
     assert raises == ["errors.py"]
+
+
+def test_trusted_constructor_lives_only_in_symplectic():
+    # Skipping validation is a library-internal privilege with one definition.
+    defined = [
+        path.name
+        for path in sorted(SOURCE_DIR.glob("*.py"))
+        for node in ast.walk(_parse(path))
+        if isinstance(node, ast.FunctionDef) and node.name == "_trusted"
+    ]
+    assert defined == ["symplectic.py"]
+    tree = _parse(SOURCE_DIR / "cli.py")
+    named = [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id == "_trusted")
+        or (isinstance(node, ast.Attribute) and node.attr == "_trusted")
+        or (isinstance(node, ast.alias) and node.name == "_trusted")
+    ]
+    assert named == []

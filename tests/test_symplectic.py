@@ -85,6 +85,11 @@ def test_canonicalize_examples():
     assert dup.dim == 1 and dup.generators == ((1, 0),)
     empty = canonicalize([], d=2, n=1)
     assert empty.dim == 0
+    assert canonicalize([pv(2, 1, 1, 0)], d=2, n=1) == dup
+    with pytest.raises(ValueError):
+        canonicalize([pv(2, 1, 1, 0)], d=3, n=2)
+    with pytest.raises(ValueError):
+        canonicalize([pv(2, 1, 1, 0)], n=2)
     full = canonicalize([pv(2, 1, 1, 1), pv(2, 1, 0, 1)])
     assert full.generators == ((1, 0), (0, 1))
 
