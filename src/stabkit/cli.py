@@ -58,6 +58,16 @@ def _int_range(text: str) -> list[int]:
     return list(range(lo, hi + 1))
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_caps(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--enum-cap", type=int, default=DEFAULT_ENUM_CAP, help="max Lagrangians enumerated")
     parser.add_argument("--state-cap", type=int, default=stabilizer.DEFAULT_STATE_CAP, help="max states enumerated")
@@ -67,7 +77,9 @@ def _add_caps(parser: argparse.ArgumentParser) -> None:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--output", default=None, help="write to this path instead of stdout")
-    parser.add_argument("--threads", type=int, default=None, help="worker count (env STABKIT_THREADS, then machine)")
+    parser.add_argument(
+        "--threads", type=_positive_int, default=None, help="worker count (env STABKIT_THREADS, then machine)"
+    )
     parser.add_argument("--seed", type=int, default=None, help="reserved; deterministic commands ignore it")
 
 
@@ -145,11 +157,12 @@ def cmd_frame_potential(args) -> int:
         engine = _plan_numeric_engine(args.d, n, args.method, args)
         vectors = None
         if engine is not None:
-            count = stabilizer_count(args.d, n)
-            cap = count if engine == "bruteforce" else args.state_cap
+            # Keep only the vectors: the states would stay alive through the t loop.
             vectors = [
                 vec
-                for _, vec in stabilizer.realized_states(args.d, n, state_cap=cap, matrix_cap=args.matrix_cap)
+                for _, vec in stabilizer.realized_states(
+                    args.d, n, state_cap=args.state_cap, matrix_cap=args.matrix_cap
+                )
             ]
         for t in args.t:
             if engine == "bruteforce":

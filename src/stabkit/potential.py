@@ -79,21 +79,20 @@ def frame_potential_combinatorial(d: int, n: int, t: int) -> Fraction:
     return total / stabilizer_count(d, n)
 
 
-def _pairwise_sum(values: Sequence[float]) -> float:
+def _pairwise_sum(values: Sequence[float] | np.ndarray) -> float:
     """Fixed binary-tree reduction over the full ordered value list.
 
-    The tree shape depends only on the list, never on how work was chunked,
-    which is what makes the floating-point engines thread-count invariant.
+    Each level adds adjacent pairs and carries an odd tail up unchanged. The
+    tree shape depends only on the list, never on how work was chunked, which
+    is what makes the floating-point engines thread-count invariant.
     """
-    vals = list(values)
-    if not vals:
+    vals = np.asarray(values, dtype=np.float64)
+    if not vals.size:
         return 0.0
-    while len(vals) > 1:
-        nxt = [vals[i] + vals[i + 1] for i in range(0, len(vals) - 1, 2)]
-        if len(vals) % 2:
-            nxt.append(vals[-1])
-        vals = nxt
-    return vals[0]
+    while vals.size > 1:
+        pairs = vals[0 : vals.size - 1 : 2] + vals[1::2]
+        vals = np.append(pairs, vals[-1]) if vals.size % 2 else pairs
+    return float(vals[0])
 
 
 def _state_stack(vectors: Sequence[np.ndarray], count: int) -> np.ndarray:
@@ -102,9 +101,9 @@ def _state_stack(vectors: Sequence[np.ndarray], count: int) -> np.ndarray:
     return np.array(vectors)
 
 
-def _overlap_powers(stack: np.ndarray, ref: np.ndarray, t: int) -> list[float]:
+def _overlap_powers(stack: np.ndarray, ref: np.ndarray, t: int) -> np.ndarray:
     amps = stack @ np.conj(ref)
-    return ((amps.real**2 + amps.imag**2) ** t).tolist()
+    return (amps.real**2 + amps.imag**2) ** t
 
 
 def frame_potential_bruteforce(

@@ -19,12 +19,13 @@ import numpy as np
 
 from .combinatorics import require_prime, stabilizer_count
 from .errors import check_cap
-from .weyl import DEFAULT_MATRIX_CAP, _omega_power, basis_weyl_operator, tau_order
+from .weyl import DEFAULT_MATRIX_CAP, _omega_power, _word, basis_weyl_operator, tau_order
 from .symplectic import (
     PhaseVector,
     Row,
     Subspace,
     _complete_basis,
+    _coset_rows,
     _form_lift,
     _trusted,
     canonical_coset_representative,
@@ -84,11 +85,8 @@ class StabilizerState:
 def weyl_representation(m_sub: Subspace, *, cap: int = DEFAULT_MATRIX_CAP) -> list[tuple[PhaseVector, np.ndarray]]:
     """(m, w_B(m)) for every m in M, B its canonical generators, in lexicographic coefficient order."""
     basis = m_sub.generator_vectors()
-    terms = []
-    for coeffs in itertools.product(range(m_sub.d), repeat=m_sub.dim):
-        op = basis_weyl_operator(basis, coeffs)
-        terms.append((op.point, op.matrix(cap=cap)))
-    return terms
+    ops = [basis_weyl_operator(basis, c) for c in itertools.product(range(m_sub.d), repeat=m_sub.dim)]
+    return [(op.point, op.matrix(cap=cap)) for op in ops]
 
 
 def _group_projector(terms: Sequence[tuple[PhaseVector, np.ndarray]], v: PhaseVector, d: int, n: int) -> np.ndarray:
@@ -149,9 +147,9 @@ def _overlap_key(m_sub: Subspace, k_sub: Subspace) -> Callable[[Row], tuple[int,
     coefficients of g in B_M are its entries at M's pivots, because B_M is in
     RREF. 2[zeta,g] may use the integer lift, since 2 (x mod d) = 2x (mod 2d).
     """
-    basis, pivots, n = m_sub.generator_vectors(), m_sub.pivots, m_sub.n
-    order = tau_order(m_sub.d)
-    terms = [(g, basis_weyl_operator(basis, [g[c] for c in pivots]).phase.exponent) for g in k_sub.generators]
+    d, n, pivots = m_sub.d, m_sub.n, m_sub.pivots
+    order = tau_order(d)
+    terms = [(g, _word(d, n, m_sub.generators, [g[c] for c in pivots])[0]) for g in k_sub.generators]
     return lambda zeta: tuple((2 * _form_lift(zeta, g, n) + e) % order for g, e in terms)
 
 
@@ -188,8 +186,8 @@ def overlap_table(m_sub: Subspace, n_sub: Subspace) -> list[list[Fraction]]:
     """
     value, key_m, key_n = _overlap_rule(m_sub, n_sub)
     zero = Fraction(0)
-    keys_m = [key_m(zeta.coords) for zeta in coset_representatives(m_sub)]
-    keys_n = [key_n(iota.coords) for iota in coset_representatives(n_sub)]
+    keys_m = [key_m(zeta) for zeta in _coset_rows(m_sub)]
+    keys_n = [key_n(iota) for iota in _coset_rows(n_sub)]
     return [[value if row == col else zero for col in keys_n] for row in keys_m]
 
 
@@ -229,6 +227,5 @@ def compatible_bases(m_sub: Subspace, n_sub: Subspace) -> tuple[tuple[PhaseVecto
     shared = list(k_sub.generators)
     rows_m = shared + _complete_basis(k_sub, m_sub)
     rows_n = shared + _complete_basis(k_sub, n_sub)
-    n = m_sub.n
-    to_vecs = lambda rows: tuple(PhaseVector(m_sub.d, n, r) for r in rows)
+    to_vecs = lambda rows: tuple(PhaseVector(m_sub.d, m_sub.n, r) for r in rows)
     return to_vecs(rows_m), to_vecs(rows_n)

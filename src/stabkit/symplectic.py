@@ -266,8 +266,7 @@ class Subspace:
         v = [c % self.d for c in coords]
         if len(v) != self.width:
             raise ValueError("coordinate length mismatch")
-        for row in self.generators:
-            c = next(j for j, x in enumerate(row) if x)
+        for c, row in zip(self.pivots, self.generators):
             if v[c]:
                 f = v[c]
                 v = [(x - f * y) % self.d for x, y in zip(v, row)]
@@ -334,10 +333,8 @@ def _check_same_ambient(a: Subspace, b: Subspace) -> None:
 
 def is_isotropic(s: Subspace) -> bool:
     """Whether the symplectic form vanishes on s (pairwise generator check)."""
-    gens = s.generator_vectors()
-    return all(
-        symplectic_form(gens[i], gens[j]) == 0 for i in range(len(gens)) for j in range(i + 1, len(gens))
-    )
+    n = s.n
+    return all(_form_lift(g, h, n) % s.d == 0 for g, h in itertools.combinations(s.generators, 2))
 
 
 def is_lagrangian(s: Subspace) -> bool:
@@ -467,11 +464,9 @@ def intersection_spectrum(m_sub: Subspace, *, cap: int = DEFAULT_ENUM_CAP) -> di
 def _complete_basis(inner: Subspace, outer: Subspace) -> list[Row]:
     """Rows of outer's generators that extend a basis of inner to one of outer."""
     added: list[Row] = []
-    rank = inner.dim
     for g in outer.generators:
-        rows = list(inner.generators) + added + [g]
-        reduced, pivots = _rref(rows, inner.d)
-        if len(pivots) > rank + len(added):
+        _, pivots = _rref(list(inner.generators) + added + [g], inner.d)
+        if len(pivots) > inner.dim + len(added):
             added.append(g)
     return added
 
@@ -490,8 +485,7 @@ class ReducedSpace:
     gram: tuple[Row, ...]
 
     def __post_init__(self) -> None:
-        d = self.source.d
-        _, pivots = _rref(self.gram, d)
+        _, pivots = _rref(self.gram, self.source.d)
         if len(pivots) != len(self.representatives):
             raise ValueError("induced form is degenerate")
 
@@ -504,8 +498,7 @@ def symplectic_reduce(w: Subspace) -> ReducedSpace:
     """Linear symplectic reduction of w."""
     radical = intersect(w, complement(w))
     rep_rows = _complete_basis(radical, w)
-    n = w.n
-    reps = tuple(PhaseVector(w.d, n, row) for row in rep_rows)
+    reps = tuple(PhaseVector(w.d, w.n, row) for row in rep_rows)
     gram = tuple(tuple(symplectic_form(u, v) for v in reps) for u in reps)
     return ReducedSpace(source=w, radical=radical, representatives=reps, gram=gram)
 
@@ -516,8 +509,7 @@ def _dual_partners(k_sub: Subspace, a_rows: Sequence[Row]) -> list[Row]:
     Together with K and the a_i this is a symplectic half-basis of the
     reduction K^⊥/K adapted to the Lagrangian containing the a_i.
     """
-    d, w = k_sub.d, k_sub.width
-    n = k_sub.n
+    d, w, n = k_sub.d, k_sub.width, k_sub.n
     m = len(a_rows)
     constraints = [_form_row(g, n, d) for g in k_sub.generators] + [_form_row(a, n, d) for a in a_rows]
     k = k_sub.dim
@@ -570,8 +562,7 @@ def _iter_extensions(m_sub: Subspace, k_sub: Subspace, m: int) -> Iterator[Subsp
     for vals in itertools.product(range(d), repeat=len(upper)):
         a_mat = [[0] * m for _ in range(m)]
         for (i, j), v in zip(upper, vals):
-            a_mat[i][j] = v
-            a_mat[j][i] = v
+            a_mat[i][j] = a_mat[j][i] = v
         gens = [list(g) for g in k_sub.generators]
         for j in range(m):
             row = list(b_rows[j])
@@ -582,6 +573,12 @@ def _iter_extensions(m_sub: Subspace, k_sub: Subspace, m: int) -> Iterator[Subsp
         yield Subspace.from_rows(gens, d=d, width=w)
 
 
+def _coset_rows(m_sub: Subspace) -> Iterator[Row]:
+    """The coordinates of coset_representatives, as plain rows in the same order."""
+    pivots = m_sub.pivots
+    return _fill_free(m_sub.d, (0,) * m_sub.width, [c for c in range(m_sub.width) if c not in pivots])
+
+
 def coset_representatives(m_sub: Subspace) -> Iterator[PhaseVector]:
     """Canonical representatives of V/M: all vectors vanishing on M's pivots.
 
@@ -589,10 +586,7 @@ def coset_representatives(m_sub: Subspace) -> Iterator[PhaseVector]:
     coordinates; the class of 0 is represented by the zero vector.
     """
     n = m_sub.n
-    pivots = m_sub.pivots
-    free = [c for c in range(m_sub.width) if c not in pivots]
-    for coords in _fill_free(m_sub.d, (0,) * m_sub.width, free):
-        yield _trusted(PhaseVector, m_sub.d, n, coords)
+    return (_trusted(PhaseVector, m_sub.d, n, coords) for coords in _coset_rows(m_sub))
 
 
 def canonical_coset_representative(m_sub: Subspace, v: PhaseVector) -> PhaseVector:

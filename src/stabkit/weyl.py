@@ -12,9 +12,16 @@ x are genuinely periodic mod d. Products reorder through
 
     x(q) z(p') = omega^{-q.p'} z(p') x(q),
 
-so composition stays exact; matrices on C^{d^n} (computational basis
-|q_1..q_n>, lexicographic, q_1 most significant) are realized on demand and
-capped by DEFAULT_MATRIX_CAP.
+so composition stays exact. A word w(u_1)^{c_1} ... w(u_k)^{c_k}, rows
+u_i = (p_i | q_i) on the lifts and c_i mod d, is tau^e z(P) x(Q) in closed form,
+with (P | Q) = sum_i c_i u_i mod d and
+
+    e = -(sum_i c_i^2 p_i.q_i + 2 sum_{i<j} c_i c_j q_i.p_j) mod the order of tau:
+
+the product rule applied factor by factor, since reducing a partial sum mod d
+moves e only by multiples of 2d, which the order of tau divides. Matrices on
+C^{d^n} (computational basis |q_1..q_n>, lexicographic, q_1 most significant)
+are realized on demand and capped by DEFAULT_MATRIX_CAP.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import check_cap
-from .symplectic import PhaseVector, _rref, _solve_linear_system, symplectic_form, symplectic_form_lift
+from .symplectic import PhaseVector, Row, _rref, _solve_linear_system, _trusted, symplectic_form, symplectic_form_lift
 
 DEFAULT_MATRIX_CAP = 4096
 
@@ -88,10 +95,6 @@ class WeylOperator:
             raise ValueError("phase and point disagree on d")
 
     @classmethod
-    def identity(cls, d: int, n: int) -> "WeylOperator":
-        return cls(TauPhase(d, 0), PhaseVector.zero(d, n))
-
-    @classmethod
     def from_point(cls, v: PhaseVector) -> "WeylOperator":
         # w(v) = tau^{-p.q} z(p) x(q), with p.q on the integer lifts.
         dot = sum(a * b for a, b in zip(v.p, v.q))
@@ -102,15 +105,6 @@ class WeylOperator:
         cross = sum(a * b for a, b in zip(self.point.q, other.point.p))
         phase = TauPhase(self.point.d, self.phase.exponent + other.phase.exponent - 2 * cross)
         return WeylOperator(phase, self.point + other.point)
-
-    def pow(self, k: int) -> "WeylOperator":
-        if k < 0:
-            raise ValueError("negative powers not supported")
-        # The identity on this operator's space, from a vector the library already checked.
-        out = WeylOperator(TauPhase(self.point.d, 0), self.point.scaled(0))
-        for _ in range(k):
-            out = out @ self
-        return out
 
     def matrix(self, *, cap: int = DEFAULT_MATRIX_CAP) -> np.ndarray:
         check_cap("matrix dimension", self.point.d**self.point.n, cap)
@@ -146,10 +140,6 @@ def solve_in_basis(basis: Sequence[PhaseVector], target: PhaseVector) -> tuple[i
     Raises ValueError when the vectors are dependent or target lies outside
     their span.
     """
-    if not basis:
-        if target.is_zero():
-            return ()
-        raise ValueError("target not in span of empty basis")
     for u in basis:
         target._check_compatible(u)
     d, w = target.d, 2 * target.n
@@ -163,12 +153,32 @@ def solve_in_basis(basis: Sequence[PhaseVector], target: PhaseVector) -> tuple[i
     return sol
 
 
+def _word(d: int, n: int, rows: Sequence[Row], coeffs: Sequence[int]) -> tuple[int, Row]:
+    """(e, (P | Q)) of the word prod_i w(u_i)^{c_i}, by the closed form above."""
+    e, point = 0, [0] * (2 * n)
+    for row, c in zip(rows, coeffs, strict=True):
+        c %= d
+        p, q = row[:n], row[n:]
+        # This factor's c^2 p.q, and 2c (q-part of the earlier factors' sum).p.
+        e -= c * c * sum(a * b for a, b in zip(p, q)) + 2 * c * sum(a * b for a, b in zip(point[n:], p))
+        point = [x + c * y for x, y in zip(point, row)]
+    return e % tau_order(d), tuple(x % d for x in point)
+
+
+def _word_operator(d: int, n: int, basis: Sequence[PhaseVector], coefficients: Sequence[int]) -> WeylOperator:
+    e, point = _word(d, n, [u.coords for u in basis], coefficients)
+    return _trusted(WeylOperator, _trusted(TauPhase, d, e), _trusted(PhaseVector, d, n, point))
+
+
 def basis_weyl_operator(basis: Sequence[PhaseVector], coefficients: Sequence[int]) -> WeylOperator:
     """Symbolic product prod_i w(u_i)^{c_i} in basis order."""
     if len(basis) != len(coefficients):
         raise ValueError("coefficient count must match basis size")
-    d = basis[0].d
-    return reduce(WeylOperator.__matmul__, (WeylOperator.from_point(u).pow(c % d) for u, c in zip(basis, coefficients)))
+    if not basis:
+        raise ValueError("an empty basis does not fix the space")
+    for u in basis:
+        basis[0]._check_compatible(u)
+    return _word_operator(basis[0].d, basis[0].n, basis, coefficients)
 
 
 def weyl_basis(basis: Sequence[PhaseVector], m: PhaseVector, *, cap: int = DEFAULT_MATRIX_CAP) -> np.ndarray:
@@ -178,10 +188,7 @@ def weyl_basis(basis: Sequence[PhaseVector], m: PhaseVector, *, cap: int = DEFAU
     w_B(m) w_B(m') = w_B(m+m'), also in even dimension where the plain Weyl
     map is only projective.
     """
-    coeffs = solve_in_basis(basis, m)
-    if not coeffs:
-        return WeylOperator.identity(m.d, m.n).matrix(cap=cap)
-    return basis_weyl_operator(basis, coeffs).matrix(cap=cap)
+    return _word_operator(m.d, m.n, basis, solve_in_basis(basis, m)).matrix(cap=cap)
 
 
 def _integer_sum_matrix(u: PhaseVector, v: PhaseVector) -> np.ndarray:

@@ -3,17 +3,25 @@
 from __future__ import annotations
 
 import itertools
+import os
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
-from stabkit import enumerate_subspaces, is_isotropic, realized_states
+from stabkit import PhaseVector, TauPhase, WeylOperator, enumerate_subspaces, is_isotropic, realized_states
 
 
 @lru_cache(maxsize=None)
 def cached_states(d: int, n: int):
     """Realized (state, vector) pairs, shared across test modules."""
     return tuple(realized_states(d, n))
+
+
+def source_env() -> dict[str, str]:
+    """The environment with this checkout's src/ first on PYTHONPATH, for `python -m stabkit` children."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def cached_vectors(d: int, n: int) -> list[np.ndarray]:
@@ -23,6 +31,32 @@ def cached_vectors(d: int, n: int) -> list[np.ndarray]:
 def lagrangians_by_filter(d: int, n: int) -> list:
     """Oracle: every n-dim subspace of Z_d^{2n} kept when isotropic, in enumeration order."""
     return [s for s in enumerate_subspaces(d, 2 * n, n) if is_isotropic(s)]
+
+
+def weyl_word_by_fold(basis, coefficients) -> WeylOperator:
+    """Oracle: prod_i w(u_i)^{c_i}, the symbolic product folded one factor at a time."""
+    d, n = basis[0].d, basis[0].n
+    out = WeylOperator(TauPhase(d, 0), PhaseVector.zero(d, n))
+    for u, c in zip(basis, coefficients):
+        for _ in range(c % d):
+            out = out @ WeylOperator.from_point(u)
+    return out
+
+
+def pairwise_sum_tree(values) -> float:
+    """Oracle: the fixed reduction tree in plain Python floats.
+
+    Each level adds adjacent pairs and carries an odd tail up unchanged.
+    """
+    vals = list(values)
+    if not vals:
+        return 0.0
+    while len(vals) > 1:
+        nxt = [vals[i] + vals[i + 1] for i in range(0, len(vals) - 1, 2)]
+        if len(vals) % 2:
+            nxt.append(vals[-1])
+        vals = nxt
+    return vals[0]
 
 
 def pascal_binomial(n: int, k: int, _memo={}) -> int:

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from helpers import cached_states, cached_vectors
+from helpers import cached_states, cached_vectors, source_env
 from stabkit import (
     PhaseVector,
     enumerate_lagrangians,
@@ -139,6 +139,7 @@ def test_criterion_08_cli_determinism():
         proc = subprocess.run(
             [sys.executable, "-m", "stabkit", "verify", "--d", "2", "--n", "2", "--t-max", "4", "--threads", threads],
             capture_output=True,
+            env=source_env(),
         )
         return proc.returncode, proc.stdout
 

@@ -4,17 +4,15 @@ import contextlib
 import csv
 import io
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 from stabkit import FramePotentialReport, ResourceCapError, StabilizerState, Subspace
 from stabkit.cli import main, run_verification
 
-from helpers import lagrangians_by_filter
+from helpers import lagrangians_by_filter, source_env
 
 
 def run_cli(args):
@@ -150,6 +148,13 @@ def test_enumerate_states_realized_respects_state_cap():
     assert code == 3
     assert out == ""
     assert "60" in err and "10" in err
+    # The brute-force engine realizes the same states under the same cap.
+    for method in ("bruteforce", "all"):
+        argv = ["frame-potential", "--d", "2", "--n", "2", "--t", "2", "--method", method]
+        code, out, err = run_cli([*argv, "--state-cap", "10"])
+        assert (code, out, err) == (3, "", "error: realized states: need 60, cap 10\n")
+        code, out, _ = run_cli([*argv, "--state-cap", "60"])
+        assert code == 0 and out
 
 
 def test_enumerate_spectrum():
@@ -212,8 +217,7 @@ def test_verify_matrix_cap_exits_3():
 
 def test_verify_output_unchanged_under_optimize_flag():
     # Invariants must not rest on assert, which -O strips.
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = source_env()
     argv = ["-m", "stabkit", "verify", "--d", "2", "--n", "2", "--t-max", "4"]
     plain = subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True, timeout=120)
     optimized = subprocess.run([sys.executable, "-O", *argv], env=env, capture_output=True, text=True, timeout=120)
@@ -229,6 +233,16 @@ def test_usage_errors_exit_2():
     assert code == 2
     code, _, _ = run_cli(["enumerate", "nonsense", "--d", "2", "--n", "1"])
     assert code == 2
+    # --threads below 1 is a usage error for every subcommand and engine.
+    for argv in (
+        ["frame-potential", "--d", "2", "--n", "1", "--t", "2", "--method", "exact"],
+        ["frame-potential", "--d", "2", "--n", "1", "--t", "2", "--method", "bruteforce"],
+        ["enumerate", "lagrangians", "--d", "2", "--n", "1"],
+        ["verify", "--d", "2", "--n", "1"],
+    ):
+        for threads in ("0", "-1", "x"):
+            code, out, err = run_cli([*argv, "--threads", threads])
+            assert code == 2 and out == "" and "--threads" in err
 
 
 def test_output_file_matches_stdout(tmp_path):

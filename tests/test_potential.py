@@ -1,11 +1,12 @@
 """Frame-potential engines: exact identities and numeric cross-checks."""
 
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from helpers import cached_vectors, single_qubit_rays
+from helpers import cached_vectors, pairwise_sum_tree, single_qubit_rays
 from stabkit import (
     FramePotentialReport,
     design_verdict,
@@ -81,6 +82,15 @@ def test_pairwise_sum_matches_plain_sum():
     vals = [1.0 / (i + 1) for i in range(37)]
     assert _pairwise_sum(vals) == pytest.approx(sum(vals), abs=1e-15)
     assert _pairwise_sum([]) == 0.0
+
+
+def test_pairwise_sum_keeps_the_fixed_tree_bit_for_bit():
+    rng = random.Random(7)
+    for size in [*range(71), 30_241]:
+        vals = [rng.random() * 10.0 ** rng.randint(-12, 12) for _ in range(size)]
+        total = _pairwise_sum(np.array(vals))
+        assert type(total) is float
+        assert total == _pairwise_sum(vals) == pairwise_sum_tree(vals)
 
 
 def test_bruteforce_single_qubit_against_handwritten_rays():

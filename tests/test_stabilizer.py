@@ -155,6 +155,23 @@ def test_overlap_table_matches_overlap_exact():
                     assert row == [overlap_exact(a, b) for b in bases[n_sub]]
 
 
+def test_overlap_table_needs_no_operator_or_representative_objects(monkeypatch):
+    # The overlap rule reads the generator and coset rows directly.
+    lagrangians = list(enumerate_lagrangians(2, 2))
+    states = {m_sub: [StabilizerState(m_sub, zeta) for zeta in coset_representatives(m_sub)] for m_sub in lagrangians}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the overlap rule built a Weyl operator or a representative vector")
+
+    for name in ("basis_weyl_operator", "coset_representatives"):
+        monkeypatch.setattr(f"stabkit.stabilizer.{name}", refuse)
+    for m_sub in lagrangians:
+        for n_sub in lagrangians:
+            table = overlap_table(m_sub, n_sub)
+            for a, row in zip(states[m_sub], table):
+                assert row == [overlap_exact(a, b) for b in states[n_sub]]
+
+
 def test_nonzero_overlap_count_per_lagrangian_pair():
     # For dim(M cap N) = k, exactly d^{n-k} of N's d^n states meet |M,0>.
     d, n = 2, 2

@@ -11,6 +11,7 @@ from stabkit import (
     WeylOperator,
     boost,
     enumerate_lagrangians,
+    enumerate_subspaces,
     shift,
     verify_commutation,
     verify_composition,
@@ -19,6 +20,8 @@ from stabkit import (
 )
 from stabkit.errors import ResourceCapError
 from stabkit.weyl import basis_weyl_operator, solve_in_basis, tau_order
+
+from helpers import weyl_word_by_fold
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -136,6 +139,31 @@ def test_weyl_basis_group_law():
                 for b in coeff_space:
                     total = tuple((x + y) % d for x, y in zip(a, b))
                     assert np.max(np.abs(mats[a] @ mats[b] - mats[total])) <= 1e-12
+
+
+def test_basis_weyl_operator_matches_fold():
+    # The closed-form word against the symbolic product folded factor by factor:
+    # every Lagrangian basis, and the RREF bases of all 1- and 2-dimensional
+    # subspaces, isotropic or not; coefficients run over -d..d-1.
+    bases = [s for d, n in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)] for s in enumerate_lagrangians(d, n)]
+    bases += [s for d, n in [(2, 1), (2, 2), (3, 1), (3, 2)] for k in (1, 2) for s in enumerate_subspaces(d, 2 * n, k)]
+    for s in bases:
+        basis = s.generator_vectors()
+        for coeffs in itertools.product(range(-s.d, s.d), repeat=len(basis)):
+            assert basis_weyl_operator(basis, coeffs) == weyl_word_by_fold(basis, coeffs)
+
+
+def test_basis_weyl_operator_rejects_empty_and_mixed_bases():
+    with pytest.raises(ValueError):
+        basis_weyl_operator((), ())
+    with pytest.raises(ValueError, match="phase vectors live in different spaces"):
+        basis_weyl_operator((pv(2, 1, 1, 0), pv(3, 1, 0, 1)), (1, 1))
+    with pytest.raises(ValueError, match="phase vectors live in different spaces"):
+        basis_weyl_operator((pv(2, 1, 1, 0), pv(2, 2, 0, 1, 0, 0)), (0, 0))
+    # With the space fixed by m, the empty basis gives the identity.
+    assert np.allclose(weyl_basis((), PhaseVector.zero(3, 2)), np.eye(9))
+    with pytest.raises(ValueError):
+        weyl_basis((), pv(3, 2, 0, 1, 0, 0))
 
 
 def test_solve_in_basis_errors():
