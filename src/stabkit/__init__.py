@@ -31,11 +31,10 @@ from .stabilizer import (
     compatible_bases,
     enumerate_states,
     overlap_exact,
+    overlap_keys,
     overlap_table,
-    projector,
     realized_states,
     stabilizer_basis,
-    state_vector,
     weyl_representation,
 )
 from .symplectic import (

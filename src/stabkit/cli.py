@@ -373,7 +373,8 @@ def run_verification(
     for mi, m_sub in enumerate(lagrangians):
         for nj in range(mi, len(lagrangians)):
             amps = np.conj(stacks[mi]) @ stacks[nj].T
-            exact = np.array(stabilizer.overlap_table(m_sub, lagrangians[nj]), dtype=float)
+            value, keys_m, keys_n = stabilizer.overlap_keys(m_sub, lagrangians[nj])
+            exact = float(value) * (keys_m[:, None] == keys_n[None, :]).all(-1)
             overlap_dev = max(overlap_dev, float(np.max(np.abs(amps.real**2 + amps.imag**2 - exact))))
     checks.append(
         CheckResult("overlap-exact-numeric", overlap_dev <= 1e-10, f"{count * count} pairs, max dev {overlap_dev:.2e}")

@@ -3,23 +3,31 @@
 A state |M, zeta> is identified by a Lagrangian subspace M of Z_d^{2n} and
 the canonical representative zeta of a coset of V/M (zero on M's pivot
 coordinates). Identity is structural: two states are equal iff their pairs
-are. Hilbert-space vectors and projectors are derived artifacts, realized on
-demand; the basis used for the basis-dependent Weyl operators is always M's
-canonical generator list, so realizations are reproducible bit for bit.
+are. Weyl operators w_B use M's canonical generator list B as basis.
+
+The state's vector, fixed by every omega^{[zeta,m]} w_B(m), has a closed form
+on integer rows. With w_B(m) = tau^{e_m} z(P_m) x(Q_m) (weyl._word) and
+k(zeta, m, x) = 2[zeta,m] + e_m + 2 P_m.(x + Q_m) mod the order of tau, let x0
+be the lexicographically first x in Z_d^n with k(zeta, z, x) = 0 for every z
+in M_Z = {z in M : Q_z = 0}. The vector is |Q(M)|^{-1/2} tau^{k(zeta,m,x0)} at
+x0 + Q_m mod d and 0 elsewhere. It is well defined because m -> omega^{[zeta,m]}
+w_B(m) is a representation of M, so the amplitude depends only on m + M_Z;
+k = 0 at x0 makes the first nonzero amplitude real positive exactly.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .combinatorics import require_prime, stabilizer_count
 from .errors import check_cap
-from .weyl import DEFAULT_MATRIX_CAP, _omega_power, _word, basis_weyl_operator, tau_order
+from .weyl import DEFAULT_MATRIX_CAP, TauPhase, _word, basis_weyl_operator, tau_order
 from .symplectic import (
     PhaseVector,
     Row,
@@ -89,55 +97,34 @@ def weyl_representation(m_sub: Subspace, *, cap: int = DEFAULT_MATRIX_CAP) -> li
     return [(op.point, op.matrix(cap=cap)) for op in ops]
 
 
-def _group_projector(terms: Sequence[tuple[PhaseVector, np.ndarray]], v: PhaseVector, d: int, n: int) -> np.ndarray:
-    dim = d**n
-    rho = np.zeros((dim, dim), dtype=np.complex128)
-    for m, mat in terms:
-        rho += _omega_power(d, _form_lift(v.coords, m.coords, n)) * mat
-    return rho / d**n
-
-
-def projector(m_sub: Subspace, v: PhaseVector, *, cap: int = DEFAULT_MATRIX_CAP) -> np.ndarray:
-    """Rank-one projector d^{-n} sum_{m in M} omega^{[v,m]} w_B(m)."""
-    if not is_lagrangian(m_sub):
-        raise ValueError("projector needs a Lagrangian subspace")
-    if (v.d, v.n) != (m_sub.d, m_sub.n):
-        raise ValueError("vector lives in a different space")
-    return _group_projector(weyl_representation(m_sub, cap=cap), v, m_sub.d, m_sub.n)
-
-
-def _extract_unit_vector(rho: np.ndarray) -> np.ndarray:
-    # Rank-one extraction without an eigensolver: the best column of |psi><psi|
-    # is psi itself up to scale. Global phase: first significant amplitude in
-    # lexicographic basis order made real positive.
-    norms = np.linalg.norm(rho, axis=0)
-    vec = rho[:, int(np.argmax(norms))]
-    vec = vec / np.linalg.norm(vec)
-    threshold = 0.5 * float(np.max(np.abs(vec)))
-    idx = next(i for i in range(len(vec)) if abs(vec[i]) > threshold)
-    pivot = vec[idx]
-    return vec * (pivot.conjugate() / abs(pivot))
-
-
-def state_vector(state: StabilizerState, *, cap: int = DEFAULT_MATRIX_CAP) -> np.ndarray:
-    """Unit vector satisfying omega^{[zeta,m]} w_B(m) |psi> = |psi> for m in M."""
-    return _extract_unit_vector(projector(state.lagrangian, state.zeta, cap=cap))
-
-
 def stabilizer_basis(m_sub: Subspace, *, cap: int = DEFAULT_MATRIX_CAP) -> list[tuple[PhaseVector, np.ndarray]]:
-    """The orthonormal basis of all d^n states of one Lagrangian.
-
-    Shares the Weyl realizations across cosets; returned in enumeration order
-    of the canonical coset representatives.
-    """
+    """The d^n states of one Lagrangian by the closed form above, in coset_representatives order."""
     if not is_lagrangian(m_sub):
         raise ValueError("needs a Lagrangian subspace")
-    terms = weyl_representation(m_sub, cap=cap)
-    out = []
-    for zeta in coset_representatives(m_sub):
-        rho = _group_projector(terms, zeta, m_sub.d, m_sub.n)
-        out.append((zeta, _extract_unit_vector(rho)))
-    return out
+    d, n = m_sub.d, m_sub.n
+    check_cap("matrix dimension", d**n, cap)
+    order = tau_order(d)
+    # Z_d^n in lexicographic order: the coefficients of M's elements, and the basis points x.
+    grid = np.array(list(itertools.product(range(d), repeat=n)))
+    words = [_word(d, n, m_sub.generators, c) for c in grid.tolist()]
+    e = np.array([w[0] for w in words])
+    p, q = np.array([w[1] for w in words]).reshape(-1, 2, n).transpose(1, 0, 2)
+    zetas = list(coset_representatives(m_sub))
+    z = np.array([zeta.coords for zeta in zetas])
+    # k(zeta, m, x) over (coset, element), less its x-dependent term 2 P_m.x.
+    k = 2 * (z[:, :n] @ q.T - z[:, n:] @ p.T) + e + 2 * (p * q).sum(1)
+    z_only = ~q.any(1)
+    fixed = ((k[:, z_only, None] + 2 * p[z_only] @ grid.T) % order == 0).all(1)
+    if not fixed.any(1).all():
+        raise RuntimeError("no basis point is fixed by the Z-only elements")
+    x0 = grid[fixed.argmax(1)]
+    k = (k + 2 * x0 @ p.T) % order
+    support = ((x0[:, None, :] + q) % d) @ d ** np.arange(n - 1, -1, -1)
+    tau_powers = np.array([TauPhase(d, j).value() for j in range(order)])
+    modulus = 1 / math.sqrt(d**n // int(z_only.sum()))  # |Q(M)|^{-1/2}, as |Q(M)| |M_Z| = |M|
+    vecs = np.zeros((len(zetas), d**n), dtype=np.complex128)
+    vecs[np.arange(len(zetas))[:, None], support] = modulus * tau_powers[k]
+    return list(zip(zetas, vecs))
 
 
 def _overlap_key(m_sub: Subspace, k_sub: Subspace) -> Callable[[Row], tuple[int, ...]]:
@@ -177,18 +164,26 @@ def overlap_exact(a: StabilizerState, b: StabilizerState) -> Fraction:
     return value if key_m(a.zeta.coords) == key_n(b.zeta.coords) else Fraction(0)
 
 
-def overlap_table(m_sub: Subspace, n_sub: Subspace) -> list[list[Fraction]]:
-    """overlap_exact for every state of M (rows) against every state of N.
+def overlap_keys(m_sub: Subspace, n_sub: Subspace) -> tuple[Fraction, np.ndarray, np.ndarray]:
+    """The overlap rule for every state of M against every state of N, as integer keys.
 
-    Rows and columns follow coset_representatives order, as stabilizer_basis
-    does. Each key is computed once, so a block costs O(d^n) form evaluations
-    per generator of M cap N.
+    Returns d^{-n} |K| and one key row per state of M and of N, in
+    coset_representatives order, as stabilizer_basis does: the i-th state of
+    M and the j-th of N overlap with that value when keys_m[i] == keys_n[j],
+    and are orthogonal otherwise. Key rows have dim(M cap N) entries; when it
+    is 0, every key is empty and every pair overlaps.
     """
     value, key_m, key_n = _overlap_rule(m_sub, n_sub)
+    keys = lambda sub, key: np.array([key(zeta) for zeta in _coset_rows(sub)], dtype=np.int64)
+    return value, keys(m_sub, key_m), keys(n_sub, key_n)
+
+
+def overlap_table(m_sub: Subspace, n_sub: Subspace) -> list[list[Fraction]]:
+    """overlap_exact for every state of M (rows) against every state of N, from overlap_keys."""
+    value, keys_m, keys_n = overlap_keys(m_sub, n_sub)
     zero = Fraction(0)
-    keys_m = [key_m(zeta) for zeta in _coset_rows(m_sub)]
-    keys_n = [key_n(iota) for iota in _coset_rows(n_sub)]
-    return [[value if row == col else zero for col in keys_n] for row in keys_m]
+    match = (keys_m[:, None] == keys_n[None, :]).all(-1)
+    return [[value if hit else zero for hit in row] for row in match.tolist()]
 
 
 def enumerate_states(d: int, n: int, *, cap: int = DEFAULT_STATE_CAP) -> Iterator[StabilizerState]:
@@ -208,6 +203,7 @@ def realized_states(
     """Every stabilizer state with its Hilbert-space vector, in enumeration order."""
     require_prime(d)
     check_cap("realized states", stabilizer_count(d, n), state_cap)
+    check_cap("matrix dimension", d**n, matrix_cap)
     out = []
     for m_sub in enumerate_lagrangians(d, n):
         for zeta, vec in stabilizer_basis(m_sub, cap=matrix_cap):

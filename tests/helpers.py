@@ -9,7 +9,18 @@ from pathlib import Path
 
 import numpy as np
 
-from stabkit import PhaseVector, TauPhase, WeylOperator, enumerate_subspaces, is_isotropic, realized_states
+from stabkit import (
+    PhaseVector,
+    TauPhase,
+    WeylOperator,
+    coset_representatives,
+    enumerate_subspaces,
+    is_isotropic,
+    realized_states,
+    symplectic_form,
+    weyl_representation,
+)
+from stabkit.weyl import _omega_power
 
 
 @lru_cache(maxsize=None)
@@ -41,6 +52,37 @@ def weyl_word_by_fold(basis, coefficients) -> WeylOperator:
         for _ in range(c % d):
             out = out @ WeylOperator.from_point(u)
     return out
+
+
+def dense_projector(m_sub, v, terms=None) -> np.ndarray:
+    """Oracle: the rank-one projector d^{-n} sum_{m in M} omega^{[v,m]} w_B(m), summed as dense matrices."""
+    d, n = m_sub.d, m_sub.n
+    rho = np.zeros((d**n, d**n), dtype=np.complex128)
+    for m, mat in weyl_representation(m_sub) if terms is None else terms:
+        rho += _omega_power(d, symplectic_form(v, m)) * mat
+    return rho / d**n
+
+
+def _unit_column(rho: np.ndarray) -> np.ndarray:
+    # The best column of |psi><psi| is psi up to scale. Global phase: the first
+    # amplitude above half the largest modulus is made real positive.
+    norms = np.linalg.norm(rho, axis=0)
+    vec = rho[:, int(np.argmax(norms))]
+    vec = vec / np.linalg.norm(vec)
+    threshold = 0.5 * float(np.max(np.abs(vec)))
+    pivot = next(a for a in vec if abs(a) > threshold)
+    return vec * (pivot.conjugate() / abs(pivot))
+
+
+def dense_state_vector(state) -> np.ndarray:
+    """Oracle: the unit vector of a state, read off its dense projector."""
+    return _unit_column(dense_projector(state.lagrangian, state.zeta))
+
+
+def dense_stabilizer_basis(m_sub) -> list:
+    """Oracle: (zeta, vector) for every coset of M, each from its dense projector, sharing the Weyl matrices."""
+    terms = weyl_representation(m_sub)
+    return [(zeta, _unit_column(dense_projector(m_sub, zeta, terms))) for zeta in coset_representatives(m_sub)]
 
 
 def pairwise_sum_tree(values) -> float:

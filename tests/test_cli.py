@@ -209,10 +209,18 @@ def test_bruteforce_pair_cap_precheck_runs_before_realization(monkeypatch):
     assert "cap" in err
 
 
-def test_verify_matrix_cap_exits_3():
+def test_verify_matrix_cap_exits_3(monkeypatch):
     code, out, err = run_cli(["verify", "--d", "2", "--n", "3", "--matrix-cap", "4"])
     assert code == 3 and out == ""
     assert "matrix dimension" in err
+    # Realization checks the matrix cap once, before it enumerates any Lagrangian.
+    monkeypatch.setattr("stabkit.stabilizer.enumerate_lagrangians", _refuse("enumerate_lagrangians"))
+    for argv, need, cap in [
+        (["frame-potential", "--d", "2", "--n", "3", "--t", "1", "--method", "fixed-state", "--matrix-cap", "4"], 8, 4),
+        (["frame-potential", "--d", "2", "--n", "3", "--t", "1", "--method", "bruteforce", "--matrix-cap", "4"], 8, 4),
+        (["enumerate", "states", "--d", "2", "--n", "2", "--realize", "--matrix-cap", "2"], 4, 2),
+    ]:
+        assert run_cli(argv) == (3, "", f"error: matrix dimension: need {need}, cap {cap}\n")
 
 
 def test_verify_output_unchanged_under_optimize_flag():

@@ -1,12 +1,13 @@
 """Stabilizer states: projectors, eigenvalue equations, exact overlaps."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from helpers import cached_states, single_qubit_rays
+from helpers import cached_states, dense_projector, dense_stabilizer_basis, dense_state_vector, single_qubit_rays
 from stabkit import (
     PhaseVector,
     StabilizerState,
@@ -17,16 +18,17 @@ from stabkit import (
     intersect,
     is_transverse,
     overlap_exact,
+    overlap_keys,
     overlap_table,
-    projector,
+    realized_states,
     stabilizer_basis,
     stabilizer_count,
-    state_vector,
     symplectic_form,
     weyl_basis,
     weyl_representation,
 )
 from stabkit.errors import ResourceCapError
+from stabkit.weyl import WeylOperator
 from stabkit.weyl import _omega_power
 
 
@@ -40,11 +42,11 @@ def pv(d, n, *coords):
 
 def test_projector_boost_axis_example():
     m_sub = next(m for m in enumerate_lagrangians(2, 1) if m.generators == ((1, 0),))
-    rho = projector(m_sub, PhaseVector.zero(2, 1))
+    rho = dense_projector(m_sub, PhaseVector.zero(2, 1))
     assert abs(np.trace(rho) - 1) <= 1e-10
     assert np.max(np.abs(rho @ rho - rho)) <= 1e-10
     # +1 eigenvector of the stabilizing boost operator
-    vec = state_vector(StabilizerState(m_sub, PhaseVector.zero(2, 1)))
+    vec = dense_state_vector(StabilizerState(m_sub, PhaseVector.zero(2, 1)))
     z = np.diag([1, -1]).astype(complex)
     assert np.max(np.abs(z @ vec - vec)) <= 1e-10
 
@@ -59,7 +61,7 @@ def test_projector_properties_random_cosets():
             v = PhaseVector(d, n, tuple(rng.randrange(d) for _ in range(2 * n)))
             samples.append((m_sub, v))
     for m_sub, v in samples:
-        rho = projector(m_sub, v)
+        rho = dense_projector(m_sub, v)
         assert abs(np.trace(rho) - 1) <= 1e-10
         assert np.max(np.abs(rho @ rho - rho)) <= 1e-10
         assert np.max(np.abs(rho - rho.conj().T)) <= 1e-10
@@ -105,6 +107,53 @@ def test_global_phase_convention():
         idx = next(i for i in range(len(vec)) if abs(vec[i]) > 0.5 * np.max(np.abs(vec)))
         assert vec[idx].real > 0
         assert abs(vec[idx].imag) <= 1e-12
+
+
+def test_stabilizer_basis_matches_the_dense_projector_oracle():
+    for d, n in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)]:
+        for m_sub in enumerate_lagrangians(d, n):
+            closed, dense = stabilizer_basis(m_sub), dense_stabilizer_basis(m_sub)
+            assert [zeta for zeta, _ in closed] == [zeta for zeta, _ in dense]
+            assert max(float(np.max(np.abs(a - b))) for (_, a), (_, b) in zip(closed, dense)) <= 1e-12
+
+
+def _q_image_size(m_sub):
+    # |Q(M)|: the distinct x-parts of the elements of M, spanned from the generator rows.
+    d, n, gens = m_sub.d, m_sub.n, m_sub.generators
+    return len(
+        {
+            tuple(sum(c * g[n + i] for c, g in zip(coeffs, gens)) % d for i in range(n))
+            for coeffs in itertools.product(range(d), repeat=len(gens))
+        }
+    )
+
+
+def test_realized_vectors_follow_the_phase_convention_exactly():
+    # No tolerance: |Q(M)| amplitudes of modulus |Q(M)|^{-1/2}, exact zeros elsewhere,
+    # and the first nonzero amplitude has imaginary part exactly 0.
+    for d, n in [(2, 2), (2, 3), (3, 2)]:
+        for state, vec in cached_states(d, n):
+            support = np.flatnonzero(vec)
+            size = _q_image_size(state.lagrangian)
+            assert len(support) == size
+            assert np.max(np.abs(np.abs(vec[support]) - size**-0.5)) <= 1e-12
+            first = vec[support[0]]
+            assert first.imag == 0.0 and first.real > 0
+
+
+def test_realization_builds_no_matrix(monkeypatch):
+    expected = {(d, n): cached_states(d, n) for d, n in [(2, 2), (3, 2)]}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("realization built a dense Weyl matrix")
+
+    monkeypatch.setattr(WeylOperator, "matrix", refuse)
+    monkeypatch.setattr("stabkit.stabilizer.weyl_representation", refuse)
+    for (d, n), pairs in expected.items():
+        realized = realized_states(d, n)
+        assert len(realized) == stabilizer_count(d, n)
+        assert [s for s, _ in realized] == [s for s, _ in pairs]
+        assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(realized, pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +219,22 @@ def test_overlap_table_needs_no_operator_or_representative_objects(monkeypatch):
             table = overlap_table(m_sub, n_sub)
             for a, row in zip(states[m_sub], table):
                 assert row == [overlap_exact(a, b) for b in states[n_sub]]
+
+
+def test_overlap_keys_give_the_table_as_a_mask():
+    # dim(M cap N) = 0 gives empty keys, and then every pair overlaps.
+    for d, n in [(2, 2), (3, 1)]:
+        lagrangians = list(enumerate_lagrangians(d, n))
+        for m_sub in lagrangians:
+            for n_sub in lagrangians:
+                value, keys_m, keys_n = overlap_keys(m_sub, n_sub)
+                k = intersect(m_sub, n_sub).dim
+                assert value == Fraction(d**k, d**n)
+                assert keys_m.shape == keys_n.shape == (d**n, k)
+                block = float(value) * (keys_m[:, None] == keys_n[None, :]).all(-1)
+                assert np.array_equal(block, np.array(overlap_table(m_sub, n_sub), dtype=float))
+                if k == 0:
+                    assert np.all(block == float(value))
 
 
 def test_nonzero_overlap_count_per_lagrangian_pair():
