@@ -1,8 +1,9 @@
 """Command-line surface: frame potentials, enumeration, and cross-checks.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource cap.
-Identical invocations produce byte-identical output regardless of --threads;
-all parallelism lives in pure computations with fixed reduction orders.
+Every computation is single-threaded with fixed reduction orders, so identical
+invocations produce byte-identical output. --threads and --seed are accepted
+and validated for compatibility, and change nothing.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ def _add_caps(parser: argparse.ArgumentParser) -> None:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--output", default=None, help="write to this path instead of stdout")
     parser.add_argument(
-        "--threads", type=_positive_int, default=None, help="worker count (env STABKIT_THREADS, then machine)"
+        "--threads", type=_positive_int, default=None, help="accepted for compatibility; changes nothing"
     )
     parser.add_argument("--seed", type=int, default=None, help="reserved; deterministic commands ignore it")
 
@@ -167,8 +168,7 @@ def cmd_frame_potential(args) -> int:
         for t in args.t:
             if engine == "bruteforce":
                 value = potential.frame_potential_bruteforce(
-                    args.d, n, t, pair_cap=args.pair_cap, matrix_cap=args.matrix_cap,
-                    threads=args.threads, vectors=vectors,
+                    args.d, n, t, pair_cap=args.pair_cap, matrix_cap=args.matrix_cap, vectors=vectors
                 )
             elif engine == "fixed-state":
                 value = potential.frame_potential_fixed_state(
@@ -301,7 +301,6 @@ def run_verification(
     state_cap: int = stabilizer.DEFAULT_STATE_CAP,
     pair_cap: int = potential.DEFAULT_PAIR_CAP,
     matrix_cap: int = DEFAULT_MATRIX_CAP,
-    threads: int | None = None,
 ) -> list[CheckResult]:
     """The full cross-check suite for one (d, n); raises on cap violations."""
     require_prime(d)
@@ -387,9 +386,7 @@ def run_verification(
         rec = potential.frame_potential_recursion(d, n, t)
         comb = potential.frame_potential_combinatorial(d, n, t)
         exact_ok = exact_ok and rec == comb
-        brute = potential.frame_potential_bruteforce(
-            d, n, t, pair_cap=pair_cap, matrix_cap=matrix_cap, threads=threads, vectors=vectors
-        )
+        brute = potential.frame_potential_bruteforce(d, n, t, pair_cap=pair_cap, matrix_cap=matrix_cap, vectors=vectors)
         fixed = potential.frame_potential_fixed_state(
             d, n, t, state_cap=state_cap, matrix_cap=matrix_cap, vectors=vectors
         )
@@ -432,7 +429,6 @@ def cmd_verify(args) -> int:
         state_cap=args.state_cap,
         pair_cap=args.pair_cap,
         matrix_cap=args.matrix_cap,
-        threads=args.threads,
     )
     lines = [f"verify d={args.d} n={args.n} t-max={args.t_max}"]
     for check in checks:

@@ -9,14 +9,13 @@ Two exact engines return identical rationals by construction of the theory:
 
 Two floating-point engines recompute the same quantity from realized state
 vectors: the full double sum over pairs, and the single fixed-reference sum
-that orbit symmetry makes equivalent. Numeric summation uses a fixed
-pairwise-tree order, so results are identical regardless of worker count.
+that orbit symmetry makes equivalent. Both run one single-threaded row kernel,
+and every sum uses a fixed pairwise-tree order whose shape depends only on the
+length of the list summed, so results do not depend on how rows are blocked.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -29,23 +28,6 @@ from .stabilizer import DEFAULT_STATE_CAP, realized_states
 from .weyl import DEFAULT_MATRIX_CAP
 
 DEFAULT_PAIR_CAP = 25_000_000
-
-THREADS_ENV_VAR = "STABKIT_THREADS"
-
-
-def resolve_threads(threads: int | None = None) -> int:
-    """Explicit argument, else STABKIT_THREADS, else machine parallelism."""
-    if threads is None:
-        env = os.environ.get(THREADS_ENV_VAR)
-        threads = int(env) if env else (os.cpu_count() or 1)
-    if threads < 1:
-        raise ValueError("thread count must be positive")
-    return threads
-
-
-def _worker_count(threads: int, tasks: int, cpus: int) -> int:
-    """Pool size: no more workers than tasks, nor than four per CPU."""
-    return max(1, min(threads, tasks, 4 * cpus))
 
 
 def _validate(d: int, n: int, t: int) -> None:
@@ -79,20 +61,27 @@ def frame_potential_combinatorial(d: int, n: int, t: int) -> Fraction:
     return total / stabilizer_count(d, n)
 
 
+def _pairwise_tree(vals: np.ndarray) -> np.ndarray:
+    """Fixed binary-tree reduction along the last axis of a non-empty array.
+
+    Each level adds adjacent pairs and carries an odd tail up unchanged.
+    """
+    while vals.shape[-1] > 1:
+        width = vals.shape[-1]
+        pairs = vals[..., 0 : width - 1 : 2] + vals[..., 1::2]
+        vals = np.concatenate((pairs, vals[..., -1:]), axis=-1) if width % 2 else pairs
+    return vals[..., 0]
+
+
 def _pairwise_sum(values: Sequence[float] | np.ndarray) -> float:
     """Fixed binary-tree reduction over the full ordered value list.
 
-    Each level adds adjacent pairs and carries an odd tail up unchanged. The
-    tree shape depends only on the list, never on how work was chunked, which
-    is what makes the floating-point engines thread-count invariant.
+    The tree shape depends only on the length of the list, never on how the
+    values were produced, which is what makes the floating-point engines
+    invariant under row blocking.
     """
     vals = np.asarray(values, dtype=np.float64)
-    if not vals.size:
-        return 0.0
-    while vals.size > 1:
-        pairs = vals[0 : vals.size - 1 : 2] + vals[1::2]
-        vals = np.append(pairs, vals[-1]) if vals.size % 2 else pairs
-    return float(vals[0])
+    return float(_pairwise_tree(vals)) if vals.size else 0.0
 
 
 def _state_stack(vectors: Sequence[np.ndarray], count: int) -> np.ndarray:
@@ -101,9 +90,16 @@ def _state_stack(vectors: Sequence[np.ndarray], count: int) -> np.ndarray:
     return np.array(vectors)
 
 
-def _overlap_powers(stack: np.ndarray, ref: np.ndarray, t: int) -> np.ndarray:
-    amps = stack @ np.conj(ref)
-    return (amps.real**2 + amps.imag**2) ** t
+def _row_sums(stack: np.ndarray, rows: range, t: int) -> np.ndarray:
+    """sum_j |<x_i, x_j>|^{2t} for each i in rows, each row by the fixed tree.
+
+    Each row's overlaps come from their own product with the whole stack: a
+    single matrix product over the block rounds differently.
+    """
+    amps = np.empty((len(rows), len(stack)), dtype=np.complex128)
+    for r, i in enumerate(rows):
+        amps[r] = stack @ np.conj(stack[i])
+    return _pairwise_tree((amps.real**2 + amps.imag**2) ** t)
 
 
 def frame_potential_bruteforce(
@@ -113,7 +109,6 @@ def frame_potential_bruteforce(
     *,
     pair_cap: int = DEFAULT_PAIR_CAP,
     matrix_cap: int = DEFAULT_MATRIX_CAP,
-    threads: int | None = None,
     vectors: Sequence[np.ndarray] | None = None,
 ) -> float:
     """S^{-2} sum_{i,j} |<x_i, x_j>|^{2t} from realized state vectors.
@@ -127,14 +122,10 @@ def frame_potential_bruteforce(
     if vectors is None:
         vectors = [vec for _, vec in realized_states(d, n, state_cap=count, matrix_cap=matrix_cap)]
     stack = _state_stack(vectors, count)
-
-    def row_total(i: int) -> float:
-        return _pairwise_sum(_overlap_powers(stack, stack[i], t))
-
-    workers = _worker_count(resolve_threads(threads), count, os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        rows = list(pool.map(row_total, range(count)))
-    return _pairwise_sum(rows) / (count * count)
+    # Blocks of about 2^16 overlaps bound the working memory.
+    block = max(1, 2**16 // count)
+    totals = [_row_sums(stack, range(i, min(i + block, count)), t) for i in range(0, count, block)]
+    return _pairwise_sum(np.concatenate(totals)) / (count * count)
 
 
 def frame_potential_fixed_state(
@@ -162,7 +153,7 @@ def frame_potential_fixed_state(
             raise RuntimeError("the first enumerated state must have coset representative 0")
         vectors = [vec for _, vec in pairs]
     stack = _state_stack(vectors, count)
-    return _pairwise_sum(_overlap_powers(stack, stack[0], t)) / count
+    return _pairwise_sum(_row_sums(stack, range(1), t)) / count
 
 
 @dataclass(frozen=True)

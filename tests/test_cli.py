@@ -275,13 +275,10 @@ def test_thread_count_does_not_change_output():
 
 
 def test_threads_env_var_fallback(monkeypatch):
-    from stabkit.potential import resolve_threads
-
-    monkeypatch.setenv("STABKIT_THREADS", "3")
-    assert resolve_threads(None) == 3
-    assert resolve_threads(5) == 5
-    monkeypatch.delenv("STABKIT_THREADS")
-    assert resolve_threads(None) >= 1
+    # STABKIT_THREADS is no longer read: any value, even a malformed one, changes nothing.
+    monkeypatch.delenv("STABKIT_THREADS", raising=False)
     env_run = run_cli(["verify", "--d", "2", "--n", "1", "--t-max", "2"])
-    monkeypatch.setenv("STABKIT_THREADS", "2")
-    assert run_cli(["verify", "--d", "2", "--n", "1", "--t-max", "2"]) == env_run
+    assert env_run[0] == 0
+    for value in ("2", "x"):
+        monkeypatch.setenv("STABKIT_THREADS", value)
+        assert run_cli(["verify", "--d", "2", "--n", "1", "--t-max", "2"]) == env_run

@@ -18,7 +18,7 @@ from stabkit import (
     welch_bound,
 )
 from stabkit.errors import NonPrimeModulusError, ResourceCapError
-from stabkit.potential import _pairwise_sum, _worker_count, fraction_str, parse_fraction
+from stabkit.potential import _pairwise_sum, fraction_str, parse_fraction
 
 
 # ---------------------------------------------------------------------------
@@ -133,18 +133,19 @@ def test_fixed_state_at_scale():
             assert abs(fixed - exact) <= 1e-9
 
 
-def test_bruteforce_thread_count_invariance():
-    vectors = cached_vectors(2, 2)
-    one = frame_potential_bruteforce(2, 2, 3, vectors=vectors, threads=1)
-    many = frame_potential_bruteforce(2, 2, 3, vectors=vectors, threads=4)
-    assert one == many
-
-
-def test_worker_count_is_bounded_by_tasks_and_cpus():
-    assert _worker_count(5, 1080, 8) == 5
-    assert _worker_count(1000, 1080, 2) == 8
-    assert _worker_count(16, 6, 8) == 6
-    assert _worker_count(1, 0, 1) == 1
+def test_numeric_engines_match_the_per_row_tree_oracle_bit_for_bit():
+    # Oracle: each row's own product and tree, then the tree over row totals.
+    # At (3, 2) the 360 rows run in blocks of 182, so the last block is partial.
+    for d, n in [(2, 2), (3, 2), (5, 1)]:
+        stack = np.array(cached_vectors(d, n))
+        count = len(stack)
+        for t in range(1, 5):
+            rows = []
+            for i in range(count):
+                amps = stack @ np.conj(stack[i])
+                rows.append(pairwise_sum_tree(((amps.real**2 + amps.imag**2) ** t).tolist()))
+            assert frame_potential_bruteforce(d, n, t, vectors=list(stack)) == pairwise_sum_tree(rows) / count**2
+            assert frame_potential_fixed_state(d, n, t, vectors=list(stack)) == rows[0] / count
 
 
 def test_numeric_engines_reject_a_partial_vector_list():
@@ -154,7 +155,7 @@ def test_numeric_engines_reject_a_partial_vector_list():
         with pytest.raises(ValueError, match="6 state vectors"):
             frame_potential_fixed_state(2, 1, 2, vectors=wrong)
         with pytest.raises(ValueError, match="6 state vectors"):
-            frame_potential_bruteforce(2, 1, 2, vectors=wrong, threads=1)
+            frame_potential_bruteforce(2, 1, 2, vectors=wrong)
 
 
 def test_numeric_engine_caps():

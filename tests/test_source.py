@@ -74,3 +74,35 @@ def test_trusted_constructor_lives_only_in_symplectic():
         or (isinstance(node, ast.alias) and node.name == "_trusted")
     ]
     assert named == []
+
+
+_WORKER_MODULES = {"concurrent", "threading", "multiprocessing"}
+_ENVIRONMENT_READS = {"environ", "getenv"}
+
+
+def _worker_and_environment_uses(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((node.lineno, a.name) for a in node.names if a.name.split(".")[0] in _WORKER_MODULES)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            if node.module.split(".")[0] in _WORKER_MODULES:
+                yield node.lineno, node.module
+            elif node.module == "os":
+                yield from ((node.lineno, f"os.{a.name}") for a in node.names if a.name in _ENVIRONMENT_READS)
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr in _ENVIRONMENT_READS
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "os"
+        ):
+            yield node.lineno, f"os.{node.attr}"
+
+
+def test_library_starts_no_workers_and_reads_no_environment():
+    # Results depend only on the arguments: no pool, no thread, no env-var fallback.
+    uses = [
+        f"{path.name}:{lineno} {name}"
+        for path in sorted(SOURCE_DIR.glob("*.py"))
+        for lineno, name in _worker_and_environment_uses(_parse(path))
+    ]
+    assert uses == []
