@@ -60,13 +60,24 @@ class TauPhase:
         return TauPhase(self.d, self.exponent + other.exponent)
 
     def value(self) -> complex:
-        # exp(i*pi*(d^2+1)*e/d); reduce the angle first to keep precision.
-        k = (self.exponent * (self.d * self.d + 1)) % (2 * self.d)
-        return cmath.exp(1j * math.pi * k / self.d)
+        # tau^e = exp(i*pi*(d^2+1)*e/d).
+        return _unit_root(self.exponent * (self.d * self.d + 1), 2 * self.d)
+
+
+# Quarter turns exactly, with +0.0 zero parts: the literal -1j has real part -0.0.
+_QUARTER_TURNS = (complex(1, 0), complex(0, 1), complex(-1, 0), complex(0, -1))
+
+
+def _unit_root(k: int, m: int) -> complex:
+    """exp(2*pi*i*k/m), exact at the quarter turns; the angle is reduced first to keep precision."""
+    k %= m
+    if 4 * k % m == 0:
+        return _QUARTER_TURNS[4 * k // m]
+    return cmath.exp(2j * math.pi * k / m)
 
 
 def _omega_power(d: int, k: int) -> complex:
-    return cmath.exp(2j * math.pi * (k % d) / d)
+    return _unit_root(k, d)
 
 
 def _register_matrix(d: int, p: int, q: int) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Stabilizer states: projectors, eigenvalue equations, exact overlaps."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -139,6 +140,12 @@ def test_realized_vectors_follow_the_phase_convention_exactly():
             assert np.max(np.abs(np.abs(vec[support]) - size**-0.5)) <= 1e-12
             first = vec[support[0]]
             assert first.imag == 0.0 and first.real > 0
+            if d == 2:
+                # tau is a quarter turn: each part is exactly 0.0, never -0.0, or +-|Q(M)|^{-1/2}.
+                parts = np.concatenate([vec.real, vec.imag])
+                modulus = 1 / math.sqrt(size)
+                assert set(parts.tolist()) <= {0.0, modulus, -modulus}
+                assert not np.signbit(parts[parts == 0]).any()
 
 
 def test_realization_builds_no_matrix(monkeypatch):

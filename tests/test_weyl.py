@@ -37,8 +37,11 @@ def all_points(d, n):
 
 
 def test_tau_phase_values():
-    assert TauPhase(2, 1).value() == pytest.approx(1j)
-    assert TauPhase(2, 2).value() == pytest.approx(-1)
+    # Quarter turns are exact, and their zero parts are +0.0, never -0.0.
+    quarter = [TauPhase(2, k).value() for k in range(4)]
+    assert quarter == [1, 1j, -1, -1j]
+    parts = np.array([[v.real, v.imag] for v in quarter])
+    assert not np.signbit(parts[parts == 0]).any()
     assert abs(TauPhase(3, 3).value() - 1) < 1e-12  # tau^d = 1 for odd d
     assert tau_order(2) == 4 and tau_order(3) == 3
     prod = TauPhase(2, 3) * TauPhase(2, 3)
