@@ -21,18 +21,21 @@ from .potential import (
     FramePotentialReport,
     design_verdict,
     frame_potential_bruteforce,
+    frame_potentials_bruteforce,
     frame_potential_combinatorial,
     frame_potential_fixed_state,
     frame_potential_recursion,
     frame_potential_report,
 )
 from .stabilizer import (
+    PhaseTable,
     StabilizerState,
     compatible_bases,
     enumerate_states,
     overlap_exact,
     overlap_keys,
     overlap_table,
+    phase_table,
     realized_states,
     stabilizer_basis,
     weyl_representation,
@@ -67,8 +70,10 @@ from .weyl import (
     shift,
     verify_commutation,
     verify_composition,
+    verify_relations,
     weyl,
     weyl_basis,
+    zx_matrices,
 )
 
 __version__ = "0.1.0"

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import itertools
 import json
 import sys
 from dataclasses import dataclass
@@ -20,13 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from . import potential, stabilizer
-from .weyl import (
-    DEFAULT_MATRIX_CAP,
-    _omega_power,
-    verify_commutation,
-    verify_composition,
-    weyl,
-)
+from .weyl import DEFAULT_MATRIX_CAP, TauPhase, tau_order, verify_relations, zx_matrices
 from .combinatorics import (
     kappa,
     lagrangian_count,
@@ -35,13 +28,7 @@ from .combinatorics import (
     transversal_count,
 )
 from .errors import NonPrimeModulusError, ResourceCapError, check_cap
-from .symplectic import (
-    DEFAULT_ENUM_CAP,
-    PhaseVector,
-    enumerate_lagrangians,
-    intersection_spectrum,
-    symplectic_form,
-)
+from .symplectic import DEFAULT_ENUM_CAP, enumerate_lagrangians, intersection_spectrum
 
 
 def _int_range(text: str) -> list[int]:
@@ -59,27 +46,33 @@ def _int_range(text: str) -> list[int]:
     return list(range(lo, hi + 1))
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than low."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
 
 
 def _add_caps(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--enum-cap", type=int, default=DEFAULT_ENUM_CAP, help="max Lagrangians enumerated")
-    parser.add_argument("--state-cap", type=int, default=stabilizer.DEFAULT_STATE_CAP, help="max states enumerated")
-    parser.add_argument("--pair-cap", type=int, default=potential.DEFAULT_PAIR_CAP, help="max state pairs brute-forced")
-    parser.add_argument("--matrix-cap", type=int, default=DEFAULT_MATRIX_CAP, help="max Hilbert-space dimension")
+    cap = _int_at_least(0)
+    parser.add_argument("--enum-cap", type=cap, default=DEFAULT_ENUM_CAP, help="max Lagrangians enumerated")
+    parser.add_argument("--state-cap", type=cap, default=stabilizer.DEFAULT_STATE_CAP, help="max states enumerated")
+    parser.add_argument("--pair-cap", type=cap, default=potential.DEFAULT_PAIR_CAP, help="max state pairs brute-forced")
+    parser.add_argument("--matrix-cap", type=cap, default=DEFAULT_MATRIX_CAP, help="max Hilbert-space dimension")
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--output", default=None, help="write to this path instead of stdout")
     parser.add_argument(
-        "--threads", type=_positive_int, default=None, help="accepted for compatibility; changes nothing"
+        "--threads", type=_int_at_least(1), default=None, help="accepted for compatibility; changes nothing"
     )
     parser.add_argument("--seed", type=int, default=None, help="reserved; deterministic commands ignore it")
 
@@ -165,17 +158,20 @@ def cmd_frame_potential(args) -> int:
                     args.d, n, state_cap=args.state_cap, matrix_cap=args.matrix_cap
                 )
             ]
-        for t in args.t:
-            if engine == "bruteforce":
-                value = potential.frame_potential_bruteforce(
-                    args.d, n, t, pair_cap=args.pair_cap, matrix_cap=args.matrix_cap, vectors=vectors
-                )
-            elif engine == "fixed-state":
-                value = potential.frame_potential_fixed_state(
+        if engine == "bruteforce":
+            values = potential.frame_potentials_bruteforce(
+                args.d, n, args.t, pair_cap=args.pair_cap, matrix_cap=args.matrix_cap, vectors=vectors
+            )
+        elif engine == "fixed-state":
+            values = [
+                potential.frame_potential_fixed_state(
                     args.d, n, t, state_cap=args.state_cap, matrix_cap=args.matrix_cap, vectors=vectors
                 )
-            else:
-                value = None
+                for t in args.t
+            ]
+        else:
+            values = [None] * len(args.t)
+        for t, value in zip(args.t, values):
             reports.append(potential.frame_potential_report(args.d, n, t, bruteforce=value))
     _write(_render_reports(reports, args.format), args.output)
     return 0
@@ -339,27 +335,26 @@ def run_verification(
         )
     )
 
-    points = [PhaseVector(d, n, coords) for coords in _all_coords(d, 2 * n)]
-    comp_ok = all(verify_composition(u, v, cap=matrix_cap) for u in points for v in points)
-    checks.append(CheckResult("weyl-composition", comp_ok, f"{len(points) ** 2} pairs"))
-    comm_ok = all(verify_commutation(u, v, cap=matrix_cap) for u in points for v in points)
-    checks.append(CheckResult("weyl-commutation", comm_ok, f"{len(points) ** 2} pairs"))
-    dim = d**n
-    trace_dev = 0.0
-    for v in points:
-        tr = np.trace(weyl(v, cap=matrix_cap))
-        expect = dim if v.is_zero() else 0.0
-        trace_dev = max(trace_dev, abs(tr - expect))
-    checks.append(CheckResult("weyl-trace", trace_dev <= 1e-12, f"{len(points)} operators, max dev {trace_dev:.2e}"))
+    zx = zx_matrices(d, n, cap=matrix_cap)
+    comp_ok, comm_ok, trace_dev = verify_relations(d, n, zx)
+    pairs = len(zx) ** 2
+    checks.append(CheckResult("weyl-composition", comp_ok, f"{pairs} pairs"))
+    checks.append(CheckResult("weyl-commutation", comm_ok, f"{pairs} pairs"))
+    checks.append(CheckResult("weyl-trace", trace_dev <= 1e-12, f"{len(zx)} operators, max dev {trace_dev:.2e}"))
 
-    bases = [(m_sub, stabilizer.stabilizer_basis(m_sub, cap=matrix_cap)) for m_sub in lagrangians]
+    dim = d**n
+    tables = [stabilizer.phase_table(m_sub) for m_sub in lagrangians]
+    bases = [stabilizer.stabilizer_basis(m_sub, cap=matrix_cap) for m_sub in lagrangians]
+    taus = [TauPhase(d, j).value() for j in range(tau_order(d))]
     eigen_dev = 0.0
     gram_dev = 0.0
-    for m_sub, basis in bases:
-        terms = stabilizer.weyl_representation(m_sub, cap=matrix_cap)
-        for zeta, vec in basis:
-            for m_vec, mat in terms:
-                phase = _omega_power(d, symplectic_form(zeta, m_vec))
+    for table, basis in zip(tables, bases):
+        # w_B(m) = tau^{e_M(m)} z x(m), and omega^{[zeta,m]} = tau^{lambda(zeta,m) - e_M(m)}.
+        exponents = table.exponents.tolist()
+        terms = [(e, taus[e] * zx[point]) for e, point in zip(exponents, table.points.tolist())]
+        for (_, vec), keys in zip(basis, table.keys.tolist()):
+            for (e, mat), key in zip(terms, keys):
+                phase = taus[(key - e) % len(taus)]
                 eigen_dev = max(eigen_dev, float(np.max(np.abs(phase * (mat @ vec) - vec))))
         stack = np.array([vec for _, vec in basis])
         gram = np.conj(stack) @ stack.T
@@ -368,11 +363,11 @@ def run_verification(
     checks.append(CheckResult("basis-gram", gram_dev <= 1e-10, f"{len(bases)} bases, max dev {gram_dev:.2e}"))
 
     overlap_dev = 0.0
-    stacks = [np.array([vec for _, vec in basis]) for _, basis in bases]
-    for mi, m_sub in enumerate(lagrangians):
-        for nj in range(mi, len(lagrangians)):
+    stacks = [np.array([vec for _, vec in basis]) for basis in bases]
+    for mi, table in enumerate(tables):
+        for nj in range(mi, len(tables)):
             amps = np.conj(stacks[mi]) @ stacks[nj].T
-            value, keys_m, keys_n = stabilizer.overlap_keys(m_sub, lagrangians[nj])
+            value, keys_m, keys_n = table.overlap_keys(tables[nj])
             exact = float(value) * (keys_m[:, None] == keys_n[None, :]).all(-1)
             overlap_dev = max(overlap_dev, float(np.max(np.abs(amps.real**2 + amps.imag**2 - exact))))
     checks.append(
@@ -381,12 +376,13 @@ def run_verification(
 
     exact_ok = True
     numeric_dev = 0.0
-    vectors = [vec for _, pairs in bases for _, vec in pairs]
-    for t in range(1, t_max + 1):
+    vectors = [vec for basis in bases for _, vec in basis]
+    ts = range(1, t_max + 1)
+    brutes = potential.frame_potentials_bruteforce(d, n, ts, pair_cap=pair_cap, matrix_cap=matrix_cap, vectors=vectors)
+    for t, brute in zip(ts, brutes):
         rec = potential.frame_potential_recursion(d, n, t)
         comb = potential.frame_potential_combinatorial(d, n, t)
         exact_ok = exact_ok and rec == comb
-        brute = potential.frame_potential_bruteforce(d, n, t, pair_cap=pair_cap, matrix_cap=matrix_cap, vectors=vectors)
         fixed = potential.frame_potential_fixed_state(
             d, n, t, state_cap=state_cap, matrix_cap=matrix_cap, vectors=vectors
         )
@@ -414,10 +410,6 @@ def _expected_design(d: int, t: int) -> bool:
     if t == 3:
         return d == 2
     return False
-
-
-def _all_coords(d: int, width: int):
-    return itertools.product(range(d), repeat=width)
 
 
 def cmd_verify(args) -> int:
@@ -449,6 +441,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ResourceCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (NonPrimeModulusError, ValueError) as exc:
+    except (NonPrimeModulusError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -12,6 +12,11 @@ vectors: the full double sum over pairs, and the single fixed-reference sum
 that orbit symmetry makes equivalent. Both run one single-threaded row kernel,
 and every sum uses a fixed pairwise-tree order whose shape depends only on the
 length of the list summed, so results do not depend on how rows are blocked.
+
+The kernel takes a list of moments t: each block of rows gets its overlaps
+|<x_i, x_j>|^2 once, and only the power and the tree run once per t. So
+frame_potentials_bruteforce sweeps t = 1..T for the price of one product per
+row, with the same bits as one frame_potential_bruteforce call per t.
 """
 
 from __future__ import annotations
@@ -90,8 +95,8 @@ def _state_stack(vectors: Sequence[np.ndarray], count: int) -> np.ndarray:
     return np.array(vectors)
 
 
-def _row_sums(stack: np.ndarray, rows: range, t: int) -> np.ndarray:
-    """sum_j |<x_i, x_j>|^{2t} for each i in rows, each row by the fixed tree.
+def _row_sums(stack: np.ndarray, rows: range, ts: Sequence[int]) -> np.ndarray:
+    """sum_j |<x_i, x_j>|^{2t} for each t in ts (axis 0) and each i in rows, each row by the fixed tree.
 
     Each row's overlaps come from their own product with the whole stack: a
     single matrix product over the block rounds differently.
@@ -99,7 +104,35 @@ def _row_sums(stack: np.ndarray, rows: range, t: int) -> np.ndarray:
     amps = np.empty((len(rows), len(stack)), dtype=np.complex128)
     for r, i in enumerate(rows):
         amps[r] = stack @ np.conj(stack[i])
-    return _pairwise_tree((amps.real**2 + amps.imag**2) ** t)
+    sq = amps.real**2 + amps.imag**2
+    return np.array([_pairwise_tree(sq**t) for t in ts])
+
+
+def frame_potentials_bruteforce(
+    d: int,
+    n: int,
+    ts: Sequence[int],
+    *,
+    pair_cap: int = DEFAULT_PAIR_CAP,
+    matrix_cap: int = DEFAULT_MATRIX_CAP,
+    vectors: Sequence[np.ndarray] | None = None,
+) -> list[float]:
+    """S^{-2} sum_{i,j} |<x_i, x_j>|^{2t} for each t in ts, from realized state vectors.
+
+    ``vectors``, when given, must hold the realized state vectors in
+    enumeration order.
+    """
+    for t in ts:
+        _validate(d, n, t)
+    count = stabilizer_count(d, n)
+    check_cap("brute-force state pairs", count * count, pair_cap)
+    if vectors is None:
+        vectors = [vec for _, vec in realized_states(d, n, state_cap=count, matrix_cap=matrix_cap)]
+    stack = _state_stack(vectors, count)
+    # Blocks of about 2^16 overlaps bound the working memory.
+    block = max(1, 2**16 // count)
+    totals = [_row_sums(stack, range(i, min(i + block, count)), ts) for i in range(0, count, block)]
+    return [float(total) / (count * count) for total in _pairwise_tree(np.concatenate(totals, axis=1))]
 
 
 def frame_potential_bruteforce(
@@ -111,21 +144,8 @@ def frame_potential_bruteforce(
     matrix_cap: int = DEFAULT_MATRIX_CAP,
     vectors: Sequence[np.ndarray] | None = None,
 ) -> float:
-    """S^{-2} sum_{i,j} |<x_i, x_j>|^{2t} from realized state vectors.
-
-    ``vectors`` is a performance hook for sweeps over t: when given, it must
-    hold the realized state vectors in enumeration order.
-    """
-    _validate(d, n, t)
-    count = stabilizer_count(d, n)
-    check_cap("brute-force state pairs", count * count, pair_cap)
-    if vectors is None:
-        vectors = [vec for _, vec in realized_states(d, n, state_cap=count, matrix_cap=matrix_cap)]
-    stack = _state_stack(vectors, count)
-    # Blocks of about 2^16 overlaps bound the working memory.
-    block = max(1, 2**16 // count)
-    totals = [_row_sums(stack, range(i, min(i + block, count)), t) for i in range(0, count, block)]
-    return _pairwise_sum(np.concatenate(totals)) / (count * count)
+    """frame_potentials_bruteforce for one t."""
+    return frame_potentials_bruteforce(d, n, [t], pair_cap=pair_cap, matrix_cap=matrix_cap, vectors=vectors)[0]
 
 
 def frame_potential_fixed_state(
@@ -153,7 +173,7 @@ def frame_potential_fixed_state(
             raise RuntimeError("the first enumerated state must have coset representative 0")
         vectors = [vec for _, vec in pairs]
     stack = _state_stack(vectors, count)
-    return _pairwise_sum(_row_sums(stack, range(1), t)) / count
+    return _pairwise_sum(_row_sums(stack, range(1), [t])[0]) / count
 
 
 @dataclass(frozen=True)

@@ -5,14 +5,29 @@ the canonical representative zeta of a coset of V/M (zero on M's pivot
 coordinates). Identity is structural: two states are equal iff their pairs
 are. Weyl operators w_B use M's canonical generator list B as basis.
 
-The state's vector, fixed by every omega^{[zeta,m]} w_B(m), has a closed form
-on integer rows. With w_B(m) = tau^{e_m} z(P_m) x(Q_m) (weyl._word) and
-k(zeta, m, x) = 2[zeta,m] + e_m + 2 P_m.(x + Q_m) mod the order of tau, let x0
-be the lexicographically first x in Z_d^n with k(zeta, z, x) = 0 for every z
-in M_Z = {z in M : Q_z = 0}. The vector is |Q(M)|^{-1/2} tau^{k(zeta,m,x0)} at
-x0 + Q_m mod d and 0 elsewhere. It is well defined because m -> omega^{[zeta,m]}
-w_B(m) is a representation of M, so the amplitude depends only on m + M_Z;
-k = 0 at x0 makes the first nonzero amplitude real positive exactly.
+One integer table per Lagrangian (phase_table) drives both realization and
+the overlap rule. For every m in M, in lexicographic coefficient order,
+w_B(m) = tau^{e_M(m)} z(P_m) x(Q_m) (the closed form of weyl._word), and
+
+    lambda(zeta, m) = (2[zeta,m] + e_M(m)) mod the order of tau,
+
+over (coset in coset_representatives order, element). The state |M,zeta>,
+fixed by every omega^{[zeta,m]} w_B(m), is an eigenvector of z(P_m) x(Q_m)
+with eigenvalue tau^{-lambda(zeta,m)}.
+
+Realization: with k(zeta, m, x) = lambda(zeta, m) + 2 P_m.(x + Q_m) mod the
+order of tau, let x0 be the lexicographically first x in Z_d^n with
+k(zeta, z, x) = 0 for every z in M_Z = {z in M : Q_z = 0}. The vector is
+|Q(M)|^{-1/2} tau^{k(zeta,m,x0)} at x0 + Q_m mod d and 0 elsewhere. It is well
+defined because m -> omega^{[zeta,m]} w_B(m) is a representation of M, so the
+amplitude depends only on m + M_Z; k = 0 at x0 makes the first nonzero
+amplitude real positive exactly.
+
+Overlaps: |<M,zeta|N,iota>|^2 is d^{-n} |M cap N| when lambda_M(zeta, .) and
+lambda_N(iota, .) agree on every point M and N share, and 0 otherwise, since
+two stabilizer states overlap exactly when every shared Weyl operator has
+the same eigenvalue on both. The shared points are found by their indices,
+with no subspace intersection.
 """
 
 from __future__ import annotations
@@ -21,20 +36,18 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
 from .combinatorics import require_prime, stabilizer_count
 from .errors import check_cap
-from .weyl import DEFAULT_MATRIX_CAP, TauPhase, _word, basis_weyl_operator, tau_order
+from .weyl import DEFAULT_MATRIX_CAP, _point_index, _tau_powers, basis_weyl_operator, tau_order
 from .symplectic import (
     PhaseVector,
-    Row,
     Subspace,
     _complete_basis,
     _coset_rows,
-    _form_lift,
     _trusted,
     canonical_coset_representative,
     coset_representatives,
@@ -97,22 +110,77 @@ def weyl_representation(m_sub: Subspace, *, cap: int = DEFAULT_MATRIX_CAP) -> li
     return [(op.point, op.matrix(cap=cap)) for op in ops]
 
 
-def stabilizer_basis(m_sub: Subspace, *, cap: int = DEFAULT_MATRIX_CAP) -> list[tuple[PhaseVector, np.ndarray]]:
-    """The d^n states of one Lagrangian by the closed form above, in coset_representatives order."""
+@dataclass(frozen=True, eq=False)
+class PhaseTable:
+    """The integer phase data of one Lagrangian M, from phase_table.
+
+    points[j] is the point index (weyl.zx_matrices order) of the j-th element
+    m of M, in lexicographic coefficient order. keys[i, j] is
+    lambda(zeta_i, m_j) for the i-th coset in coset_representatives order;
+    row 0, the zero coset, holds the exponents e_M(m).
+    """
+
+    d: int
+    n: int
+    points: np.ndarray
+    keys: np.ndarray
+
+    @property
+    def exponents(self) -> np.ndarray:
+        """e_M(m) in w_B(m) = tau^{e_M(m)} z(P_m) x(Q_m), in the order of points."""
+        return self.keys[0]
+
+    def overlap_keys(self, other: "PhaseTable") -> tuple[Fraction, np.ndarray, np.ndarray]:
+        """d^{-n} |M cap N| and the lambda columns of both tables on the shared points.
+
+        The i-th state of M and the j-th of N overlap with that value when
+        row i of the first key array equals row j of the second, and are
+        orthogonal otherwise.
+        """
+        if (self.d, self.n) != (other.d, other.n):
+            raise ValueError("states live in different spaces")
+        shared, mine, theirs = np.intersect1d(self.points, other.points, assume_unique=True, return_indices=True)
+        return Fraction(len(shared), self.d**self.n), self.keys[:, mine], other.keys[:, theirs]
+
+
+def _phase_rows(m_sub: Subspace) -> tuple[np.ndarray, np.ndarray]:
+    """The elements of a Lagrangian M as (P | Q) rows, and the lambda table over them.
+
+    With generator rows (p_i | q_i) and coefficients c, the element is c.G mod d
+    and weyl._word's exponent is e(c) = -c^T (diag(p_i.q_i) + 2 triu(Q P^T, 1)) c.
+    2[zeta,m] may use the integer lift, since 2 (x mod d) = 2x (mod 2d).
+    """
     if not is_lagrangian(m_sub):
         raise ValueError("needs a Lagrangian subspace")
     d, n = m_sub.d, m_sub.n
+    order = tau_order(d)
+    coeffs = np.array(list(itertools.product(range(d), repeat=n)))
+    gens = np.array(m_sub.generators)
+    p, q = gens[:, :n], gens[:, n:]
+    e = -((coeffs @ (np.diag((p * q).sum(1)) + 2 * np.triu(q @ p.T, 1))) * coeffs).sum(1)
+    rows = coeffs @ gens % d
+    z = np.array(list(_coset_rows(m_sub)))
+    keys = (2 * (z[:, :n] @ rows[:, n:].T - z[:, n:] @ rows[:, :n].T) + e) % order
+    return rows, keys
+
+
+def phase_table(m_sub: Subspace) -> PhaseTable:
+    """The lambda table of a Lagrangian M, with the point index of each element."""
+    rows, keys = _phase_rows(m_sub)
+    return PhaseTable(m_sub.d, m_sub.n, _point_index(rows, m_sub.d), keys)
+
+
+def stabilizer_basis(m_sub: Subspace, *, cap: int = DEFAULT_MATRIX_CAP) -> list[tuple[PhaseVector, np.ndarray]]:
+    """The d^n states of one Lagrangian by the closed form above, in coset_representatives order."""
+    d, n = m_sub.d, m_sub.n
     check_cap("matrix dimension", d**n, cap)
     order = tau_order(d)
-    # Z_d^n in lexicographic order: the coefficients of M's elements, and the basis points x.
-    grid = np.array(list(itertools.product(range(d), repeat=n)))
-    words = [_word(d, n, m_sub.generators, c) for c in grid.tolist()]
-    e = np.array([w[0] for w in words])
-    p, q = np.array([w[1] for w in words]).reshape(-1, 2, n).transpose(1, 0, 2)
-    zetas = list(coset_representatives(m_sub))
-    z = np.array([zeta.coords for zeta in zetas])
+    rows, lam = _phase_rows(m_sub)
+    p, q = rows[:, :n], rows[:, n:]
     # k(zeta, m, x) over (coset, element), less its x-dependent term 2 P_m.x.
-    k = 2 * (z[:, :n] @ q.T - z[:, n:] @ p.T) + e + 2 * (p * q).sum(1)
+    k = lam + 2 * (p * q).sum(1)
+    # The basis points x of Z_d^n, in lexicographic order.
+    grid = np.array(list(itertools.product(range(d), repeat=n)))
     z_only = ~q.any(1)
     fixed = ((k[:, z_only, None] + 2 * p[z_only] @ grid.T) % order == 0).all(1)
     if not fixed.any(1).all():
@@ -120,62 +188,31 @@ def stabilizer_basis(m_sub: Subspace, *, cap: int = DEFAULT_MATRIX_CAP) -> list[
     x0 = grid[fixed.argmax(1)]
     k = (k + 2 * x0 @ p.T) % order
     support = ((x0[:, None, :] + q) % d) @ d ** np.arange(n - 1, -1, -1)
-    tau_powers = np.array([TauPhase(d, j).value() for j in range(order)])
     modulus = 1 / math.sqrt(d**n // int(z_only.sum()))  # |Q(M)|^{-1/2}, as |Q(M)| |M_Z| = |M|
+    zetas = list(coset_representatives(m_sub))
     vecs = np.zeros((len(zetas), d**n), dtype=np.complex128)
-    vecs[np.arange(len(zetas))[:, None], support] = modulus * tau_powers[k]
+    vecs[np.arange(len(zetas))[:, None], support] = modulus * _tau_powers(d)[k]
     return list(zip(zetas, vecs))
-
-
-def _overlap_key(m_sub: Subspace, k_sub: Subspace) -> Callable[[Row], tuple[int, ...]]:
-    """zeta -> (2[zeta,g] + e_M(g)) mod the order of tau, over the generators g of K.
-
-    tau^{e_M(g)} is the phase of w_{B_M}(g), B_M the canonical basis of M; the
-    coefficients of g in B_M are its entries at M's pivots, because B_M is in
-    RREF. 2[zeta,g] may use the integer lift, since 2 (x mod d) = 2x (mod 2d).
-    """
-    d, n, pivots = m_sub.d, m_sub.n, m_sub.pivots
-    order = tau_order(d)
-    terms = [(g, _word(d, n, m_sub.generators, [g[c] for c in pivots])[0]) for g in k_sub.generators]
-    return lambda zeta: tuple((2 * _form_lift(zeta, g, n) + e) % order for g, e in terms)
-
-
-def _overlap_rule(m_sub: Subspace, n_sub: Subspace) -> tuple[Fraction, Callable, Callable]:
-    """The overlap rule for the states of M against those of N, as a key match.
-
-    |<M,zeta|N,iota>|^2 equals d^{-n} |K| with K = M cap N when every Weyl
-    operator on K has the same eigenvalue on both states, and 0 otherwise. The
-    two states use their own canonical bases, whose representations of K
-    differ by a character when d is even, so the condition reads
-    omega^{[zeta,g]} tau^{e_M(g)} = omega^{[iota,g]} tau^{e_N(g)} on every
-    generator g of K: exactly when the _overlap_key of zeta under M equals
-    that of iota under N. Returns d^{-n} |K| and the key functions of M and N.
-    """
-    if (m_sub.d, m_sub.n) != (n_sub.d, n_sub.n):
-        raise ValueError("states live in different spaces")
-    k_sub = intersect(m_sub, n_sub)
-    value = Fraction(m_sub.d**k_sub.dim, m_sub.d**m_sub.n)
-    return value, _overlap_key(m_sub, k_sub), _overlap_key(n_sub, k_sub)
-
-
-def overlap_exact(a: StabilizerState, b: StabilizerState) -> Fraction:
-    """|<M,zeta|N,iota>|^2 of the realized states, as an exact rational."""
-    value, key_m, key_n = _overlap_rule(a.lagrangian, b.lagrangian)
-    return value if key_m(a.zeta.coords) == key_n(b.zeta.coords) else Fraction(0)
 
 
 def overlap_keys(m_sub: Subspace, n_sub: Subspace) -> tuple[Fraction, np.ndarray, np.ndarray]:
     """The overlap rule for every state of M against every state of N, as integer keys.
 
-    Returns d^{-n} |K| and one key row per state of M and of N, in
+    Returns d^{-n} |M cap N| and one key row per state of M and of N, in
     coset_representatives order, as stabilizer_basis does: the i-th state of
     M and the j-th of N overlap with that value when keys_m[i] == keys_n[j],
-    and are orthogonal otherwise. Key rows have dim(M cap N) entries; when it
-    is 0, every key is empty and every pair overlaps.
+    and are orthogonal otherwise. Key rows hold lambda on every shared point,
+    so they have d^{dim(M cap N)} entries. The rule is
+    phase_table(M).overlap_keys(phase_table(N)).
     """
-    value, key_m, key_n = _overlap_rule(m_sub, n_sub)
-    keys = lambda sub, key: np.array([key(zeta) for zeta in _coset_rows(sub)], dtype=np.int64)
-    return value, keys(m_sub, key_m), keys(n_sub, key_n)
+    return phase_table(m_sub).overlap_keys(phase_table(n_sub))
+
+
+def overlap_exact(a: StabilizerState, b: StabilizerState) -> Fraction:
+    """|<M,zeta|N,iota>|^2 of the realized states, as an exact rational."""
+    value, keys_m, keys_n = overlap_keys(a.lagrangian, b.lagrangian)
+    row = lambda state: list(_coset_rows(state.lagrangian)).index(state.zeta.coords)
+    return value if np.array_equal(keys_m[row(a)], keys_n[row(b)]) else Fraction(0)
 
 
 def overlap_table(m_sub: Subspace, n_sub: Subspace) -> list[list[Fraction]]:

@@ -12,7 +12,11 @@ x are genuinely periodic mod d. Products reorder through
 
     x(q) z(p') = omega^{-q.p'} z(p') x(q),
 
-so composition stays exact. A word w(u_1)^{c_1} ... w(u_k)^{c_k}, rows
+so composition stays exact. The point v = (p | q) has index
+sum_i v_i d^{2n-1-i} on its lifts (lexicographic, p_1 most significant):
+zx_matrices and the stabilizer phase tables share this order.
+
+A word w(u_1)^{c_1} ... w(u_k)^{c_k}, rows
 u_i = (p_i | q_i) on the lifts and c_i mod d, is tau^e z(P) x(Q) in closed form,
 with (P | Q) = sum_i c_i u_i mod d and
 
@@ -27,6 +31,7 @@ are realized on demand and capped by DEFAULT_MATRIX_CAP.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from functools import reduce
@@ -35,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import check_cap
-from .symplectic import PhaseVector, Row, _rref, _solve_linear_system, _trusted, symplectic_form, symplectic_form_lift
+from .symplectic import PhaseVector, Row, _rref, _solve_linear_system, _trusted
 
 DEFAULT_MATRIX_CAP = 4096
 
@@ -64,6 +69,11 @@ class TauPhase:
         return _unit_root(self.exponent * (self.d * self.d + 1), 2 * self.d)
 
 
+def _tau_powers(d: int) -> np.ndarray:
+    """tau^j for j = 0 .. ord(tau) - 1, indexed by the exponent."""
+    return np.array([TauPhase(d, j).value() for j in range(tau_order(d))])
+
+
 # Quarter turns exactly, with +0.0 zero parts: the literal -1j has real part -0.0.
 _QUARTER_TURNS = (complex(1, 0), complex(0, 1), complex(-1, 0), complex(0, -1))
 
@@ -85,7 +95,7 @@ def _register_matrix(d: int, p: int, q: int) -> np.ndarray:
     out = np.zeros((d, d), dtype=np.complex128)
     for x in range(d):
         r = (x + q) % d
-        out[r, x] = _omega_power(d, p * r)
+        out[r, x] = _unit_root(p * r, d)
     return out
 
 
@@ -202,14 +212,28 @@ def weyl_basis(basis: Sequence[PhaseVector], m: PhaseVector, *, cap: int = DEFAU
     return _word_operator(m.d, m.n, basis, solve_in_basis(basis, m)).matrix(cap=cap)
 
 
-def _integer_sum_matrix(u: PhaseVector, v: PhaseVector) -> np.ndarray:
-    # w extended to the integer sum u+v (entries 0..2d-2): the tau exponent
-    # uses the unreduced dot product, the operators themselves are periodic.
-    d = u.d
-    sp = [a + b for a, b in zip(u.p, v.p)]
-    sq = [a + b for a, b in zip(u.q, v.q)]
-    phase = TauPhase(d, -sum(a * b for a, b in zip(sp, sq)))
-    return phase.value() * _zx_matrix(d, sp, sq)
+def _point_index(rows: np.ndarray, d: int) -> np.ndarray:
+    """Index of each (p | q) row on the lifts, in zx_matrices order."""
+    return rows @ d ** np.arange(rows.shape[-1] - 1, -1, -1)
+
+
+def zx_matrices(d: int, n: int, *, cap: int = DEFAULT_MATRIX_CAP) -> np.ndarray:
+    """z(p) x(q) for every point (p | q) of Z_d^{2n}, stacked in point-index order."""
+    check_cap("matrix dimension", d**n, cap)
+    return np.array([_zx_matrix(d, v[:n], v[n:]) for v in itertools.product(range(d), repeat=2 * n)])
+
+
+def _relation_phases(d: int, n: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The phases on the right of both Weyl relations, for lifted rows u against v (broadcast).
+
+    Composition: w(u) w(v) = tau^{[u,v]} w(u+v), u+v the integer sum, on the
+    lifts. As w(s) = tau^{-s_p.s_q} z x(s mod d), its phase on z x(u+v mod d) is
+    tau^{[u,v] - (p_u+p_v).(q_u+q_v)}. Commutation: w(u) w(v) = omega^{[u,v]} w(v) w(u).
+    """
+    form = (u[..., :n] * v[..., n:]).sum(-1) - (u[..., n:] * v[..., :n]).sum(-1)
+    s = u + v
+    omegas = np.array([_omega_power(d, k) for k in range(d)])
+    return _tau_powers(d)[(form - (s[..., :n] * s[..., n:]).sum(-1)) % tau_order(d)], omegas[form % d]
 
 
 def verify_composition(u: PhaseVector, v: PhaseVector, *, tol: float = 1e-12, cap: int = DEFAULT_MATRIX_CAP) -> bool:
@@ -218,14 +242,41 @@ def verify_composition(u: PhaseVector, v: PhaseVector, *, tol: float = 1e-12, ca
     [u,v] is the integer-lift value and u+v on the right is the integer sum;
     both sides are then honest operator identities for every d.
     """
+    u._check_compatible(v)
+    n = u.n
+    phase, _ = _relation_phases(u.d, n, np.array(u.coords), np.array(v.coords))
+    s = [a + b for a, b in zip(u.coords, v.coords)]
     lhs = weyl(u, cap=cap) @ weyl(v, cap=cap)
-    rhs = TauPhase(u.d, symplectic_form_lift(u, v)).value() * _integer_sum_matrix(u, v)
-    return bool(np.max(np.abs(lhs - rhs)) <= tol)
+    return bool(np.max(np.abs(lhs - phase * _zx_matrix(u.d, s[:n], s[n:]))) <= tol)
 
 
 def verify_commutation(u: PhaseVector, v: PhaseVector, *, tol: float = 1e-12, cap: int = DEFAULT_MATRIX_CAP) -> bool:
     """Check w(u) w(v) = omega^{[u,v]} w(v) w(u) as matrices."""
+    u._check_compatible(v)
+    _, phase = _relation_phases(u.d, u.n, np.array(u.coords), np.array(v.coords))
     wu = weyl(u, cap=cap)
     wv = weyl(v, cap=cap)
-    rhs = _omega_power(u.d, symplectic_form(u, v)) * (wv @ wu)
-    return bool(np.max(np.abs(wu @ wv - rhs)) <= tol)
+    return bool(np.max(np.abs(wu @ wv - phase * (wv @ wu))) <= tol)
+
+
+def verify_relations(d: int, n: int, zx: np.ndarray, *, tol: float = 1e-12) -> tuple[bool, bool, float]:
+    """verify_composition and verify_commutation over every pair of points, and the trace check.
+
+    zx is the zx_matrices stack, so each w(v) is built once. Returns whether
+    composition and commutation hold for all pairs, and the largest
+    |tr w(v) - d^n [v = 0]|.
+    """
+    points = np.array(list(itertools.product(range(d), repeat=2 * n)))
+    # w(v) = tau^{-p.q} z(p) x(q).
+    w = _tau_powers(d)[-(points[:, :n] * points[:, n:]).sum(1) % tau_order(d), None, None] * zx
+    composition, commutation = _relation_phases(d, n, points[:, None], points[None])
+    sums = _point_index((points[:, None] + points[None]) % d, d)
+    comp_ok = comm_ok = True
+    for i in range(len(points)):
+        lhs = w[i] @ w
+        comp_ok &= bool(np.max(np.abs(lhs - composition[i, :, None, None] * zx[sums[i]])) <= tol)
+        comm_ok &= bool(np.max(np.abs(lhs - commutation[i, :, None, None] * (w @ w[i]))) <= tol)
+    trace = np.trace(w, axis1=1, axis2=2)
+    trace[0] -= d**n
+    # Scalar abs: the array form rounds some moduli differently.
+    return comp_ok, comm_ok, max(abs(x) for x in trace.tolist())

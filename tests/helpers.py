@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import os
+from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
@@ -15,12 +16,14 @@ from stabkit import (
     WeylOperator,
     coset_representatives,
     enumerate_subspaces,
+    intersect,
     is_isotropic,
     realized_states,
     symplectic_form,
     weyl_representation,
 )
-from stabkit.weyl import _omega_power
+from stabkit.symplectic import _coset_rows, _form_lift
+from stabkit.weyl import _omega_power, _word, tau_order
 
 
 @lru_cache(maxsize=None)
@@ -52,6 +55,27 @@ def weyl_word_by_fold(basis, coefficients) -> WeylOperator:
         for _ in range(c % d):
             out = out @ WeylOperator.from_point(u)
     return out
+
+
+def overlap_keys_by_intersection(m_sub, n_sub):
+    """Witness: the overlap rule keyed on the generators g of K = M cap N, found by intersect.
+
+    The key of zeta under M is (2[zeta,g] + e_M(g)) mod the order of tau over
+    the generators g, e_M(g) the exponent of w_{B_M}(g): its coefficients in
+    the canonical basis B_M are its entries at M's pivots, because B_M is in
+    RREF. Returns d^{-n} |K| and the dim(K)-column keys of every state of M
+    and of N, in coset_representatives order.
+    """
+    d, n = m_sub.d, m_sub.n
+    k_sub = intersect(m_sub, n_sub)
+    order = tau_order(d)
+
+    def keys(sub):
+        terms = [(g, _word(d, n, sub.generators, [g[c] for c in sub.pivots])[0]) for g in k_sub.generators]
+        rows = [[(2 * _form_lift(zeta, g, n) + e) % order for g, e in terms] for zeta in _coset_rows(sub)]
+        return np.array(rows, dtype=np.int64).reshape(d**n, k_sub.dim)
+
+    return Fraction(d**k_sub.dim, d**n), keys(m_sub), keys(n_sub)
 
 
 def dense_projector(m_sub, v, terms=None) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import importlib
 import io
 import json
 import subprocess
@@ -209,6 +210,42 @@ def test_bruteforce_pair_cap_precheck_runs_before_realization(monkeypatch):
     assert "cap" in err
 
 
+def test_verify_builds_each_weyl_matrix_once_and_intersects_only_for_the_spectrum(monkeypatch):
+    # The package's `weyl` attribute is the function, so the module comes from importlib.
+    weyl_module = importlib.import_module("stabkit.weyl")
+    symplectic_module = importlib.import_module("stabkit.symplectic")
+    built, calls, inside = [], [], []
+    real_zx, real_intersect, real_spectrum = (
+        weyl_module._zx_matrix,
+        symplectic_module.intersect,
+        importlib.import_module("stabkit.cli").intersection_spectrum,
+    )
+
+    def zx(d, p, q):
+        built.append((tuple(p), tuple(q)))
+        return real_zx(d, p, q)
+
+    def intersect(a, b):
+        calls.append(bool(inside))
+        return real_intersect(a, b)
+
+    def spectrum(*args, **kwargs):
+        inside.append(True)
+        try:
+            return real_spectrum(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(weyl_module, "_zx_matrix", zx)
+    monkeypatch.setattr(symplectic_module, "intersect", intersect)
+    monkeypatch.setattr("stabkit.stabilizer.intersect", intersect)
+    monkeypatch.setattr("stabkit.cli.intersection_spectrum", spectrum)
+    checks = run_verification(2, 2, 4)
+    assert all(c.passed for c in checks)
+    assert len(built) == len(set(built)) == 2 ** 4
+    assert calls == [True] * 15
+
+
 def test_verify_matrix_cap_exits_3(monkeypatch):
     code, out, err = run_cli(["verify", "--d", "2", "--n", "3", "--matrix-cap", "4"])
     assert code == 3 and out == ""
@@ -251,6 +288,21 @@ def test_usage_errors_exit_2():
         for threads in ("0", "-1", "x"):
             code, out, err = run_cli([*argv, "--threads", threads])
             assert code == 2 and out == "" and "--threads" in err
+    # Caps take non-negative integers; a cap of 0 is valid and refuses any work.
+    for flag in ("--enum-cap", "--state-cap", "--pair-cap", "--matrix-cap"):
+        for value in ("-5", "x"):
+            code, out, err = run_cli(["verify", "--d", "2", "--n", "1", flag, value])
+            assert code == 2 and out == "" and flag in err
+    code, out, err = run_cli(["enumerate", "lagrangians", "--d", "2", "--n", "1", "--enum-cap", "0"])
+    assert (code, out, err) == (3, "", "error: Lagrangians: need 3, cap 0\n")
+
+
+def test_output_write_failure_is_a_usage_error(tmp_path):
+    target = tmp_path / "missing" / "x"
+    code, out, err = run_cli(["verify", "--d", "2", "--n", "1", "--output", str(target)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and str(target) in err and "Traceback" not in err
+    assert not target.exists()
 
 
 def test_output_file_matches_stdout(tmp_path):

@@ -11,6 +11,7 @@ from stabkit import (
     FramePotentialReport,
     design_verdict,
     frame_potential_bruteforce,
+    frame_potentials_bruteforce,
     frame_potential_combinatorial,
     frame_potential_fixed_state,
     frame_potential_recursion,
@@ -146,6 +147,15 @@ def test_numeric_engines_match_the_per_row_tree_oracle_bit_for_bit():
                 rows.append(pairwise_sum_tree(((amps.real**2 + amps.imag**2) ** t).tolist()))
             assert frame_potential_bruteforce(d, n, t, vectors=list(stack)) == pairwise_sum_tree(rows) / count**2
             assert frame_potential_fixed_state(d, n, t, vectors=list(stack)) == rows[0] / count
+
+
+def test_bruteforce_sweep_over_t_is_bit_identical_to_one_t_calls():
+    for d, n, t_max in [(2, 3, 4), (3, 2, 6), (5, 1, 6)]:
+        vectors = cached_vectors(d, n)
+        ts = range(1, t_max + 1)
+        sweep = frame_potentials_bruteforce(d, n, ts, vectors=vectors)
+        single = [frame_potential_bruteforce(d, n, t, vectors=vectors) for t in ts]
+        assert [x.hex() for x in sweep] == [x.hex() for x in single]
 
 
 def test_numeric_engines_reject_a_partial_vector_list():

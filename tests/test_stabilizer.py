@@ -8,7 +8,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import cached_states, dense_projector, dense_stabilizer_basis, dense_state_vector, single_qubit_rays
+from helpers import (
+    cached_states,
+    dense_projector,
+    dense_stabilizer_basis,
+    dense_state_vector,
+    overlap_keys_by_intersection,
+    single_qubit_rays,
+)
 from stabkit import (
     PhaseVector,
     StabilizerState,
@@ -21,6 +28,7 @@ from stabkit import (
     overlap_exact,
     overlap_keys,
     overlap_table,
+    phase_table,
     realized_states,
     stabilizer_basis,
     stabilizer_count,
@@ -29,8 +37,9 @@ from stabkit import (
     weyl_representation,
 )
 from stabkit.errors import ResourceCapError
+from stabkit.symplectic import _coset_rows, _form_lift
 from stabkit.weyl import WeylOperator
-from stabkit.weyl import _omega_power
+from stabkit.weyl import _omega_power, _word, tau_order
 
 
 def pv(d, n, *coords):
@@ -229,7 +238,7 @@ def test_overlap_table_needs_no_operator_or_representative_objects(monkeypatch):
 
 
 def test_overlap_keys_give_the_table_as_a_mask():
-    # dim(M cap N) = 0 gives empty keys, and then every pair overlaps.
+    # dim(M cap N) = 0 leaves only the shared point 0, whose key is 0, and then every pair overlaps.
     for d, n in [(2, 2), (3, 1)]:
         lagrangians = list(enumerate_lagrangians(d, n))
         for m_sub in lagrangians:
@@ -237,11 +246,37 @@ def test_overlap_keys_give_the_table_as_a_mask():
                 value, keys_m, keys_n = overlap_keys(m_sub, n_sub)
                 k = intersect(m_sub, n_sub).dim
                 assert value == Fraction(d**k, d**n)
-                assert keys_m.shape == keys_n.shape == (d**n, k)
+                assert keys_m.shape == keys_n.shape == (d**n, d**k)
                 block = float(value) * (keys_m[:, None] == keys_n[None, :]).all(-1)
                 assert np.array_equal(block, np.array(overlap_table(m_sub, n_sub), dtype=float))
                 if k == 0:
                     assert np.all(block == float(value))
+
+
+def test_phase_table_matches_the_intersection_witness():
+    # Keys on every shared point against keys on the generators of M cap N: same value, same mask.
+    for d, n in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)]:
+        tables = [(m_sub, phase_table(m_sub)) for m_sub in enumerate_lagrangians(d, n)]
+        for m_sub, m_table in tables:
+            for n_sub, n_table in tables:
+                value, keys_m, keys_n = m_table.overlap_keys(n_table)
+                witness, wit_m, wit_n = overlap_keys_by_intersection(m_sub, n_sub)
+                assert value == witness
+                mask = (keys_m[:, None] == keys_n[None, :]).all(-1)
+                assert np.array_equal(mask, (wit_m[:, None] == wit_n[None, :]).all(-1))
+
+
+def test_phase_table_entries_match_the_word_closed_form():
+    for d, n in [(2, 3), (3, 2), (5, 2)]:
+        order = tau_order(d)
+        radix = [d ** (2 * n - 1 - i) for i in range(2 * n)]
+        for m_sub in enumerate_lagrangians(d, n):
+            table = phase_table(m_sub)
+            words = [_word(d, n, m_sub.generators, c) for c in itertools.product(range(d), repeat=n)]
+            assert table.exponents.tolist() == [e for e, _ in words]
+            assert table.points.tolist() == [sum(a * r for a, r in zip(point, radix)) for _, point in words]
+            expect = [[(2 * _form_lift(z, point, n) + e) % order for e, point in words] for z in _coset_rows(m_sub)]
+            assert table.keys.tolist() == expect
 
 
 def test_nonzero_overlap_count_per_lagrangian_pair():

@@ -1,5 +1,6 @@
 """Weyl operators: matrix conventions, exact symbolic algebra, group laws."""
 
+import importlib
 import itertools
 
 import numpy as np
@@ -15,11 +16,13 @@ from stabkit import (
     shift,
     verify_commutation,
     verify_composition,
+    verify_relations,
     weyl,
     weyl_basis,
+    zx_matrices,
 )
 from stabkit.errors import ResourceCapError
-from stabkit.weyl import basis_weyl_operator, solve_in_basis, tau_order
+from stabkit.weyl import _omega_power, basis_weyl_operator, solve_in_basis, tau_order
 
 from helpers import weyl_word_by_fold
 
@@ -94,6 +97,34 @@ def test_composition_commutation_exhaustive():
             for v in points:
                 assert verify_composition(u, v)
                 assert verify_commutation(u, v)
+
+
+def test_all_pairs_relations_match_the_per_pair_witness():
+    # One stack of d^{2n} matrices serves every pair; the trace deviation is bit-identical.
+    for d, n in [(2, 1), (2, 2), (3, 1)]:
+        points = all_points(d, n)
+        zx = zx_matrices(d, n)
+        assert len(zx) == len(points) == d ** (2 * n)
+        for v, mat in zip(points, zx):
+            assert np.array_equal(TauPhase(d, -sum(a * b for a, b in zip(v.p, v.q))).value() * mat, weyl(v))
+        trace_dev = max(abs(np.trace(weyl(v)) - (d**n if v.is_zero() else 0.0)) for v in points)
+        assert verify_relations(d, n, zx) == (
+            all(verify_composition(u, v) for u in points for v in points),
+            all(verify_commutation(u, v) for u in points for v in points),
+            trace_dev,
+        )
+        assert verify_relations(d, n, zx)[:2] == (True, True)
+
+
+def test_a_wrong_omega_fails_commutation_in_both_paths(monkeypatch):
+    # Conjugating omega changes nothing at d = 2, so the check runs at d = 3.
+    # The package's `weyl` attribute is the function, so the module comes from importlib.
+    real = _omega_power
+    monkeypatch.setattr(importlib.import_module("stabkit.weyl"), "_omega_power", lambda d, k: real(d, k).conjugate())
+    points = all_points(3, 1)
+    comp_ok, comm_ok, _ = verify_relations(3, 1, zx_matrices(3, 1))
+    assert comm_ok is False and not all(verify_commutation(u, v) for u in points for v in points)
+    assert comp_ok is True and all(verify_composition(u, v) for u in points for v in points)
 
 
 def test_symbolic_product_matches_matrix_product():
