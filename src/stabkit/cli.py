@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from . import potential, stabilizer
-from .weyl import DEFAULT_MATRIX_CAP, TauPhase, tau_order, verify_relations, zx_matrices
+from .weyl import DEFAULT_MATRIX_CAP, WEYL_TOL, TauPhase, tau_order, verify_relations, zx_matrices
 from .combinatorics import (
     kappa,
     lagrangian_count,
@@ -121,8 +121,12 @@ def _write(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
     else:
-        with open(output, "w", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            # An unwritable --output path is a usage error, not a crash.
+            raise ValueError(f"cannot write --output: {exc}") from exc
 
 
 def _decimal12(fr) -> str:
@@ -340,30 +344,28 @@ def run_verification(
     pairs = len(zx) ** 2
     checks.append(CheckResult("weyl-composition", comp_ok, f"{pairs} pairs"))
     checks.append(CheckResult("weyl-commutation", comm_ok, f"{pairs} pairs"))
-    checks.append(CheckResult("weyl-trace", trace_dev <= 1e-12, f"{len(zx)} operators, max dev {trace_dev:.2e}"))
+    checks.append(CheckResult("weyl-trace", trace_dev <= WEYL_TOL, f"{len(zx)} operators, max dev {trace_dev:.2e}"))
 
     dim = d**n
     tables = [stabilizer.phase_table(m_sub) for m_sub in lagrangians]
-    bases = [stabilizer.stabilizer_basis(m_sub, cap=matrix_cap) for m_sub in lagrangians]
+    stacks = [table.vectors(cap=matrix_cap) for table in tables]
     taus = [TauPhase(d, j).value() for j in range(tau_order(d))]
     eigen_dev = 0.0
     gram_dev = 0.0
-    for table, basis in zip(tables, bases):
+    for table, stack in zip(tables, stacks):
         # w_B(m) = tau^{e_M(m)} z x(m), and omega^{[zeta,m]} = tau^{lambda(zeta,m) - e_M(m)}.
         exponents = table.exponents.tolist()
         terms = [(e, taus[e] * zx[point]) for e, point in zip(exponents, table.points.tolist())]
-        for (_, vec), keys in zip(basis, table.keys.tolist()):
+        for vec, keys in zip(stack, table.keys.tolist()):
             for (e, mat), key in zip(terms, keys):
                 phase = taus[(key - e) % len(taus)]
                 eigen_dev = max(eigen_dev, float(np.max(np.abs(phase * (mat @ vec) - vec))))
-        stack = np.array([vec for _, vec in basis])
         gram = np.conj(stack) @ stack.T
         gram_dev = max(gram_dev, float(np.max(np.abs(gram - np.eye(dim)))))
     checks.append(CheckResult("state-eigenvalue", eigen_dev <= 1e-10, f"{count} states, max residual {eigen_dev:.2e}"))
-    checks.append(CheckResult("basis-gram", gram_dev <= 1e-10, f"{len(bases)} bases, max dev {gram_dev:.2e}"))
+    checks.append(CheckResult("basis-gram", gram_dev <= 1e-10, f"{len(stacks)} bases, max dev {gram_dev:.2e}"))
 
     overlap_dev = 0.0
-    stacks = [np.array([vec for _, vec in basis]) for basis in bases]
     for mi, table in enumerate(tables):
         for nj in range(mi, len(tables)):
             amps = np.conj(stacks[mi]) @ stacks[nj].T
@@ -376,7 +378,7 @@ def run_verification(
 
     exact_ok = True
     numeric_dev = 0.0
-    vectors = [vec for basis in bases for _, vec in basis]
+    vectors = [vec for stack in stacks for vec in stack]
     ts = range(1, t_max + 1)
     brutes = potential.frame_potentials_bruteforce(d, n, ts, pair_cap=pair_cap, matrix_cap=matrix_cap, vectors=vectors)
     for t, brute in zip(ts, brutes):
@@ -441,6 +443,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ResourceCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (NonPrimeModulusError, ValueError, OSError) as exc:
+    except (NonPrimeModulusError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -36,7 +36,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -45,6 +45,7 @@ from .errors import check_cap
 from .weyl import DEFAULT_MATRIX_CAP, _point_index, _tau_powers, basis_weyl_operator, tau_order
 from .symplectic import (
     PhaseVector,
+    Row,
     Subspace,
     _complete_basis,
     _coset_rows,
@@ -114,14 +115,16 @@ def weyl_representation(m_sub: Subspace, *, cap: int = DEFAULT_MATRIX_CAP) -> li
 class PhaseTable:
     """The integer phase data of one Lagrangian M, from phase_table.
 
-    points[j] is the point index (weyl.zx_matrices order) of the j-th element
-    m of M, in lexicographic coefficient order. keys[i, j] is
-    lambda(zeta_i, m_j) for the i-th coset in coset_representatives order;
-    row 0, the zero coset, holds the exponents e_M(m).
+    rows[j] is the (P | Q) row of the j-th element m of M, in lexicographic
+    coefficient order, and points[j] its point index (weyl.zx_matrices order).
+    keys[i, j] is lambda(zeta_i, m_j) for the i-th coset in
+    coset_representatives order; row 0, the zero coset, holds the exponents
+    e_M(m).
     """
 
     d: int
     n: int
+    rows: np.ndarray
     points: np.ndarray
     keys: np.ndarray
 
@@ -142,57 +145,60 @@ class PhaseTable:
         shared, mine, theirs = np.intersect1d(self.points, other.points, assume_unique=True, return_indices=True)
         return Fraction(len(shared), self.d**self.n), self.keys[:, mine], other.keys[:, theirs]
 
+    def vectors(self, *, cap: int = DEFAULT_MATRIX_CAP) -> np.ndarray:
+        """The state vector of each key row, by the module's closed form: one row per state."""
+        d, n = self.d, self.n
+        check_cap("matrix dimension", d**n, cap)
+        order = tau_order(d)
+        p, q = self.rows[:, :n], self.rows[:, n:]
+        # k(zeta, m, x) over (coset, element), less its x-dependent term 2 P_m.x.
+        k = self.keys + 2 * (p * q).sum(1)
+        # The basis points x of Z_d^n, in lexicographic order.
+        grid = np.array(list(itertools.product(range(d), repeat=n)))
+        z_only = ~q.any(1)
+        fixed = ((k[:, z_only, None] + 2 * p[z_only] @ grid.T) % order == 0).all(1)
+        if not fixed.any(1).all():
+            raise RuntimeError("no basis point is fixed by the Z-only elements")
+        x0 = grid[fixed.argmax(1)]
+        k = (k + 2 * x0 @ p.T) % order
+        support = ((x0[:, None, :] + q) % d) @ d ** np.arange(n - 1, -1, -1)
+        modulus = 1 / math.sqrt(d**n // int(z_only.sum()))  # |Q(M)|^{-1/2}, as |Q(M)| |M_Z| = |M|
+        vecs = np.zeros((len(k), d**n), dtype=np.complex128)
+        vecs[np.arange(len(k))[:, None], support] = modulus * _tau_powers(d)[k]
+        return vecs
 
-def _phase_rows(m_sub: Subspace) -> tuple[np.ndarray, np.ndarray]:
-    """The elements of a Lagrangian M as (P | Q) rows, and the lambda table over them.
+
+def _table(m_sub: Subspace, cosets: Sequence[Row]) -> PhaseTable:
+    """The lambda table of a Lagrangian M over the given coset rows (exponents needs the zero coset first).
 
     With generator rows (p_i | q_i) and coefficients c, the element is c.G mod d
-    and weyl._word's exponent is e(c) = -c^T (diag(p_i.q_i) + 2 triu(Q P^T, 1)) c.
+    and weyl._word's exponent is e(c) = -c^T (diag(p_i.q_i) + 2 triu(Q P^T, 1)) c:
+    the matrix is q_i.p_j weighted 1 on the diagonal, 2 above it and 0 below.
     2[zeta,m] may use the integer lift, since 2 (x mod d) = 2x (mod 2d).
     """
-    if not is_lagrangian(m_sub):
-        raise ValueError("needs a Lagrangian subspace")
     d, n = m_sub.d, m_sub.n
-    order = tau_order(d)
-    coeffs = np.array(list(itertools.product(range(d), repeat=n)))
+    coeffs = np.indices((d,) * n).reshape(n, -1).T  # lexicographic, c_1 most significant
     gens = np.array(m_sub.generators)
     p, q = gens[:, :n], gens[:, n:]
-    e = -((coeffs @ (np.diag((p * q).sum(1)) + 2 * np.triu(q @ p.T, 1))) * coeffs).sum(1)
+    i = np.arange(n)
+    e = -((coeffs @ ((q @ p.T) * (1 + np.sign(i[None, :] - i[:, None])))) * coeffs).sum(1)
     rows = coeffs @ gens % d
-    z = np.array(list(_coset_rows(m_sub)))
-    keys = (2 * (z[:, :n] @ rows[:, n:].T - z[:, n:] @ rows[:, :n].T) + e) % order
-    return rows, keys
+    z = np.array(cosets)
+    keys = (2 * (z[:, :n] @ rows[:, n:].T - z[:, n:] @ rows[:, :n].T) + e) % tau_order(d)
+    return PhaseTable(d, n, rows, _point_index(rows, d), keys)
 
 
 def phase_table(m_sub: Subspace) -> PhaseTable:
-    """The lambda table of a Lagrangian M, with the point index of each element."""
-    rows, keys = _phase_rows(m_sub)
-    return PhaseTable(m_sub.d, m_sub.n, _point_index(rows, m_sub.d), keys)
+    """The lambda table of a Lagrangian M over all its cosets, with the rows and point index of each element."""
+    if not is_lagrangian(m_sub):
+        raise ValueError("needs a Lagrangian subspace")
+    return _table(m_sub, list(_coset_rows(m_sub)))
 
 
 def stabilizer_basis(m_sub: Subspace, *, cap: int = DEFAULT_MATRIX_CAP) -> list[tuple[PhaseVector, np.ndarray]]:
     """The d^n states of one Lagrangian by the closed form above, in coset_representatives order."""
-    d, n = m_sub.d, m_sub.n
-    check_cap("matrix dimension", d**n, cap)
-    order = tau_order(d)
-    rows, lam = _phase_rows(m_sub)
-    p, q = rows[:, :n], rows[:, n:]
-    # k(zeta, m, x) over (coset, element), less its x-dependent term 2 P_m.x.
-    k = lam + 2 * (p * q).sum(1)
-    # The basis points x of Z_d^n, in lexicographic order.
-    grid = np.array(list(itertools.product(range(d), repeat=n)))
-    z_only = ~q.any(1)
-    fixed = ((k[:, z_only, None] + 2 * p[z_only] @ grid.T) % order == 0).all(1)
-    if not fixed.any(1).all():
-        raise RuntimeError("no basis point is fixed by the Z-only elements")
-    x0 = grid[fixed.argmax(1)]
-    k = (k + 2 * x0 @ p.T) % order
-    support = ((x0[:, None, :] + q) % d) @ d ** np.arange(n - 1, -1, -1)
-    modulus = 1 / math.sqrt(d**n // int(z_only.sum()))  # |Q(M)|^{-1/2}, as |Q(M)| |M_Z| = |M|
-    zetas = list(coset_representatives(m_sub))
-    vecs = np.zeros((len(zetas), d**n), dtype=np.complex128)
-    vecs[np.arange(len(zetas))[:, None], support] = modulus * _tau_powers(d)[k]
-    return list(zip(zetas, vecs))
+    check_cap("matrix dimension", m_sub.d**m_sub.n, cap)  # before the d^n x d^n table is built
+    return list(zip(coset_representatives(m_sub), phase_table(m_sub).vectors(cap=cap)))
 
 
 def overlap_keys(m_sub: Subspace, n_sub: Subspace) -> tuple[Fraction, np.ndarray, np.ndarray]:
@@ -210,9 +216,9 @@ def overlap_keys(m_sub: Subspace, n_sub: Subspace) -> tuple[Fraction, np.ndarray
 
 def overlap_exact(a: StabilizerState, b: StabilizerState) -> Fraction:
     """|<M,zeta|N,iota>|^2 of the realized states, as an exact rational."""
-    value, keys_m, keys_n = overlap_keys(a.lagrangian, b.lagrangian)
-    row = lambda state: list(_coset_rows(state.lagrangian)).index(state.zeta.coords)
-    return value if np.array_equal(keys_m[row(a)], keys_n[row(b)]) else Fraction(0)
+    # One key row per state: lambda of its own zeta only.
+    value, key_a, key_b = _table(a.lagrangian, [a.zeta.coords]).overlap_keys(_table(b.lagrangian, [b.zeta.coords]))
+    return value if np.array_equal(key_a, key_b) else Fraction(0)
 
 
 def overlap_table(m_sub: Subspace, n_sub: Subspace) -> list[list[Fraction]]:

@@ -43,6 +43,8 @@ from .errors import check_cap
 from .symplectic import PhaseVector, Row, _rref, _solve_linear_system, _trusted
 
 DEFAULT_MATRIX_CAP = 4096
+# Largest entrywise deviation the Weyl relation and trace checks accept.
+WEYL_TOL = 1e-12
 
 
 def tau_order(d: int) -> int:
@@ -236,7 +238,7 @@ def _relation_phases(d: int, n: int, u: np.ndarray, v: np.ndarray) -> tuple[np.n
     return _tau_powers(d)[(form - (s[..., :n] * s[..., n:]).sum(-1)) % tau_order(d)], omegas[form % d]
 
 
-def verify_composition(u: PhaseVector, v: PhaseVector, *, tol: float = 1e-12, cap: int = DEFAULT_MATRIX_CAP) -> bool:
+def verify_composition(u: PhaseVector, v: PhaseVector, *, tol: float = WEYL_TOL, cap: int = DEFAULT_MATRIX_CAP) -> bool:
     """Check w(u) w(v) = tau^{[u,v]} w(u+v) as matrices.
 
     [u,v] is the integer-lift value and u+v on the right is the integer sum;
@@ -250,7 +252,7 @@ def verify_composition(u: PhaseVector, v: PhaseVector, *, tol: float = 1e-12, ca
     return bool(np.max(np.abs(lhs - phase * _zx_matrix(u.d, s[:n], s[n:]))) <= tol)
 
 
-def verify_commutation(u: PhaseVector, v: PhaseVector, *, tol: float = 1e-12, cap: int = DEFAULT_MATRIX_CAP) -> bool:
+def verify_commutation(u: PhaseVector, v: PhaseVector, *, tol: float = WEYL_TOL, cap: int = DEFAULT_MATRIX_CAP) -> bool:
     """Check w(u) w(v) = omega^{[u,v]} w(v) w(u) as matrices."""
     u._check_compatible(v)
     _, phase = _relation_phases(u.d, u.n, np.array(u.coords), np.array(v.coords))
@@ -259,12 +261,12 @@ def verify_commutation(u: PhaseVector, v: PhaseVector, *, tol: float = 1e-12, ca
     return bool(np.max(np.abs(wu @ wv - phase * (wv @ wu))) <= tol)
 
 
-def verify_relations(d: int, n: int, zx: np.ndarray, *, tol: float = 1e-12) -> tuple[bool, bool, float]:
+def verify_relations(d: int, n: int, zx: np.ndarray) -> tuple[bool, bool, float]:
     """verify_composition and verify_commutation over every pair of points, and the trace check.
 
     zx is the zx_matrices stack, so each w(v) is built once. Returns whether
-    composition and commutation hold for all pairs, and the largest
-    |tr w(v) - d^n [v = 0]|.
+    composition and commutation hold for all pairs within WEYL_TOL, and the
+    largest |tr w(v) - d^n [v = 0]|.
     """
     points = np.array(list(itertools.product(range(d), repeat=2 * n)))
     # w(v) = tau^{-p.q} z(p) x(q).
@@ -274,8 +276,8 @@ def verify_relations(d: int, n: int, zx: np.ndarray, *, tol: float = 1e-12) -> t
     comp_ok = comm_ok = True
     for i in range(len(points)):
         lhs = w[i] @ w
-        comp_ok &= bool(np.max(np.abs(lhs - composition[i, :, None, None] * zx[sums[i]])) <= tol)
-        comm_ok &= bool(np.max(np.abs(lhs - commutation[i, :, None, None] * (w @ w[i]))) <= tol)
+        comp_ok &= bool(np.max(np.abs(lhs - composition[i, :, None, None] * zx[sums[i]])) <= WEYL_TOL)
+        comm_ok &= bool(np.max(np.abs(lhs - commutation[i, :, None, None] * (w @ w[i]))) <= WEYL_TOL)
     trace = np.trace(w, axis1=1, axis2=2)
     trace[0] -= d**n
     # Scalar abs: the array form rounds some moduli differently.

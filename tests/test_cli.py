@@ -246,6 +246,22 @@ def test_verify_builds_each_weyl_matrix_once_and_intersects_only_for_the_spectru
     assert calls == [True] * 15
 
 
+def test_verify_builds_one_phase_table_per_lagrangian(monkeypatch):
+    # The table serves the eigenvalue check, realization and the overlap rule alike.
+    stabilizer_module = importlib.import_module("stabkit.stabilizer")
+    built = []
+    real_table = stabilizer_module._table
+
+    def table(m_sub, cosets):
+        built.append(m_sub)
+        return real_table(m_sub, cosets)
+
+    monkeypatch.setattr(stabilizer_module, "_table", table)
+    checks = run_verification(2, 2, 4)
+    assert all(c.passed for c in checks)
+    assert len(built) == len(set(built)) == 15
+
+
 def test_verify_matrix_cap_exits_3(monkeypatch):
     code, out, err = run_cli(["verify", "--d", "2", "--n", "3", "--matrix-cap", "4"])
     assert code == 3 and out == ""
@@ -303,6 +319,16 @@ def test_output_write_failure_is_a_usage_error(tmp_path):
     assert code == 2 and out == ""
     assert err.startswith("error: ") and str(target) in err and "Traceback" not in err
     assert not target.exists()
+
+
+def test_other_os_errors_are_not_usage_errors(monkeypatch):
+    # Only the --output write maps OSError to exit 2; a broken stdout pipe stays an OSError.
+    def broken(args):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr("stabkit.cli.cmd_verify", broken)
+    with pytest.raises(BrokenPipeError):
+        main(["verify", "--d", "2", "--n", "1"])
 
 
 def test_output_file_matches_stdout(tmp_path):
