@@ -8,7 +8,6 @@ numeric engines, and verifies the design thresholds against Welch bounds.
 from .combinatorics import (
     binomial,
     gaussian_binomial,
-    gaussian_pascal_check,
     is_prime,
     kappa,
     lagrangian_count,
@@ -30,7 +29,6 @@ from .potential import (
 from .stabilizer import (
     PhaseTable,
     StabilizerState,
-    compatible_bases,
     enumerate_states,
     overlap_exact,
     overlap_keys,
@@ -42,7 +40,6 @@ from .stabilizer import (
 )
 from .symplectic import (
     PhaseVector,
-    ReducedSpace,
     Subspace,
     canonical_coset_representative,
     canonicalize,
@@ -54,25 +51,19 @@ from .symplectic import (
     graph_adjacency,
     intersect,
     intersection_spectrum,
-    is_graph_lagrangian,
     is_isotropic,
     is_lagrangian,
     is_transverse,
     subspace_sum,
     symplectic_form,
-    symplectic_form_lift,
-    symplectic_reduce,
 )
 from .weyl import (
     TauPhase,
     WeylOperator,
-    boost,
-    shift,
     verify_commutation,
     verify_composition,
     verify_relations,
     weyl,
-    weyl_basis,
     zx_matrices,
 )
 

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from . import potential, stabilizer
-from .weyl import DEFAULT_MATRIX_CAP, WEYL_TOL, TauPhase, tau_order, verify_relations, zx_matrices
+from .weyl import DEFAULT_MATRIX_CAP, WEYL_TOL, _tau_powers, verify_relations, zx_matrices
 from .combinatorics import (
     kappa,
     lagrangian_count,
@@ -155,13 +155,9 @@ def cmd_frame_potential(args) -> int:
         engine = _plan_numeric_engine(args.d, n, args.method, args)
         vectors = None
         if engine is not None:
-            # Keep only the vectors: the states would stay alive through the t loop.
-            vectors = [
-                vec
-                for _, vec in stabilizer.realized_states(
-                    args.d, n, state_cap=args.state_cap, matrix_cap=args.matrix_cap
-                )
-            ]
+            pairs = stabilizer.realized_states(args.d, n, state_cap=args.state_cap, matrix_cap=args.matrix_cap)
+            vectors = np.array([vec for _, vec in pairs])  # one stack, shared by every t
+            del pairs  # the states would otherwise stay alive through the t loop
         if engine == "bruteforce":
             values = potential.frame_potentials_bruteforce(
                 args.d, n, args.t, pair_cap=args.pair_cap, matrix_cap=args.matrix_cap, vectors=vectors
@@ -349,7 +345,7 @@ def run_verification(
     dim = d**n
     tables = [stabilizer.phase_table(m_sub) for m_sub in lagrangians]
     stacks = [table.vectors(cap=matrix_cap) for table in tables]
-    taus = [TauPhase(d, j).value() for j in range(tau_order(d))]
+    taus = _tau_powers(d).tolist()
     eigen_dev = 0.0
     gram_dev = 0.0
     for table, stack in zip(tables, stacks):
@@ -378,7 +374,7 @@ def run_verification(
 
     exact_ok = True
     numeric_dev = 0.0
-    vectors = [vec for stack in stacks for vec in stack]
+    vectors = np.concatenate(stacks)
     ts = range(1, t_max + 1)
     brutes = potential.frame_potentials_bruteforce(d, n, ts, pair_cap=pair_cap, matrix_cap=matrix_cap, vectors=vectors)
     for t, brute in zip(ts, brutes):

@@ -62,18 +62,6 @@ def gaussian_binomial(n: int, k: int, d: int) -> int:
     return result
 
 
-def gaussian_pascal_check(n: int, k: int, d: int) -> bool:
-    """Whether binom(n,k)_d == d^k binom(n-1,k)_d + binom(n-1,k-1)_d.
-
-    Exposed as a library-level oracle so the product formula can be checked
-    against the recursion from the outside.
-    """
-    if n < 1:
-        raise ValueError("pascal identity needs n >= 1")
-    lower = gaussian_binomial(n - 1, k - 1, d) if k >= 1 else 0
-    return gaussian_binomial(n, k, d) == d**k * gaussian_binomial(n - 1, k, d) + lower
-
-
 def lagrangian_count(d: int, n: int) -> int:
     """Number of Lagrangian subspaces of Z_d^{2n}: prod_{j=1..n} (d^j + 1)."""
     require_prime(d)

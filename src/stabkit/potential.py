@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .combinatorics import gaussian_binomial, require_prime, stabilizer_count, welch_bound
-from .errors import check_cap
+from .errors import check_cap, json_field
 from .stabilizer import DEFAULT_STATE_CAP, realized_states
 from .weyl import DEFAULT_MATRIX_CAP
 
@@ -89,10 +89,11 @@ def _pairwise_sum(values: Sequence[float] | np.ndarray) -> float:
     return float(_pairwise_tree(vals)) if vals.size else 0.0
 
 
-def _state_stack(vectors: Sequence[np.ndarray], count: int) -> np.ndarray:
+def _state_stack(vectors: Sequence[np.ndarray] | np.ndarray, count: int) -> np.ndarray:
+    """The vectors as one array, rows in order; an array passes through uncopied."""
     if len(vectors) != count:
         raise ValueError(f"expected all {count} state vectors, got {len(vectors)}")
-    return np.array(vectors)
+    return np.asarray(vectors)
 
 
 def _row_sums(stack: np.ndarray, rows: range, ts: Sequence[int]) -> np.ndarray:
@@ -115,7 +116,7 @@ def frame_potentials_bruteforce(
     *,
     pair_cap: int = DEFAULT_PAIR_CAP,
     matrix_cap: int = DEFAULT_MATRIX_CAP,
-    vectors: Sequence[np.ndarray] | None = None,
+    vectors: Sequence[np.ndarray] | np.ndarray | None = None,
 ) -> list[float]:
     """S^{-2} sum_{i,j} |<x_i, x_j>|^{2t} for each t in ts, from realized state vectors.
 
@@ -142,7 +143,7 @@ def frame_potential_bruteforce(
     *,
     pair_cap: int = DEFAULT_PAIR_CAP,
     matrix_cap: int = DEFAULT_MATRIX_CAP,
-    vectors: Sequence[np.ndarray] | None = None,
+    vectors: Sequence[np.ndarray] | np.ndarray | None = None,
 ) -> float:
     """frame_potentials_bruteforce for one t."""
     return frame_potentials_bruteforce(d, n, [t], pair_cap=pair_cap, matrix_cap=matrix_cap, vectors=vectors)[0]
@@ -155,7 +156,7 @@ def frame_potential_fixed_state(
     *,
     state_cap: int = DEFAULT_STATE_CAP,
     matrix_cap: int = DEFAULT_MATRIX_CAP,
-    vectors: Sequence[np.ndarray] | None = None,
+    vectors: Sequence[np.ndarray] | np.ndarray | None = None,
 ) -> float:
     """S^{-1} sum_i |<x_ref, x_i>|^{2t} with x_ref = |M_0, 0>.
 
@@ -214,15 +215,17 @@ class FramePotentialReport:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "FramePotentialReport":
+        d, n, t = (json_field(obj, key, int) for key in ("d", "n", "t"))
+        _validate(d, n, t)
         return cls(
-            d=obj["d"],
-            n=obj["n"],
-            t=obj["t"],
-            value_recursion=parse_fraction(obj["recursion"]),
-            value_combinatorial=parse_fraction(obj["combinatorial"]),
-            welch=parse_fraction(obj["welch"]),
-            is_t_design=obj["is_design"],
-            value_bruteforce=obj["bruteforce"],
+            d=d,
+            n=n,
+            t=t,
+            value_recursion=parse_fraction(json_field(obj, "recursion", str)),
+            value_combinatorial=parse_fraction(json_field(obj, "combinatorial", str)),
+            welch=parse_fraction(json_field(obj, "welch", str)),
+            is_t_design=json_field(obj, "is_design", bool),
+            value_bruteforce=json_field(obj, "bruteforce", (float, int, type(None))),
         )
 
 
@@ -231,7 +234,10 @@ def fraction_str(fr: Fraction) -> str:
 
 
 def parse_fraction(s: str) -> Fraction:
-    num, den = s.split("/")
+    """The fraction of a "p/q" string, as fraction_str writes it; ValueError otherwise."""
+    num, slash, den = s.partition("/")
+    if not slash or int(den) == 0:
+        raise ValueError(f"not a p/q fraction: {s!r}")
     return Fraction(int(num), int(den))
 
 

@@ -41,19 +41,17 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .combinatorics import require_prime, stabilizer_count
-from .errors import check_cap
-from .weyl import DEFAULT_MATRIX_CAP, _point_index, _tau_powers, basis_weyl_operator, tau_order
+from .errors import check_cap, json_field
+from .weyl import DEFAULT_MATRIX_CAP, TauPhase, WeylOperator, _point_index, _tau_powers, _word, tau_order
 from .symplectic import (
     PhaseVector,
     Row,
     Subspace,
-    _complete_basis,
     _coset_rows,
     _trusted,
     canonical_coset_representative,
     coset_representatives,
     enumerate_lagrangians,
-    intersect,
     is_lagrangian,
 )
 
@@ -83,10 +81,6 @@ class StabilizerState:
     def n(self) -> int:
         return self.lagrangian.n
 
-    @property
-    def basis(self) -> tuple[PhaseVector, ...]:
-        return self.lagrangian.generator_vectors()
-
     def to_json_dict(self, amplitudes: np.ndarray | None = None) -> dict:
         out = {
             "d": self.d,
@@ -100,14 +94,18 @@ class StabilizerState:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "StabilizerState":
-        sub = Subspace.from_json_dict(obj["lagrangian"])
-        return cls(sub, PhaseVector(obj["d"], obj["n"], tuple(obj["zeta"])))
+        sub = Subspace.from_json_dict(json_field(obj, "lagrangian", dict))
+        zeta = json_field(obj, "zeta", list)
+        if not all(type(x) is int for x in zeta):
+            raise ValueError("JSON field 'zeta' must hold integers")
+        return cls(sub, PhaseVector(json_field(obj, "d", int), json_field(obj, "n", int), tuple(zeta)))
 
 
 def weyl_representation(m_sub: Subspace, *, cap: int = DEFAULT_MATRIX_CAP) -> list[tuple[PhaseVector, np.ndarray]]:
     """(m, w_B(m)) for every m in M, B its canonical generators, in lexicographic coefficient order."""
-    basis = m_sub.generator_vectors()
-    ops = [basis_weyl_operator(basis, c) for c in itertools.product(range(m_sub.d), repeat=m_sub.dim)]
+    d, n = m_sub.d, m_sub.n
+    words = [_word(d, n, m_sub.generators, c) for c in itertools.product(range(d), repeat=m_sub.dim)]
+    ops = [_trusted(WeylOperator, _trusted(TauPhase, d, e), _trusted(PhaseVector, d, n, p)) for e, p in words]
     return [(op.point, op.matrix(cap=cap)) for op in ops]
 
 
@@ -252,19 +250,3 @@ def realized_states(
         for zeta, vec in stabilizer_basis(m_sub, cap=matrix_cap):
             out.append((_trusted(StabilizerState, m_sub, zeta), vec))
     return out
-
-
-def compatible_bases(m_sub: Subspace, n_sub: Subspace) -> tuple[tuple[PhaseVector, ...], tuple[PhaseVector, ...]]:
-    """Bases of M and N extending a common basis of K = M cap N.
-
-    With these, w_{B_M}(m) and w_{B_N}(m) agree on K and
-    tr(w_{B_M}(m) w_{B_N}(-m')) = d^n delta_{m,m'}.
-    """
-    if not (is_lagrangian(m_sub) and is_lagrangian(n_sub)):
-        raise ValueError("compatible bases need Lagrangian subspaces")
-    k_sub = intersect(m_sub, n_sub)
-    shared = list(k_sub.generators)
-    rows_m = shared + _complete_basis(k_sub, m_sub)
-    rows_n = shared + _complete_basis(k_sub, n_sub)
-    to_vecs = lambda rows: tuple(PhaseVector(m_sub.d, m_sub.n, r) for r in rows)
-    return to_vecs(rows_m), to_vecs(rows_n)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .combinatorics import gaussian_binomial, lagrangian_count, require_prime
-from .errors import check_cap
+from .errors import check_cap, json_field
 
 DEFAULT_ENUM_CAP = 10**7
 
@@ -76,13 +76,6 @@ class PhaseVector:
         self._check_compatible(other)
         return self._reduced(a + b for a, b in zip(self.coords, other.coords))
 
-    def __sub__(self, other: "PhaseVector") -> "PhaseVector":
-        self._check_compatible(other)
-        return self._reduced(a - b for a, b in zip(self.coords, other.coords))
-
-    def __neg__(self) -> "PhaseVector":
-        return self._reduced(-a for a in self.coords)
-
     def scaled(self, c: int) -> "PhaseVector":
         return self._reduced(c * a for a in self.coords)
 
@@ -99,16 +92,6 @@ def symplectic_form(u: PhaseVector, v: PhaseVector) -> int:
     """[u, v] = u_p.v_q - u_q.v_p reduced mod d."""
     u._check_compatible(v)
     return _form_lift(u.coords, v.coords, u.n) % u.d
-
-
-def symplectic_form_lift(u: PhaseVector, v: PhaseVector) -> int:
-    """The integer value of u_p.v_q - u_q.v_p on the canonical lifts 0..d-1.
-
-    Needed wherever arithmetic happens in the exponent of tau, which is not
-    modular in even dimension.
-    """
-    u._check_compatible(v)
-    return _form_lift(u.coords, v.coords, u.n)
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +286,13 @@ class Subspace:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "Subspace":
-        return cls(obj["d"], 2 * obj["n"], tuple(tuple(row) for row in obj["generators"]))
+        d, n, dim = (json_field(obj, key, int) for key in ("d", "n", "dim"))
+        rows = json_field(obj, "generators", list)
+        if not all(isinstance(row, list) and all(type(x) is int for x in row) for row in rows):
+            raise ValueError("JSON field 'generators' must hold lists of integers")
+        if dim != len(rows):
+            raise ValueError(f"JSON field 'dim' is {dim}, but there are {len(rows)} generators")
+        return cls(d, 2 * n, tuple(tuple(row) for row in rows))
 
 
 def canonicalize(rows: Iterable[PhaseVector], *, d: int | None = None, n: int | None = None) -> Subspace:
@@ -458,7 +447,7 @@ def intersection_spectrum(m_sub: Subspace, *, cap: int = DEFAULT_ENUM_CAP) -> di
 
 
 # ---------------------------------------------------------------------------
-# Reduction and extension machinery
+# Extension machinery
 
 
 def _complete_basis(inner: Subspace, outer: Subspace) -> list[Row]:
@@ -469,38 +458,6 @@ def _complete_basis(inner: Subspace, outer: Subspace) -> list[Row]:
         if len(pivots) > inner.dim + len(added):
             added.append(g)
     return added
-
-
-@dataclass(frozen=True)
-class ReducedSpace:
-    """The quotient W / (W^⊥ ∩ W) with its induced non-degenerate form.
-
-    ``representatives`` is a basis of coset representatives in the ambient
-    space; ``gram[i][j]`` is the induced form on representative pairs.
-    """
-
-    source: Subspace
-    radical: Subspace
-    representatives: tuple[PhaseVector, ...]
-    gram: tuple[Row, ...]
-
-    def __post_init__(self) -> None:
-        _, pivots = _rref(self.gram, self.source.d)
-        if len(pivots) != len(self.representatives):
-            raise ValueError("induced form is degenerate")
-
-    @property
-    def dim(self) -> int:
-        return len(self.representatives)
-
-
-def symplectic_reduce(w: Subspace) -> ReducedSpace:
-    """Linear symplectic reduction of w."""
-    radical = intersect(w, complement(w))
-    rep_rows = _complete_basis(radical, w)
-    reps = tuple(PhaseVector(w.d, w.n, row) for row in rep_rows)
-    gram = tuple(tuple(symplectic_form(u, v) for v in reps) for u in reps)
-    return ReducedSpace(source=w, radical=radical, representatives=reps, gram=gram)
 
 
 def _dual_partners(k_sub: Subspace, a_rows: Sequence[Row]) -> list[Row]:
@@ -597,15 +554,6 @@ def canonical_coset_representative(m_sub: Subspace, v: PhaseVector) -> PhaseVect
 
 # ---------------------------------------------------------------------------
 # Graph-state correspondence
-
-
-def is_graph_lagrangian(n_sub: Subspace, m_sub: Subspace) -> bool:
-    """Whether N is transverse to the reference Lagrangian M.
-
-    Exactly the transverse Lagrangians admit a generator matrix (A | I) in a
-    symplectic basis adapted to M, with A symmetric; see graph_adjacency.
-    """
-    return is_transverse(n_sub, m_sub)
 
 
 def _matrix_inverse(rows: Sequence[Sequence[int]], d: int) -> list[Row] | None:

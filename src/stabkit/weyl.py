@@ -40,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import check_cap
-from .symplectic import PhaseVector, Row, _rref, _solve_linear_system, _trusted
+from .symplectic import PhaseVector, Row
 
 DEFAULT_MATRIX_CAP = 4096
 # Largest entrywise deviation the Weyl relation and trace checks accept.
@@ -134,46 +134,9 @@ class WeylOperator:
         return self.phase.value() * _zx_matrix(self.point.d, self.point.p, self.point.q)
 
 
-def _as_tuple(x: int | Sequence[int]) -> tuple[int, ...]:
-    return (x,) if isinstance(x, int) else tuple(x)
-
-
-def shift(q: int | Sequence[int], d: int, *, cap: int = DEFAULT_MATRIX_CAP) -> np.ndarray:
-    """x(q)|x> = |x+q>, tensored over registers."""
-    qt = _as_tuple(q)
-    check_cap("matrix dimension", d ** len(qt), cap)
-    return _zx_matrix(d, (0,) * len(qt), qt)
-
-
-def boost(p: int | Sequence[int], d: int, *, cap: int = DEFAULT_MATRIX_CAP) -> np.ndarray:
-    """z(p)|x> = omega^{p.x}|x>, tensored over registers."""
-    pt = _as_tuple(p)
-    check_cap("matrix dimension", d ** len(pt), cap)
-    return _zx_matrix(d, pt, (0,) * len(pt))
-
-
 def weyl(v: PhaseVector, *, cap: int = DEFAULT_MATRIX_CAP) -> np.ndarray:
     """Dense matrix of w(v) = tau^{-p.q} z(p) x(q)."""
     return WeylOperator.from_point(v).matrix(cap=cap)
-
-
-def solve_in_basis(basis: Sequence[PhaseVector], target: PhaseVector) -> tuple[int, ...]:
-    """Expansion coefficients of target in the given independent vectors.
-
-    Raises ValueError when the vectors are dependent or target lies outside
-    their span.
-    """
-    for u in basis:
-        target._check_compatible(u)
-    d, w = target.d, 2 * target.n
-    _, pivots = _rref([u.coords for u in basis], d)
-    if len(pivots) != len(basis):
-        raise ValueError("basis vectors are dependent")
-    system = [[basis[c].coords[r] for c in range(len(basis))] for r in range(w)]
-    sol = _solve_linear_system(system, [list(target.coords)], d, len(basis))[0]
-    if sol is None:
-        raise ValueError("target not in span of basis")
-    return sol
 
 
 def _word(d: int, n: int, rows: Sequence[Row], coeffs: Sequence[int]) -> tuple[int, Row]:
@@ -186,32 +149,6 @@ def _word(d: int, n: int, rows: Sequence[Row], coeffs: Sequence[int]) -> tuple[i
         e -= c * c * sum(a * b for a, b in zip(p, q)) + 2 * c * sum(a * b for a, b in zip(point[n:], p))
         point = [x + c * y for x, y in zip(point, row)]
     return e % tau_order(d), tuple(x % d for x in point)
-
-
-def _word_operator(d: int, n: int, basis: Sequence[PhaseVector], coefficients: Sequence[int]) -> WeylOperator:
-    e, point = _word(d, n, [u.coords for u in basis], coefficients)
-    return _trusted(WeylOperator, _trusted(TauPhase, d, e), _trusted(PhaseVector, d, n, point))
-
-
-def basis_weyl_operator(basis: Sequence[PhaseVector], coefficients: Sequence[int]) -> WeylOperator:
-    """Symbolic product prod_i w(u_i)^{c_i} in basis order."""
-    if len(basis) != len(coefficients):
-        raise ValueError("coefficient count must match basis size")
-    if not basis:
-        raise ValueError("an empty basis does not fix the space")
-    for u in basis:
-        basis[0]._check_compatible(u)
-    return _word_operator(basis[0].d, basis[0].n, basis, coefficients)
-
-
-def weyl_basis(basis: Sequence[PhaseVector], m: PhaseVector, *, cap: int = DEFAULT_MATRIX_CAP) -> np.ndarray:
-    """Basis-dependent operator w_B(m) = prod_i w(u_i)^{m_i}.
-
-    For a basis B of an isotropic subspace this is a true representation:
-    w_B(m) w_B(m') = w_B(m+m'), also in even dimension where the plain Weyl
-    map is only projective.
-    """
-    return _word_operator(m.d, m.n, basis, solve_in_basis(basis, m)).matrix(cap=cap)
 
 
 def _point_index(rows: np.ndarray, d: int) -> np.ndarray:

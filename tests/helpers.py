@@ -16,6 +16,7 @@ from stabkit import (
     WeylOperator,
     coset_representatives,
     enumerate_subspaces,
+    gaussian_binomial,
     intersect,
     is_isotropic,
     realized_states,
@@ -135,6 +136,12 @@ def pascal_binomial(n: int, k: int, _memo={}) -> int:
     if key not in _memo:
         _memo[key] = pascal_binomial(n - 1, k - 1) + pascal_binomial(n - 1, k)
     return _memo[key]
+
+
+def gaussian_pascal_check(n: int, k: int, d: int) -> bool:
+    """Oracle: whether binom(n,k)_d == d^k binom(n-1,k)_d + binom(n-1,k-1)_d, the q-Pascal recursion."""
+    lower = gaussian_binomial(n - 1, k - 1, d) if k >= 1 else 0
+    return gaussian_binomial(n, k, d) == d**k * gaussian_binomial(n - 1, k, d) + lower
 
 
 def count_subspaces_bruteforce(d: int, m: int, k: int) -> int:

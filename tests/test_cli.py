@@ -238,7 +238,6 @@ def test_verify_builds_each_weyl_matrix_once_and_intersects_only_for_the_spectru
 
     monkeypatch.setattr(weyl_module, "_zx_matrix", zx)
     monkeypatch.setattr(symplectic_module, "intersect", intersect)
-    monkeypatch.setattr("stabkit.stabilizer.intersect", intersect)
     monkeypatch.setattr("stabkit.cli.intersection_spectrum", spectrum)
     checks = run_verification(2, 2, 4)
     assert all(c.passed for c in checks)

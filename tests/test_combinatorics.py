@@ -4,11 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import count_subspaces_bruteforce, pascal_binomial
+from helpers import count_subspaces_bruteforce, gaussian_pascal_check, pascal_binomial
 from stabkit import (
     binomial,
     gaussian_binomial,
-    gaussian_pascal_check,
     kappa,
     lagrangian_count,
     stabilizer_count,

@@ -19,7 +19,7 @@ from stabkit import (
     welch_bound,
 )
 from stabkit.errors import NonPrimeModulusError, ResourceCapError
-from stabkit.potential import _pairwise_sum, fraction_str, parse_fraction
+from stabkit.potential import _pairwise_sum, _state_stack, fraction_str, parse_fraction
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +166,17 @@ def test_numeric_engines_reject_a_partial_vector_list():
             frame_potential_fixed_state(2, 1, 2, vectors=wrong)
         with pytest.raises(ValueError, match="6 state vectors"):
             frame_potential_bruteforce(2, 1, 2, vectors=wrong)
+
+
+def test_numeric_engines_read_one_stack_in_place():
+    # An array passes through uncopied, so one stack serves every t, with the bits a list gives.
+    vecs = cached_vectors(2, 2)
+    stack = np.array(vecs)
+    assert _state_stack(stack, len(stack)) is stack
+    ts = range(1, 5)
+    assert frame_potentials_bruteforce(2, 2, ts, vectors=stack) == frame_potentials_bruteforce(2, 2, ts, vectors=vecs)
+    for t in ts:
+        assert frame_potential_fixed_state(2, 2, t, vectors=stack) == frame_potential_fixed_state(2, 2, t, vectors=vecs)
 
 
 def test_numeric_engine_caps():

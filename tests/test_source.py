@@ -106,3 +106,30 @@ def test_library_starts_no_workers_and_reads_no_environment():
         for lineno, name in _worker_and_environment_uses(_parse(path))
     ]
     assert uses == []
+
+
+def _unused_imports(tree):
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update({(a.asname or a.name.split(".")[0]): node.lineno for a in node.names})
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update({(a.asname or a.name): node.lineno for a in node.names})
+    # A string counts as a use too, for quoted annotations.
+    used = {
+        node.id if isinstance(node, ast.Name) else node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) or (isinstance(node, ast.Constant) and isinstance(node.value, str))
+    }
+    return sorted((lineno, name) for name, lineno in imported.items() if name not in used)
+
+
+def test_library_modules_use_every_name_they_import():
+    # __init__.py imports in order to re-export; every other module imports only what it calls.
+    unused = [
+        f"{path.name}:{lineno} {name}"
+        for path in sorted(SOURCE_DIR.glob("*.py"))
+        if path.name != "__init__.py"
+        for lineno, name in _unused_imports(_parse(path))
+    ]
+    assert unused == []

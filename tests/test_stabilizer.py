@@ -17,12 +17,14 @@ from helpers import (
     single_qubit_rays,
 )
 from stabkit import (
+    FramePotentialReport,
     PhaseVector,
     StabilizerState,
-    compatible_bases,
+    Subspace,
     coset_representatives,
     enumerate_lagrangians,
     enumerate_states,
+    frame_potential_report,
     intersect,
     is_transverse,
     overlap_exact,
@@ -33,7 +35,6 @@ from stabkit import (
     stabilizer_basis,
     stabilizer_count,
     symplectic_form,
-    weyl_basis,
     weyl_representation,
 )
 from stabkit.errors import ResourceCapError
@@ -228,7 +229,7 @@ def test_overlap_table_needs_no_operator_or_representative_objects(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the overlap rule built a Weyl operator or a representative vector")
 
-    for name in ("basis_weyl_operator", "coset_representatives"):
+    for name in ("_word", "coset_representatives"):
         monkeypatch.setattr(f"stabkit.stabilizer.{name}", refuse)
     for m_sub in lagrangians:
         for n_sub in lagrangians:
@@ -346,43 +347,41 @@ def test_state_json_roundtrip():
     assert all(len(pair) == 2 for pair in realized["amplitudes"])
 
 
-# ---------------------------------------------------------------------------
-# compatible bases
+_SUBSPACE = {"d": 2, "n": 1, "dim": 1, "generators": [[1, 0]]}
+_STATE = {"d": 2, "n": 1, "lagrangian": _SUBSPACE, "zeta": [0, 1]}
+_REPORT = frame_potential_report(2, 1, 2).to_json_dict()
 
 
-def test_compatible_bases_trivial_cases():
-    lags = list(enumerate_lagrangians(2, 2))
-    bm, bn = compatible_bases(lags[0], lags[0])
-    assert bm == bn
-    transverse = next(m for m in lags if is_transverse(m, lags[0]))
-    bm, bn = compatible_bases(lags[0], transverse)
-    assert len(bm) == len(bn) == 2
+def _without(obj, key):
+    return {k: v for k, v in obj.items() if k != key}
 
 
-def test_compatible_bases_share_intersection_prefix():
-    lags = list(enumerate_lagrangians(2, 2))
-    m_sub = lags[0]
-    n_sub = next(m for m in lags if intersect(m_sub, m).dim == 1)
-    bm, bn = compatible_bases(m_sub, n_sub)
-    k_sub = intersect(m_sub, n_sub)
-    shared = bm[: k_sub.dim]
-    assert shared == bn[: k_sub.dim]
-    assert all(k_sub.contains(v) for v in shared)
-
-
-def test_compatible_bases_trace_identity():
-    # tr(w_{B_M}(m) w_{B_N}(-m')) = d^n delta_{m,m'}, scanned exhaustively
-    for d, n, picker in [(2, 2, 1), (3, 1, 0)]:
-        lags = list(enumerate_lagrangians(d, n))
-        m_sub = lags[0]
-        n_sub = next(m for m in lags if intersect(m_sub, m).dim == picker)
-        bm, bn = compatible_bases(m_sub, n_sub)
-        dim = d**n
-        for m_row in m_sub.vectors():
-            m_vec = PhaseVector(d, n, m_row)
-            wm = weyl_basis(bm, m_vec)
-            for n_row in n_sub.vectors():
-                n_vec = PhaseVector(d, n, n_row)
-                wn = weyl_basis(bn, -n_vec)
-                expected = dim if m_vec == n_vec else 0.0
-                assert abs(np.trace(wm @ wn) - expected) <= 1e-10
+@pytest.mark.parametrize(
+    "cls, obj",
+    [
+        (Subspace, {}),
+        (Subspace, [[1, 0]]),
+        (Subspace, {**_SUBSPACE, "generators": 5}),
+        (Subspace, {**_SUBSPACE, "generators": [[1, "0"]]}),
+        (Subspace, {**_SUBSPACE, "dim": 2}),
+        (Subspace, {**_SUBSPACE, "d": "2"}),
+        (Subspace, {**_SUBSPACE, "n": True}),
+        (StabilizerState, _without(_STATE, "zeta")),
+        (StabilizerState, {**_STATE, "lagrangian": [[1, 0]]}),
+        (StabilizerState, {**_STATE, "zeta": [0.0, 1]}),
+        (FramePotentialReport, _without(_REPORT, "t")),
+        (FramePotentialReport, {**_REPORT, "d": 4}),
+        (FramePotentialReport, {**_REPORT, "t": 0}),
+        (FramePotentialReport, {**_REPORT, "recursion": "1"}),
+        (FramePotentialReport, {**_REPORT, "welch": "1/0"}),
+        (FramePotentialReport, {**_REPORT, "combinatorial": 0.25}),
+        (FramePotentialReport, {**_REPORT, "is_design": "yes"}),
+    ],
+)
+def test_from_json_dict_raises_value_error_on_bad_input(cls, obj):
+    # A missing key, a wrong type, a dim that disagrees with the generators, or a (d, n, t) no
+    # engine accepts; the unbroken dicts load.
+    for good_cls, good in [(Subspace, _SUBSPACE), (StabilizerState, _STATE), (FramePotentialReport, _REPORT)]:
+        assert good_cls.from_json_dict(good).to_json_dict() == good
+    with pytest.raises(ValueError):
+        cls.from_json_dict(obj)

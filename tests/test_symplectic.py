@@ -1,4 +1,4 @@
-"""Symplectic geometry over Z_d: canonical forms, enumeration, reduction."""
+"""Symplectic geometry over Z_d: canonical forms, enumeration, extensions, graph states."""
 
 import random
 from collections import Counter
@@ -19,7 +19,6 @@ from stabkit import (
     graph_adjacency,
     intersect,
     intersection_spectrum,
-    is_graph_lagrangian,
     is_isotropic,
     is_lagrangian,
     is_transverse,
@@ -27,7 +26,6 @@ from stabkit import (
     lagrangian_count,
     subspace_sum,
     symplectic_form,
-    symplectic_reduce,
     transversal_count,
 )
 from stabkit.errors import ResourceCapError
@@ -282,41 +280,6 @@ def test_intersection_spectrum_reference_independent():
 
 
 # ---------------------------------------------------------------------------
-# symplectic reduction
-
-
-def test_reduce_lagrangian_is_trivial():
-    for m_sub in enumerate_lagrangians(2, 2):
-        red = symplectic_reduce(m_sub)
-        assert red.dim == 0
-        assert red.radical == m_sub
-
-
-def test_reduce_full_space():
-    full = Subspace.from_rows([[1 if i == j else 0 for j in range(4)] for i in range(4)], d=2, width=4)
-    red = symplectic_reduce(full)
-    assert red.dim == 4
-    assert red.radical.dim == 0
-
-
-def test_reduce_isotropic_complement_dimension():
-    # K^perp for k-dim isotropic K reduces to dimension 2(n-k)
-    k_line = canonicalize([pv(2, 2, 1, 0, 0, 0)])
-    red = symplectic_reduce(complement(k_line))
-    assert red.dim == 2
-    assert red.radical == k_line
-
-
-def test_reduce_radical_matches_definition():
-    rng = random.Random(13)
-    for _ in range(15):
-        sub = random_subspace(rng, 3, 2, rng.randrange(0, 5))
-        red = symplectic_reduce(sub)
-        assert red.radical == intersect(sub, complement(sub))
-        assert red.dim == sub.dim - red.radical.dim
-
-
-# ---------------------------------------------------------------------------
 # isotropic extension
 
 
@@ -407,8 +370,8 @@ def test_canonical_representative_of_zero():
 def test_graph_lagrangian_examples():
     p_plane = canonicalize([pv(2, 2, 1, 0, 0, 0), pv(2, 2, 0, 1, 0, 0)])
     q_plane = canonicalize([pv(2, 2, 0, 0, 1, 0), pv(2, 2, 0, 0, 0, 1)])
-    assert not is_graph_lagrangian(p_plane, p_plane)
-    assert is_graph_lagrangian(q_plane, p_plane)
+    assert not is_transverse(p_plane, p_plane)
+    assert is_transverse(q_plane, p_plane)
     assert graph_adjacency(q_plane, p_plane) == ((0, 0), (0, 0))
     with pytest.raises(ValueError):
         graph_adjacency(p_plane, p_plane)
@@ -418,7 +381,7 @@ def test_graph_count_matches_transversal_count():
     for d, n in [(2, 1), (2, 2), (3, 1)]:
         lags = list(enumerate_lagrangians(d, n))
         m_sub = lags[0]
-        graphs = [other for other in lags if is_graph_lagrangian(other, m_sub)]
+        graphs = [other for other in lags if is_transverse(other, m_sub)]
         assert len(graphs) == transversal_count(d, n)
         for other in graphs:
             adj = graph_adjacency(other, m_sub)

@@ -10,19 +10,16 @@ from stabkit import (
     PhaseVector,
     TauPhase,
     WeylOperator,
-    boost,
     enumerate_lagrangians,
     enumerate_subspaces,
-    shift,
     verify_commutation,
     verify_composition,
     verify_relations,
     weyl,
-    weyl_basis,
     zx_matrices,
 )
 from stabkit.errors import ResourceCapError
-from stabkit.weyl import _omega_power, basis_weyl_operator, solve_in_basis, tau_order
+from stabkit.weyl import _omega_power, _word, tau_order
 
 from helpers import weyl_word_by_fold
 
@@ -39,6 +36,13 @@ def all_points(d, n):
     return [PhaseVector(d, n, c) for c in itertools.product(range(d), repeat=2 * n)]
 
 
+def word(basis, coeffs):
+    """w_B at coefficients c, prod_i w(u_i)^{c_i}, from the closed form of weyl._word."""
+    d, n = basis[0].d, basis[0].n
+    e, point = _word(d, n, [u.coords for u in basis], coeffs)
+    return WeylOperator(TauPhase(d, e), PhaseVector(d, n, point))
+
+
 def test_tau_phase_values():
     # Quarter turns are exact, and their zero parts are +0.0, never -0.0.
     quarter = [TauPhase(2, k).value() for k in range(4)]
@@ -52,12 +56,13 @@ def test_tau_phase_values():
 
 
 def test_shift_boost_pauli():
-    assert np.allclose(shift(1, 2), X)
-    assert np.allclose(boost(1, 2), Z)
-    assert np.allclose(shift(0, 2), np.eye(2))
-    assert np.allclose(shift((0, 0), 2), np.eye(4))
-    assert np.allclose(shift((1, 0), 2), np.kron(X, np.eye(2)))
-    assert np.allclose(boost((0, 1), 2), np.kron(np.eye(2), Z))
+    # The shift x(q) and the boost z(p) in the zx_matrices stack, at point index sum_i v_i 2^{2n-1-i}.
+    eye, x, z, zx = zx_matrices(2, 1)
+    assert np.allclose(eye, np.eye(2)) and np.allclose(x, X) and np.allclose(z, Z) and np.allclose(zx, Z @ X)
+    stack = zx_matrices(2, 2)
+    assert np.allclose(stack[0], np.eye(4))
+    assert np.allclose(stack[0b0010], np.kron(X, np.eye(2)))  # x((1, 0))
+    assert np.allclose(stack[0b0100], np.kron(np.eye(2), Z))  # z((0, 1))
 
 
 def test_weyl_examples():
@@ -138,23 +143,17 @@ def test_symbolic_product_matches_matrix_product():
 
 def test_weyl_basis_identity_and_tensor_example():
     m_sub = next(iter(enumerate_lagrangians(2, 2)))
-    basis = m_sub.generator_vectors()
-    assert np.allclose(weyl_basis(basis, PhaseVector.zero(2, 2)), np.eye(4))
+    assert np.allclose(word(m_sub.generator_vectors(), (0, 0)).matrix(), np.eye(4))
     q_basis = (pv(2, 2, 0, 0, 1, 0), pv(2, 2, 0, 0, 0, 1))
-    assert np.allclose(weyl_basis(q_basis, pv(2, 2, 0, 0, 1, 1)), np.kron(X, X))
+    assert np.allclose(word(q_basis, (1, 1)).matrix(), np.kron(X, X))
 
 
 def test_weyl_basis_equals_weyl_for_odd_d():
-    for m_sub in enumerate_lagrangians(3, 1):
+    for m_sub in list(enumerate_lagrangians(3, 1)) + [list(enumerate_lagrangians(3, 2))[5]]:
         basis = m_sub.generator_vectors()
-        for row in m_sub.vectors():
-            m = PhaseVector(3, 1, row)
-            assert np.max(np.abs(weyl_basis(basis, m) - weyl(m))) <= 1e-12
-    m_sub = list(enumerate_lagrangians(3, 2))[5]
-    basis = m_sub.generator_vectors()
-    for row in m_sub.vectors():
-        m = PhaseVector(3, 2, row)
-        assert np.max(np.abs(weyl_basis(basis, m) - weyl(m))) <= 1e-12
+        for coeffs in itertools.product(range(3), repeat=len(basis)):
+            op = word(basis, coeffs)
+            assert np.max(np.abs(op.matrix() - weyl(op.point))) <= 1e-12
 
 
 def test_weyl_basis_group_law():
@@ -163,7 +162,7 @@ def test_weyl_basis_group_law():
         for m_sub in enumerate_lagrangians(d, n):
             basis = m_sub.generator_vectors()
             coeff_space = list(itertools.product(range(d), repeat=n))
-            ops = {c: basis_weyl_operator(basis, c) for c in coeff_space}
+            ops = {c: word(basis, c) for c in coeff_space}
             for a in coeff_space:
                 for b in coeff_space:
                     total = tuple((x + y) % d for x, y in zip(a, b))
@@ -184,30 +183,7 @@ def test_basis_weyl_operator_matches_fold():
     for s in bases:
         basis = s.generator_vectors()
         for coeffs in itertools.product(range(-s.d, s.d), repeat=len(basis)):
-            assert basis_weyl_operator(basis, coeffs) == weyl_word_by_fold(basis, coeffs)
-
-
-def test_basis_weyl_operator_rejects_empty_and_mixed_bases():
-    with pytest.raises(ValueError):
-        basis_weyl_operator((), ())
-    with pytest.raises(ValueError, match="phase vectors live in different spaces"):
-        basis_weyl_operator((pv(2, 1, 1, 0), pv(3, 1, 0, 1)), (1, 1))
-    with pytest.raises(ValueError, match="phase vectors live in different spaces"):
-        basis_weyl_operator((pv(2, 1, 1, 0), pv(2, 2, 0, 1, 0, 0)), (0, 0))
-    # With the space fixed by m, the empty basis gives the identity.
-    assert np.allclose(weyl_basis((), PhaseVector.zero(3, 2)), np.eye(9))
-    with pytest.raises(ValueError):
-        weyl_basis((), pv(3, 2, 0, 1, 0, 0))
-
-
-def test_solve_in_basis_errors():
-    basis = (pv(2, 2, 1, 0, 0, 0), pv(2, 2, 0, 1, 0, 0))
-    assert solve_in_basis(basis, pv(2, 2, 1, 1, 0, 0)) == (1, 1)
-    with pytest.raises(ValueError):
-        solve_in_basis(basis, pv(2, 2, 0, 0, 1, 0))
-    dependent = (pv(2, 2, 1, 0, 0, 0), pv(2, 2, 1, 0, 0, 0))
-    with pytest.raises(ValueError):
-        solve_in_basis(dependent, pv(2, 2, 1, 0, 0, 0))
+            assert word(basis, coeffs) == weyl_word_by_fold(basis, coeffs)
 
 
 def test_matrix_cap():
