@@ -36,6 +36,7 @@ from .stabilizer import (
     phase_table,
     realized_states,
     stabilizer_basis,
+    state_vectors,
     weyl_representation,
 )
 from .symplectic import (

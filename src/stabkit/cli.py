@@ -138,14 +138,16 @@ def _decimal12(fr) -> str:
 
 
 def _plan_numeric_engine(d: int, n: int, method: str, args) -> str | None:
-    """Pick the numeric engine for one n; the pair cap is checked before realization."""
+    """Pick the numeric engine for one n; its caps are checked before realization."""
     if method == "exact":
         return None
-    pairs = stabilizer_count(d, n) ** 2
-    if method == "bruteforce" or (method == "all" and pairs <= args.pair_cap):
-        check_cap("brute-force state pairs", pairs, args.pair_cap)
-        return "bruteforce"
-    return "fixed-state"
+    count = stabilizer_count(d, n)
+    engine = "fixed-state"
+    if method == "bruteforce" or (method == "all" and count**2 <= args.pair_cap):
+        check_cap("brute-force state pairs", count**2, args.pair_cap)
+        engine = "bruteforce"
+    check_cap("realized states", count, args.state_cap)
+    return engine
 
 
 def cmd_frame_potential(args) -> int:
@@ -154,10 +156,8 @@ def cmd_frame_potential(args) -> int:
     for n in args.n:
         engine = _plan_numeric_engine(args.d, n, args.method, args)
         vectors = None
-        if engine is not None:
-            pairs = stabilizer.realized_states(args.d, n, state_cap=args.state_cap, matrix_cap=args.matrix_cap)
-            vectors = np.array([vec for _, vec in pairs])  # one stack, shared by every t
-            del pairs  # the states would otherwise stay alive through the t loop
+        if engine is not None:  # one stack, shared by every t
+            vectors = stabilizer.state_vectors(args.d, n, state_cap=args.state_cap, matrix_cap=args.matrix_cap)
         if engine == "bruteforce":
             values = potential.frame_potentials_bruteforce(
                 args.d, n, args.t, pair_cap=args.pair_cap, matrix_cap=args.matrix_cap, vectors=vectors

@@ -29,7 +29,7 @@ import numpy as np
 
 from .combinatorics import gaussian_binomial, require_prime, stabilizer_count, welch_bound
 from .errors import check_cap, json_field
-from .stabilizer import DEFAULT_STATE_CAP, realized_states
+from .stabilizer import DEFAULT_STATE_CAP, state_vectors
 from .weyl import DEFAULT_MATRIX_CAP
 
 DEFAULT_PAIR_CAP = 25_000_000
@@ -89,8 +89,10 @@ def _pairwise_sum(values: Sequence[float] | np.ndarray) -> float:
     return float(_pairwise_tree(vals)) if vals.size else 0.0
 
 
-def _state_stack(vectors: Sequence[np.ndarray] | np.ndarray, count: int) -> np.ndarray:
-    """The vectors as one array, rows in order; an array passes through uncopied."""
+def _state_stack(vectors, count: int, d: int, n: int, *, state_cap: int, matrix_cap: int) -> np.ndarray:
+    """The vectors as one array, rows in order (an array passes through uncopied), or state_vectors for None."""
+    if vectors is None:
+        return state_vectors(d, n, state_cap=state_cap, matrix_cap=matrix_cap)
     if len(vectors) != count:
         raise ValueError(f"expected all {count} state vectors, got {len(vectors)}")
     return np.asarray(vectors)
@@ -127,9 +129,7 @@ def frame_potentials_bruteforce(
         _validate(d, n, t)
     count = stabilizer_count(d, n)
     check_cap("brute-force state pairs", count * count, pair_cap)
-    if vectors is None:
-        vectors = [vec for _, vec in realized_states(d, n, state_cap=count, matrix_cap=matrix_cap)]
-    stack = _state_stack(vectors, count)
+    stack = _state_stack(vectors, count, d, n, state_cap=count, matrix_cap=matrix_cap)
     # Blocks of about 2^16 overlaps bound the working memory.
     block = max(1, 2**16 // count)
     totals = [_row_sums(stack, range(i, min(i + block, count)), ts) for i in range(0, count, block)]
@@ -168,12 +168,7 @@ def frame_potential_fixed_state(
     _validate(d, n, t)
     count = stabilizer_count(d, n)
     check_cap("fixed-state sum states", count, state_cap)
-    if vectors is None:
-        pairs = realized_states(d, n, state_cap=state_cap, matrix_cap=matrix_cap)
-        if not pairs[0][0].zeta.is_zero():
-            raise RuntimeError("the first enumerated state must have coset representative 0")
-        vectors = [vec for _, vec in pairs]
-    stack = _state_stack(vectors, count)
+    stack = _state_stack(vectors, count, d, n, state_cap=state_cap, matrix_cap=matrix_cap)
     return _pairwise_sum(_row_sums(stack, range(1), [t])[0]) / count
 
 

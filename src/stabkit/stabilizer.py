@@ -6,7 +6,10 @@ coordinates). Identity is structural: two states are equal iff their pairs
 are. Weyl operators w_B use M's canonical generator list B as basis.
 
 One integer table per Lagrangian (phase_table) drives both realization and
-the overlap rule. For every m in M, in lexicographic coefficient order,
+the overlap rule. Lagrangians of one pivot pattern share their coset rows, so
+state_vectors builds their tables a batch at a time and realizes the whole
+ensemble into one (S(d,n), d^n) stack; realized_states pairs each state with
+a row view of it. For every m in M, in lexicographic coefficient order,
 w_B(m) = tau^{e_M(m)} z(P_m) x(Q_m) (the closed form of weyl._word), and
 
     lambda(zeta, m) = (2[zeta,m] + e_M(m)) mod the order of tau,
@@ -45,7 +48,6 @@ from .errors import check_cap, json_field
 from .weyl import DEFAULT_MATRIX_CAP, TauPhase, WeylOperator, _point_index, _tau_powers, _word, tau_order
 from .symplectic import (
     PhaseVector,
-    Row,
     Subspace,
     _coset_rows,
     _trusted,
@@ -145,52 +147,58 @@ class PhaseTable:
 
     def vectors(self, *, cap: int = DEFAULT_MATRIX_CAP) -> np.ndarray:
         """The state vector of each key row, by the module's closed form: one row per state."""
-        d, n = self.d, self.n
-        check_cap("matrix dimension", d**n, cap)
-        order = tau_order(d)
+        check_cap("matrix dimension", self.d**self.n, cap)
+        vecs = np.zeros((len(self.keys), self.d**self.n), dtype=np.complex128)
+        self._fill(_lex_points(self.d, self.n), _tau_powers(self.d), vecs)
+        return vecs
+
+    def _fill(self, grid: np.ndarray, taus: np.ndarray, out: np.ndarray) -> None:
+        """Write vectors() into the zeroed rows of out; the caller builds grid = _lex_points(d, n) and taus."""
+        d, n, order = self.d, self.n, len(taus)
         p, q = self.rows[:, :n], self.rows[:, n:]
         # k(zeta, m, x) over (coset, element), less its x-dependent term 2 P_m.x.
         k = self.keys + 2 * (p * q).sum(1)
-        # The basis points x of Z_d^n, in lexicographic order.
-        grid = np.array(list(itertools.product(range(d), repeat=n)))
         z_only = ~q.any(1)
         fixed = ((k[:, z_only, None] + 2 * p[z_only] @ grid.T) % order == 0).all(1)
         if not fixed.any(1).all():
             raise RuntimeError("no basis point is fixed by the Z-only elements")
-        x0 = grid[fixed.argmax(1)]
+        x0 = grid[fixed.argmax(1)]  # grid holds the basis points x
         k = (k + 2 * x0 @ p.T) % order
         support = ((x0[:, None, :] + q) % d) @ d ** np.arange(n - 1, -1, -1)
         modulus = 1 / math.sqrt(d**n // int(z_only.sum()))  # |Q(M)|^{-1/2}, as |Q(M)| |M_Z| = |M|
-        vecs = np.zeros((len(k), d**n), dtype=np.complex128)
-        vecs[np.arange(len(k))[:, None], support] = modulus * _tau_powers(d)[k]
-        return vecs
+        out[np.arange(len(k))[:, None], support] = modulus * taus[k]
 
 
-def _table(m_sub: Subspace, cosets: Sequence[Row]) -> PhaseTable:
-    """The lambda table of a Lagrangian M over the given coset rows (exponents needs the zero coset first).
+def _lex_points(d: int, n: int) -> np.ndarray:
+    """Every point of Z_d^n as a row, in lexicographic order (first coordinate most significant)."""
+    return np.indices((d,) * n).reshape(n, -1).T
+
+
+def _table(m_subs: Sequence[Subspace], cosets: np.ndarray) -> list[PhaseTable]:
+    """The table of each Lagrangian of one pivot pattern, over that pattern's coset rows (zero coset first).
 
     With generator rows (p_i | q_i) and coefficients c, the element is c.G mod d
     and weyl._word's exponent is e(c) = -c^T (diag(p_i.q_i) + 2 triu(Q P^T, 1)) c:
     the matrix is q_i.p_j weighted 1 on the diagonal, 2 above it and 0 below.
     2[zeta,m] may use the integer lift, since 2 (x mod d) = 2x (mod 2d).
     """
-    d, n = m_sub.d, m_sub.n
-    coeffs = np.indices((d,) * n).reshape(n, -1).T  # lexicographic, c_1 most significant
-    gens = np.array(m_sub.generators)
-    p, q = gens[:, :n], gens[:, n:]
+    d, n = m_subs[0].d, m_subs[0].n
+    coeffs = _lex_points(d, n)
+    gens = np.array([m_sub.generators for m_sub in m_subs])  # (batch, n, 2n)
+    p, q = gens[..., :n], gens[..., n:]
     i = np.arange(n)
-    e = -((coeffs @ ((q @ p.T) * (1 + np.sign(i[None, :] - i[:, None])))) * coeffs).sum(1)
+    e = -((coeffs @ ((q @ p.swapaxes(1, 2)) * (1 + np.sign(i[None, :] - i[:, None])))) * coeffs).sum(-1)
     rows = coeffs @ gens % d
-    z = np.array(cosets)
-    keys = (2 * (z[:, :n] @ rows[:, n:].T - z[:, n:] @ rows[:, :n].T) + e) % tau_order(d)
-    return PhaseTable(d, n, rows, _point_index(rows, d), keys)
+    form = cosets[:, :n] @ rows[..., n:].swapaxes(1, 2) - cosets[:, n:] @ rows[..., :n].swapaxes(1, 2)
+    keys = (2 * form + e[:, None, :]) % tau_order(d)
+    return [PhaseTable(d, n, *arrays) for arrays in zip(rows, _point_index(rows, d), keys)]
 
 
 def phase_table(m_sub: Subspace) -> PhaseTable:
     """The lambda table of a Lagrangian M over all its cosets, with the rows and point index of each element."""
     if not is_lagrangian(m_sub):
         raise ValueError("needs a Lagrangian subspace")
-    return _table(m_sub, list(_coset_rows(m_sub)))
+    return _table([m_sub], np.array(list(_coset_rows(m_sub))))[0]
 
 
 def stabilizer_basis(m_sub: Subspace, *, cap: int = DEFAULT_MATRIX_CAP) -> list[tuple[PhaseVector, np.ndarray]]:
@@ -215,7 +223,8 @@ def overlap_keys(m_sub: Subspace, n_sub: Subspace) -> tuple[Fraction, np.ndarray
 def overlap_exact(a: StabilizerState, b: StabilizerState) -> Fraction:
     """|<M,zeta|N,iota>|^2 of the realized states, as an exact rational."""
     # One key row per state: lambda of its own zeta only.
-    value, key_a, key_b = _table(a.lagrangian, [a.zeta.coords]).overlap_keys(_table(b.lagrangian, [b.zeta.coords]))
+    (table_a,), (table_b,) = (_table([s.lagrangian], np.array([s.zeta.coords])) for s in (a, b))
+    value, key_a, key_b = table_a.overlap_keys(table_b)
     return value if np.array_equal(key_a, key_b) else Fraction(0)
 
 
@@ -238,15 +247,35 @@ def enumerate_states(d: int, n: int, *, cap: int = DEFAULT_STATE_CAP) -> Iterato
     )
 
 
+def state_vectors(
+    d: int, n: int, *, state_cap: int = DEFAULT_STATE_CAP, matrix_cap: int = DEFAULT_MATRIX_CAP
+) -> np.ndarray:
+    """Every stabilizer state's vector as one (S(d,n), d^n) stack, rows in enumeration order.
+
+    The tables are built in blocks of Lagrangians of one pivot pattern, at most
+    about 2^16 keys each, so working memory beyond the stack stays one block.
+    """
+    require_prime(d)
+    count, dim = stabilizer_count(d, n), d**n
+    check_cap("realized states", count, state_cap)
+    check_cap("matrix dimension", dim, matrix_cap)
+    out = np.zeros((count, dim), dtype=np.complex128)
+    grid, taus = _lex_points(d, n), _tau_powers(d)
+    block = max(1, 2**16 // dim**2)  # Lagrangians per block
+    bases = iter(out.reshape(-1, dim, dim))  # one (d^n, d^n) view per Lagrangian
+    for _, group in itertools.groupby(enumerate_lagrangians(d, n), key=lambda m_sub: m_sub.pivots):
+        while batch := list(itertools.islice(group, block)):
+            cosets = np.array(list(_coset_rows(batch[0])))
+            if cosets[0].any():  # exponents, and the fixed-state reference |M_0, 0>, need it
+                raise RuntimeError("the zero coset must come first")
+            for table in _table(batch, cosets):
+                table._fill(grid, taus, next(bases))
+    return out
+
+
 def realized_states(
     d: int, n: int, *, state_cap: int = DEFAULT_STATE_CAP, matrix_cap: int = DEFAULT_MATRIX_CAP
 ) -> list[tuple[StabilizerState, np.ndarray]]:
-    """Every stabilizer state with its Hilbert-space vector, in enumeration order."""
-    require_prime(d)
-    check_cap("realized states", stabilizer_count(d, n), state_cap)
-    check_cap("matrix dimension", d**n, matrix_cap)
-    out = []
-    for m_sub in enumerate_lagrangians(d, n):
-        for zeta, vec in stabilizer_basis(m_sub, cap=matrix_cap):
-            out.append((_trusted(StabilizerState, m_sub, zeta), vec))
-    return out
+    """Every stabilizer state with its Hilbert-space vector, in enumeration order: rows of state_vectors."""
+    stack = state_vectors(d, n, state_cap=state_cap, matrix_cap=matrix_cap)
+    return list(zip(enumerate_states(d, n, cap=state_cap), stack))

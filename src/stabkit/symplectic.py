@@ -8,8 +8,7 @@ Phase-space vectors live in V = Z_d^{2n} with coordinates ordered
 Subspaces are stored as generator matrices in reduced row echelon form over
 Z_d. RREF is the unique canonical form, so structural equality of the
 generator tuple is subspace equality, hashing is well defined, and every
-enumeration below has a reproducible order (streams are plain generators and
-may be sliced by index range for parallel consumption).
+enumeration below is a plain generator with a reproducible order.
 """
 
 from __future__ import annotations

@@ -202,12 +202,46 @@ def test_verify_cap_precheck_runs_before_enumeration(monkeypatch):
         run_verification(2, 5, 4)
 
 
+def _refuse_realization(monkeypatch):
+    for target in (
+        "stabkit.stabilizer.realized_states",
+        "stabkit.stabilizer.state_vectors",
+        "stabkit.potential.state_vectors",
+        "stabkit.stabilizer.phase_table",
+        "stabkit.stabilizer._table",
+    ):
+        monkeypatch.setattr(target, _refuse(target))
+
+
 def test_bruteforce_pair_cap_precheck_runs_before_realization(monkeypatch):
-    for module in ("stabkit.stabilizer", "stabkit.potential"):
-        monkeypatch.setattr(f"{module}.realized_states", _refuse("realized_states"))
+    _refuse_realization(monkeypatch)
     code, out, err = run_cli(["frame-potential", "--d", "2", "--n", "5", "--t", "2", "--method", "bruteforce"])
     assert code == 3 and out == ""
-    assert "cap" in err
+    assert "brute-force state pairs: need 5873449190400" in err
+
+
+def test_fixed_state_state_cap_precheck_runs_before_realization(monkeypatch):
+    _refuse_realization(monkeypatch)
+    argv = ["frame-potential", "--d", "2", "--n", "4", "--t", "2", "--method", "fixed-state", "--state-cap", "100"]
+    assert run_cli(argv) == (3, "", "error: realized states: need 36720, cap 100\n")
+
+
+def test_numeric_engines_build_no_state_or_phase_vector_objects(monkeypatch):
+    # The numeric columns read one stack of vectors; only Subspace objects come out of enumeration.
+    built = {}
+    for module_name in ("stabkit.stabilizer", "stabkit.symplectic"):
+        module = importlib.import_module(module_name)
+
+        def counted(cls, *fields, real=module._trusted):
+            built[cls.__name__] = built.get(cls.__name__, 0) + 1
+            return real(cls, *fields)
+
+        monkeypatch.setattr(module, "_trusted", counted)
+    for method in ("fixed-state", "bruteforce"):
+        built.clear()
+        code, out, _ = run_cli(["frame-potential", "--d", "3", "--n", "1..2", "--t", "1..3", "--method", method])
+        assert code == 0 and out
+        assert built == {"Subspace": 4 + 40}
 
 
 def test_verify_builds_each_weyl_matrix_once_and_intersects_only_for_the_spectrum(monkeypatch):
@@ -251,9 +285,9 @@ def test_verify_builds_one_phase_table_per_lagrangian(monkeypatch):
     built = []
     real_table = stabilizer_module._table
 
-    def table(m_sub, cosets):
-        built.append(m_sub)
-        return real_table(m_sub, cosets)
+    def table(m_subs, cosets):
+        built.extend(m_subs)
+        return real_table(m_subs, cosets)
 
     monkeypatch.setattr(stabilizer_module, "_table", table)
     checks = run_verification(2, 2, 4)

@@ -172,7 +172,8 @@ def test_numeric_engines_read_one_stack_in_place():
     # An array passes through uncopied, so one stack serves every t, with the bits a list gives.
     vecs = cached_vectors(2, 2)
     stack = np.array(vecs)
-    assert _state_stack(stack, len(stack)) is stack
+    # Caps of 0 would refuse any realization: given vectors are only checked for their count.
+    assert _state_stack(stack, len(stack), 2, 2, state_cap=0, matrix_cap=0) is stack
     ts = range(1, 5)
     assert frame_potentials_bruteforce(2, 2, ts, vectors=stack) == frame_potentials_bruteforce(2, 2, ts, vectors=vecs)
     for t in ts:

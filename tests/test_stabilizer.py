@@ -1,5 +1,6 @@
 """Stabilizer states: projectors, eigenvalue equations, exact overlaps."""
 
+import importlib
 import itertools
 import math
 import random
@@ -34,10 +35,12 @@ from stabkit import (
     realized_states,
     stabilizer_basis,
     stabilizer_count,
+    state_vectors,
     symplectic_form,
     weyl_representation,
 )
 from stabkit.errors import ResourceCapError
+from stabkit.stabilizer import _table
 from stabkit.symplectic import _coset_rows, _form_lift
 from stabkit.weyl import WeylOperator
 from stabkit.weyl import _omega_power, _word, tau_order
@@ -171,6 +174,53 @@ def test_realization_builds_no_matrix(monkeypatch):
         assert len(realized) == stabilizer_count(d, n)
         assert [s for s, _ in realized] == [s for s, _ in pairs]
         assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(realized, pairs))
+
+
+def test_state_vectors_match_the_per_lagrangian_tables_bit_for_bit(monkeypatch):
+    stabilizer_module = importlib.import_module("stabkit.stabilizer")
+    real_table = stabilizer_module._table
+    batches = []
+
+    def table(m_subs, cosets):
+        batches.append([m_sub.pivots for m_sub in m_subs])
+        return real_table(m_subs, cosets)
+
+    monkeypatch.setattr(stabilizer_module, "_table", table)
+    for d, n in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2), (3, 3)]:
+        batches.clear()
+        stack = state_vectors(d, n)
+        blocks = list(batches)
+        assert stack.shape == (stabilizer_count(d, n), d**n) and stack.dtype == np.complex128
+        # Each block holds one pivot pattern.
+        assert all(len(set(block)) == 1 for block in blocks)
+        per_lagrangian = np.concatenate([phase_table(m_sub).vectors() for m_sub in enumerate_lagrangians(d, n)])
+        assert stack.tobytes() == per_lagrangian.tobytes()
+        realized = realized_states(d, n)
+        assert np.array([vec for _, vec in realized]).tobytes() == stack.tobytes()
+        # The realized vectors are rows of one stack, not copies.
+        assert all(vec.base is realized[0][1].base for _, vec in realized)
+        assert [s for s, _ in realized] == list(enumerate_states(d, n))
+    # At (3, 3) the largest pivot pattern (729 Lagrangians) spans several blocks.
+    patterns = [len(list(group)) for _, group in itertools.groupby(m.pivots for m in enumerate_lagrangians(3, 3))]
+    assert max(patterns) == 729
+    sizes = {}
+    for block in blocks:
+        sizes.setdefault(block[0], []).append(len(block))
+    assert max(len(parts) for parts in sizes.values()) > 1 and max(map(max, sizes.values())) < 729
+
+
+def test_batched_table_matches_the_one_lagrangian_table():
+    for d, n in [(2, 3), (3, 2)]:
+        for _, group in itertools.groupby(enumerate_lagrangians(d, n), key=lambda m_sub: m_sub.pivots):
+            group = list(group)
+            cosets = np.array(list(_coset_rows(group[0])))
+            batched = _table(group, cosets)
+            assert len(batched) == len(group)
+            for m_sub, table in zip(group, batched):
+                (single,) = _table([m_sub], cosets)
+                for name in ("rows", "points", "keys"):
+                    assert np.array_equal(getattr(table, name), getattr(single, name))
+                    assert np.array_equal(getattr(table, name), getattr(phase_table(m_sub), name))
 
 
 # ---------------------------------------------------------------------------
