@@ -31,8 +31,6 @@ from .stabilizer import (
     StabilizerState,
     enumerate_states,
     overlap_exact,
-    overlap_keys,
-    overlap_table,
     phase_table,
     realized_states,
     stabilizer_basis,
@@ -43,8 +41,6 @@ from .symplectic import (
     PhaseVector,
     Subspace,
     canonical_coset_representative,
-    canonicalize,
-    complement,
     coset_representatives,
     enumerate_lagrangians,
     enumerate_subspaces,
@@ -55,12 +51,9 @@ from .symplectic import (
     is_isotropic,
     is_lagrangian,
     is_transverse,
-    subspace_sum,
     symplectic_form,
 )
 from .weyl import (
-    TauPhase,
-    WeylOperator,
     verify_commutation,
     verify_composition,
     verify_relations,

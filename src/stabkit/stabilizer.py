@@ -45,7 +45,7 @@ import numpy as np
 
 from .combinatorics import require_prime, stabilizer_count
 from .errors import check_cap, json_field
-from .weyl import DEFAULT_MATRIX_CAP, TauPhase, WeylOperator, _point_index, _tau_powers, _word, tau_order
+from .weyl import DEFAULT_MATRIX_CAP, _point_index, _tau_powers, _word, _zx_matrix, tau_order
 from .symplectic import (
     PhaseVector,
     Subspace,
@@ -97,18 +97,17 @@ class StabilizerState:
     @classmethod
     def from_json_dict(cls, obj: dict) -> "StabilizerState":
         sub = Subspace.from_json_dict(json_field(obj, "lagrangian", dict))
-        zeta = json_field(obj, "zeta", list)
-        if not all(type(x) is int for x in zeta):
-            raise ValueError("JSON field 'zeta' must hold integers")
-        return cls(sub, PhaseVector(json_field(obj, "d", int), json_field(obj, "n", int), tuple(zeta)))
+        zeta = tuple(json_field(obj, "zeta", list))
+        return cls(sub, PhaseVector(json_field(obj, "d", int), json_field(obj, "n", int), zeta))
 
 
 def weyl_representation(m_sub: Subspace, *, cap: int = DEFAULT_MATRIX_CAP) -> list[tuple[PhaseVector, np.ndarray]]:
     """(m, w_B(m)) for every m in M, B its canonical generators, in lexicographic coefficient order."""
     d, n = m_sub.d, m_sub.n
-    words = [_word(d, n, m_sub.generators, c) for c in itertools.product(range(d), repeat=m_sub.dim)]
-    ops = [_trusted(WeylOperator, _trusted(TauPhase, d, e), _trusted(PhaseVector, d, n, p)) for e, p in words]
-    return [(op.point, op.matrix(cap=cap)) for op in ops]
+    check_cap("matrix dimension", d**n, cap)
+    taus = _tau_powers(d)
+    words = (_word(d, n, m_sub.generators, c) for c in itertools.product(range(d), repeat=m_sub.dim))
+    return [(_trusted(PhaseVector, d, n, p), taus[e] * _zx_matrix(d, p[:n], p[n:])) for e, p in words]
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,33 +206,12 @@ def stabilizer_basis(m_sub: Subspace, *, cap: int = DEFAULT_MATRIX_CAP) -> list[
     return list(zip(coset_representatives(m_sub), phase_table(m_sub).vectors(cap=cap)))
 
 
-def overlap_keys(m_sub: Subspace, n_sub: Subspace) -> tuple[Fraction, np.ndarray, np.ndarray]:
-    """The overlap rule for every state of M against every state of N, as integer keys.
-
-    Returns d^{-n} |M cap N| and one key row per state of M and of N, in
-    coset_representatives order, as stabilizer_basis does: the i-th state of
-    M and the j-th of N overlap with that value when keys_m[i] == keys_n[j],
-    and are orthogonal otherwise. Key rows hold lambda on every shared point,
-    so they have d^{dim(M cap N)} entries. The rule is
-    phase_table(M).overlap_keys(phase_table(N)).
-    """
-    return phase_table(m_sub).overlap_keys(phase_table(n_sub))
-
-
 def overlap_exact(a: StabilizerState, b: StabilizerState) -> Fraction:
     """|<M,zeta|N,iota>|^2 of the realized states, as an exact rational."""
     # One key row per state: lambda of its own zeta only.
     (table_a,), (table_b,) = (_table([s.lagrangian], np.array([s.zeta.coords])) for s in (a, b))
     value, key_a, key_b = table_a.overlap_keys(table_b)
     return value if np.array_equal(key_a, key_b) else Fraction(0)
-
-
-def overlap_table(m_sub: Subspace, n_sub: Subspace) -> list[list[Fraction]]:
-    """overlap_exact for every state of M (rows) against every state of N, from overlap_keys."""
-    value, keys_m, keys_n = overlap_keys(m_sub, n_sub)
-    zero = Fraction(0)
-    match = (keys_m[:, None] == keys_n[None, :]).all(-1)
-    return [[value if hit else zero for hit in row] for row in match.tolist()]
 
 
 def enumerate_states(d: int, n: int, *, cap: int = DEFAULT_STATE_CAP) -> Iterator[StabilizerState]:

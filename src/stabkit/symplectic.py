@@ -36,6 +36,12 @@ def _trusted(cls, *fields):
     return obj
 
 
+def _require_integers(rows: Iterable[Sequence], what: str) -> None:
+    """The public constructors' one coordinate rule: every entry an int (a bool is not one, as in JSON)."""
+    if not all(type(x) is int for row in rows for x in row):
+        raise ValueError(f"{what} must be integers")
+
+
 @dataclass(frozen=True)
 class PhaseVector:
     """An element of Z_d^{2n}, split as (p_1..p_n, q_1..q_n)."""
@@ -50,6 +56,7 @@ class PhaseVector:
             raise ValueError("n must be positive")
         if len(self.coords) != 2 * self.n:
             raise ValueError(f"expected {2 * self.n} coordinates, got {len(self.coords)}")
+        _require_integers([self.coords], "coordinates")
         object.__setattr__(self, "coords", tuple(c % self.d for c in self.coords))
 
     @classmethod
@@ -67,16 +74,6 @@ class PhaseVector:
     def _check_compatible(self, other: "PhaseVector") -> None:
         if (self.d, self.n) != (other.d, other.n):
             raise ValueError("phase vectors live in different spaces")
-
-    def _reduced(self, coords: Iterable[int]) -> "PhaseVector":
-        return _trusted(PhaseVector, self.d, self.n, tuple(c % self.d for c in coords))
-
-    def __add__(self, other: "PhaseVector") -> "PhaseVector":
-        self._check_compatible(other)
-        return self._reduced(a + b for a, b in zip(self.coords, other.coords))
-
-    def scaled(self, c: int) -> "PhaseVector":
-        return self._reduced(c * a for a in self.coords)
 
     def is_zero(self) -> bool:
         return not any(self.coords)
@@ -148,20 +145,6 @@ def _is_canonical(rows: Sequence[Row], d: int, width: int) -> bool:
     return True
 
 
-def _nullspace(rows: Sequence[Sequence[int]], d: int, width: int) -> list[Row]:
-    reduced, pivots = _rref(rows, d)
-    reduced = reduced[: len(pivots)]
-    free = [c for c in range(width) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [0] * width
-        v[f] = 1
-        for i, c in enumerate(pivots):
-            v[c] = (-reduced[i][f]) % d
-        basis.append(tuple(v))
-    return basis
-
-
 def _solve_linear_system(
     rows: Sequence[Sequence[int]], rhs_columns: Sequence[Sequence[int]], d: int, width: int
 ) -> list[Row | None]:
@@ -210,6 +193,7 @@ class Subspace:
             raise ValueError("ambient dimension must be positive")
         gens = tuple(tuple(row) for row in self.generators)
         object.__setattr__(self, "generators", gens)
+        _require_integers(gens, "generator entries")
         if not _is_canonical(gens, self.d, self.width):
             raise ValueError("generators are not in canonical reduced row echelon form")
 
@@ -226,6 +210,7 @@ class Subspace:
         rows = list(rows)
         if any(len(row) != width for row in rows):
             raise ValueError(f"every row must have {width} entries")
+        _require_integers(rows, "row entries")
         reduced, pivots = _rref(rows, d)
         return _trusted(cls, d, width, tuple(tuple(r) for r in reduced[: len(pivots)]))
 
@@ -257,11 +242,6 @@ class Subspace:
     def contains_coords(self, coords: Sequence[int]) -> bool:
         return not any(self.reduce_coords(coords))
 
-    def contains(self, v: PhaseVector) -> bool:
-        if (v.d, 2 * v.n) != (self.d, self.width):
-            raise ValueError("vector lives in a different space")
-        return self.contains_coords(v.coords)
-
     def vectors(self) -> Iterator[Row]:
         """All d^dim elements, in lexicographic coefficient order."""
         for coeffs in itertools.product(range(self.d), repeat=self.dim):
@@ -270,10 +250,6 @@ class Subspace:
                 if c:
                     v = [(x + c * y) % self.d for x, y in zip(v, row)]
             yield tuple(v)
-
-    def generator_vectors(self) -> tuple[PhaseVector, ...]:
-        n = self.n
-        return tuple(_trusted(PhaseVector, self.d, n, row) for row in self.generators)
 
     def to_json_dict(self) -> dict:
         return {
@@ -287,26 +263,11 @@ class Subspace:
     def from_json_dict(cls, obj: dict) -> "Subspace":
         d, n, dim = (json_field(obj, key, int) for key in ("d", "n", "dim"))
         rows = json_field(obj, "generators", list)
-        if not all(isinstance(row, list) and all(type(x) is int for x in row) for row in rows):
-            raise ValueError("JSON field 'generators' must hold lists of integers")
+        if not all(isinstance(row, list) for row in rows):
+            raise ValueError("JSON field 'generators' must hold lists")
         if dim != len(rows):
             raise ValueError(f"JSON field 'dim' is {dim}, but there are {len(rows)} generators")
         return cls(d, 2 * n, tuple(tuple(row) for row in rows))
-
-
-def canonicalize(rows: Iterable[PhaseVector], *, d: int | None = None, n: int | None = None) -> Subspace:
-    """Span of the given phase vectors in canonical form; dependent rows drop out.
-
-    d and n are only needed when rows is empty; when given, every row must match them.
-    """
-    rows = list(rows)
-    if rows:
-        d, n = rows[0].d if d is None else d, rows[0].n if n is None else n
-        if any((v.d, v.n) != (d, n) for v in rows):
-            raise ValueError(f"every phase vector must live in Z_{d}^{2 * n}")
-    if d is None or n is None:
-        raise ValueError("empty row list needs explicit d and n")
-    return Subspace.from_rows([v.coords for v in rows], d=d, width=2 * n)
 
 
 def _form_row(coords: Sequence[int], n: int, d: int) -> Row:
@@ -329,13 +290,6 @@ def is_lagrangian(s: Subspace) -> bool:
     return s.dim == s.n and is_isotropic(s)
 
 
-def complement(s: Subspace) -> Subspace:
-    """Symplectic complement {v : [v, g] = 0 for all g in s}."""
-    n = s.n
-    constraints = [_form_row(g, n, s.d) for g in s.generators]
-    return Subspace.from_rows(_nullspace(constraints, s.d, s.width), d=s.d, width=s.width)
-
-
 def intersect(a: Subspace, b: Subspace) -> Subspace:
     """A ∩ B via the Zassenhaus block trick. The reduced rows with a zero left half
     have their pivots, cleared in every other row, on the right: those halves are RREF."""
@@ -344,11 +298,6 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
     rows = [list(g) + list(g) for g in a.generators] + [list(g) + [0] * w for g in b.generators]
     reduced, pivots = _rref(rows, a.d)
     return _trusted(Subspace, a.d, w, tuple(tuple(row[w:]) for row in reduced[: len(pivots)] if not any(row[:w])))
-
-
-def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    _check_same_ambient(a, b)
-    return Subspace.from_rows(list(a.generators) + list(b.generators), d=a.d, width=a.width)
 
 
 def is_transverse(a: Subspace, b: Subspace) -> bool:

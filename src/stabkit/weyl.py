@@ -1,4 +1,4 @@
-"""Weyl (generalized Pauli) operators: exact symbolic phases, dense matrices.
+"""Weyl (generalized Pauli) operators: closed-form integer words, dense matrices.
 
 Phase conventions: tau = exp(i*pi*(d^2+1)/d) and omega = tau^2 = exp(2*pi*i/d).
 tau has order 2d in even dimension and order d in odd dimension. All
@@ -7,14 +7,15 @@ phase-space coordinates and is only then reduced modulo the order of tau;
 exponents of omega are ordinary mod-d residues. This integer-lift rule is
 what makes the even-d operators well defined and reproducible.
 
-A symbolic operator is kept normal-ordered as tau^e * z(p) x(q), where z and
-x are genuinely periodic mod d. Products reorder through
+Every product of Weyl operators normal-orders to tau^e * z(p) x(q), where z
+and x are genuinely periodic mod d, by reordering through
 
     x(q) z(p') = omega^{-q.p'} z(p') x(q),
 
-so composition stays exact. The point v = (p | q) has index
-sum_i v_i d^{2n-1-i} on its lifts (lexicographic, p_1 most significant):
-zx_matrices and the stabilizer phase tables share this order.
+the product rule that _word applies in closed form below. The point
+v = (p | q) has index sum_i v_i d^{2n-1-i} on its lifts (lexicographic, p_1
+most significant): zx_matrices and the stabilizer phase tables share this
+order.
 
 A word w(u_1)^{c_1} ... w(u_k)^{c_k}, rows
 u_i = (p_i | q_i) on the lifts and c_i mod d, is tau^e z(P) x(Q) in closed form,
@@ -33,7 +34,6 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass
 from functools import reduce
 from typing import Sequence
 
@@ -51,29 +51,10 @@ def tau_order(d: int) -> int:
     return 2 * d if d % 2 == 0 else d
 
 
-@dataclass(frozen=True)
-class TauPhase:
-    """A power of tau, tracked by its exponent modulo the order of tau."""
-
-    d: int
-    exponent: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "exponent", self.exponent % tau_order(self.d))
-
-    def __mul__(self, other: "TauPhase") -> "TauPhase":
-        if self.d != other.d:
-            raise ValueError("phases for different d")
-        return TauPhase(self.d, self.exponent + other.exponent)
-
-    def value(self) -> complex:
-        # tau^e = exp(i*pi*(d^2+1)*e/d).
-        return _unit_root(self.exponent * (self.d * self.d + 1), 2 * self.d)
-
-
 def _tau_powers(d: int) -> np.ndarray:
     """tau^j for j = 0 .. ord(tau) - 1, indexed by the exponent."""
-    return np.array([TauPhase(d, j).value() for j in range(tau_order(d))])
+    # tau^j = exp(i*pi*(d^2+1)*j/d).
+    return np.array([_unit_root(j * (d * d + 1), 2 * d) for j in range(tau_order(d))])
 
 
 # Quarter turns exactly, with +0.0 zero parts: the literal -1j has real part -0.0.
@@ -106,37 +87,11 @@ def _zx_matrix(d: int, pvec: Sequence[int], qvec: Sequence[int]) -> np.ndarray:
     return reduce(np.kron, mats)
 
 
-@dataclass(frozen=True)
-class WeylOperator:
-    """Symbolic Weyl operator tau^e * z(p) x(q) with exact composition."""
-
-    phase: TauPhase
-    point: PhaseVector
-
-    def __post_init__(self) -> None:
-        if self.phase.d != self.point.d:
-            raise ValueError("phase and point disagree on d")
-
-    @classmethod
-    def from_point(cls, v: PhaseVector) -> "WeylOperator":
-        # w(v) = tau^{-p.q} z(p) x(q), with p.q on the integer lifts.
-        dot = sum(a * b for a, b in zip(v.p, v.q))
-        return cls(TauPhase(v.d, -dot), v)
-
-    def __matmul__(self, other: "WeylOperator") -> "WeylOperator":
-        self.point._check_compatible(other.point)
-        cross = sum(a * b for a, b in zip(self.point.q, other.point.p))
-        phase = TauPhase(self.point.d, self.phase.exponent + other.phase.exponent - 2 * cross)
-        return WeylOperator(phase, self.point + other.point)
-
-    def matrix(self, *, cap: int = DEFAULT_MATRIX_CAP) -> np.ndarray:
-        check_cap("matrix dimension", self.point.d**self.point.n, cap)
-        return self.phase.value() * _zx_matrix(self.point.d, self.point.p, self.point.q)
-
-
 def weyl(v: PhaseVector, *, cap: int = DEFAULT_MATRIX_CAP) -> np.ndarray:
-    """Dense matrix of w(v) = tau^{-p.q} z(p) x(q)."""
-    return WeylOperator.from_point(v).matrix(cap=cap)
+    """Dense matrix of w(v) = tau^{-p.q} z(p) x(q), with p.q on the integer lifts."""
+    check_cap("matrix dimension", v.d**v.n, cap)
+    dot = sum(a * b for a, b in zip(v.p, v.q))
+    return _tau_powers(v.d)[-dot % tau_order(v.d)] * _zx_matrix(v.d, v.p, v.q)
 
 
 def _word(d: int, n: int, rows: Sequence[Row], coeffs: Sequence[int]) -> tuple[int, Row]:

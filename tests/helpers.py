@@ -11,9 +11,6 @@ from pathlib import Path
 import numpy as np
 
 from stabkit import (
-    PhaseVector,
-    TauPhase,
-    WeylOperator,
     coset_representatives,
     enumerate_subspaces,
     gaussian_binomial,
@@ -48,14 +45,18 @@ def lagrangians_by_filter(d: int, n: int) -> list:
     return [s for s in enumerate_subspaces(d, 2 * n, n) if is_isotropic(s)]
 
 
-def weyl_word_by_fold(basis, coefficients) -> WeylOperator:
-    """Oracle: prod_i w(u_i)^{c_i}, the symbolic product folded one factor at a time."""
-    d, n = basis[0].d, basis[0].n
-    out = WeylOperator(TauPhase(d, 0), PhaseVector.zero(d, n))
-    for u, c in zip(basis, coefficients):
+def weyl_word_by_fold(d, n, rows, coefficients) -> tuple[int, tuple[int, ...]]:
+    """Oracle: (e, (P | Q)) of prod_i w(u_i)^{c_i}, multiplied one factor w(u) = tau^{-p_u.q_u} zx(u) at a time.
+
+    On the lifts, tau^a zx(P | Q) . tau^b zx(u) = tau^{a + b - 2 Q.p_u} zx(P + u mod d).
+    """
+    e, point = 0, (0,) * (2 * n)
+    for u, c in zip(rows, coefficients):
         for _ in range(c % d):
-            out = out @ WeylOperator.from_point(u)
-    return out
+            b = -sum(x * y for x, y in zip(u[:n], u[n:]))
+            e = (e + b - 2 * sum(x * y for x, y in zip(point[n:], u[:n]))) % tau_order(d)
+            point = tuple((x + y) % d for x, y in zip(point, u))
+    return e, point
 
 
 def overlap_keys_by_intersection(m_sub, n_sub):

@@ -1,9 +1,10 @@
-"""Source-level rules for the library package."""
+"""Source-level rules for the library package and its tests."""
 
 import ast
 from pathlib import Path
 
 SOURCE_DIR = Path(__file__).resolve().parents[1] / "src" / "stabkit"
+TESTS_DIR = Path(__file__).resolve().parent
 
 
 def test_library_has_no_assert_statements():
@@ -125,11 +126,12 @@ def _unused_imports(tree):
 
 
 def test_library_modules_use_every_name_they_import():
-    # __init__.py imports in order to re-export; every other module imports only what it calls.
+    # __init__.py imports in order to re-export; every other module, and every test file, imports only what it calls.
+    paths = sorted(SOURCE_DIR.glob("*.py")) + sorted(TESTS_DIR.glob("*.py"))
     unused = [
-        f"{path.name}:{lineno} {name}"
-        for path in sorted(SOURCE_DIR.glob("*.py"))
-        if path.name != "__init__.py"
+        f"{path.parent.name}/{path.name}:{lineno} {name}"
+        for path in paths
+        if path != SOURCE_DIR / "__init__.py"
         for lineno, name in _unused_imports(_parse(path))
     ]
     assert unused == []

@@ -29,25 +29,25 @@ from stabkit import (
     intersect,
     is_transverse,
     overlap_exact,
-    overlap_keys,
-    overlap_table,
     phase_table,
     realized_states,
     stabilizer_basis,
     stabilizer_count,
     state_vectors,
     symplectic_form,
+    weyl,
     weyl_representation,
 )
 from stabkit.errors import ResourceCapError
 from stabkit.stabilizer import _table
 from stabkit.symplectic import _coset_rows, _form_lift
-from stabkit.weyl import WeylOperator
 from stabkit.weyl import _omega_power, _word, tau_order
 
 
-def pv(d, n, *coords):
-    return PhaseVector(d, n, tuple(coords))
+def overlap_block(m_sub, n_sub):
+    """The overlap of every state of M (rows) with every state of N, by PhaseTable.overlap_keys."""
+    value, keys_m, keys_n = phase_table(m_sub).overlap_keys(phase_table(n_sub))
+    return [[value if hit else 0 for hit in row] for row in (keys_m[:, None] == keys_n[None, :]).all(-1).tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -167,9 +167,17 @@ def test_realization_builds_no_matrix(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("realization built a dense Weyl matrix")
 
-    monkeypatch.setattr(WeylOperator, "matrix", refuse)
+    # Every name a dense z(p) x(q) matrix is built through, where it is looked up.
+    # The package's `weyl` attribute is the function, so the module comes from importlib.
+    weyl_module = importlib.import_module("stabkit.weyl")
+    monkeypatch.setattr(weyl_module, "_zx_matrix", refuse)
+    monkeypatch.setattr(weyl_module, "zx_matrices", refuse)
+    monkeypatch.setattr("stabkit.stabilizer._zx_matrix", refuse)
     monkeypatch.setattr("stabkit.stabilizer.weyl_representation", refuse)
+    with pytest.raises(AssertionError, match="dense Weyl matrix"):
+        weyl(PhaseVector.zero(2, 2))
     for (d, n), pairs in expected.items():
+        assert state_vectors(d, n).tobytes() == np.array([vec for _, vec in pairs]).tobytes()
         realized = realized_states(d, n)
         assert len(realized) == stabilizer_count(d, n)
         assert [s for s, _ in realized] == [s for s, _ in pairs]
@@ -265,7 +273,7 @@ def test_overlap_table_matches_overlap_exact():
         bases = {m_sub: [StabilizerState(m_sub, zeta) for zeta, _ in stabilizer_basis(m_sub)] for m_sub in lagrangians}
         for m_sub in lagrangians:
             for n_sub in lagrangians:
-                table = overlap_table(m_sub, n_sub)
+                table = overlap_block(m_sub, n_sub)
                 assert len(table) == len(bases[m_sub]) == d**n
                 for a, row in zip(bases[m_sub], table):
                     assert row == [overlap_exact(a, b) for b in bases[n_sub]]
@@ -283,7 +291,7 @@ def test_overlap_table_needs_no_operator_or_representative_objects(monkeypatch):
         monkeypatch.setattr(f"stabkit.stabilizer.{name}", refuse)
     for m_sub in lagrangians:
         for n_sub in lagrangians:
-            table = overlap_table(m_sub, n_sub)
+            table = overlap_block(m_sub, n_sub)
             for a, row in zip(states[m_sub], table):
                 assert row == [overlap_exact(a, b) for b in states[n_sub]]
 
@@ -292,14 +300,16 @@ def test_overlap_keys_give_the_table_as_a_mask():
     # dim(M cap N) = 0 leaves only the shared point 0, whose key is 0, and then every pair overlaps.
     for d, n in [(2, 2), (3, 1)]:
         lagrangians = list(enumerate_lagrangians(d, n))
+        states = {m_sub: [StabilizerState(m_sub, zeta) for zeta in coset_representatives(m_sub)] for m_sub in lagrangians}
         for m_sub in lagrangians:
             for n_sub in lagrangians:
-                value, keys_m, keys_n = overlap_keys(m_sub, n_sub)
+                value, keys_m, keys_n = phase_table(m_sub).overlap_keys(phase_table(n_sub))
                 k = intersect(m_sub, n_sub).dim
                 assert value == Fraction(d**k, d**n)
                 assert keys_m.shape == keys_n.shape == (d**n, d**k)
                 block = float(value) * (keys_m[:, None] == keys_n[None, :]).all(-1)
-                assert np.array_equal(block, np.array(overlap_table(m_sub, n_sub), dtype=float))
+                exact = [[float(overlap_exact(a, b)) for b in states[n_sub]] for a in states[m_sub]]
+                assert np.array_equal(block, np.array(exact))
                 if k == 0:
                     assert np.all(block == float(value))
 
@@ -374,16 +384,14 @@ def test_state_identity_is_structural():
     reps = list(coset_representatives(m_sub))
     assert StabilizerState(m_sub, reps[1]) == StabilizerState(m_sub, reps[1])
     assert StabilizerState(m_sub, reps[0]) != StabilizerState(m_sub, reps[1])
-    shifted = reps[1] + PhaseVector(2, 2, m_sub.generators[0])
+    shifted = PhaseVector(2, 2, tuple(a + b for a, b in zip(reps[1].coords, m_sub.generators[0])))
     assert StabilizerState.from_coset(m_sub, shifted) == StabilizerState(m_sub, reps[1])
     with pytest.raises(ValueError):
         StabilizerState(m_sub, shifted)
 
 
 def test_state_rejects_non_lagrangian():
-    from stabkit import canonicalize
-
-    line = canonicalize([pv(2, 2, 1, 0, 0, 0)])
+    line = Subspace.from_rows([(1, 0, 0, 0)], d=2, width=4)
     with pytest.raises(ValueError):
         StabilizerState(line, PhaseVector.zero(2, 2))
 

@@ -9,8 +9,6 @@ from stabkit import (
     PhaseVector,
     Subspace,
     canonical_coset_representative,
-    canonicalize,
-    complement,
     coset_representatives,
     enumerate_lagrangians,
     enumerate_subspaces,
@@ -24,7 +22,6 @@ from stabkit import (
     is_transverse,
     kappa,
     lagrangian_count,
-    subspace_sum,
     symplectic_form,
     transversal_count,
 )
@@ -42,8 +39,12 @@ def random_vector(rng, d, n):
     return PhaseVector(d, n, tuple(rng.randrange(d) for _ in range(2 * n)))
 
 
+def span(d, n, *rows):
+    return Subspace.from_rows(rows, d=d, width=2 * n)
+
+
 def random_subspace(rng, d, n, rows):
-    return canonicalize([random_vector(rng, d, n) for _ in range(rows)], d=d, n=n)
+    return span(d, n, *(random_vector(rng, d, n).coords for _ in range(rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -56,7 +57,7 @@ def test_phase_vector_reduction_and_validation():
     with pytest.raises(ValueError):
         PhaseVector(3, 1, (1, 2, 3))
     with pytest.raises(ValueError):
-        pv(2, 1, 1, 0) + pv(3, 1, 1, 0)
+        symplectic_form(pv(2, 1, 1, 0), pv(3, 1, 1, 0))
 
 
 def test_symplectic_form_examples():
@@ -78,35 +79,23 @@ def test_symplectic_form_antisymmetry():
 # canonical form
 
 
-def test_canonicalize_examples():
-    dup = canonicalize([pv(2, 1, 1, 0), pv(2, 1, 1, 0)])
-    assert dup.dim == 1 and dup.generators == ((1, 0),)
-    empty = canonicalize([], d=2, n=1)
-    assert empty.dim == 0
-    assert canonicalize([pv(2, 1, 1, 0)], d=2, n=1) == dup
-    with pytest.raises(ValueError):
-        canonicalize([pv(2, 1, 1, 0)], d=3, n=2)
-    with pytest.raises(ValueError):
-        canonicalize([pv(2, 1, 1, 0)], n=2)
-    full = canonicalize([pv(2, 1, 1, 1), pv(2, 1, 0, 1)])
-    assert full.generators == ((1, 0), (0, 1))
-
-
 def test_canonical_form_is_unique():
     rng = random.Random(11)
     for d, n in [(2, 2), (3, 2)]:
         for _ in range(20):
             sub = random_subspace(rng, d, n, rng.randrange(1, 2 * n + 1))
-            gens = list(sub.generator_vectors())
+            gens = list(sub.generators)
             if not gens:
                 continue
             # random re-spanning: shuffles, scalings, row additions
             alt = gens[:]
             rng.shuffle(alt)
-            extra = [alt[0].scaled(rng.randrange(1, d))]
+            scale = rng.randrange(1, d)
+            extra = [[scale * x for x in alt[0]]]
             for g in alt[1:]:
-                extra.append(g + alt[0].scaled(rng.randrange(d)))
-            other = canonicalize(extra + alt)
+                c = rng.randrange(d)
+                extra.append([x + c * y for x, y in zip(g, alt[0])])
+            other = span(d, n, *extra, *alt)
             assert other == sub
             assert hash(other) == hash(sub)
 
@@ -119,43 +108,21 @@ def test_subspace_rejects_noncanonical_rows():
 
 
 def test_subspace_json_roundtrip():
-    sub = canonicalize([pv(2, 2, 1, 0, 0, 1), pv(2, 2, 0, 1, 1, 0)])
+    sub = span(2, 2, (1, 0, 0, 1), (0, 1, 1, 0))
     assert Subspace.from_json_dict(sub.to_json_dict()) == sub
 
 
 # ---------------------------------------------------------------------------
-# isotropy, complement, lattice operations
+# isotropy, lattice operations
 
 
 def test_isotropy_examples():
-    line = canonicalize([pv(2, 1, 1, 0)])
+    line = span(2, 1, (1, 0))
     assert is_isotropic(line) and is_lagrangian(line)
-    full = canonicalize([pv(2, 1, 1, 0), pv(2, 1, 0, 1)])
+    full = span(2, 1, (1, 0), (0, 1))
     assert not is_isotropic(full)
-    p_plane = canonicalize([pv(2, 2, 1, 0, 0, 0), pv(2, 2, 0, 1, 0, 0)])
+    p_plane = span(2, 2, (1, 0, 0, 0), (0, 1, 0, 0))
     assert is_lagrangian(p_plane)
-
-
-def test_complement_examples():
-    for m_sub in enumerate_lagrangians(2, 2):
-        assert complement(m_sub) == m_sub
-    zero = Subspace.zero(2, 4)
-    assert complement(zero).dim == 4
-    line = canonicalize([pv(2, 2, 1, 0, 0, 0)])
-    comp = complement(line)
-    assert comp.dim == 3
-    assert comp.contains(pv(2, 2, 1, 0, 0, 0))
-    assert not comp.contains(pv(2, 2, 0, 0, 1, 0))
-
-
-def test_complement_involution_and_dimension():
-    rng = random.Random(3)
-    for d, n in [(2, 2), (3, 2)]:
-        for _ in range(20):
-            sub = random_subspace(rng, d, n, rng.randrange(0, 2 * n + 1))
-            comp = complement(sub)
-            assert sub.dim + comp.dim == 2 * n
-            assert complement(comp) == sub
 
 
 def test_intersect_sum_dimension_formula():
@@ -164,15 +131,15 @@ def test_intersect_sum_dimension_formula():
         for _ in range(25):
             a = random_subspace(rng, d, n, rng.randrange(0, 2 * n + 1))
             b = random_subspace(rng, d, n, rng.randrange(0, 2 * n + 1))
-            inter, total = intersect(a, b), subspace_sum(a, b)
+            inter, total = intersect(a, b), span(d, n, *a.generators, *b.generators)
             assert inter.dim + total.dim == a.dim + b.dim
             for row in inter.generators:
                 assert a.contains_coords(row) and b.contains_coords(row)
 
 
 def test_transversality():
-    p_plane = canonicalize([pv(2, 2, 1, 0, 0, 0), pv(2, 2, 0, 1, 0, 0)])
-    q_plane = canonicalize([pv(2, 2, 0, 0, 1, 0), pv(2, 2, 0, 0, 0, 1)])
+    p_plane = span(2, 2, (1, 0, 0, 0), (0, 1, 0, 0))
+    q_plane = span(2, 2, (0, 0, 1, 0), (0, 0, 0, 1))
     assert is_transverse(p_plane, q_plane)
     assert not is_transverse(p_plane, p_plane)
     assert intersect(p_plane, q_plane).dim == 0
@@ -322,7 +289,7 @@ def _subspaces_of(sub, k):
 
 def test_extensions_through_rejects_bad_k():
     lags = list(enumerate_lagrangians(2, 2))
-    outside = canonicalize([pv(2, 2, 0, 0, 1, 0)])
+    outside = span(2, 2, (0, 0, 1, 0))
     if not all(lags[0].contains_coords(g) for g in outside.generators):
         with pytest.raises(ValueError):
             extensions_through(lags[0], outside)
@@ -330,7 +297,7 @@ def test_extensions_through_rejects_bad_k():
 
 def test_dual_partners_raises_when_unsolvable():
     # a = e_1 lies in K, so [k, b] = 0 and [a, b] = 1 cannot both hold.
-    k_sub = canonicalize([pv(2, 1, 1, 0)])
+    k_sub = span(2, 1, (1, 0))
     with pytest.raises(RuntimeError, match="solvable"):
         _dual_partners(k_sub, [(1, 0)])
 
@@ -340,7 +307,7 @@ def test_dual_partners_raises_when_unsolvable():
 
 
 def test_coset_representatives_example():
-    m_sub = canonicalize([pv(2, 1, 0, 1)])
+    m_sub = span(2, 1, (0, 1))
     reps = list(coset_representatives(m_sub))
     assert [r.coords for r in reps] == [(0, 0), (1, 0)]
 
@@ -354,7 +321,7 @@ def test_coset_representatives_properties():
             assert len(set(reps)) == len(reps)
             for rep in reps[:3]:
                 shift_row = random.Random(19).choice(list(m_sub.vectors()))
-                shifted = rep + PhaseVector(d, n, shift_row)
+                shifted = PhaseVector(d, n, tuple(x + y for x, y in zip(rep.coords, shift_row)))
                 assert canonical_coset_representative(m_sub, shifted) == rep
 
 
@@ -368,8 +335,8 @@ def test_canonical_representative_of_zero():
 
 
 def test_graph_lagrangian_examples():
-    p_plane = canonicalize([pv(2, 2, 1, 0, 0, 0), pv(2, 2, 0, 1, 0, 0)])
-    q_plane = canonicalize([pv(2, 2, 0, 0, 1, 0), pv(2, 2, 0, 0, 0, 1)])
+    p_plane = span(2, 2, (1, 0, 0, 0), (0, 1, 0, 0))
+    q_plane = span(2, 2, (0, 0, 1, 0), (0, 0, 0, 1))
     assert not is_transverse(p_plane, p_plane)
     assert is_transverse(q_plane, p_plane)
     assert graph_adjacency(q_plane, p_plane) == ((0, 0), (0, 0))
@@ -414,7 +381,7 @@ def test_phase_summation_residue_counts():
                 symplectic_form(v, PhaseVector(d, n, row)) for row in w_sub.vectors()
             )
             size = d**w_sub.dim
-            if complement(w_sub).contains(v):
+            if all(symplectic_form(v, PhaseVector(d, n, g)) == 0 for g in w_sub.generators):  # v in W^perp
                 assert counts == Counter({0: size})
             else:
                 assert all(counts[r] == size // d for r in range(d))

@@ -79,3 +79,17 @@ def test_from_rows_checks_its_inputs():
         Subspace.from_rows([(2, 1)], d=4, width=2)
     with pytest.raises(ValueError):
         Subspace.from_rows([], d=2, width=0)
+
+
+def test_public_constructors_take_only_integer_coordinates():
+    # A float or bool coordinate would serialize to JSON that from_json_dict rejects.
+    line = Subspace(2, 2, ((1, 0),))
+    for build in (
+        lambda: PhaseVector(2, 1, (0.5, 1)),
+        lambda: PhaseVector(2, 1, (True, 0)),
+        lambda: Subspace(2, 2, ((1.0, 0),)),
+        lambda: Subspace.from_rows([(1.5, 0)], d=2, width=2),
+        lambda: StabilizerState(line, PhaseVector(2, 1, (0, 1.0))),
+    ):
+        with pytest.raises(ValueError, match="integers"):
+            build()

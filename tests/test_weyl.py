@@ -1,4 +1,4 @@
-"""Weyl operators: matrix conventions, exact symbolic algebra, group laws."""
+"""Weyl operators: matrix conventions, closed-form words, group laws."""
 
 import importlib
 import itertools
@@ -8,8 +8,7 @@ import pytest
 
 from stabkit import (
     PhaseVector,
-    TauPhase,
-    WeylOperator,
+    Subspace,
     enumerate_lagrangians,
     enumerate_subspaces,
     verify_commutation,
@@ -19,7 +18,7 @@ from stabkit import (
     zx_matrices,
 )
 from stabkit.errors import ResourceCapError
-from stabkit.weyl import _omega_power, _word, tau_order
+from stabkit.weyl import _omega_power, _tau_powers, _word, _zx_matrix, tau_order
 
 from helpers import weyl_word_by_fold
 
@@ -36,23 +35,24 @@ def all_points(d, n):
     return [PhaseVector(d, n, c) for c in itertools.product(range(d), repeat=2 * n)]
 
 
-def word(basis, coeffs):
-    """w_B at coefficients c, prod_i w(u_i)^{c_i}, from the closed form of weyl._word."""
-    d, n = basis[0].d, basis[0].n
-    e, point = _word(d, n, [u.coords for u in basis], coeffs)
-    return WeylOperator(TauPhase(d, e), PhaseVector(d, n, point))
+def word(sub, coeffs):
+    """(e, (P | Q)) of w_B at coefficients c, prod_i w(u_i)^{c_i}, B the generators of sub: weyl._word."""
+    return _word(sub.d, sub.n, sub.generators, coeffs)
+
+
+def word_matrix(d, n, w):
+    e, point = w
+    return _tau_powers(d)[e] * _zx_matrix(d, point[:n], point[n:])
 
 
 def test_tau_phase_values():
     # Quarter turns are exact, and their zero parts are +0.0, never -0.0.
-    quarter = [TauPhase(2, k).value() for k in range(4)]
-    assert quarter == [1, 1j, -1, -1j]
-    parts = np.array([[v.real, v.imag] for v in quarter])
+    quarter = _tau_powers(2)
+    assert quarter.tolist() == [1, 1j, -1, -1j]
+    parts = np.array([quarter.real, quarter.imag])
     assert not np.signbit(parts[parts == 0]).any()
-    assert abs(TauPhase(3, 3).value() - 1) < 1e-12  # tau^d = 1 for odd d
+    assert abs(_tau_powers(3)[1] ** 3 - 1) < 1e-12  # tau^d = 1 for odd d
     assert tau_order(2) == 4 and tau_order(3) == 3
-    prod = TauPhase(2, 3) * TauPhase(2, 3)
-    assert prod.exponent == 2
 
 
 def test_shift_boost_pauli():
@@ -111,7 +111,7 @@ def test_all_pairs_relations_match_the_per_pair_witness():
         zx = zx_matrices(d, n)
         assert len(zx) == len(points) == d ** (2 * n)
         for v, mat in zip(points, zx):
-            assert np.array_equal(TauPhase(d, -sum(a * b for a, b in zip(v.p, v.q))).value() * mat, weyl(v))
+            assert np.array_equal(_tau_powers(d)[-sum(a * b for a, b in zip(v.p, v.q)) % tau_order(d)] * mat, weyl(v))
         trace_dev = max(abs(np.trace(weyl(v)) - (d**n if v.is_zero() else 0.0)) for v in points)
         assert verify_relations(d, n, zx) == (
             all(verify_composition(u, v) for u in points for v in points),
@@ -132,42 +132,32 @@ def test_a_wrong_omega_fails_commutation_in_both_paths(monkeypatch):
     assert comp_ok is True and all(verify_composition(u, v) for u in points for v in points)
 
 
-def test_symbolic_product_matches_matrix_product():
-    for d, n in [(2, 1), (3, 1)]:
-        points = all_points(d, n)
-        for u in points:
-            for v in points:
-                sym = (WeylOperator.from_point(u) @ WeylOperator.from_point(v)).matrix()
-                assert np.max(np.abs(sym - weyl(u) @ weyl(v))) <= 1e-12
-
-
 def test_weyl_basis_identity_and_tensor_example():
     m_sub = next(iter(enumerate_lagrangians(2, 2)))
-    assert np.allclose(word(m_sub.generator_vectors(), (0, 0)).matrix(), np.eye(4))
-    q_basis = (pv(2, 2, 0, 0, 1, 0), pv(2, 2, 0, 0, 0, 1))
-    assert np.allclose(word(q_basis, (1, 1)).matrix(), np.kron(X, X))
+    assert np.allclose(word_matrix(2, 2, word(m_sub, (0, 0))), np.eye(4))
+    q_plane = Subspace(2, 4, ((0, 0, 1, 0), (0, 0, 0, 1)))
+    assert np.allclose(word_matrix(2, 2, word(q_plane, (1, 1))), np.kron(X, X))
 
 
 def test_weyl_basis_equals_weyl_for_odd_d():
     for m_sub in list(enumerate_lagrangians(3, 1)) + [list(enumerate_lagrangians(3, 2))[5]]:
-        basis = m_sub.generator_vectors()
-        for coeffs in itertools.product(range(3), repeat=len(basis)):
-            op = word(basis, coeffs)
-            assert np.max(np.abs(op.matrix() - weyl(op.point))) <= 1e-12
+        for coeffs in itertools.product(range(3), repeat=m_sub.dim):
+            w = word(m_sub, coeffs)
+            assert np.max(np.abs(word_matrix(3, m_sub.n, w) - weyl(PhaseVector(3, m_sub.n, w[1])))) <= 1e-12
 
 
 def test_weyl_basis_group_law():
     # true representation on every Lagrangian, also at even d
     for d, n in [(2, 1), (2, 2), (3, 1), (3, 2)]:
         for m_sub in enumerate_lagrangians(d, n):
-            basis = m_sub.generator_vectors()
             coeff_space = list(itertools.product(range(d), repeat=n))
-            ops = {c: word(basis, c) for c in coeff_space}
+            words = {c: word(m_sub, c) for c in coeff_space}
             for a in coeff_space:
                 for b in coeff_space:
                     total = tuple((x + y) % d for x, y in zip(a, b))
-                    assert ops[a] @ ops[b] == ops[total]  # exact symbolic identity
-            mats = {c: op.matrix() for c, op in ops.items()}
+                    # Exact: w_B(a) w_B(b), one word over the basis twice, is w_B(a + b).
+                    assert _word(d, n, m_sub.generators * 2, a + b) == words[total]
+            mats = {c: word_matrix(d, n, w) for c, w in words.items()}
             for a in coeff_space:
                 for b in coeff_space:
                     total = tuple((x + y) % d for x, y in zip(a, b))
@@ -175,21 +165,17 @@ def test_weyl_basis_group_law():
 
 
 def test_basis_weyl_operator_matches_fold():
-    # The closed-form word against the symbolic product folded factor by factor:
+    # The closed-form word against the product rule folded factor by factor:
     # every Lagrangian basis, and the RREF bases of all 1- and 2-dimensional
     # subspaces, isotropic or not; coefficients run over -d..d-1.
     bases = [s for d, n in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)] for s in enumerate_lagrangians(d, n)]
     bases += [s for d, n in [(2, 1), (2, 2), (3, 1), (3, 2)] for k in (1, 2) for s in enumerate_subspaces(d, 2 * n, k)]
     for s in bases:
-        basis = s.generator_vectors()
-        for coeffs in itertools.product(range(-s.d, s.d), repeat=len(basis)):
-            assert word(basis, coeffs) == weyl_word_by_fold(basis, coeffs)
+        for coeffs in itertools.product(range(-s.d, s.d), repeat=s.dim):
+            assert word(s, coeffs) == weyl_word_by_fold(s.d, s.n, s.generators, coeffs)
 
 
 def test_matrix_cap():
     big = PhaseVector.zero(2, 13)  # D = 8192
     with pytest.raises(ResourceCapError):
         weyl(big)
-    # symbolic algebra is unaffected by the cap
-    op = WeylOperator.from_point(big) @ WeylOperator.from_point(big)
-    assert op.point.is_zero()
