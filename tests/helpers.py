@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from stabkit import (
+    Subspace,
     coset_representatives,
     enumerate_subspaces,
     gaussian_binomial,
@@ -43,6 +44,23 @@ def cached_vectors(d: int, n: int) -> list[np.ndarray]:
 def lagrangians_by_filter(d: int, n: int) -> list:
     """Oracle: every n-dim subspace of Z_d^{2n} kept when isotropic, in enumeration order."""
     return [s for s in enumerate_subspaces(d, 2 * n, n) if is_isotropic(s)]
+
+
+def symplectic_complement(sub):
+    """Oracle: W^perp, the kernel of the functionals v -> [v, g] = (g_q | -g_p).v, g a generator of W.
+
+    One kernel vector per non-pivot column j of the functionals' RREF: 1 at j, -row[j] at each pivot.
+    """
+    n = sub.n
+    rows = Subspace.from_rows([g[n:] + tuple(-x for x in g[:n]) for g in sub.generators], d=sub.d, width=2 * n)
+    kernel = []
+    for j in (j for j in range(2 * n) if j not in rows.pivots):
+        v = [0] * (2 * n)
+        v[j] = 1
+        for row, c in zip(rows.generators, rows.pivots):
+            v[c] = -row[j]
+        kernel.append(v)
+    return Subspace.from_rows(kernel, d=sub.d, width=2 * n)
 
 
 def weyl_word_by_fold(d, n, rows, coefficients) -> tuple[int, tuple[int, ...]]:

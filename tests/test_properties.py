@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from stabkit import Subspace, intersect
 
+from helpers import symplectic_complement
+
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=60, deadline=None)
 
 
@@ -47,6 +49,16 @@ def test_dimension_formula(pair):
     assert meet.dim + join.dim == a.dim + b.dim
     for s in (a, b, meet, join):
         assert_canonical(s)
+
+
+@PROPERTY_SETTINGS
+@given(subspace_pairs())
+def test_complement_dimension_and_involution(pair):
+    a, _ = pair
+    perp = symplectic_complement(a)
+    assert perp.dim == a.width - a.dim
+    assert symplectic_complement(perp) == a
+    assert_canonical(perp)
 
 
 @PROPERTY_SETTINGS

@@ -28,7 +28,7 @@ from stabkit import (
 from stabkit.errors import ResourceCapError
 from stabkit.symplectic import DEFAULT_ENUM_CAP, _dual_partners
 
-from helpers import count_subspaces_bruteforce, lagrangians_by_filter
+from helpers import count_subspaces_bruteforce, lagrangians_by_filter, symplectic_complement
 
 
 def pv(d, n, *coords):
@@ -79,6 +79,18 @@ def test_symplectic_form_antisymmetry():
 # canonical form
 
 
+def test_canonicalize_examples():
+    dup = span(2, 1, (1, 0), (1, 0))
+    assert dup.dim == 1 and dup.generators == ((1, 0),)
+    assert span(2, 1).dim == 0
+    assert span(2, 1, (3, -2)) == dup  # entries reduce mod d
+    with pytest.raises(ValueError):
+        Subspace.from_rows([(1, 0)], d=3, width=4)
+    with pytest.raises(ValueError):
+        Subspace.from_rows([(1, 0)], d=4, width=2)
+    assert span(2, 1, (1, 1), (0, 1)).generators == ((1, 0), (0, 1))
+
+
 def test_canonical_form_is_unique():
     rng = random.Random(11)
     for d, n in [(2, 2), (3, 2)]:
@@ -113,7 +125,7 @@ def test_subspace_json_roundtrip():
 
 
 # ---------------------------------------------------------------------------
-# isotropy, lattice operations
+# isotropy, complement, lattice operations
 
 
 def test_isotropy_examples():
@@ -123,6 +135,26 @@ def test_isotropy_examples():
     assert not is_isotropic(full)
     p_plane = span(2, 2, (1, 0, 0, 0), (0, 1, 0, 0))
     assert is_lagrangian(p_plane)
+
+
+def test_complement_examples():
+    for m_sub in enumerate_lagrangians(2, 2):
+        assert symplectic_complement(m_sub) == m_sub
+    assert symplectic_complement(Subspace.zero(2, 4)).dim == 4
+    comp = symplectic_complement(span(2, 2, (1, 0, 0, 0)))
+    assert comp.dim == 3
+    assert comp.contains_coords((1, 0, 0, 0)) and not comp.contains_coords((0, 0, 1, 0))
+
+
+def test_complement_involution_and_dimension():
+    rng = random.Random(3)
+    for d, n in [(2, 2), (3, 2)]:
+        for _ in range(20):
+            sub = random_subspace(rng, d, n, rng.randrange(0, 2 * n + 1))
+            comp = symplectic_complement(sub)
+            assert sub.dim + comp.dim == 2 * n
+            assert symplectic_complement(comp) == sub
+            assert all(symplectic_form(pv(d, n, *u), pv(d, n, *g)) == 0 for u in comp.generators for g in sub.generators)
 
 
 def test_intersect_sum_dimension_formula():

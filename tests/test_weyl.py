@@ -132,6 +132,16 @@ def test_a_wrong_omega_fails_commutation_in_both_paths(monkeypatch):
     assert comp_ok is True and all(verify_composition(u, v) for u in points for v in points)
 
 
+def test_symbolic_product_matches_matrix_product():
+    # The integer product rule of the fold oracle, tau^e zx(P | Q), against the dense product w(u) w(v).
+    for d, n in [(2, 1), (3, 1)]:
+        points = all_points(d, n)
+        for u in points:
+            for v in points:
+                product = weyl_word_by_fold(d, n, [u.coords, v.coords], (1, 1))
+                assert np.max(np.abs(word_matrix(d, n, product) - weyl(u) @ weyl(v))) <= 1e-12
+
+
 def test_weyl_basis_identity_and_tensor_example():
     m_sub = next(iter(enumerate_lagrangians(2, 2)))
     assert np.allclose(word_matrix(2, 2, word(m_sub, (0, 0))), np.eye(4))
