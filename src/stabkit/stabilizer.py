@@ -29,8 +29,9 @@ amplitude real positive exactly.
 Overlaps: |<M,zeta|N,iota>|^2 is d^{-n} |M cap N| when lambda_M(zeta, .) and
 lambda_N(iota, .) agree on every point M and N share, and 0 otherwise, since
 two stabilizer states overlap exactly when every shared Weyl operator has
-the same eigenvalue on both. The shared points are found by their indices,
-with no subspace intersection.
+the same eigenvalue on both. PhaseTable.overlaps matches one table's keys
+against a batch of tables at once: the shared points are found by their
+indices through one lookup array, with no subspace intersection.
 """
 
 from __future__ import annotations
@@ -132,17 +133,25 @@ class PhaseTable:
         """e_M(m) in w_B(m) = tau^{e_M(m)} z(P_m) x(Q_m), in the order of points."""
         return self.keys[0]
 
-    def overlap_keys(self, other: "PhaseTable") -> tuple[Fraction, np.ndarray, np.ndarray]:
-        """d^{-n} |M cap N| and the lambda columns of both tables on the shared points.
+    def overlaps(self, others: Sequence["PhaseTable"]) -> tuple[list[Fraction], np.ndarray]:
+        """The overlap rule of this table's states against those of each table N in others, in one key match.
 
-        The i-th state of M and the j-th of N overlap with that value when
-        row i of the first key array equals row j of the second, and are
-        orthogonal otherwise.
+        Returns d^{-n} |M cap N| for each N, and a boolean array of shape
+        (len(others), rows here, rows of N): the i-th state of M and the j-th
+        of N overlap with that value where it is True, and are orthogonal
+        where it is False. The tables in others must have equally many rows.
+        Working memory is len(others) * rows^2 * d^n booleans.
         """
-        if (self.d, self.n) != (other.d, other.n):
-            raise ValueError("states live in different spaces")
-        shared, mine, theirs = np.intersect1d(self.points, other.points, assume_unique=True, return_indices=True)
-        return Fraction(len(shared), self.d**self.n), self.keys[:, mine], other.keys[:, theirs]
+        if not others or any((t.d, t.n) != (self.d, self.n) for t in others):
+            raise ValueError("needs tables of states in the same space")
+        column = np.full(self.d ** (2 * self.n), -1)  # column[p]: the column of point p here, or -1 off M
+        column[self.points] = np.arange(len(self.points))
+        mine = column[np.stack([t.points for t in others])]  # (N, element of N)
+        shared = mine >= 0
+        # lambda of M's states at each element of N, read where that element is in M and ignored elsewhere.
+        agree = self.keys[:, mine].swapaxes(0, 1)[:, :, None] == np.stack([t.keys for t in others])[:, None]
+        hits = (agree | ~shared[:, None, None]).all(-1)
+        return [Fraction(int(size), self.d**self.n) for size in shared.sum(1)], hits
 
     def vectors(self, *, cap: int = DEFAULT_MATRIX_CAP) -> np.ndarray:
         """The state vector of each key row, by the module's closed form: one row per state."""
@@ -210,8 +219,8 @@ def overlap_exact(a: StabilizerState, b: StabilizerState) -> Fraction:
     """|<M,zeta|N,iota>|^2 of the realized states, as an exact rational."""
     # One key row per state: lambda of its own zeta only.
     (table_a,), (table_b,) = (_table([s.lagrangian], np.array([s.zeta.coords])) for s in (a, b))
-    value, key_a, key_b = table_a.overlap_keys(table_b)
-    return value if np.array_equal(key_a, key_b) else Fraction(0)
+    (value,), hits = table_a.overlaps([table_b])
+    return value if hits[0, 0, 0] else Fraction(0)
 
 
 def enumerate_states(d: int, n: int, *, cap: int = DEFAULT_STATE_CAP) -> Iterator[StabilizerState]:

@@ -8,9 +8,10 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from stabkit import FramePotentialReport, ResourceCapError, StabilizerState, Subspace
+from stabkit import FramePotentialReport, PhaseTable, ResourceCapError, StabilizerState, Subspace
 from stabkit.cli import main, run_verification
 
 from helpers import lagrangians_by_filter, source_env
@@ -169,6 +170,19 @@ def test_enumerate_spectrum():
     ]
 
 
+def test_format_is_a_usage_error_outside_the_spectrum():
+    for what in ("lagrangians", "states"):
+        for fmt in ("table", "csv", "json"):
+            code, out, err = run_cli(["enumerate", what, "--d", "2", "--n", "1", "--format", fmt])
+            assert code == 2 and out == ""
+            assert err == f"error: --format applies to the spectrum only, not to {what}\n"
+    # The spectrum's default format stays the table.
+    spectrum = ["enumerate", "spectrum", "--d", "2", "--n", "2"]
+    default = run_cli(spectrum)
+    assert default == run_cli([*spectrum, "--format", "table"])
+    assert default[1].splitlines()[0].split() == ["k", "count", "formula", "match"]
+
+
 def test_verify_passes():
     code, out, _ = run_cli(["verify", "--d", "2", "--n", "1", "--t-max", "4"])
     assert code == 0
@@ -293,6 +307,87 @@ def test_verify_builds_one_phase_table_per_lagrangian(monkeypatch):
     checks = run_verification(2, 2, 4)
     assert all(c.passed for c in checks)
     assert len(built) == len(set(built)) == 15
+
+
+def test_verify_runs_the_overlap_rule_once_per_lagrangian(monkeypatch):
+    # One batched key match per M against every N >= M, not one call per Lagrangian pair.
+    calls = []
+    real_overlaps = PhaseTable.overlaps
+
+    def overlaps(self, others):
+        calls.append(len(others))
+        return real_overlaps(self, others)
+
+    monkeypatch.setattr(PhaseTable, "overlaps", overlaps)
+    checks = run_verification(2, 2, 4)
+    assert all(c.passed for c in checks)
+    assert calls == list(range(15, 0, -1))
+    assert sum(calls) == 15 * 16 // 2
+
+
+def test_verify_state_checks_fail_on_one_flipped_amplitude(monkeypatch):
+    # Negate one amplitude of one state with two or more nonzero amplitudes: the
+    # batched eigenvalue and overlap checks must both see it.
+    real_vectors = PhaseTable.vectors
+
+    for d, n in [(2, 2), (3, 1)]:
+        flipped = []
+
+        def vectors(self, **kwargs):
+            vecs = real_vectors(self, **kwargs)
+            support = np.flatnonzero(vecs[0])
+            if not flipped and len(support) > 1:
+                vecs[0, support[-1]] *= -1
+                flipped.append(self)
+            return vecs
+
+        monkeypatch.setattr(PhaseTable, "vectors", vectors)
+        passed = {c.name: c.passed for c in run_verification(d, n, 4)}
+        assert len(flipped) == 1
+        assert not passed["state-eigenvalue"]
+        assert not passed["overlap-exact-numeric"]
+        assert passed["lagrangian-count"] and passed["engines-exact"]
+
+
+# The full verify output of the per-pair implementation, floats included: the
+# batched checks must reproduce it to the byte.
+VERIFY_D2N2 = """\
+verify d=2 n=2 t-max=4
+  lagrangian-count         PASS  enumerated 15, formula 15
+  kappa-spectrum           PASS  k=0:8 k=1:6 k=2:1
+  transversal-count        PASS  enumerated 8, formula 8
+  weyl-composition         PASS  256 pairs
+  weyl-commutation         PASS  256 pairs
+  weyl-trace               PASS  16 operators, max dev 0.00e+00
+  state-eigenvalue         PASS  60 states, max residual 0.00e+00
+  basis-gram               PASS  15 bases, max dev 2.22e-16
+  overlap-exact-numeric    PASS  3600 pairs, max dev 4.44e-16
+  engines-exact            PASS  t=1..4 recursion == combinatorial
+  engines-numeric          PASS  bruteforce and fixed-state, max dev 4.16e-17
+  welch-pattern            PASS  designs: t=1:yes t=2:yes t=3:yes t=4:no
+result: PASS (12/12 checks)
+"""
+VERIFY_D3N2 = """\
+verify d=3 n=2 t-max=4
+  lagrangian-count         PASS  enumerated 40, formula 40
+  kappa-spectrum           PASS  k=0:27 k=1:12 k=2:1
+  transversal-count        PASS  enumerated 27, formula 27
+  weyl-composition         PASS  6561 pairs
+  weyl-commutation         PASS  6561 pairs
+  weyl-trace               PASS  81 operators, max dev 1.20e-15
+  state-eigenvalue         PASS  360 states, max residual 1.55e-15
+  basis-gram               PASS  40 bases, max dev 4.44e-16
+  overlap-exact-numeric    PASS  129600 pairs, max dev 8.88e-16
+  engines-exact            PASS  t=1..4 recursion == combinatorial
+  engines-numeric          PASS  bruteforce and fixed-state, max dev 4.16e-17
+  welch-pattern            PASS  designs: t=1:yes t=2:yes t=3:no t=4:no
+result: PASS (12/12 checks)
+"""
+
+
+def test_verify_output_is_pinned_to_the_byte():
+    assert run_cli(["verify", "--d", "2", "--n", "2"]) == (0, VERIFY_D2N2, "")
+    assert run_cli(["verify", "--d", "3", "--n", "2"]) == (0, VERIFY_D3N2, "")
 
 
 def test_verify_matrix_cap_exits_3(monkeypatch):

@@ -45,9 +45,9 @@ from stabkit.weyl import _omega_power, _word, tau_order
 
 
 def overlap_block(m_sub, n_sub):
-    """The overlap of every state of M (rows) with every state of N, by PhaseTable.overlap_keys."""
-    value, keys_m, keys_n = phase_table(m_sub).overlap_keys(phase_table(n_sub))
-    return [[value if hit else 0 for hit in row] for row in (keys_m[:, None] == keys_n[None, :]).all(-1).tolist()]
+    """The overlap of every state of M (rows) with every state of N, by PhaseTable.overlaps."""
+    (value,), (hits,) = phase_table(m_sub).overlaps([phase_table(n_sub)])
+    return [[value if hit else 0 for hit in row] for row in hits.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -296,35 +296,61 @@ def test_overlap_table_needs_no_operator_or_representative_objects(monkeypatch):
                 assert row == [overlap_exact(a, b) for b in states[n_sub]]
 
 
-def test_overlap_keys_give_the_table_as_a_mask():
+def test_overlaps_give_the_table_as_a_mask():
     # dim(M cap N) = 0 leaves only the shared point 0, whose key is 0, and then every pair overlaps.
     for d, n in [(2, 2), (3, 1)]:
         lagrangians = list(enumerate_lagrangians(d, n))
+        tables = [phase_table(m_sub) for m_sub in lagrangians]
         states = {m_sub: [StabilizerState(m_sub, zeta) for zeta in coset_representatives(m_sub)] for m_sub in lagrangians}
-        for m_sub in lagrangians:
-            for n_sub in lagrangians:
-                value, keys_m, keys_n = phase_table(m_sub).overlap_keys(phase_table(n_sub))
+        for m_sub, table in zip(lagrangians, tables):
+            values, hits = table.overlaps(tables)
+            assert hits.shape == (len(tables), d**n, d**n) and hits.dtype == bool
+            for n_sub, value, mask in zip(lagrangians, values, hits):
                 k = intersect(m_sub, n_sub).dim
                 assert value == Fraction(d**k, d**n)
-                assert keys_m.shape == keys_n.shape == (d**n, d**k)
-                block = float(value) * (keys_m[:, None] == keys_n[None, :]).all(-1)
+                block = float(value) * mask
                 exact = [[float(overlap_exact(a, b)) for b in states[n_sub]] for a in states[m_sub]]
                 assert np.array_equal(block, np.array(exact))
                 if k == 0:
-                    assert np.all(block == float(value))
+                    assert mask.all()
+
+
+def test_overlaps_refuse_tables_of_another_space():
+    table, other_n, other_d = (phase_table(next(enumerate_lagrangians(d, n))) for d, n in [(2, 2), (2, 1), (3, 2)])
+    for others in ([], [other_n], [table, other_d]):
+        with pytest.raises(ValueError):
+            table.overlaps(others)
 
 
 def test_phase_table_matches_the_intersection_witness():
     # Keys on every shared point against keys on the generators of M cap N: same value, same mask.
-    for d, n in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)]:
-        tables = [(m_sub, phase_table(m_sub)) for m_sub in enumerate_lagrangians(d, n)]
-        for m_sub, m_table in tables:
-            for n_sub, n_table in tables:
-                value, keys_m, keys_n = m_table.overlap_keys(n_table)
+    # (2, 2), (3, 1), (3, 2) and (5, 1) are in test_batched_overlap_rule_matches_the_pairwise_witnesses.
+    for d, n in [(2, 1), (2, 3)]:
+        lagrangians = list(enumerate_lagrangians(d, n))
+        tables = [phase_table(m_sub) for m_sub in lagrangians]
+        for m_sub, table in zip(lagrangians, tables):
+            for n_sub, value, mask in zip(lagrangians, *table.overlaps(tables)):
                 witness, wit_m, wit_n = overlap_keys_by_intersection(m_sub, n_sub)
                 assert value == witness
-                mask = (keys_m[:, None] == keys_n[None, :]).all(-1)
                 assert np.array_equal(mask, (wit_m[:, None] == wit_n[None, :]).all(-1))
+
+
+def test_batched_overlap_rule_matches_the_pairwise_witnesses():
+    # One call per M against every N: each block must equal the intersection witness, and
+    # overlap_exact (the rule's batch of one) on an overlapping and an orthogonal pair of states.
+    for d, n in [(2, 2), (3, 1), (3, 2), (5, 1)]:
+        lagrangians = list(enumerate_lagrangians(d, n))
+        tables = [phase_table(m_sub) for m_sub in lagrangians]
+        states = {m_sub: [StabilizerState(m_sub, zeta) for zeta in coset_representatives(m_sub)] for m_sub in lagrangians}
+        for m_sub, table in zip(lagrangians, tables):
+            values, hits = table.overlaps(tables)
+            assert len(values) == len(hits) == len(tables)
+            for n_sub, value, mask in zip(lagrangians, values, hits):
+                witness, wit_m, wit_n = overlap_keys_by_intersection(m_sub, n_sub)
+                assert value == witness
+                assert np.array_equal(mask, (wit_m[:, None] == wit_n[None, :]).all(-1))
+                for i, j in [*np.argwhere(mask)[:1], *np.argwhere(~mask)[:1]]:
+                    assert overlap_exact(states[m_sub][i], states[n_sub][j]) == (value if mask[i, j] else 0)
 
 
 def test_phase_table_entries_match_the_word_closed_form():
