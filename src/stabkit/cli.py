@@ -365,7 +365,7 @@ def run_verification(
         for start in range(mi, len(tables), block):
             amps = np.conj(basis) @ bases[start : start + block].swapaxes(1, 2)
             values, hits = table.overlaps(tables[start : start + block])
-            exact = np.array([float(value) for value in values])[:, None, None] * hits
+            exact = np.array(values, dtype=float)[:, None, None] * hits
             overlap_dev = max(overlap_dev, float(np.max(np.abs(amps.real**2 + amps.imag**2 - exact))))
     checks.append(CheckResult("state-eigenvalue", eigen_dev <= 1e-10, f"{count} states, max residual {eigen_dev:.2e}"))
     checks.append(CheckResult("basis-gram", gram_dev <= 1e-10, f"{len(bases)} bases, max dev {gram_dev:.2e}"))

@@ -310,7 +310,7 @@ def test_verify_builds_one_phase_table_per_lagrangian(monkeypatch):
 
 
 def test_verify_runs_the_overlap_rule_once_per_lagrangian(monkeypatch):
-    # One batched key match per M against every N >= M, not one call per Lagrangian pair.
+    # One batched key match per M against every N >= M, not one call per Lagrangian pair (120 at (2, 2)).
     calls = []
     real_overlaps = PhaseTable.overlaps
 
@@ -322,7 +322,6 @@ def test_verify_runs_the_overlap_rule_once_per_lagrangian(monkeypatch):
     checks = run_verification(2, 2, 4)
     assert all(c.passed for c in checks)
     assert calls == list(range(15, 0, -1))
-    assert sum(calls) == 15 * 16 // 2
 
 
 def test_verify_state_checks_fail_on_one_flipped_amplitude(monkeypatch):
