@@ -23,6 +23,7 @@ from .potential import (
     frame_potentials_bruteforce,
     frame_potential_combinatorial,
     frame_potential_fixed_state,
+    frame_potentials_fixed_state,
     frame_potential_recursion,
     frame_potential_report,
 )
@@ -34,6 +35,7 @@ from .stabilizer import (
     phase_table,
     realized_states,
     stabilizer_basis,
+    state_blocks,
     state_vectors,
     weyl_representation,
 )

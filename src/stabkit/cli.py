@@ -157,20 +157,15 @@ def cmd_frame_potential(args) -> int:
     reports = []
     for n in args.n:
         engine = _plan_numeric_engine(args.d, n, args.method, args)
-        vectors = None
-        if engine is not None:  # one stack, shared by every t
+        if engine == "bruteforce":  # one stack, shared by every t
             vectors = stabilizer.state_vectors(args.d, n, state_cap=args.state_cap, matrix_cap=args.matrix_cap)
-        if engine == "bruteforce":
             values = potential.frame_potentials_bruteforce(
                 args.d, n, args.t, pair_cap=args.pair_cap, matrix_cap=args.matrix_cap, vectors=vectors
             )
-        elif engine == "fixed-state":
-            values = [
-                potential.frame_potential_fixed_state(
-                    args.d, n, t, state_cap=args.state_cap, matrix_cap=args.matrix_cap, vectors=vectors
-                )
-                for t in args.t
-            ]
+        elif engine == "fixed-state":  # realized a block at a time; one row of overlaps, shared by every t
+            values = potential.frame_potentials_fixed_state(
+                args.d, n, args.t, state_cap=args.state_cap, matrix_cap=args.matrix_cap
+            )
         else:
             values = [None] * len(args.t)
         for t, value in zip(args.t, values):
@@ -238,6 +233,8 @@ def _format_table(rows: list[list[str]]) -> str:
 def cmd_enumerate(args) -> int:
     if args.format is not None and args.what != "spectrum":
         raise ValueError(f"--format applies to the spectrum only, not to {args.what}")
+    if args.realize and args.what != "states":
+        raise ValueError(f"--realize applies to states only, not to {args.what}")
     require_prime(args.d)
     if args.what == "lagrangians":
         lines = [
@@ -378,13 +375,11 @@ def run_verification(
     vectors = bases.reshape(-1, dim)
     ts = range(1, t_max + 1)
     brutes = potential.frame_potentials_bruteforce(d, n, ts, pair_cap=pair_cap, matrix_cap=matrix_cap, vectors=vectors)
-    for t, brute in zip(ts, brutes):
+    fixeds = potential.frame_potentials_fixed_state(d, n, ts, state_cap=state_cap, matrix_cap=matrix_cap, vectors=vectors)
+    for t, brute, fixed in zip(ts, brutes, fixeds):
         rec = potential.frame_potential_recursion(d, n, t)
         comb = potential.frame_potential_combinatorial(d, n, t)
         exact_ok = exact_ok and rec == comb
-        fixed = potential.frame_potential_fixed_state(
-            d, n, t, state_cap=state_cap, matrix_cap=matrix_cap, vectors=vectors
-        )
         numeric_dev = max(numeric_dev, abs(brute - float(comb)), abs(fixed - float(comb)))
     checks.append(CheckResult("engines-exact", exact_ok, f"t=1..{t_max} recursion == combinatorial"))
     checks.append(

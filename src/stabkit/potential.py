@@ -9,14 +9,16 @@ Two exact engines return identical rationals by construction of the theory:
 
 Two floating-point engines recompute the same quantity from realized state
 vectors: the full double sum over pairs, and the single fixed-reference sum
-that orbit symmetry makes equivalent. Both run one single-threaded row kernel,
-and every sum uses a fixed pairwise-tree order whose shape depends only on the
-length of the list summed, so results do not depend on how rows are blocked.
+that orbit symmetry makes equivalent. Both are single-threaded, and every sum
+uses a fixed pairwise-tree order whose shape depends only on the length of the
+list summed, so results do not depend on how rows are blocked.
 
-The kernel takes a list of moments t: each block of rows gets its overlaps
-|<x_i, x_j>|^2 once, and only the power and the tree run once per t. So
-frame_potentials_bruteforce sweeps t = 1..T for the price of one product per
-row, with the same bits as one frame_potential_bruteforce call per t.
+Both take a list of moments t: the overlaps |<x_i, x_j>|^2 are computed once,
+and only the power and the tree run once per t, with the same bits as one call
+per t. The brute-force engine reads the whole (S, d^n) stack of state vectors,
+a block of rows at a time. The fixed-reference sum needs only the row of
+reference overlaps: frame_potentials_fixed_state streams the states a block at
+a time from stabilizer.state_blocks and keeps just those S overlaps.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 
 from .combinatorics import gaussian_binomial, require_prime, stabilizer_count, welch_bound
 from .errors import check_cap, json_field
-from .stabilizer import DEFAULT_STATE_CAP, state_vectors
+from .stabilizer import DEFAULT_STATE_CAP, state_blocks, state_vectors
 from .weyl import DEFAULT_MATRIX_CAP
 
 DEFAULT_PAIR_CAP = 25_000_000
@@ -149,6 +151,45 @@ def frame_potential_bruteforce(
     return frame_potentials_bruteforce(d, n, [t], pair_cap=pair_cap, matrix_cap=matrix_cap, vectors=vectors)[0]
 
 
+def frame_potentials_fixed_state(
+    d: int,
+    n: int,
+    ts: Sequence[int],
+    *,
+    state_cap: int = DEFAULT_STATE_CAP,
+    matrix_cap: int = DEFAULT_MATRIX_CAP,
+    vectors: Sequence[np.ndarray] | np.ndarray | None = None,
+) -> list[float]:
+    """S^{-1} sum_i |<x_ref, x_i>|^{2t} with x_ref = |M_0, 0>, for each t in ts.
+
+    Orbit symmetry of the ensemble makes the single fixed-reference sum equal
+    the full double sum; x_ref is the first enumerated state, whose coset
+    representative is the zero vector. ``vectors``, when given, must hold the
+    realized state vectors in enumeration order. Without them the states are
+    realized a block at a time (stabilizer.state_blocks) and only their S
+    overlaps with x_ref are kept, so memory is O(S) floats, not the (S, d^n)
+    stack. The overlaps are computed once, and only the power and the tree run
+    per t.
+    """
+    for t in ts:
+        _validate(d, n, t)
+    count = stabilizer_count(d, n)
+    check_cap("fixed-state sum states", count, state_cap)
+    if vectors is None:
+        blocks = state_blocks(d, n, state_cap=state_cap, matrix_cap=matrix_cap)
+    else:
+        blocks = [_state_stack(vectors, count, d, n, state_cap=state_cap, matrix_cap=matrix_cap)]
+    sq = np.empty(count)
+    start = 0
+    for block in blocks:
+        if start == 0:  # x_ref is the first row of the first block
+            ref = np.conj(block[0])
+        amps = block @ ref
+        sq[start : start + len(block)] = amps.real**2 + amps.imag**2
+        start += len(block)
+    return [_pairwise_sum(sq**t) / count for t in ts]
+
+
 def frame_potential_fixed_state(
     d: int,
     n: int,
@@ -158,18 +199,8 @@ def frame_potential_fixed_state(
     matrix_cap: int = DEFAULT_MATRIX_CAP,
     vectors: Sequence[np.ndarray] | np.ndarray | None = None,
 ) -> float:
-    """S^{-1} sum_i |<x_ref, x_i>|^{2t} with x_ref = |M_0, 0>.
-
-    Orbit symmetry of the ensemble makes the single fixed-reference sum equal
-    the full double sum; x_ref is the first enumerated state, whose coset
-    representative is the zero vector. ``vectors``, when given, must hold the
-    realized state vectors in enumeration order.
-    """
-    _validate(d, n, t)
-    count = stabilizer_count(d, n)
-    check_cap("fixed-state sum states", count, state_cap)
-    stack = _state_stack(vectors, count, d, n, state_cap=state_cap, matrix_cap=matrix_cap)
-    return _pairwise_sum(_row_sums(stack, range(1), [t])[0]) / count
+    """frame_potentials_fixed_state for one t."""
+    return frame_potentials_fixed_state(d, n, [t], state_cap=state_cap, matrix_cap=matrix_cap, vectors=vectors)[0]
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,11 @@ are. Weyl operators w_B use M's canonical generator list B as basis.
 
 One integer table per Lagrangian (phase_table) drives both realization and
 the overlap rule. Lagrangians of one pivot pattern share their coset rows, so
-state_vectors builds their tables a batch at a time and realizes the whole
-ensemble into one (S(d,n), d^n) stack; realized_states pairs each state with
-a row view of it. For every m in M, in lexicographic coefficient order,
+state_blocks builds their tables a block at a time, runs the closed form once
+per block, and yields each block's (states, d^n) vectors in enumeration order.
+state_vectors stacks those blocks into one (S(d,n), d^n) array, and
+realized_states pairs each state with a row view of it. For every m in M, in
+lexicographic coefficient order,
 w_B(m) = tau^{e_M(m)} z(P_m) x(Q_m) (the closed form of weyl._word), and
 
     lambda(zeta, m) = (2[zeta,m] + e_M(m)) mod the order of tau,
@@ -37,7 +39,6 @@ indices through one lookup array, with no subspace intersection.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -59,6 +60,7 @@ from .symplectic import (
 )
 
 DEFAULT_STATE_CAP = 10**6
+_BLOCK_KEYS = 2**14  # table keys per realized block; the fill's temporaries scale with it
 
 
 @dataclass(frozen=True)
@@ -156,25 +158,7 @@ class PhaseTable:
     def vectors(self, *, cap: int = DEFAULT_MATRIX_CAP) -> np.ndarray:
         """The state vector of each key row, by the module's closed form: one row per state."""
         check_cap("matrix dimension", self.d**self.n, cap)
-        vecs = np.zeros((len(self.keys), self.d**self.n), dtype=np.complex128)
-        self._fill(_lex_points(self.d, self.n), _tau_powers(self.d), vecs)
-        return vecs
-
-    def _fill(self, grid: np.ndarray, taus: np.ndarray, out: np.ndarray) -> None:
-        """Write vectors() into the zeroed rows of out; the caller builds grid = _lex_points(d, n) and taus."""
-        d, n, order = self.d, self.n, len(taus)
-        p, q = self.rows[:, :n], self.rows[:, n:]
-        # k(zeta, m, x) over (coset, element), less its x-dependent term 2 P_m.x.
-        k = self.keys + 2 * (p * q).sum(1)
-        z_only = ~q.any(1)
-        fixed = ((k[:, z_only, None] + 2 * p[z_only] @ grid.T) % order == 0).all(1)
-        if not fixed.any(1).all():
-            raise RuntimeError("no basis point is fixed by the Z-only elements")
-        x0 = grid[fixed.argmax(1)]  # grid holds the basis points x
-        k = (k + 2 * x0 @ p.T) % order
-        support = ((x0[:, None, :] + q) % d) @ d ** np.arange(n - 1, -1, -1)
-        modulus = 1 / math.sqrt(d**n // int(z_only.sum()))  # |Q(M)|^{-1/2}, as |Q(M)| |M_Z| = |M|
-        out[np.arange(len(k))[:, None], support] = modulus * taus[k]
+        return _fill(self.d, self.n, self.rows[None], self.keys[None])[0]
 
 
 def _lex_points(d: int, n: int) -> np.ndarray:
@@ -182,10 +166,11 @@ def _lex_points(d: int, n: int) -> np.ndarray:
     return np.indices((d,) * n).reshape(n, -1).T
 
 
-def _table(m_subs: Sequence[Subspace], cosets: np.ndarray) -> list[PhaseTable]:
-    """The table of each Lagrangian of one pivot pattern, over that pattern's coset rows (zero coset first).
+def _block(m_subs: Sequence[Subspace], cosets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stacked rows (table, element, 2n) and keys (table, coset, element) of Lagrangians of one pivot pattern.
 
-    With generator rows (p_i | q_i) and coefficients c, the element is c.G mod d
+    The keys run over that pattern's coset rows, zero coset first. With
+    generator rows (p_i | q_i) and coefficients c, the element is c.G mod d
     and weyl._word's exponent is e(c) = -c^T (diag(p_i.q_i) + 2 triu(Q P^T, 1)) c:
     the matrix is q_i.p_j weighted 1 on the diagonal, 2 above it and 0 below.
     2[zeta,m] may use the integer lift, since 2 (x mod d) = 2x (mod 2d).
@@ -198,8 +183,44 @@ def _table(m_subs: Sequence[Subspace], cosets: np.ndarray) -> list[PhaseTable]:
     e = -((coeffs @ ((q @ p.swapaxes(1, 2)) * (1 + np.sign(i[None, :] - i[:, None])))) * coeffs).sum(-1)
     rows = coeffs @ gens % d
     form = cosets[:, :n] @ rows[..., n:].swapaxes(1, 2) - cosets[:, n:] @ rows[..., :n].swapaxes(1, 2)
-    keys = (2 * form + e[:, None, :]) % tau_order(d)
+    return rows, (2 * form + e[:, None, :]) % tau_order(d)
+
+
+def _table(m_subs: Sequence[Subspace], cosets: np.ndarray) -> list[PhaseTable]:
+    """The PhaseTable of each Lagrangian of one pivot pattern, from _block."""
+    d, n = m_subs[0].d, m_subs[0].n
+    rows, keys = _block(m_subs, cosets)
     return [PhaseTable(d, n, *arrays) for arrays in zip(rows, _point_index(rows, d), keys)]
+
+
+def _fill(d: int, n: int, rows: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """The vectors of a block of tables by the module's closed form, shape (table, key row, d^n).
+
+    rows and keys are stacked as _block returns them. Beyond the vectors, no
+    temporary is much larger than keys: the Z-only elements are tested one
+    element column at a time, and points are added through a table of their sums.
+    """
+    taus = _tau_powers(d)
+    order, grid = len(taus), _lex_points(d, n)
+    weights = d ** np.arange(n - 1, -1, -1)  # point @ weights is the point's index in grid
+    p, q = rows[..., :n], rows[..., n:]
+    # k(zeta, m, x) over (table, coset, element), less its x-dependent term 2 P_m.x.
+    k = keys + 2 * (p * q).sum(-1)[:, None, :]
+    z_only = ~q.any(-1)
+    x_terms = 2 * p @ grid.T  # 2 P_m.x over (table, element, x)
+    fixed = np.ones((*k.shape[:2], len(grid)), dtype=bool)
+    for j in np.flatnonzero(z_only.any(0))[1:]:  # element 0 is m = 0, whose k is 0
+        fixed &= ((k[:, :, j, None] + x_terms[:, None, j]) % order == 0) | ~z_only[:, j, None, None]
+    if not fixed.any(-1).all():
+        raise RuntimeError("no basis point is fixed by the Z-only elements")
+    x0 = fixed.argmax(-1)  # the index of x0 in grid, per (table, coset)
+    k = (k + np.take_along_axis(x_terms.swapaxes(1, 2), x0[..., None], axis=1)) % order  # adds 2 P_m.x0
+    sums = ((grid[:, None] + grid) % d) @ weights  # sums[a, b]: the index of point a + point b mod d
+    support = sums[x0[..., None], (q @ weights)[:, None]]  # x0 + Q_m
+    modulus = 1 / np.sqrt(d**n // z_only.sum(1))  # |Q(M)|^{-1/2}, as |Q(M)| |M_Z| = |M|
+    out = np.zeros((*k.shape[:2], d**n), dtype=np.complex128)
+    np.put_along_axis(out, support, modulus[:, None, None] * taus[k], axis=2)
+    return out
 
 
 def phase_table(m_sub: Subspace) -> PhaseTable:
@@ -234,29 +255,42 @@ def enumerate_states(d: int, n: int, *, cap: int = DEFAULT_STATE_CAP) -> Iterato
     )
 
 
-def state_vectors(
+def state_blocks(
     d: int, n: int, *, state_cap: int = DEFAULT_STATE_CAP, matrix_cap: int = DEFAULT_MATRIX_CAP
-) -> np.ndarray:
-    """Every stabilizer state's vector as one (S(d,n), d^n) stack, rows in enumeration order.
+) -> Iterator[np.ndarray]:
+    """Every stabilizer state's vector, one (states, d^n) block of rows at a time, in enumeration order.
 
-    The tables are built in blocks of Lagrangians of one pivot pattern, at most
-    about 2^16 keys each, so working memory beyond the stack stays one block.
+    A block holds the states of a run of Lagrangians of one pivot pattern, at
+    most about 2^14 keys of their tables (one Lagrangian at least). Both caps are
+    checked by this call, before any block is built; the first row of the first
+    block is |M_0, 0>.
     """
     require_prime(d)
-    count, dim = stabilizer_count(d, n), d**n
-    check_cap("realized states", count, state_cap)
-    check_cap("matrix dimension", dim, matrix_cap)
-    out = np.zeros((count, dim), dtype=np.complex128)
-    grid, taus = _lex_points(d, n), _tau_powers(d)
-    block = max(1, 2**16 // dim**2)  # Lagrangians per block
-    bases = iter(out.reshape(-1, dim, dim))  # one (d^n, d^n) view per Lagrangian
+    check_cap("realized states", stabilizer_count(d, n), state_cap)
+    check_cap("matrix dimension", d**n, matrix_cap)
+    return _state_blocks(d, n)
+
+
+def _state_blocks(d: int, n: int) -> Iterator[np.ndarray]:
+    per_block = max(1, _BLOCK_KEYS // d ** (2 * n))  # Lagrangians per block
     for _, group in itertools.groupby(enumerate_lagrangians(d, n), key=lambda m_sub: m_sub.pivots):
-        while batch := list(itertools.islice(group, block)):
+        while batch := list(itertools.islice(group, per_block)):
             cosets = np.array(list(_coset_rows(batch[0])))
             if cosets[0].any():  # exponents, and the fixed-state reference |M_0, 0>, need it
                 raise RuntimeError("the zero coset must come first")
-            for table in _table(batch, cosets):
-                table._fill(grid, taus, next(bases))
+            yield _fill(d, n, *_block(batch, cosets)).reshape(-1, d**n)
+
+
+def state_vectors(
+    d: int, n: int, *, state_cap: int = DEFAULT_STATE_CAP, matrix_cap: int = DEFAULT_MATRIX_CAP
+) -> np.ndarray:
+    """Every stabilizer state's vector as one (S(d,n), d^n) stack, rows in enumeration order: state_blocks stacked."""
+    blocks = state_blocks(d, n, state_cap=state_cap, matrix_cap=matrix_cap)  # checks both caps
+    out = np.empty((stabilizer_count(d, n), d**n), dtype=np.complex128)
+    start = 0
+    for block in blocks:
+        out[start : start + len(block)] = block
+        start += len(block)
     return out
 
 

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import hashlib
 import importlib
 import io
 import json
@@ -112,6 +113,15 @@ def test_enumerate_lagrangians_stream_order():
     assert out.splitlines() == [json.dumps(s.to_json_dict(), separators=(",", ":")) for s in witness]
 
 
+def test_enumerate_lagrangians_stream_order_is_pinned_at_d2_n4():
+    # The ordered stream, not only its set: the fixed-state reference |M_0, 0> and the grouping of
+    # realized blocks by pivot pattern both rest on this order.
+    code, out, _ = run_cli(["enumerate", "lagrangians", "--d", "2", "--n", "4"])
+    assert code == 0 and len(out.splitlines()) == 2295
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "3ce64434b0d8668443dafc3f9a946bc4036aac9e88f7a36ee10f25913cef2102"
+
+
 def test_enumerate_states_lines():
     code, out, _ = run_cli(["enumerate", "states", "--d", "2", "--n", "1"])
     assert code == 0
@@ -183,6 +193,13 @@ def test_format_is_a_usage_error_outside_the_spectrum():
     assert default[1].splitlines()[0].split() == ["k", "count", "formula", "match"]
 
 
+def test_realize_is_a_usage_error_outside_states():
+    for what in ("lagrangians", "spectrum"):
+        code, out, err = run_cli(["enumerate", what, "--d", "2", "--n", "1", "--realize"])
+        assert (code, out) == (2, "")
+        assert err == f"error: --realize applies to states only, not to {what}\n"
+
+
 def test_verify_passes():
     code, out, _ = run_cli(["verify", "--d", "2", "--n", "1", "--t-max", "4"])
     assert code == 0
@@ -221,6 +238,8 @@ def _refuse_realization(monkeypatch):
         "stabkit.stabilizer.realized_states",
         "stabkit.stabilizer.state_vectors",
         "stabkit.potential.state_vectors",
+        "stabkit.stabilizer.state_blocks",
+        "stabkit.potential.state_blocks",
         "stabkit.stabilizer.phase_table",
         "stabkit.stabilizer._table",
     ):
@@ -240,8 +259,27 @@ def test_fixed_state_state_cap_precheck_runs_before_realization(monkeypatch):
     assert run_cli(argv) == (3, "", "error: realized states: need 36720, cap 100\n")
 
 
+def test_fixed_state_engine_never_builds_the_stack(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("the fixed-state engine built the (S, d^n) stack")
+
+    for target in ("stabkit.stabilizer.state_vectors", "stabkit.potential.state_vectors"):
+        monkeypatch.setattr(target, refused)
+    argv = ["frame-potential", "--d", "2", "--n", "4", "--t", "1..5", "--method", "fixed-state", "--format", "csv"]
+    code, out, err = run_cli(argv)
+    assert (code, err) == (0, "")
+    # The bytes this column had when the engine read the overlaps off the whole stack.
+    assert [row["bruteforce"] for row in csv.DictReader(io.StringIO(out))] == [
+        "0.0625",
+        "0.007352941176470586",
+        "0.001225490196078431",
+        "0.00030637254901960773",
+        "0.0001148897058823529",
+    ]
+
+
 def test_numeric_engines_build_no_state_or_phase_vector_objects(monkeypatch):
-    # The numeric columns read one stack of vectors; only Subspace objects come out of enumeration.
+    # The numeric columns read arrays of realized vectors; only Subspace objects come out of enumeration.
     built = {}
     for module_name in ("stabkit.stabilizer", "stabkit.symplectic"):
         module = importlib.import_module(module_name)

@@ -1,6 +1,7 @@
 """Frame-potential engines: exact identities and numeric cross-checks."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -14,8 +15,10 @@ from stabkit import (
     frame_potentials_bruteforce,
     frame_potential_combinatorial,
     frame_potential_fixed_state,
+    frame_potentials_fixed_state,
     frame_potential_recursion,
     frame_potential_report,
+    state_vectors,
     welch_bound,
 )
 from stabkit.errors import NonPrimeModulusError, ResourceCapError
@@ -158,6 +161,38 @@ def test_bruteforce_sweep_over_t_is_bit_identical_to_one_t_calls():
         assert [x.hex() for x in sweep] == [x.hex() for x in single]
 
 
+def test_fixed_state_sweep_streams_the_bits_of_the_whole_stack():
+    # The oracle reads the reference overlaps off the whole stack; the sweep keeps them block by block.
+    # (3, 3) and (5, 2) realize in several blocks, and (3, 3) cuts one pivot pattern across blocks.
+    for d, n, t_max in [(2, 1, 5), (2, 3, 5), (3, 2, 5), (3, 3, 4), (5, 2, 4), (7, 1, 5), (13, 1, 5)]:
+        stack = state_vectors(d, n)
+        amps = stack @ np.conj(stack[0])
+        ts = range(1, t_max + 1)
+        expected = [_pairwise_sum((amps.real**2 + amps.imag**2) ** t) / len(stack) for t in ts]
+        sweep = frame_potentials_fixed_state(d, n, ts)
+        assert [x.hex() for x in sweep] == [x.hex() for x in expected]
+        assert sweep == frame_potentials_fixed_state(d, n, ts, vectors=stack)
+        assert sweep == [frame_potential_fixed_state(d, n, t) for t in ts]
+
+
+def test_fixed_state_engine_never_holds_the_stack(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("the fixed-state engine built the (S, d^n) stack")
+
+    for target in ("stabkit.stabilizer.state_vectors", "stabkit.potential.state_vectors"):
+        monkeypatch.setattr(target, refused)
+    frame_potential_fixed_state(2, 2, 2)  # first-call imports and caches stay out of the measurement
+    tracemalloc.start()
+    try:
+        value = frame_potential_fixed_state(2, 4, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == pytest.approx(float(frame_potential_combinatorial(2, 4, 2)), abs=1e-12)
+    # The (36720, 16) complex128 stack alone would be 9.4 MB.
+    assert peak < 3_000_000
+
+
 def test_numeric_engines_reject_a_partial_vector_list():
     vecs = cached_vectors(2, 1)
     assert frame_potential_fixed_state(2, 1, 2, vectors=vecs) == pytest.approx(1 / 3)
@@ -185,6 +220,8 @@ def test_numeric_engine_caps():
         frame_potential_bruteforce(2, 2, 2, pair_cap=100)
     with pytest.raises(ResourceCapError):
         frame_potential_fixed_state(2, 2, 2, state_cap=10)
+    with pytest.raises(ResourceCapError, match="matrix dimension"):
+        frame_potentials_fixed_state(2, 2, [1, 2], matrix_cap=3)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,17 @@
-"""Property-based tests of the subspace algebra over Z_d^{2n}."""
+"""Property-based tests of the subspace algebra over Z_d^{2n}, and of blockwise realization."""
 
+import itertools
+from functools import lru_cache
+
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stabkit import Subspace, intersect
+from stabkit import StabilizerState, Subspace, coset_representatives, enumerate_lagrangians, intersect
+from stabkit.stabilizer import _block, _fill
+from stabkit.symplectic import _coset_rows
 
-from helpers import symplectic_complement
+from helpers import dense_state_vector, symplectic_complement
 
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=60, deadline=None)
 
@@ -79,3 +85,40 @@ def test_reduce_coords_is_consistent(case):
     assert a.contains_coords(v) == (not any(r))
     shifted = [x + sum(g[j] for g in a.generators) for j, x in enumerate(v)]
     assert a.reduce_coords(shifted) == r
+
+
+# ---------------------------------------------------------------------------
+# realization, a block at a time
+
+
+@lru_cache(maxsize=None)
+def pivot_patterns(d, n):
+    """The Lagrangians of each pivot pattern, in enumeration order."""
+    return [list(group) for _, group in itertools.groupby(enumerate_lagrangians(d, n), key=lambda m: m.pivots)]
+
+
+@lru_cache(maxsize=None)
+def dense_basis(m_sub):
+    """Oracle: the vector of every state of M, each from its dense projector."""
+    return np.array([dense_state_vector(StabilizerState(m_sub, zeta)) for zeta in coset_representatives(m_sub)])
+
+
+@st.composite
+def pattern_batches(draw):
+    """One pivot pattern's Lagrangians, cut into consecutive batches at random places."""
+    d, n = draw(st.sampled_from([(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)]))
+    group = draw(st.sampled_from(pivot_patterns(d, n)))
+    cuts = sorted(draw(st.sets(st.integers(1, len(group)), max_size=6)))
+    return group, [group[a:b] for a, b in zip([0, *cuts], [*cuts, len(group)]) if a < b]
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(pattern_batches())
+def test_fill_is_the_same_for_any_batching_of_a_pivot_pattern(case):
+    group, batches = case
+    d, n = group[0].d, group[0].n
+    cosets = np.array(list(_coset_rows(group[0])))
+    whole = _fill(d, n, *_block(group, cosets))
+    assert np.concatenate([_fill(d, n, *_block(batch, cosets)) for batch in batches]).tobytes() == whole.tobytes()
+    dense = np.array([dense_basis(m_sub) for m_sub in group])
+    assert np.max(np.abs(whole - dense)) <= 1e-12

@@ -24,6 +24,28 @@ def _parse(path):
     return ast.parse(path.read_text(), filename=str(path))
 
 
+_ENUMERATION_LAYER = {"symplectic", "combinatorics", "errors"}
+
+
+def test_enumeration_layer_imports_no_numpy():
+    # Lagrangian enumeration runs on plain integer rows: these modules import no numpy, directly or
+    # through another stabkit module outside the layer.
+    imports = []
+    for name in sorted(_ENUMERATION_LAYER):
+        for node in ast.walk(_parse(SOURCE_DIR / f"{name}.py")):
+            if isinstance(node, ast.Import):
+                imports += [(name, alias.name) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                imports.append((name, "." * node.level + (node.module or "")))
+    assert imports, "no imports found"
+    offenders = [
+        f"{name}.py imports {module}"
+        for name, module in imports
+        if module.split(".")[0] == "numpy" or (module.startswith(".") and module.lstrip(".") not in _ENUMERATION_LAYER)
+    ]
+    assert offenders == []
+
+
 def test_cli_uses_no_private_stabilizer_names():
     # The CLI calls the library's public rules instead of re-implementing them.
     tree = _parse(SOURCE_DIR / "cli.py")

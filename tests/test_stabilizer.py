@@ -186,14 +186,14 @@ def test_realization_builds_no_matrix(monkeypatch):
 
 def test_state_vectors_match_the_per_lagrangian_tables_bit_for_bit(monkeypatch):
     stabilizer_module = importlib.import_module("stabkit.stabilizer")
-    real_table = stabilizer_module._table
+    real_block = stabilizer_module._block
     batches = []
 
-    def table(m_subs, cosets):
+    def block(m_subs, cosets):
         batches.append([m_sub.pivots for m_sub in m_subs])
-        return real_table(m_subs, cosets)
+        return real_block(m_subs, cosets)
 
-    monkeypatch.setattr(stabilizer_module, "_table", table)
+    monkeypatch.setattr(stabilizer_module, "_block", block)
     for d, n in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2), (3, 3)]:
         batches.clear()
         stack = state_vectors(d, n)
