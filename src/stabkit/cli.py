@@ -1,9 +1,12 @@
 """Command-line surface: frame potentials, enumeration, and cross-checks.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource cap.
-Every computation is single-threaded with fixed reduction orders, so identical
-invocations produce byte-identical output. --threads and --seed are accepted
-and validated for compatibility, and change nothing.
+Each command declares only the options it reads, so a misplaced flag is a usage
+error. Each cap goes to the library function that does the work it bounds, which
+checks it once, before that work; verify also pre-checks its state and pair caps
+before it enumerates. Every computation is single-threaded with fixed
+reduction orders, so identical invocations produce byte-identical output.
+--threads is accepted and validated for compatibility, and changes nothing.
 """
 
 from __future__ import annotations
@@ -61,25 +64,34 @@ def _int_at_least(low: int):
     return parse
 
 
-def _add_caps(parser: argparse.ArgumentParser) -> None:
-    cap = _int_at_least(0)
-    parser.add_argument("--enum-cap", type=cap, default=DEFAULT_ENUM_CAP, help="max Lagrangians enumerated")
-    parser.add_argument("--state-cap", type=cap, default=stabilizer.DEFAULT_STATE_CAP, help="max states enumerated")
-    parser.add_argument("--pair-cap", type=cap, default=potential.DEFAULT_PAIR_CAP, help="max state pairs brute-forced")
-    parser.add_argument("--matrix-cap", type=cap, default=DEFAULT_MATRIX_CAP, help="max Hilbert-space dimension")
+_CAPS = {
+    "--enum-cap": (DEFAULT_ENUM_CAP, "max Lagrangians enumerated"),
+    "--state-cap": (stabilizer.DEFAULT_STATE_CAP, "max states enumerated or realized"),
+    "--pair-cap": (potential.DEFAULT_PAIR_CAP, "max state pairs brute-forced"),
+    "--matrix-cap": (DEFAULT_MATRIX_CAP, "max Hilbert-space dimension realized"),
+}
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, *caps: str) -> None:
+    """The given cap flags, --output and --threads."""
+    for flag in caps:
+        default, help_text = _CAPS[flag]
+        parser.add_argument(flag, type=_int_at_least(0), default=default, help=help_text)
     parser.add_argument("--output", default=None, help="write to this path instead of stdout")
     parser.add_argument(
         "--threads", type=_int_at_least(1), default=None, help="accepted for compatibility; changes nothing"
     )
-    parser.add_argument("--seed", type=int, default=None, help="reserved; deterministic commands ignore it")
+
+
+def _add_dn(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--d", type=int, required=True, help="prime local dimension")
+    parser.add_argument("--n", type=int, required=True, help="register count")
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="stabkit", description="Exact stabilizer-state design toolkit.")
     sub = parser.add_subparsers(dest="command", required=True)
+    formats = ["table", "csv", "json"]
 
     fp = sub.add_parser("frame-potential", help="frame potentials, Welch bounds, design verdicts")
     fp.add_argument("--d", type=int, required=True, help="prime local dimension")
@@ -91,29 +103,31 @@ def build_parser() -> argparse.ArgumentParser:
         default="exact",
         help="numeric engine for the bruteforce column (exact engines always run)",
     )
-    fp.add_argument("--format", choices=["table", "csv", "json"], default="table")
-    _add_caps(fp)
-    _add_common(fp)
+    fp.add_argument("--format", choices=formats, default="table")
+    _add_common(fp, "--state-cap", "--pair-cap", "--matrix-cap")
     fp.set_defaults(func=cmd_frame_potential)
 
     en = sub.add_parser("enumerate", help="enumerate Lagrangians, states, or intersection spectra")
-    en.add_argument("what", choices=["lagrangians", "states", "spectrum"])
-    en.add_argument("--d", type=int, required=True)
-    en.add_argument("--n", type=int, required=True)
-    en.add_argument("--realize", action="store_true", help="include state amplitudes (states only)")
-    en.add_argument(
-        "--format", choices=["table", "csv", "json"], default=None, help="spectrum output format (default table)"
-    )
-    _add_caps(en)
-    _add_common(en)
-    en.set_defaults(func=cmd_enumerate)
+    what = en.add_subparsers(dest="what", required=True)
+    la = what.add_parser("lagrangians", help="every Lagrangian, as JSON lines")
+    _add_dn(la)
+    _add_common(la, "--enum-cap")
+    la.set_defaults(func=cmd_lagrangians)
+    st = what.add_parser("states", help="every stabilizer state, as JSON lines")
+    _add_dn(st)
+    st.add_argument("--realize", action="store_true", help="include state amplitudes")
+    _add_common(st, "--state-cap", "--matrix-cap")
+    st.set_defaults(func=cmd_states)
+    sp = what.add_parser("spectrum", help="the intersection spectrum of the first Lagrangian against the formula")
+    _add_dn(sp)
+    sp.add_argument("--format", choices=formats, default="table")
+    _add_common(sp, "--enum-cap")
+    sp.set_defaults(func=cmd_spectrum)
 
     ve = sub.add_parser("verify", help="run the full cross-check suite for one (d, n)")
-    ve.add_argument("--d", type=int, required=True)
-    ve.add_argument("--n", type=int, required=True)
+    _add_dn(ve)
     ve.add_argument("--t-max", type=int, default=4)
-    _add_caps(ve)
-    _add_common(ve)
+    _add_common(ve, *_CAPS)
     ve.set_defaults(func=cmd_verify)
 
     return parser
@@ -139,35 +153,21 @@ def _decimal12(fr) -> str:
 # frame-potential
 
 
-def _plan_numeric_engine(d: int, n: int, method: str, args) -> str | None:
-    """Pick the numeric engine for one n; its caps are checked before realization."""
-    if method == "exact":
-        return None
-    count = stabilizer_count(d, n)
-    engine = "fixed-state"
-    if method == "bruteforce" or (method == "all" and count**2 <= args.pair_cap):
-        check_cap("brute-force state pairs", count**2, args.pair_cap)
-        engine = "bruteforce"
-    check_cap("realized states", count, args.state_cap)
-    return engine
-
-
 def cmd_frame_potential(args) -> int:
     require_prime(args.d)
     reports = []
     for n in args.n:
-        engine = _plan_numeric_engine(args.d, n, args.method, args)
-        if engine == "bruteforce":  # one stack, shared by every t
-            vectors = stabilizer.state_vectors(args.d, n, state_cap=args.state_cap, matrix_cap=args.matrix_cap)
+        # Each engine checks its own caps; the pair cap also picks the engine for --method all.
+        if args.method == "exact":
+            values = [None] * len(args.t)
+        elif args.method == "bruteforce" or (args.method == "all" and stabilizer_count(args.d, n) ** 2 <= args.pair_cap):
             values = potential.frame_potentials_bruteforce(
-                args.d, n, args.t, pair_cap=args.pair_cap, matrix_cap=args.matrix_cap, vectors=vectors
+                args.d, n, args.t, state_cap=args.state_cap, pair_cap=args.pair_cap, matrix_cap=args.matrix_cap
             )
-        elif engine == "fixed-state":  # realized a block at a time; one row of overlaps, shared by every t
+        else:  # fixed-state: realized a block at a time; one row of overlaps, shared by every t
             values = potential.frame_potentials_fixed_state(
                 args.d, n, args.t, state_cap=args.state_cap, matrix_cap=args.matrix_cap
             )
-        else:
-            values = [None] * len(args.t)
         for t, value in zip(args.t, values):
             reports.append(potential.frame_potential_report(args.d, n, t, bruteforce=value))
     _write(_render_reports(reports, args.format), args.output)
@@ -230,35 +230,31 @@ def _format_table(rows: list[list[str]]) -> str:
 # enumerate
 
 
-def cmd_enumerate(args) -> int:
-    if args.format is not None and args.what != "spectrum":
-        raise ValueError(f"--format applies to the spectrum only, not to {args.what}")
-    if args.realize and args.what != "states":
-        raise ValueError(f"--realize applies to states only, not to {args.what}")
-    require_prime(args.d)
-    if args.what == "lagrangians":
-        lines = [
-            json.dumps(sub.to_json_dict(), separators=(",", ":"))
-            for sub in enumerate_lagrangians(args.d, args.n, cap=args.enum_cap)
-        ]
-        _write("\n".join(lines) + "\n", args.output)
-        return 0
-    if args.what == "states":
-        if args.realize:
-            pairs = stabilizer.realized_states(args.d, args.n, state_cap=args.state_cap, matrix_cap=args.matrix_cap)
-            dicts = [state.to_json_dict(amplitudes=vec) for state, vec in pairs]
-        else:
-            dicts = [state.to_json_dict() for state in stabilizer.enumerate_states(args.d, args.n, cap=args.state_cap)]
-        _write("\n".join(json.dumps(obj, separators=(",", ":")) for obj in dicts) + "\n", args.output)
-        return 0
-    # spectrum: empirical kappa against the closed formula.
+def cmd_lagrangians(args) -> int:
+    dicts = (sub.to_json_dict() for sub in enumerate_lagrangians(args.d, args.n, cap=args.enum_cap))
+    _write("\n".join(json.dumps(obj, separators=(",", ":")) for obj in dicts) + "\n", args.output)
+    return 0
+
+
+def cmd_states(args) -> int:
+    if args.realize:
+        pairs = stabilizer.realized_states(args.d, args.n, state_cap=args.state_cap, matrix_cap=args.matrix_cap)
+        dicts = [state.to_json_dict(amplitudes=vec) for state, vec in pairs]
+    else:
+        dicts = [state.to_json_dict() for state in stabilizer.enumerate_states(args.d, args.n, cap=args.state_cap)]
+    _write("\n".join(json.dumps(obj, separators=(",", ":")) for obj in dicts) + "\n", args.output)
+    return 0
+
+
+def cmd_spectrum(args) -> int:
+    """The empirical kappa of the first Lagrangian against the closed formula."""
     first = next(iter(enumerate_lagrangians(args.d, args.n, cap=args.enum_cap)))
     spectrum = intersection_spectrum(first, cap=args.enum_cap)
     rows = []
     for k in sorted(spectrum):
         formula = kappa(args.d, args.n, k)
         rows.append({"k": k, "count": spectrum[k], "formula": formula, "match": spectrum[k] == formula})
-    _write(_render_spectrum(rows, args.format or "table"), args.output)
+    _write(_render_spectrum(rows, args.format), args.output)
     return 0
 
 

@@ -43,6 +43,14 @@ def _validate(d: int, n: int, t: int) -> None:
         raise ValueError("n and t must be positive")
 
 
+def _validate_ts(d: int, n: int, ts: Sequence[int]) -> None:
+    """_validate for each t of a numeric engine's non-empty list, before any state is realized."""
+    if not ts:
+        raise ValueError("needs at least one t")
+    for t in ts:
+        _validate(d, n, t)
+
+
 def frame_potential_recursion(d: int, n: int, t: int) -> Fraction:
     """Exact frame potential via the recursion over the dimension exponent."""
     _validate(d, n, t)
@@ -118,6 +126,7 @@ def frame_potentials_bruteforce(
     n: int,
     ts: Sequence[int],
     *,
+    state_cap: int = DEFAULT_STATE_CAP,
     pair_cap: int = DEFAULT_PAIR_CAP,
     matrix_cap: int = DEFAULT_MATRIX_CAP,
     vectors: Sequence[np.ndarray] | np.ndarray | None = None,
@@ -125,30 +134,22 @@ def frame_potentials_bruteforce(
     """S^{-2} sum_{i,j} |<x_i, x_j>|^{2t} for each t in ts, from realized state vectors.
 
     ``vectors``, when given, must hold the realized state vectors in
-    enumeration order.
+    enumeration order. The pair cap is checked first; without vectors,
+    state_vectors then checks the state and matrix caps.
     """
-    for t in ts:
-        _validate(d, n, t)
+    _validate_ts(d, n, ts)
     count = stabilizer_count(d, n)
     check_cap("brute-force state pairs", count * count, pair_cap)
-    stack = _state_stack(vectors, count, d, n, state_cap=count, matrix_cap=matrix_cap)
+    stack = _state_stack(vectors, count, d, n, state_cap=state_cap, matrix_cap=matrix_cap)
     # Blocks of about 2^16 overlaps bound the working memory.
     block = max(1, 2**16 // count)
     totals = [_row_sums(stack, range(i, min(i + block, count)), ts) for i in range(0, count, block)]
     return [float(total) / (count * count) for total in _pairwise_tree(np.concatenate(totals, axis=1))]
 
 
-def frame_potential_bruteforce(
-    d: int,
-    n: int,
-    t: int,
-    *,
-    pair_cap: int = DEFAULT_PAIR_CAP,
-    matrix_cap: int = DEFAULT_MATRIX_CAP,
-    vectors: Sequence[np.ndarray] | np.ndarray | None = None,
-) -> float:
-    """frame_potentials_bruteforce for one t."""
-    return frame_potentials_bruteforce(d, n, [t], pair_cap=pair_cap, matrix_cap=matrix_cap, vectors=vectors)[0]
+def frame_potential_bruteforce(d: int, n: int, t: int, **keywords) -> float:
+    """frame_potentials_bruteforce for one t, with the same keywords."""
+    return frame_potentials_bruteforce(d, n, [t], **keywords)[0]
 
 
 def frame_potentials_fixed_state(
@@ -168,13 +169,11 @@ def frame_potentials_fixed_state(
     realized state vectors in enumeration order. Without them the states are
     realized a block at a time (stabilizer.state_blocks) and only their S
     overlaps with x_ref are kept, so memory is O(S) floats, not the (S, d^n)
-    stack. The overlaps are computed once, and only the power and the tree run
-    per t.
+    stack; state_blocks checks the state and matrix caps. The overlaps are
+    computed once, and only the power and the tree run per t.
     """
-    for t in ts:
-        _validate(d, n, t)
+    _validate_ts(d, n, ts)
     count = stabilizer_count(d, n)
-    check_cap("fixed-state sum states", count, state_cap)
     if vectors is None:
         blocks = state_blocks(d, n, state_cap=state_cap, matrix_cap=matrix_cap)
     else:
@@ -190,17 +189,9 @@ def frame_potentials_fixed_state(
     return [_pairwise_sum(sq**t) / count for t in ts]
 
 
-def frame_potential_fixed_state(
-    d: int,
-    n: int,
-    t: int,
-    *,
-    state_cap: int = DEFAULT_STATE_CAP,
-    matrix_cap: int = DEFAULT_MATRIX_CAP,
-    vectors: Sequence[np.ndarray] | np.ndarray | None = None,
-) -> float:
-    """frame_potentials_fixed_state for one t."""
-    return frame_potentials_fixed_state(d, n, [t], state_cap=state_cap, matrix_cap=matrix_cap, vectors=vectors)[0]
+def frame_potential_fixed_state(d: int, n: int, t: int, **keywords) -> float:
+    """frame_potentials_fixed_state for one t, with the same keywords."""
+    return frame_potentials_fixed_state(d, n, [t], **keywords)[0]
 
 
 @dataclass(frozen=True)
@@ -241,8 +232,10 @@ class FramePotentialReport:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "FramePotentialReport":
-        d, n, t = (json_field(obj, key, int) for key in ("d", "n", "t"))
+        d, n, t, dim = (json_field(obj, key, int) for key in ("d", "n", "t", "D"))
         _validate(d, n, t)
+        if dim != d**n:
+            raise ValueError(f"JSON field 'D' is {dim}, but d**n is {d**n}")
         return cls(
             d=d,
             n=n,

@@ -317,6 +317,8 @@ def enumerate_subspaces(d: int, ambient_dim: int, k: int, *, cap: int = DEFAULT_
     (lexicographic, row-major). The total equals binom(ambient_dim, k)_d.
     """
     require_prime(d)
+    if ambient_dim < 1:
+        raise ValueError("ambient dimension must be positive")
     if not 0 <= k <= ambient_dim:
         raise ValueError(f"need 0 <= k <= ambient dimension, got k={k}, ambient={ambient_dim}")
     check_cap("subspaces", gaussian_binomial(ambient_dim, k, d), cap)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from stabkit import FramePotentialReport, PhaseTable, ResourceCapError, StabilizerState, Subspace
-from stabkit.cli import main, run_verification
+from stabkit.cli import build_parser, main, run_verification
 
 from helpers import lagrangians_by_filter, source_env
 
@@ -185,7 +185,7 @@ def test_format_is_a_usage_error_outside_the_spectrum():
         for fmt in ("table", "csv", "json"):
             code, out, err = run_cli(["enumerate", what, "--d", "2", "--n", "1", "--format", fmt])
             assert code == 2 and out == ""
-            assert err == f"error: --format applies to the spectrum only, not to {what}\n"
+            assert err.endswith(f"error: unrecognized arguments: --format {fmt}\n")
     # The spectrum's default format stays the table.
     spectrum = ["enumerate", "spectrum", "--d", "2", "--n", "2"]
     default = run_cli(spectrum)
@@ -197,7 +197,62 @@ def test_realize_is_a_usage_error_outside_states():
     for what in ("lagrangians", "spectrum"):
         code, out, err = run_cli(["enumerate", what, "--d", "2", "--n", "1", "--realize"])
         assert (code, out) == (2, "")
-        assert err == f"error: --realize applies to states only, not to {what}\n"
+        assert err.endswith("error: unrecognized arguments: --realize\n")
+
+
+@pytest.mark.parametrize(
+    "argv, flags",
+    [
+        (["frame-potential", "--d", "2", "--n", "1", "--t", "1", "--method", "fixed-state"], ["--enum-cap"]),
+        (["enumerate", "lagrangians", "--d", "2", "--n", "1"], ["--state-cap", "--pair-cap", "--matrix-cap"]),
+        (["enumerate", "spectrum", "--d", "2", "--n", "1"], ["--state-cap", "--pair-cap", "--matrix-cap"]),
+        (["enumerate", "states", "--d", "2", "--n", "1", "--realize"], ["--enum-cap", "--pair-cap"]),
+    ],
+)
+def test_caps_a_command_does_not_read_are_usage_errors(argv, flags):
+    # A cap of 0 would refuse any work it bounded, so exit 2 shows the flag is not silently ignored.
+    for flag in flags:
+        code, out, err = run_cli([*argv, flag, "0"])
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: unrecognized arguments: {flag} 0\n")
+
+
+class _ReadRecorder:
+    """Stands in for a parsed namespace and records which attributes a command reads."""
+
+    def __init__(self, values):
+        self.values = values
+        self.read = set()
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        return self.values[name]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # --method all runs the brute-force engine at n = 1 and the fixed-state engine at n = 2.
+        ["frame-potential", "--d", "2", "--n", "1..2", "--t", "1..2", "--method", "all", "--format", "csv",
+         "--state-cap", "100", "--pair-cap", "1000", "--matrix-cap", "4"],
+        ["frame-potential", "--d", "2", "--n", "1", "--t", "1", "--method", "bruteforce", "--format", "csv",
+         "--state-cap", "6", "--pair-cap", "36", "--matrix-cap", "2"],
+        ["enumerate", "lagrangians", "--d", "2", "--n", "2", "--enum-cap", "15"],
+        ["enumerate", "states", "--d", "2", "--n", "1", "--realize", "--state-cap", "6", "--matrix-cap", "2"],
+        ["enumerate", "spectrum", "--d", "2", "--n", "2", "--format", "csv", "--enum-cap", "15"],
+        ["verify", "--d", "2", "--n", "1", "--t-max", "2", "--enum-cap", "3", "--state-cap", "6",
+         "--pair-cap", "36", "--matrix-cap", "2"],
+    ],
+)
+def test_every_declared_option_is_read(argv, tmp_path):
+    argv = [*argv, "--output", str(tmp_path / "out"), "--threads", "2"]
+    args = build_parser().parse_args(argv)
+    declared = set(vars(args)) - {"command", "what", "func"}
+    assert {"--" + name.replace("_", "-") for name in declared} <= set(argv), "the argv sets every declared option"
+    recorder = _ReadRecorder(vars(args))
+    assert args.func(recorder) == 0
+    # --threads alone is accepted for compatibility and read by nothing.
+    assert declared - recorder.read == {"threads"}
 
 
 def test_verify_passes():
@@ -234,14 +289,13 @@ def test_verify_cap_precheck_runs_before_enumeration(monkeypatch):
 
 
 def _refuse_realization(monkeypatch):
+    # The work itself, not the entry points, which hold the cap checks.
     for target in (
-        "stabkit.stabilizer.realized_states",
-        "stabkit.stabilizer.state_vectors",
-        "stabkit.potential.state_vectors",
-        "stabkit.stabilizer.state_blocks",
-        "stabkit.potential.state_blocks",
-        "stabkit.stabilizer.phase_table",
+        "stabkit.stabilizer._state_blocks",
+        "stabkit.stabilizer._block",
+        "stabkit.stabilizer._fill",
         "stabkit.stabilizer._table",
+        "stabkit.stabilizer.phase_table",
     ):
         monkeypatch.setattr(target, _refuse(target))
 
@@ -505,10 +559,18 @@ def test_output_file_matches_stdout(tmp_path):
     assert path.read_text() == stdout_text
 
 
-def test_seed_flag_is_accepted_and_ignored():
-    base = run_cli(["frame-potential", "--d", "2", "--n", "1", "--t", "2", "--format", "csv"])
-    seeded = run_cli(["frame-potential", "--d", "2", "--n", "1", "--t", "2", "--format", "csv", "--seed", "7"])
-    assert base == seeded
+def test_seed_flag_is_a_usage_error():
+    # No command is random, so none declares --seed.
+    for argv in (
+        ["frame-potential", "--d", "2", "--n", "1", "--t", "2", "--format", "csv"],
+        ["enumerate", "lagrangians", "--d", "2", "--n", "1"],
+        ["enumerate", "states", "--d", "2", "--n", "1"],
+        ["enumerate", "spectrum", "--d", "2", "--n", "1"],
+        ["verify", "--d", "2", "--n", "1"],
+    ):
+        code, out, err = run_cli([*argv, "--seed", "7"])
+        assert (code, out) == (2, "")
+        assert err.endswith("error: unrecognized arguments: --seed 7\n")
 
 
 def test_thread_count_does_not_change_output():

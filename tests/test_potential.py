@@ -203,6 +203,17 @@ def test_numeric_engines_reject_a_partial_vector_list():
             frame_potential_bruteforce(2, 1, 2, vectors=wrong)
 
 
+def test_numeric_engines_reject_an_empty_t_list_before_realizing(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("realized states for an empty t list")
+
+    monkeypatch.setattr("stabkit.stabilizer._state_blocks", refused)
+    for engine in (frame_potentials_bruteforce, frame_potentials_fixed_state):
+        for ts in ([], range(1, 1)):
+            with pytest.raises(ValueError, match="at least one t"):
+                engine(2, 1, ts)
+
+
 def test_numeric_engines_read_one_stack_in_place():
     # An array passes through uncopied, so one stack serves every t, with the bits a list gives.
     vecs = cached_vectors(2, 2)
@@ -218,6 +229,8 @@ def test_numeric_engines_read_one_stack_in_place():
 def test_numeric_engine_caps():
     with pytest.raises(ResourceCapError):
         frame_potential_bruteforce(2, 2, 2, pair_cap=100)
+    with pytest.raises(ResourceCapError, match="realized states: need 60, cap 10"):
+        frame_potential_bruteforce(2, 2, 2, state_cap=10)
     with pytest.raises(ResourceCapError):
         frame_potential_fixed_state(2, 2, 2, state_cap=10)
     with pytest.raises(ResourceCapError, match="matrix dimension"):

@@ -456,6 +456,9 @@ def _without(obj, key):
         (FramePotentialReport, _without(_REPORT, "t")),
         (FramePotentialReport, {**_REPORT, "d": 4}),
         (FramePotentialReport, {**_REPORT, "t": 0}),
+        (FramePotentialReport, {**_REPORT, "D": 5}),
+        (FramePotentialReport, {**_REPORT, "D": "x"}),
+        (FramePotentialReport, _without(_REPORT, "D")),
         (FramePotentialReport, {**_REPORT, "recursion": "1"}),
         (FramePotentialReport, {**_REPORT, "welch": "1/0"}),
         (FramePotentialReport, {**_REPORT, "combinatorial": 0.25}),
@@ -463,7 +466,7 @@ def _without(obj, key):
     ],
 )
 def test_from_json_dict_raises_value_error_on_bad_input(cls, obj):
-    # A missing key, a wrong type, a dim that disagrees with the generators, or a (d, n, t) no
+    # A missing key, a wrong type, a dim or D that disagrees with the rest, or a (d, n, t) no
     # engine accepts; the unbroken dicts load.
     for good_cls, good in [(Subspace, _SUBSPACE), (StabilizerState, _STATE), (FramePotentialReport, _REPORT)]:
         assert good_cls.from_json_dict(good).to_json_dict() == good

@@ -192,6 +192,13 @@ def test_enumerate_subspaces_counts():
             assert len(set(subs)) == len(subs)
 
 
+def test_enumerate_subspaces_rejects_an_empty_ambient_space():
+    # Subspace(2, 0, ()) is refused by the public constructor, so the enumerator must not yield it.
+    for ambient_dim in (0, -1):
+        with pytest.raises(ValueError, match="ambient dimension must be positive"):
+            enumerate_subspaces(2, ambient_dim, 0)
+
+
 def test_enumerate_subspaces_matches_bruteforce_spans():
     for d, m, k in [(2, 3, 1), (2, 3, 2), (3, 2, 1)]:
         assert len(list(enumerate_subspaces(d, m, k))) == count_subspaces_bruteforce(d, m, k)
