@@ -47,12 +47,10 @@ from .symplectic import (
     enumerate_lagrangians,
     enumerate_subspaces,
     extensions_through,
-    graph_adjacency,
     intersect,
     intersection_spectrum,
     is_isotropic,
     is_lagrangian,
-    is_transverse,
     symplectic_form,
 )
 from .weyl import (

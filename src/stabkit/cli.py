@@ -341,7 +341,8 @@ def run_verification(
 
     dim = d**n
     tables = [stabilizer.phase_table(m_sub) for m_sub in lagrangians]
-    bases = np.stack([table.vectors(cap=matrix_cap) for table in tables])  # (Lagrangian, state, amplitude)
+    stack = stabilizer.state_vectors(d, n, state_cap=state_cap, matrix_cap=matrix_cap)
+    bases = stack.reshape(len(tables), dim, dim)  # a view: (Lagrangian, state, amplitude)
     taus = _tau_powers(d)
     block = max(1, 2**18 // dim**3)  # tables per overlap call, so a call's key match holds at most 2^18 booleans
     eigen_dev = gram_dev = overlap_dev = 0.0
@@ -368,10 +369,9 @@ def run_verification(
 
     exact_ok = True
     numeric_dev = 0.0
-    vectors = bases.reshape(-1, dim)
     ts = range(1, t_max + 1)
-    brutes = potential.frame_potentials_bruteforce(d, n, ts, pair_cap=pair_cap, matrix_cap=matrix_cap, vectors=vectors)
-    fixeds = potential.frame_potentials_fixed_state(d, n, ts, state_cap=state_cap, matrix_cap=matrix_cap, vectors=vectors)
+    brutes = potential.frame_potentials_bruteforce(d, n, ts, pair_cap=pair_cap, vectors=stack)
+    fixeds = potential.frame_potentials_fixed_state(d, n, ts, vectors=stack)
     for t, brute, fixed in zip(ts, brutes, fixeds):
         rec = potential.frame_potential_recursion(d, n, t)
         comb = potential.frame_potential_combinatorial(d, n, t)

@@ -15,8 +15,8 @@ from .errors import NonPrimeModulusError
 
 
 def is_prime(n: int) -> bool:
-    """Trial division; d is small by construction everywhere in this package."""
-    if n < 2:
+    """Trial division; d is small by construction everywhere in this package. Only an int (not a bool) is prime."""
+    if type(n) is not int or n < 2:
         return False
     if n < 4:
         return True
@@ -32,7 +32,14 @@ def is_prime(n: int) -> bool:
 
 def require_prime(d: int) -> None:
     if not is_prime(d):
-        raise NonPrimeModulusError(f"d must be prime, got {d}")
+        raise NonPrimeModulusError(f"d must be prime, got {d!r}")
+
+
+def _require_space(d: int, n: int) -> None:
+    """The phase space Z_d^{2n} of the Lagrangian counts: d prime and n >= 1."""
+    require_prime(d)
+    if n < 1:
+        raise ValueError("n must be positive")
 
 
 def binomial(n: int, k: int) -> int:
@@ -64,9 +71,7 @@ def gaussian_binomial(n: int, k: int, d: int) -> int:
 
 def lagrangian_count(d: int, n: int) -> int:
     """Number of Lagrangian subspaces of Z_d^{2n}: prod_{j=1..n} (d^j + 1)."""
-    require_prime(d)
-    if n < 1:
-        raise ValueError("n must be positive")
+    _require_space(d, n)
     out = 1
     for j in range(1, n + 1):
         out *= d**j + 1
@@ -80,8 +85,7 @@ def stabilizer_count(d: int, n: int) -> int:
 
 def transversal_count(d: int, n: int) -> int:
     """Number of Lagrangians transverse to a fixed one: d^{n(n+1)/2}."""
-    if n < 1:
-        raise ValueError("n must be positive")
+    _require_space(d, n)
     return d ** (n * (n + 1) // 2)
 
 
@@ -90,6 +94,7 @@ def kappa(d: int, n: int, k: int) -> int:
 
     kappa(d, n, k) = binom(n,k)_d * d^{(n-k)(n-k+1)/2}.
     """
+    _require_space(d, n)
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     m = n - k

@@ -79,24 +79,16 @@ def frame_potential_combinatorial(d: int, n: int, t: int) -> Fraction:
 def _pairwise_tree(vals: np.ndarray) -> np.ndarray:
     """Fixed binary-tree reduction along the last axis of a non-empty array.
 
-    Each level adds adjacent pairs and carries an odd tail up unchanged.
+    Each level adds adjacent pairs and carries an odd tail up unchanged. The
+    tree shape depends only on the length of the axis, never on how the values
+    were produced, which is what makes the numeric engines invariant under row
+    blocking.
     """
     while vals.shape[-1] > 1:
         width = vals.shape[-1]
         pairs = vals[..., 0 : width - 1 : 2] + vals[..., 1::2]
         vals = np.concatenate((pairs, vals[..., -1:]), axis=-1) if width % 2 else pairs
     return vals[..., 0]
-
-
-def _pairwise_sum(values: Sequence[float] | np.ndarray) -> float:
-    """Fixed binary-tree reduction over the full ordered value list.
-
-    The tree shape depends only on the length of the list, never on how the
-    values were produced, which is what makes the floating-point engines
-    invariant under row blocking.
-    """
-    vals = np.asarray(values, dtype=np.float64)
-    return float(_pairwise_tree(vals)) if vals.size else 0.0
 
 
 def _state_stack(vectors, count: int, d: int, n: int, *, state_cap: int, matrix_cap: int) -> np.ndarray:
@@ -186,7 +178,7 @@ def frame_potentials_fixed_state(
         amps = block @ ref
         sq[start : start + len(block)] = amps.real**2 + amps.imag**2
         start += len(block)
-    return [_pairwise_sum(sq**t) / count for t in ts]
+    return [float(_pairwise_tree(sq**t)) / count for t in ts]
 
 
 def frame_potential_fixed_state(d: int, n: int, t: int, **keywords) -> float:

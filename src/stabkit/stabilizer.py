@@ -6,12 +6,13 @@ coordinates). Identity is structural: two states are equal iff their pairs
 are. Weyl operators w_B use M's canonical generator list B as basis.
 
 One integer table per Lagrangian (phase_table) drives both realization and
-the overlap rule. Lagrangians of one pivot pattern share their coset rows, so
-state_blocks builds their tables a block at a time, runs the closed form once
-per block, and yields each block's (states, d^n) vectors in enumeration order.
-state_vectors stacks those blocks into one (S(d,n), d^n) array, and
-realized_states pairs each state with a row view of it. For every m in M, in
-lexicographic coefficient order,
+the overlap rule; _fill runs the closed form on a stack of tables. Lagrangians
+of one pivot pattern share their coset rows, so state_blocks builds their
+tables a block at a time and yields each block's (states, d^n) vectors in
+enumeration order. state_vectors stacks those blocks into one (S(d,n), d^n)
+array, and realized_states pairs each state with a row view of it, in one
+pass over the Lagrangians. Each entry point checks each cap once. For every m
+in M, in lexicographic coefficient order,
 w_B(m) = tau^{e_M(m)} z(P_m) x(Q_m) (the closed form of weyl._word), and
 
     lambda(zeta, m) = (2[zeta,m] + e_M(m)) mod the order of tau,
@@ -41,7 +42,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -72,11 +73,7 @@ class StabilizerState:
         if not is_lagrangian(self.lagrangian):
             raise ValueError("subspace is not Lagrangian")
         if canonical_coset_representative(self.lagrangian, self.zeta) != self.zeta:
-            raise ValueError("coset representative is not canonical; use from_coset")
-
-    @classmethod
-    def from_coset(cls, lagrangian: Subspace, v: PhaseVector) -> "StabilizerState":
-        return cls(lagrangian, canonical_coset_representative(lagrangian, v))
+            raise ValueError("coset representative is not canonical; use canonical_coset_representative")
 
     @property
     def d(self) -> int:
@@ -155,11 +152,6 @@ class PhaseTable:
         hits = (agree | ~shared[:, None, None]).all(-1)
         return [Fraction(int(size), self.d**self.n) for size in shared.sum(1)], hits
 
-    def vectors(self, *, cap: int = DEFAULT_MATRIX_CAP) -> np.ndarray:
-        """The state vector of each key row, by the module's closed form: one row per state."""
-        check_cap("matrix dimension", self.d**self.n, cap)
-        return _fill(self.d, self.n, self.rows[None], self.keys[None])[0]
-
 
 def _lex_points(d: int, n: int) -> np.ndarray:
     """Every point of Z_d^n as a row, in lexicographic order (first coordinate most significant)."""
@@ -233,7 +225,8 @@ def phase_table(m_sub: Subspace) -> PhaseTable:
 def stabilizer_basis(m_sub: Subspace, *, cap: int = DEFAULT_MATRIX_CAP) -> list[tuple[PhaseVector, np.ndarray]]:
     """The d^n states of one Lagrangian by the closed form above, in coset_representatives order."""
     check_cap("matrix dimension", m_sub.d**m_sub.n, cap)  # before the d^n x d^n table is built
-    return list(zip(coset_representatives(m_sub), phase_table(m_sub).vectors(cap=cap)))
+    table = phase_table(m_sub)
+    return list(zip(coset_representatives(m_sub), _fill(table.d, table.n, table.rows[None], table.keys[None])[0]))
 
 
 def overlap_exact(a: StabilizerState, b: StabilizerState) -> Fraction:
@@ -248,11 +241,19 @@ def enumerate_states(d: int, n: int, *, cap: int = DEFAULT_STATE_CAP) -> Iterato
     """All S(d,n) stabilizer states: Lagrangians outer, coset reps inner."""
     require_prime(d)
     check_cap("states", stabilizer_count(d, n), cap)
-    return (
-        _trusted(StabilizerState, m_sub, zeta)
-        for m_sub in enumerate_lagrangians(d, n)
-        for zeta in coset_representatives(m_sub)
-    )
+    return _states(enumerate_lagrangians(d, n))
+
+
+def _states(lagrangians: Iterable[Subspace]) -> Iterator[StabilizerState]:
+    """The states of each Lagrangian in turn, in coset_representatives order."""
+    return (_trusted(StabilizerState, m_sub, zeta) for m_sub in lagrangians for zeta in coset_representatives(m_sub))
+
+
+def _check_realization(d: int, n: int, state_cap: int, matrix_cap: int) -> None:
+    """The caps of realizing every state of (d, n), each checked once, before any state is built."""
+    require_prime(d)
+    check_cap("realized states", stabilizer_count(d, n), state_cap)
+    check_cap("matrix dimension", d**n, matrix_cap)
 
 
 def state_blocks(
@@ -265,38 +266,45 @@ def state_blocks(
     checked by this call, before any block is built; the first row of the first
     block is |M_0, 0>.
     """
-    require_prime(d)
-    check_cap("realized states", stabilizer_count(d, n), state_cap)
-    check_cap("matrix dimension", d**n, matrix_cap)
-    return _state_blocks(d, n)
+    _check_realization(d, n, state_cap, matrix_cap)
+    return (block for _, block in _state_blocks(d, n))
 
 
-def _state_blocks(d: int, n: int) -> Iterator[np.ndarray]:
+def _state_blocks(d: int, n: int) -> Iterator[tuple[list[Subspace], np.ndarray]]:
+    """Each block's Lagrangians, with the vectors of their states; no cap is checked here."""
     per_block = max(1, _BLOCK_KEYS // d ** (2 * n))  # Lagrangians per block
     for _, group in itertools.groupby(enumerate_lagrangians(d, n), key=lambda m_sub: m_sub.pivots):
         while batch := list(itertools.islice(group, per_block)):
             cosets = np.array(list(_coset_rows(batch[0])))
             if cosets[0].any():  # exponents, and the fixed-state reference |M_0, 0>, need it
                 raise RuntimeError("the zero coset must come first")
-            yield _fill(d, n, *_block(batch, cosets)).reshape(-1, d**n)
+            yield batch, _fill(d, n, *_block(batch, cosets)).reshape(-1, d**n)
+
+
+def _stacked(d: int, n: int) -> tuple[list[Subspace], np.ndarray]:
+    """Every Lagrangian in enumeration order, and the blocks of _state_blocks stacked into one (S(d,n), d^n) array."""
+    lagrangians: list[Subspace] = []
+    out = np.empty((stabilizer_count(d, n), d**n), dtype=np.complex128)
+    start = 0
+    for batch, block in _state_blocks(d, n):
+        lagrangians += batch
+        out[start : start + len(block)] = block
+        start += len(block)
+    return lagrangians, out
 
 
 def state_vectors(
     d: int, n: int, *, state_cap: int = DEFAULT_STATE_CAP, matrix_cap: int = DEFAULT_MATRIX_CAP
 ) -> np.ndarray:
     """Every stabilizer state's vector as one (S(d,n), d^n) stack, rows in enumeration order: state_blocks stacked."""
-    blocks = state_blocks(d, n, state_cap=state_cap, matrix_cap=matrix_cap)  # checks both caps
-    out = np.empty((stabilizer_count(d, n), d**n), dtype=np.complex128)
-    start = 0
-    for block in blocks:
-        out[start : start + len(block)] = block
-        start += len(block)
-    return out
+    _check_realization(d, n, state_cap, matrix_cap)
+    return _stacked(d, n)[1]
 
 
 def realized_states(
     d: int, n: int, *, state_cap: int = DEFAULT_STATE_CAP, matrix_cap: int = DEFAULT_MATRIX_CAP
 ) -> list[tuple[StabilizerState, np.ndarray]]:
     """Every stabilizer state with its Hilbert-space vector, in enumeration order: rows of state_vectors."""
-    stack = state_vectors(d, n, state_cap=state_cap, matrix_cap=matrix_cap)
-    return list(zip(enumerate_states(d, n, cap=state_cap), stack))
+    _check_realization(d, n, state_cap, matrix_cap)
+    lagrangians, stack = _stacked(d, n)
+    return list(zip(_states(lagrangians), stack))

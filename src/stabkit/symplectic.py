@@ -300,12 +300,6 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
     return _trusted(Subspace, a.d, w, tuple(tuple(row[w:]) for row in reduced[: len(pivots)] if not any(row[:w])))
 
 
-def is_transverse(a: Subspace, b: Subspace) -> bool:
-    """Whether A ⊕ B spans the ambient space (trivial intersection, full sum)."""
-    _check_same_ambient(a, b)
-    return a.dim + b.dim == a.width and intersect(a, b).dim == 0
-
-
 # ---------------------------------------------------------------------------
 # Enumeration
 
@@ -500,46 +494,3 @@ def canonical_coset_representative(m_sub: Subspace, v: PhaseVector) -> PhaseVect
     if (v.d, 2 * v.n) != (m_sub.d, m_sub.width):
         raise ValueError("vector lives in a different space")
     return _trusted(PhaseVector, v.d, v.n, m_sub.reduce_coords(v.coords))
-
-
-# ---------------------------------------------------------------------------
-# Graph-state correspondence
-
-
-def _matrix_inverse(rows: Sequence[Sequence[int]], d: int) -> list[Row] | None:
-    m = len(rows)
-    cols = [[1 if i == j else 0 for i in range(m)] for j in range(m)]
-    solved = _solve_linear_system(rows, cols, d, m)
-    if any(c is None for c in solved):
-        return None
-    # solver returns columns of the inverse
-    return [tuple(solved[j][i] for j in range(m)) for i in range(m)]  # type: ignore[index]
-
-
-def graph_adjacency(n_sub: Subspace, m_sub: Subspace) -> tuple[Row, ...]:
-    """Symmetric matrix A with N = span{ b_j + sum_i A_ji a_i }.
-
-    (a_i) are M's canonical generators and (b_j) their symplectic duals;
-    raises ValueError when N is not transverse to M.
-    """
-    _check_same_ambient(n_sub, m_sub)
-    if not (is_lagrangian(m_sub) and is_lagrangian(n_sub)):
-        raise ValueError("graph adjacency needs Lagrangian subspaces")
-    d, w, n = m_sub.d, m_sub.width, m_sub.n
-    a_rows = list(m_sub.generators)
-    b_rows = _dual_partners(Subspace.zero(d, w), a_rows)
-    basis_matrix = [[(a_rows[c][r] if c < n else b_rows[c - n][r]) for c in range(w)] for r in range(w)]
-    coords = _solve_linear_system(basis_matrix, [list(g) for g in n_sub.generators], d, w)
-    if any(c is None for c in coords):
-        raise RuntimeError("full symplectic basis must express every vector")
-    alpha = [list(c[:n]) for c in coords]  # type: ignore[index]
-    beta = [list(c[n:]) for c in coords]  # type: ignore[index]
-    beta_inv = _matrix_inverse(beta, d)
-    if beta_inv is None:
-        raise ValueError("subspace is not transverse to the reference Lagrangian")
-    adj = tuple(
-        tuple(sum(beta_inv[j][r] * alpha[r][i] for r in range(n)) % d for i in range(n)) for j in range(n)
-    )
-    if any(adj[i][j] != adj[j][i] for i in range(n) for j in range(n)):
-        raise RuntimeError("adjacency must be symmetric")
-    return adj

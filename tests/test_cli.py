@@ -12,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from stabkit import FramePotentialReport, PhaseTable, ResourceCapError, StabilizerState, Subspace
+from stabkit import FramePotentialReport, PhaseTable, ResourceCapError, StabilizerState, Subspace, stabilizer
 from stabkit.cli import build_parser, main, run_verification
 
 from helpers import lagrangians_by_filter, source_env
@@ -288,6 +288,40 @@ def test_verify_cap_precheck_runs_before_enumeration(monkeypatch):
         run_verification(2, 5, 4)
 
 
+def _record_caps(monkeypatch):
+    """Every check_cap call as (what, need), wrapped where each module looks it up, and each Lagrangian scan."""
+    calls, scans = [], []
+    real_check = importlib.import_module("stabkit.errors").check_cap
+    real_scan = importlib.import_module("stabkit.symplectic")._iter_lagrangians
+
+    def check_cap(what, need, cap):
+        calls.append((what, need))
+        real_check(what, need, cap)
+
+    def scan(d, n):
+        scans.append((d, n))
+        return real_scan(d, n)
+
+    for module in ("cli", "potential", "stabilizer", "symplectic", "weyl"):
+        monkeypatch.setattr(importlib.import_module(f"stabkit.{module}"), "check_cap", check_cap)
+    monkeypatch.setattr("stabkit.symplectic._iter_lagrangians", scan)
+    return calls, scans
+
+
+def test_each_entry_point_checks_each_cap_once(monkeypatch):
+    calls, scans = _record_caps(monkeypatch)
+    stabilizer.stabilizer_basis(Subspace.from_rows([(1, 0, 0, 0), (0, 1, 0, 0)], d=2, width=4))
+    assert (calls, scans) == ([("matrix dimension", 4)], [])
+    calls.clear()
+    stabilizer.realized_states(2, 2)
+    assert calls == [("realized states", 60), ("matrix dimension", 4), ("Lagrangians", 15)]
+    assert scans == [(2, 2)]
+    calls.clear()
+    run_verification(2, 2, 4)
+    # Once for the Weyl matrices (zx_matrices) and once for the states (state_vectors).
+    assert [call for call in calls if call[0] == "matrix dimension"] == [("matrix dimension", 4)] * 2
+
+
 def _refuse_realization(monkeypatch):
     # The work itself, not the entry points, which hold the cap checks.
     for target in (
@@ -419,20 +453,19 @@ def test_verify_runs_the_overlap_rule_once_per_lagrangian(monkeypatch):
 def test_verify_state_checks_fail_on_one_flipped_amplitude(monkeypatch):
     # Negate one amplitude of one state with two or more nonzero amplitudes: the
     # batched eigenvalue and overlap checks must both see it.
-    real_vectors = PhaseTable.vectors
+    real_state_vectors = stabilizer.state_vectors
 
     for d, n in [(2, 2), (3, 1)]:
         flipped = []
 
-        def vectors(self, **kwargs):
-            vecs = real_vectors(self, **kwargs)
-            support = np.flatnonzero(vecs[0])
-            if not flipped and len(support) > 1:
-                vecs[0, support[-1]] *= -1
-                flipped.append(self)
+        def state_vectors(*args, **kwargs):
+            vecs = real_state_vectors(*args, **kwargs)
+            row = next(i for i, vec in enumerate(vecs) if np.count_nonzero(vec) > 1)
+            vecs[row, np.flatnonzero(vecs[row])[-1]] *= -1
+            flipped.append(row)
             return vecs
 
-        monkeypatch.setattr(PhaseTable, "vectors", vectors)
+        monkeypatch.setattr(stabilizer, "state_vectors", state_vectors)
         passed = {c.name: c.passed for c in run_verification(d, n, 4)}
         assert len(flipped) == 1
         assert not passed["state-eigenvalue"]

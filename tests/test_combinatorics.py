@@ -1,19 +1,24 @@
 """Counting formulas against independent oracles and against each other."""
 
+import re
 from fractions import Fraction
 
 import pytest
 
 from helpers import count_subspaces_bruteforce, gaussian_pascal_check, pascal_binomial
 from stabkit import (
+    PhaseVector,
     binomial,
+    frame_potential_combinatorial,
     gaussian_binomial,
+    is_prime,
     kappa,
     lagrangian_count,
     stabilizer_count,
     transversal_count,
     welch_bound,
 )
+from stabkit.combinatorics import require_prime
 from stabkit.errors import NonPrimeModulusError
 
 
@@ -108,6 +113,32 @@ def test_kappa_examples():
         kappa(2, 2, 3)
     with pytest.raises(ValueError):
         kappa(2, 2, -1)
+
+
+def test_count_functions_validate_alike():
+    counts = [lagrangian_count, transversal_count, lambda d, n: kappa(d, n, 0)]
+    for count in counts:
+        for d in (4, 6, 1, 2.0):
+            with pytest.raises(NonPrimeModulusError):
+                count(d, 2)
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="n must be positive"):
+                count(2, n)
+
+
+def test_only_an_int_is_prime():
+    assert is_prime(2) and is_prime(3) and not is_prime(4)
+    for d in (3.5, 2.0, 3.0, True, "3", None, Fraction(3)):
+        assert not is_prime(d)
+        with pytest.raises(NonPrimeModulusError, match=f"got {re.escape(repr(d))}$"):
+            require_prime(d)
+    # So a float d never reaches the exact engines.
+    with pytest.raises(NonPrimeModulusError):
+        frame_potential_combinatorial(2.0, 2, 3)
+    with pytest.raises(NonPrimeModulusError):
+        lagrangian_count(3.5, 1)
+    with pytest.raises(NonPrimeModulusError):
+        PhaseVector(3.5, 1, (1, 2))
 
 
 def test_kappa_sums_to_lagrangian_count():

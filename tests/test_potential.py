@@ -22,7 +22,7 @@ from stabkit import (
     welch_bound,
 )
 from stabkit.errors import NonPrimeModulusError, ResourceCapError
-from stabkit.potential import _pairwise_sum, _state_stack, fraction_str, parse_fraction
+from stabkit.potential import _pairwise_tree, _state_stack, fraction_str, parse_fraction
 
 
 # ---------------------------------------------------------------------------
@@ -84,17 +84,14 @@ def test_recursion_factor_matches_welch_ratio_at_t2():
 
 def test_pairwise_sum_matches_plain_sum():
     vals = [1.0 / (i + 1) for i in range(37)]
-    assert _pairwise_sum(vals) == pytest.approx(sum(vals), abs=1e-15)
-    assert _pairwise_sum([]) == 0.0
+    assert float(_pairwise_tree(np.array(vals))) == pytest.approx(sum(vals), abs=1e-15)
 
 
 def test_pairwise_sum_keeps_the_fixed_tree_bit_for_bit():
     rng = random.Random(7)
-    for size in [*range(71), 30_241]:
+    for size in [*range(1, 71), 30_241]:
         vals = [rng.random() * 10.0 ** rng.randint(-12, 12) for _ in range(size)]
-        total = _pairwise_sum(np.array(vals))
-        assert type(total) is float
-        assert total == _pairwise_sum(vals) == pairwise_sum_tree(vals)
+        assert float(_pairwise_tree(np.array(vals))) == pairwise_sum_tree(vals)
 
 
 def test_bruteforce_single_qubit_against_handwritten_rays():
@@ -168,7 +165,7 @@ def test_fixed_state_sweep_streams_the_bits_of_the_whole_stack():
         stack = state_vectors(d, n)
         amps = stack @ np.conj(stack[0])
         ts = range(1, t_max + 1)
-        expected = [_pairwise_sum((amps.real**2 + amps.imag**2) ** t) / len(stack) for t in ts]
+        expected = [float(_pairwise_tree((amps.real**2 + amps.imag**2) ** t)) / len(stack) for t in ts]
         sweep = frame_potentials_fixed_state(d, n, ts)
         assert [x.hex() for x in sweep] == [x.hex() for x in expected]
         assert sweep == frame_potentials_fixed_state(d, n, ts, vectors=stack)

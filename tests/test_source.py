@@ -157,3 +157,38 @@ def test_library_modules_use_every_name_they_import():
         for lineno, name in _unused_imports(_parse(path))
     ]
     assert unused == []
+
+
+def _private_functions_and_uses(tree):
+    """The private (_x, not dunder) functions and methods defined in tree, and each name tree references, paired
+    with the private definitions that enclose the reference."""
+    defined, uses = set(), []
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if node.name.startswith("_") and not node.name.endswith("__"):
+                defined.add(node.name)
+                inside = inside | {node.name}
+        elif isinstance(node, ast.Name):
+            uses.append((node.id, inside))
+        elif isinstance(node, ast.Attribute):
+            uses.append((node.attr, inside))
+        elif isinstance(node, ast.alias):
+            uses.append((node.name, inside))
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(tree, frozenset())
+    return defined, uses
+
+
+def test_every_private_function_is_called_in_the_library():
+    # A private helper that nothing in src/stabkit references outside its own body is dead code, even when a
+    # test still calls it.
+    defined, used = set(), set()
+    for path in sorted(SOURCE_DIR.glob("*.py")):
+        names, uses = _private_functions_and_uses(_parse(path))
+        defined |= {(path.name, name) for name in names}
+        used |= {name for name, inside in uses if name not in inside}
+    assert len(defined) > 20, "no private functions found"
+    assert sorted(f"{module}:{name}" for module, name in defined if name not in used) == []

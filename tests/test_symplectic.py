@@ -1,4 +1,4 @@
-"""Symplectic geometry over Z_d: canonical forms, enumeration, extensions, graph states."""
+"""Symplectic geometry over Z_d: canonical forms, enumeration, extensions, cosets."""
 
 import random
 from collections import Counter
@@ -14,12 +14,10 @@ from stabkit import (
     enumerate_subspaces,
     extensions_through,
     gaussian_binomial,
-    graph_adjacency,
     intersect,
     intersection_spectrum,
     is_isotropic,
     is_lagrangian,
-    is_transverse,
     kappa,
     lagrangian_count,
     symplectic_form,
@@ -172,8 +170,6 @@ def test_intersect_sum_dimension_formula():
 def test_transversality():
     p_plane = span(2, 2, (1, 0, 0, 0), (0, 1, 0, 0))
     q_plane = span(2, 2, (0, 0, 1, 0), (0, 0, 0, 1))
-    assert is_transverse(p_plane, q_plane)
-    assert not is_transverse(p_plane, p_plane)
     assert intersect(p_plane, q_plane).dim == 0
 
 
@@ -367,43 +363,6 @@ def test_coset_representatives_properties():
 def test_canonical_representative_of_zero():
     m_sub = next(iter(enumerate_lagrangians(3, 2)))
     assert canonical_coset_representative(m_sub, PhaseVector.zero(3, 2)).is_zero()
-
-
-# ---------------------------------------------------------------------------
-# graph-state correspondence
-
-
-def test_graph_lagrangian_examples():
-    p_plane = span(2, 2, (1, 0, 0, 0), (0, 1, 0, 0))
-    q_plane = span(2, 2, (0, 0, 1, 0), (0, 0, 0, 1))
-    assert not is_transverse(p_plane, p_plane)
-    assert is_transverse(q_plane, p_plane)
-    assert graph_adjacency(q_plane, p_plane) == ((0, 0), (0, 0))
-    with pytest.raises(ValueError):
-        graph_adjacency(p_plane, p_plane)
-
-
-def test_graph_count_matches_transversal_count():
-    for d, n in [(2, 1), (2, 2), (3, 1)]:
-        lags = list(enumerate_lagrangians(d, n))
-        m_sub = lags[0]
-        graphs = [other for other in lags if is_transverse(other, m_sub)]
-        assert len(graphs) == transversal_count(d, n)
-        for other in graphs:
-            adj = graph_adjacency(other, m_sub)
-            assert all(adj[i][j] == adj[j][i] for i in range(n) for j in range(n))
-
-
-def test_graph_adjacency_inverts_extension_construction():
-    for d, n in [(2, 2), (3, 1)]:
-        m_sub = next(iter(enumerate_lagrangians(d, n)))
-        zero = Subspace.zero(d, 2 * n)
-        seen = set()
-        for other in extensions_through(m_sub, zero):
-            adj = graph_adjacency(other, m_sub)
-            assert adj not in seen
-            seen.add(adj)
-        assert len(seen) == transversal_count(d, n)
 
 
 # ---------------------------------------------------------------------------
