@@ -37,6 +37,7 @@ from .stabilizer import (
     stabilizer_basis,
     state_blocks,
     state_vectors,
+    state_vectors_of,
     weyl_representation,
 )
 from .symplectic import (

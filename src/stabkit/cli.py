@@ -14,10 +14,11 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import sys
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from .combinatorics import (
     transversal_count,
 )
 from .errors import NonPrimeModulusError, ResourceCapError, check_cap
-from .symplectic import DEFAULT_ENUM_CAP, enumerate_lagrangians, intersection_spectrum
+from .symplectic import DEFAULT_ENUM_CAP, Subspace, enumerate_lagrangians, intersect
 
 
 def _int_range(text: str) -> list[int]:
@@ -246,10 +247,19 @@ def cmd_states(args) -> int:
     return 0
 
 
+def _spectrum(lagrangians: Iterable[Subspace]) -> dict[int, int]:
+    """intersection_spectrum of the first Lagrangian, read off every Lagrangian as given, in one pass."""
+    lagrangians = iter(lagrangians)
+    first = next(lagrangians)
+    counts = dict.fromkeys(range(first.n + 1), 0)
+    for other in itertools.chain([first], lagrangians):
+        counts[intersect(first, other).dim] += 1
+    return counts
+
+
 def cmd_spectrum(args) -> int:
     """The empirical kappa of the first Lagrangian against the closed formula."""
-    first = next(iter(enumerate_lagrangians(args.d, args.n, cap=args.enum_cap)))
-    spectrum = intersection_spectrum(first, cap=args.enum_cap)
+    spectrum = _spectrum(enumerate_lagrangians(args.d, args.n, cap=args.enum_cap))
     rows = []
     for k in sorted(spectrum):
         formula = kappa(args.d, args.n, k)
@@ -314,7 +324,7 @@ def run_verification(
         )
     )
 
-    spectrum = intersection_spectrum(lagrangians[0], cap=enum_cap)
+    spectrum = _spectrum(lagrangians)
     kappa_ok = all(spectrum[k] == kappa(d, n, k) for k in range(n + 1))
     checks.append(
         CheckResult(
@@ -341,7 +351,7 @@ def run_verification(
 
     dim = d**n
     tables = [stabilizer.phase_table(m_sub) for m_sub in lagrangians]
-    stack = stabilizer.state_vectors(d, n, state_cap=state_cap, matrix_cap=matrix_cap)
+    stack = stabilizer.state_vectors_of(lagrangians, state_cap=state_cap, matrix_cap=matrix_cap)
     bases = stack.reshape(len(tables), dim, dim)  # a view: (Lagrangian, state, amplitude)
     taus = _tau_powers(d)
     block = max(1, 2**18 // dim**3)  # tables per overlap call, so a call's key match holds at most 2^18 booleans

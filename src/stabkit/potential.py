@@ -15,32 +15,39 @@ list summed, so results do not depend on how rows are blocked.
 
 Both take a list of moments t: the overlaps |<x_i, x_j>|^2 are computed once,
 and only the power and the tree run once per t, with the same bits as one call
-per t. The brute-force engine reads the whole (S, d^n) stack of state vectors,
-a block of rows at a time. The fixed-reference sum needs only the row of
-reference overlaps: frame_potentials_fixed_state streams the states a block at
-a time from stabilizer.state_blocks and keeps just those S overlaps.
+per t. Neither holds an array that grows with S beyond the states themselves:
+their working memory is one budget, stabilizer._WORK_BYTES. The brute-force
+engine reads the whole (S, d^n) stack of state vectors, a block of rows at a
+time, and keeps only each block's squared overlaps. The fixed-reference sum
+needs only the reference overlaps: frame_potentials_fixed_state streams the
+states a block at a time from stabilizer.state_blocks. Both feed their sums
+to _chunked_tree, which reduces aligned chunks as they arrive and gives the
+bits of the tree over all of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .combinatorics import gaussian_binomial, require_prime, stabilizer_count, welch_bound
 from .errors import check_cap, json_field
-from .stabilizer import DEFAULT_STATE_CAP, state_blocks, state_vectors
+from .stabilizer import _WORK_BYTES, DEFAULT_STATE_CAP, state_blocks, state_vectors
 from .weyl import DEFAULT_MATRIX_CAP
 
 DEFAULT_PAIR_CAP = 25_000_000
+_OVERLAP_BYTES = 32  # peak bytes per overlap in _row_sums: its |amp|^2, one power and the tree's levels
+_TREE_CHUNK = 2**12  # values per t that _chunked_tree holds; it keeps one sum per chunk
 
 
 def _validate(d: int, n: int, t: int) -> None:
     require_prime(d)
-    if n < 1 or t < 1:
-        raise ValueError("n and t must be positive")
+    for name, value in (("n", n), ("t", t)):
+        if type(value) is not int or value < 1:
+            raise ValueError(f"{name} must be a positive int, got {value!r}")
 
 
 def _validate_ts(d: int, n: int, ts: Sequence[int]) -> None:
@@ -91,25 +98,51 @@ def _pairwise_tree(vals: np.ndarray) -> np.ndarray:
     return vals[..., 0]
 
 
+def _chunked_tree(pieces: Iterable[np.ndarray], chunk: int) -> np.ndarray:
+    """_pairwise_tree over the pieces joined along their last axis, bit for bit, holding one chunk at a time.
+
+    The values are cut into aligned chunks of ``chunk``, a power of two, as
+    they stream in. Each chunk is reduced by the tree on its own, a short last
+    one too, and the tree over the chunk sums finishes the sum. That is the
+    whole tree: its pairs never cross an aligned boundary, and until a short
+    last chunk is one value, its levels are the whole tree's odd tails.
+    """
+    sums, held, size = [], [], 0  # the chunk so far, as views of the pieces, and its length
+    for piece in pieces:
+        start = 0
+        while start < piece.shape[-1]:
+            take = min(chunk - size, piece.shape[-1] - start)
+            held.append(piece[..., start : start + take])
+            size, start = size + take, start + take
+            if size == chunk:
+                sums.append(_pairwise_tree(np.concatenate(held, axis=-1)))
+                held, size = [], 0
+    if held:
+        sums.append(_pairwise_tree(np.concatenate(held, axis=-1)))
+    return _pairwise_tree(np.stack(sums, axis=-1))
+
+
 def _state_stack(vectors, count: int, d: int, n: int, *, state_cap: int, matrix_cap: int) -> np.ndarray:
-    """The vectors as one array, rows in order (an array passes through uncopied), or state_vectors for None."""
+    """The vectors as one (S, d^n) array, rows in order (an array is not copied), or state_vectors for None."""
     if vectors is None:
         return state_vectors(d, n, state_cap=state_cap, matrix_cap=matrix_cap)
-    if len(vectors) != count:
-        raise ValueError(f"expected all {count} state vectors, got {len(vectors)}")
-    return np.asarray(vectors)
+    stack = np.asarray(vectors)
+    if stack.shape != (count, d**n):
+        raise ValueError(f"expected all {count} state vectors, of length {d**n}: got shape {stack.shape}")
+    return stack
 
 
 def _row_sums(stack: np.ndarray, rows: range, ts: Sequence[int]) -> np.ndarray:
     """sum_j |<x_i, x_j>|^{2t} for each t in ts (axis 0) and each i in rows, each row by the fixed tree.
 
     Each row's overlaps come from their own product with the whole stack: a
-    single matrix product over the block rounds differently.
+    single matrix product over the block rounds differently. Only their
+    squared moduli are kept, _OVERLAP_BYTES per overlap at the peak.
     """
-    amps = np.empty((len(rows), len(stack)), dtype=np.complex128)
+    sq = np.empty((len(rows), len(stack)))
     for r, i in enumerate(rows):
-        amps[r] = stack @ np.conj(stack[i])
-    sq = amps.real**2 + amps.imag**2
+        amps = stack @ np.conj(stack[i])
+        sq[r] = amps.real**2 + amps.imag**2
     return np.array([_pairwise_tree(sq**t) for t in ts])
 
 
@@ -133,15 +166,26 @@ def frame_potentials_bruteforce(
     count = stabilizer_count(d, n)
     check_cap("brute-force state pairs", count * count, pair_cap)
     stack = _state_stack(vectors, count, d, n, state_cap=state_cap, matrix_cap=matrix_cap)
-    # Blocks of about 2^16 overlaps bound the working memory.
-    block = max(1, 2**16 // count)
-    totals = [_row_sums(stack, range(i, min(i + block, count)), ts) for i in range(0, count, block)]
-    return [float(total) / (count * count) for total in _pairwise_tree(np.concatenate(totals, axis=1))]
+    block = max(1, _WORK_BYTES // (_OVERLAP_BYTES * count))  # rows per block
+    totals = (_row_sums(stack, range(i, min(i + block, count)), ts) for i in range(0, count, block))
+    return [float(total) / (count * count) for total in _chunked_tree(totals, _TREE_CHUNK)]
 
 
 def frame_potential_bruteforce(d: int, n: int, t: int, **keywords) -> float:
     """frame_potentials_bruteforce for one t, with the same keywords."""
     return frame_potentials_bruteforce(d, n, [t], **keywords)[0]
+
+
+def _reference_powers(blocks: Iterable[np.ndarray], ts: Sequence[int]) -> Iterator[np.ndarray]:
+    """|<x_ref, x_i>|^{2t} for each t in ts (axis 0) and each row x_i of each block; x_ref is the first row."""
+    ref = None
+    for block in blocks:
+        if ref is None:
+            ref = np.conj(block[0])
+        amps = block @ ref
+        del block  # the next block is realized while this generator waits: it need not hold this one
+        sq = amps.real**2 + amps.imag**2
+        yield np.array([sq**t for t in ts])
 
 
 def frame_potentials_fixed_state(
@@ -159,26 +203,20 @@ def frame_potentials_fixed_state(
     the full double sum; x_ref is the first enumerated state, whose coset
     representative is the zero vector. ``vectors``, when given, must hold the
     realized state vectors in enumeration order. Without them the states are
-    realized a block at a time (stabilizer.state_blocks) and only their S
-    overlaps with x_ref are kept, so memory is O(S) floats, not the (S, d^n)
-    stack; state_blocks checks the state and matrix caps. The overlaps are
-    computed once, and only the power and the tree run per t.
+    realized a block at a time (stabilizer.state_blocks), which checks the
+    state and matrix caps. Either way the overlaps with x_ref stream through
+    _chunked_tree a block at a time, so no array grows with S: the working
+    memory stays within a few _WORK_BYTES, not the (S, d^n) stack or S floats.
     """
     _validate_ts(d, n, ts)
     count = stabilizer_count(d, n)
     if vectors is None:
         blocks = state_blocks(d, n, state_cap=state_cap, matrix_cap=matrix_cap)
     else:
-        blocks = [_state_stack(vectors, count, d, n, state_cap=state_cap, matrix_cap=matrix_cap)]
-    sq = np.empty(count)
-    start = 0
-    for block in blocks:
-        if start == 0:  # x_ref is the first row of the first block
-            ref = np.conj(block[0])
-        amps = block @ ref
-        sq[start : start + len(block)] = amps.real**2 + amps.imag**2
-        start += len(block)
-    return [float(_pairwise_tree(sq**t)) / count for t in ts]
+        stack = _state_stack(vectors, count, d, n, state_cap=state_cap, matrix_cap=matrix_cap)
+        rows = max(1, _WORK_BYTES // (16 * d**n))  # a block of stack rows as large as _WORK_BYTES
+        blocks = (stack[i : i + rows] for i in range(0, count, rows))
+    return [float(total) / count for total in _chunked_tree(_reference_powers(blocks, ts), _TREE_CHUNK)]
 
 
 def frame_potential_fixed_state(d: int, n: int, t: int, **keywords) -> float:

@@ -5,13 +5,17 @@ the canonical representative zeta of a coset of V/M (zero on M's pivot
 coordinates). Identity is structural: two states are equal iff their pairs
 are. Weyl operators w_B use M's canonical generator list B as basis.
 
-One integer table per Lagrangian (phase_table) drives both realization and
-the overlap rule; _fill runs the closed form on a stack of tables. Lagrangians
-of one pivot pattern share their coset rows, so state_blocks builds their
-tables a block at a time and yields each block's (states, d^n) vectors in
-enumeration order. state_vectors stacks those blocks into one (S(d,n), d^n)
-array, and realized_states pairs each state with a row view of it, in one
-pass over the Lagrangians. Each entry point checks each cap once. For every m
+One integer table per Lagrangian (phase_table) holds the lambda values below
+and drives the overlap rule; realization (_fill) reads the same closed form
+off each Lagrangian's element rows and exponents, without building the
+table. Lagrangians of one pivot pattern share their coset rows, so
+state_blocks realizes them a block at a time, as many as fit one working
+memory budget (_WORK_BYTES, shared with the numeric engines), and yields each
+block's (states, d^n) vectors in enumeration order. state_vectors stacks
+those blocks into one (S(d,n), d^n) array, state_vectors_of does so from a
+list of the Lagrangians already in hand, and realized_states pairs each
+state with a row view of one stack, in one pass over the Lagrangians. Each
+entry point checks each cap once. For every m
 in M, in lexicographic coefficient order,
 w_B(m) = tau^{e_M(m)} z(P_m) x(Q_m) (the closed form of weyl._word), and
 
@@ -27,7 +31,9 @@ k(zeta, z, x) = 0 for every z in M_Z = {z in M : Q_z = 0}. The vector is
 |Q(M)|^{-1/2} tau^{k(zeta,m,x0)} at x0 + Q_m mod d and 0 elsewhere. It is well
 defined because m -> omega^{[zeta,m]} w_B(m) is a representation of M, so the
 amplitude depends only on m + M_Z; k = 0 at x0 makes the first nonzero
-amplitude real positive exactly.
+amplitude real positive exactly. For the same reason z -> tau^{k(zeta, z, x)}
+is a character of M_Z, so x0 is found by testing a basis of M_Z, at most n
+elements, rather than every Z-only element.
 
 Overlaps: |<M,zeta|N,iota>|^2 is d^{-n} |M cap N| when lambda_M(zeta, .) and
 lambda_N(iota, .) agree on every point M and N share, and 0 otherwise, since
@@ -39,14 +45,16 @@ indices through one lookup array, with no subspace intersection.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .combinatorics import require_prime, stabilizer_count
+from .combinatorics import lagrangian_count, require_prime, stabilizer_count
 from .errors import check_cap, json_field
 from .weyl import DEFAULT_MATRIX_CAP, _point_index, _tau_powers, _word, _zx_matrix, tau_order
 from .symplectic import (
@@ -61,7 +69,10 @@ from .symplectic import (
 )
 
 DEFAULT_STATE_CAP = 10**6
-_BLOCK_KEYS = 2**14  # table keys per realized block; the fill's temporaries scale with it
+# The working memory of one numeric-path block, in bytes: a realized block in
+# _fill, a block of brute-force overlaps, or a chunk of reference overlaps.
+_WORK_BYTES = 2**19
+_FILL_BYTES = 28  # peak bytes per (table, coset, element) in _fill, its vectors included
 
 
 @dataclass(frozen=True)
@@ -153,29 +164,70 @@ class PhaseTable:
         return [Fraction(int(size), self.d**self.n) for size in shared.sum(1)], hits
 
 
-def _lex_points(d: int, n: int) -> np.ndarray:
-    """Every point of Z_d^n as a row, in lexicographic order (first coordinate most significant)."""
-    return np.indices((d,) * n).reshape(n, -1).T
+def _narrow(d: int, n: int) -> np.dtype:
+    """The narrowest signed integer type for the point tables and the per-key arrays of _block and _fill.
+
+    Those hold point indices below d^n, and sums or differences of at most
+    three exponents below the order of tau.
+    """
+    return np.min_scalar_type(-max(3 * tau_order(d), d**n))
+
+
+@functools.lru_cache(maxsize=4)
+def _points(d: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only tables of the points of Z_d^n, indexed in lexicographic order (first coordinate most significant).
+
+    The points as rows; sums[a, b], the index of point a + point b mod d; the
+    index of each point's negative; and dots[a, b] = 2 a.b mod the order of
+    tau, on the lifts.
+    """
+    grid = np.indices((d,) * n).reshape(n, -1).T
+    sums = np.zeros((d**n, d**n), dtype=_narrow(d, n))
+    for i, weight in enumerate(d ** np.arange(n - 1, -1, -1)):
+        sums += (grid[:, None, i] + grid[:, i]) % d * weight
+    negative = np.argmin(sums, axis=1)  # sums[b, -b] = 0 is the only zero of row b
+    tables = grid, sums, negative, (2 * grid @ grid.T % tau_order(d)).astype(_narrow(d, n))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _elements(m_subs: Sequence[Subspace]) -> tuple[np.ndarray, np.ndarray]:
+    """The stacked rows (table, element, 2n) of Lagrangians of one space, and exponents e_M(m) (table, element).
+
+    Elements run in lexicographic coefficient order. With generator rows
+    (p_i | q_i) and coefficients c, the element is c.G mod d and weyl._word's
+    exponent is e(c) = -c^T (diag(p_i.q_i) + 2 triu(Q P^T, 1)) c: the matrix is
+    q_i.p_j weighted 1 on the diagonal, 2 above it and 0 below. The exponents
+    are reduced mod the order of tau, in the _narrow integer type.
+    """
+    d, n = m_subs[0].d, m_subs[0].n
+    coeffs = _points(d, n)[0]
+    gens = np.array([m_sub.generators for m_sub in m_subs])  # (batch, n, 2n)
+    p, q = gens[..., :n], gens[..., n:]
+    i = np.arange(n)
+    e = -((coeffs @ ((q @ p.swapaxes(1, 2)) * (1 + np.sign(i[None, :] - i[:, None])))) * coeffs).sum(-1)
+    return coeffs @ gens % d, (e % tau_order(d)).astype(_narrow(d, n))
 
 
 def _block(m_subs: Sequence[Subspace], cosets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The stacked rows (table, element, 2n) and keys (table, coset, element) of Lagrangians of one pivot pattern.
 
-    The keys run over that pattern's coset rows, zero coset first. With
-    generator rows (p_i | q_i) and coefficients c, the element is c.G mod d
-    and weyl._word's exponent is e(c) = -c^T (diag(p_i.q_i) + 2 triu(Q P^T, 1)) c:
-    the matrix is q_i.p_j weighted 1 on the diagonal, 2 above it and 0 below.
-    2[zeta,m] may use the integer lift, since 2 (x mod d) = 2x (mod 2d).
+    The keys run over that pattern's coset rows, zero coset first, in the
+    _narrow integer type: 2[zeta,m] + e_M(m) mod the order of tau, where
+    2[zeta,m] = 2 zeta_P.Q_m - 2 zeta_Q.P_m may use the integer lifts, since
+    2 (x mod d) = 2x (mod 2d).
     """
     d, n = m_subs[0].d, m_subs[0].n
-    coeffs = _lex_points(d, n)
-    gens = np.array([m_sub.generators for m_sub in m_subs])  # (batch, n, 2n)
-    p, q = gens[..., :n], gens[..., n:]
-    i = np.arange(n)
-    e = -((coeffs @ ((q @ p.swapaxes(1, 2)) * (1 + np.sign(i[None, :] - i[:, None])))) * coeffs).sum(-1)
-    rows = coeffs @ gens % d
-    form = cosets[:, :n] @ rows[..., n:].swapaxes(1, 2) - cosets[:, n:] @ rows[..., :n].swapaxes(1, 2)
-    return rows, (2 * form + e[:, None, :]) % tau_order(d)
+    dots = _points(d, n)[3]
+    rows, exponents = _elements(m_subs)
+    p_index, q_index = _point_index(rows[..., :n], d), _point_index(rows[..., n:], d)
+    zeta_p, zeta_q = _point_index(cosets[:, :n], d)[:, None], _point_index(cosets[:, n:], d)[:, None]
+    keys = dots[zeta_p, q_index[:, None]]
+    keys -= dots[zeta_q, p_index[:, None]]
+    keys += exponents[:, None]
+    keys %= tau_order(d)
+    return rows, keys
 
 
 def _table(m_subs: Sequence[Subspace], cosets: np.ndarray) -> list[PhaseTable]:
@@ -185,33 +237,77 @@ def _table(m_subs: Sequence[Subspace], cosets: np.ndarray) -> list[PhaseTable]:
     return [PhaseTable(d, n, *arrays) for arrays in zip(rows, _point_index(rows, d), keys)]
 
 
-def _fill(d: int, n: int, rows: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """The vectors of a block of tables by the module's closed form, shape (table, key row, d^n).
+def _z_fixed(d: int, n: int, cosets: np.ndarray, rows: np.ndarray, exponents: np.ndarray) -> np.ndarray:
+    """Whether k(zeta, z, x) = 0 for every z in M_Z, over (table, coset, x in grid order), from _elements' arrays.
 
-    rows and keys are stacked as _block returns them. Beyond the vectors, no
-    temporary is much larger than keys: the Z-only elements are tested one
-    element column at a time, and points are added through a table of their sums.
+    On z in M_Z, Q_z = 0, so k(zeta, z, x) = -2 zeta_Q.P_z + e_M(z) + 2 P_z.x
+    mod the order of tau. z -> tau^{k(zeta, z, x)} is a character of M_Z (the
+    module docstring's representation, on diagonal operators), so it is
+    trivial once it is on a basis of M_Z. The basis is found greedily, at most
+    n elements per table (m = 0 fills the rest): each step takes the first
+    Z-only element outside the span so far and adds its multiples to the span
+    through the point-sum table, since the element with coefficients a plus
+    the one with b is the one with a + b. On the basis, x passes when the
+    digits 2 P_z.x match the digits -lambda(zeta, z), compared as one integer.
     """
-    taus = _tau_powers(d)
-    order, grid = len(taus), _lex_points(d, n)
-    weights = d ** np.arange(n - 1, -1, -1)  # point @ weights is the point's index in grid
-    p, q = rows[..., :n], rows[..., n:]
-    # k(zeta, m, x) over (table, coset, element), less its x-dependent term 2 P_m.x.
-    k = keys + 2 * (p * q).sum(-1)[:, None, :]
-    z_only = ~q.any(-1)
-    x_terms = 2 * p @ grid.T  # 2 P_m.x over (table, element, x)
-    fixed = np.ones((*k.shape[:2], len(grid)), dtype=bool)
-    for j in np.flatnonzero(z_only.any(0))[1:]:  # element 0 is m = 0, whose k is 0
-        fixed &= ((k[:, :, j, None] + x_terms[:, None, j]) % order == 0) | ~z_only[:, j, None, None]
-    if not fixed.any(-1).all():
-        raise RuntimeError("no basis point is fixed by the Z-only elements")
+    order, (_, sums, negative, dots) = tau_order(d), _points(d, n)
+    p_index, z_only = _point_index(rows[..., :n], d), ~rows[..., n:].any(-1)
+    tables = np.arange(len(rows))[:, None]
+    span = np.zeros_like(z_only)
+    span[:, 0] = True
+    basis = np.zeros((len(rows), n), dtype=np.intp)
+    for i in range(n):
+        new = z_only & ~span
+        if not new.any():
+            break
+        basis[:, i] = new.argmax(1)
+        minus_g = sums[:, negative[basis[:, i]]].T  # (table, element u): the index of u - g
+        for _ in range(d - 1):
+            span |= span[tables, minus_g]
+    basis_p = p_index[tables, basis]  # (table, i)
+    zeta_q = _point_index(cosets[:, n:], d)[:, None]
+    minus_lambda = (dots[zeta_q, basis_p[:, None]] - exponents[tables, basis][:, None]) % order  # (table, coset, i)
+    digits = order ** np.arange(n)
+    return (dots[basis_p].swapaxes(1, 2) @ digits)[:, None] == (minus_lambda @ digits)[..., None]
+
+
+def _fill(d: int, n: int, cosets: np.ndarray, rows: np.ndarray, exponents: np.ndarray) -> np.ndarray:
+    """The vectors of a block of Lagrangians by the module's closed form, shape (table, coset, d^n).
+
+    cosets are their pivot pattern's coset rows, and rows and exponents are
+    stacked as _elements returns them; the full keys are never built. Over
+    (table, coset, element) the vectors take 16 bytes and the rest a few
+    _narrow arrays, beside one table's index arrays at a time: _FILL_BYTES
+    per such key in all.
+    """
+    order, (_, sums, negative, dots) = tau_order(d), _points(d, n)
+    p_index, q_index = _point_index(rows[..., :n], d), _point_index(rows[..., n:], d)
+    zeta_p, zeta_q = _point_index(cosets[:, :n], d), _point_index(cosets[:, n:], d)
+    fixed = _z_fixed(d, n, cosets, rows, exponents)
     x0 = fixed.argmax(-1)  # the index of x0 in grid, per (table, coset)
-    k = (k + np.take_along_axis(x_terms.swapaxes(1, 2), x0[..., None], axis=1)) % order  # adds 2 P_m.x0
-    sums = ((grid[:, None] + grid) % d) @ weights  # sums[a, b]: the index of point a + point b mod d
-    support = sums[x0[..., None], (q @ weights)[:, None]]  # x0 + Q_m
-    modulus = 1 / np.sqrt(d**n // z_only.sum(1))  # |Q(M)|^{-1/2}, as |Q(M)| |M_Z| = |M|
-    out = np.zeros((*k.shape[:2], d**n), dtype=np.complex128)
-    np.put_along_axis(out, support, modulus[:, None, None] * taus[k], axis=2)
+    if not np.take_along_axis(fixed, x0[..., None], axis=-1).all():
+        raise RuntimeError("no basis point is fixed by the Z-only elements")
+    # Over (table, coset, element), each table lookup reads the flat table at row * width + column, which is
+    # faster than indexing by a pair of arrays. k(zeta, m, x0) = 2[zeta, m] + e_M(m) + 2 P_m.(Q_m + x0)
+    # = 2 zeta_P.Q_m + 2 (x0 - zeta_Q).P_m + (e_M(m) + 2 P_m.Q_m) is left unreduced: three terms, each
+    # below the order of tau.
+    width = d**n
+    k = dots.take(zeta_p[:, None] * width + q_index[:, None])
+    k += dots.take(sums[x0, negative[zeta_q]].astype(np.intp)[..., None] * width + p_index[:, None])
+    k += ((exponents + dots[p_index, q_index]) % order)[:, None]
+    support = sums.take(x0[..., None] * width + q_index[:, None])  # x0 + Q_m
+    # Each amplitude is read off its table's row of powers |Q(M)|^{-1/2} tau^k, k below 3 orders, whose
+    # last entry is 0: a table's exps holds that k at x0 + Q_m and the zero's index elsewhere. One table
+    # at a time, so that only the vectors grow with the block.
+    zero = 3 * order
+    powers = np.zeros((len(k), zero + 1), dtype=np.complex128)
+    powers[:, :zero] = 1 / np.sqrt(width // (q_index == 0).sum(1))[:, None] * np.tile(_tau_powers(d), 3)
+    out = np.empty((*k.shape[:2], width), dtype=np.complex128)
+    starts = np.arange(0, k.shape[1] * width, width)[:, None]  # each coset's row of a table's exps
+    for table, row in enumerate(powers):
+        exps = np.full(out.shape[1:], zero, dtype=k.dtype)
+        exps.put(starts + support[table], k[table])
+        row.take(exps, out=out[table], mode="clip")
     return out
 
 
@@ -224,9 +320,11 @@ def phase_table(m_sub: Subspace) -> PhaseTable:
 
 def stabilizer_basis(m_sub: Subspace, *, cap: int = DEFAULT_MATRIX_CAP) -> list[tuple[PhaseVector, np.ndarray]]:
     """The d^n states of one Lagrangian by the closed form above, in coset_representatives order."""
-    check_cap("matrix dimension", m_sub.d**m_sub.n, cap)  # before the d^n x d^n table is built
-    table = phase_table(m_sub)
-    return list(zip(coset_representatives(m_sub), _fill(table.d, table.n, table.rows[None], table.keys[None])[0]))
+    check_cap("matrix dimension", m_sub.d**m_sub.n, cap)  # before the d^n x d^n vectors are built
+    if not is_lagrangian(m_sub):
+        raise ValueError("needs a Lagrangian subspace")
+    cosets = np.array(list(_coset_rows(m_sub)))
+    return list(zip(coset_representatives(m_sub), _fill(m_sub.d, m_sub.n, cosets, *_elements([m_sub]))[0]))
 
 
 def overlap_exact(a: StabilizerState, b: StabilizerState) -> Fraction:
@@ -261,36 +359,40 @@ def state_blocks(
 ) -> Iterator[np.ndarray]:
     """Every stabilizer state's vector, one (states, d^n) block of rows at a time, in enumeration order.
 
-    A block holds the states of a run of Lagrangians of one pivot pattern, at
-    most about 2^14 keys of their tables (one Lagrangian at least). Both caps are
-    checked by this call, before any block is built; the first row of the first
-    block is |M_0, 0>.
+    A block holds the states of a run of Lagrangians of one pivot pattern, as
+    many as _fill realizes within _WORK_BYTES (one Lagrangian at least). Both
+    caps are checked by this call, before any block is built; the first row of
+    the first block is |M_0, 0>.
     """
     _check_realization(d, n, state_cap, matrix_cap)
-    return (block for _, block in _state_blocks(d, n))
+    # map, unlike a generator expression, holds no block while the next one is built.
+    return map(operator.itemgetter(1), _state_blocks(d, n, enumerate_lagrangians(d, n)))
 
 
-def _state_blocks(d: int, n: int) -> Iterator[tuple[list[Subspace], np.ndarray]]:
-    """Each block's Lagrangians, with the vectors of their states; no cap is checked here."""
-    per_block = max(1, _BLOCK_KEYS // d ** (2 * n))  # Lagrangians per block
-    for _, group in itertools.groupby(enumerate_lagrangians(d, n), key=lambda m_sub: m_sub.pivots):
+def _state_blocks(d: int, n: int, lagrangians: Iterable[Subspace]) -> Iterator[tuple[list[Subspace], np.ndarray]]:
+    """Each block's Lagrangians, with the vectors of their states, from every Lagrangian in enumeration order.
+
+    No cap is checked here.
+    """
+    per_block = max(1, _WORK_BYTES // (_FILL_BYTES * d ** (2 * n)))  # Lagrangians per block
+    for _, group in itertools.groupby(lagrangians, key=lambda m_sub: m_sub.pivots):
+        cosets = None  # the coset rows of the pattern, from its first Lagrangian
         while batch := list(itertools.islice(group, per_block)):
-            cosets = np.array(list(_coset_rows(batch[0])))
-            if cosets[0].any():  # exponents, and the fixed-state reference |M_0, 0>, need it
-                raise RuntimeError("the zero coset must come first")
-            yield batch, _fill(d, n, *_block(batch, cosets)).reshape(-1, d**n)
+            if cosets is None:
+                cosets = np.array(list(_coset_rows(batch[0])))
+                if cosets[0].any():  # exponents, and the fixed-state reference |M_0, 0>, need it
+                    raise RuntimeError("the zero coset must come first")
+            yield batch, _fill(d, n, cosets, *_elements(batch)).reshape(-1, d**n)
 
 
-def _stacked(d: int, n: int) -> tuple[list[Subspace], np.ndarray]:
-    """Every Lagrangian in enumeration order, and the blocks of _state_blocks stacked into one (S(d,n), d^n) array."""
-    lagrangians: list[Subspace] = []
+def _stacked(d: int, n: int, lagrangians: Iterable[Subspace]) -> tuple[list[Subspace], np.ndarray]:
+    """The given Lagrangians, every one in enumeration order, and their blocks stacked into one (S(d,n), d^n) array."""
+    done: list[Subspace] = []
     out = np.empty((stabilizer_count(d, n), d**n), dtype=np.complex128)
-    start = 0
-    for batch, block in _state_blocks(d, n):
-        lagrangians += batch
-        out[start : start + len(block)] = block
-        start += len(block)
-    return lagrangians, out
+    for batch, block in _state_blocks(d, n, lagrangians):
+        out[len(done) * d**n : (len(done) + len(batch)) * d**n] = block
+        done += batch
+    return done, out
 
 
 def state_vectors(
@@ -298,7 +400,25 @@ def state_vectors(
 ) -> np.ndarray:
     """Every stabilizer state's vector as one (S(d,n), d^n) stack, rows in enumeration order: state_blocks stacked."""
     _check_realization(d, n, state_cap, matrix_cap)
-    return _stacked(d, n)[1]
+    return _stacked(d, n, enumerate_lagrangians(d, n))[1]
+
+
+def state_vectors_of(
+    lagrangians: Sequence[Subspace], *, state_cap: int = DEFAULT_STATE_CAP, matrix_cap: int = DEFAULT_MATRIX_CAP
+) -> np.ndarray:
+    """state_vectors from a list already in hand: every Lagrangian of one (d, n), in enumeration order.
+
+    It enumerates nothing itself, so a caller that holds the list scans the
+    Lagrangians once. The caps are checked as state_vectors checks them, and
+    a list of any other length is a ValueError.
+    """
+    if not lagrangians:
+        raise ValueError("needs every Lagrangian, got none")
+    d, n = lagrangians[0].d, lagrangians[0].n
+    _check_realization(d, n, state_cap, matrix_cap)
+    if len(lagrangians) != lagrangian_count(d, n):
+        raise ValueError(f"expected all {lagrangian_count(d, n)} Lagrangians, got {len(lagrangians)}")
+    return _stacked(d, n, lagrangians)[1]
 
 
 def realized_states(
@@ -306,5 +426,5 @@ def realized_states(
 ) -> list[tuple[StabilizerState, np.ndarray]]:
     """Every stabilizer state with its Hilbert-space vector, in enumeration order: rows of state_vectors."""
     _check_realization(d, n, state_cap, matrix_cap)
-    lagrangians, stack = _stacked(d, n)
+    lagrangians, stack = _stacked(d, n, enumerate_lagrangians(d, n))
     return list(zip(_states(lagrangians), stack))

@@ -129,6 +129,25 @@ def dense_stabilizer_basis(m_sub) -> list:
     return [(zeta, _unit_column(dense_projector(m_sub, zeta, terms))) for zeta in coset_representatives(m_sub)]
 
 
+def z_fixed_by_every_element(d: int, n: int, rows: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Oracle: whether k(zeta, z, x) = 0 for every Z-only element z, over (table, coset, x), one element at a time.
+
+    rows and keys are the full tables, stacked as stabilizer._block returns them, and x runs
+    over Z_d^n in lexicographic order. k(zeta, m, x) = lambda(zeta, m) +
+    2 P_m.(x + Q_m) mod the order of tau.
+    """
+    order = tau_order(d)
+    grid = np.array(list(itertools.product(range(d), repeat=n)), dtype=np.int64).reshape(-1, n)
+    p, q = rows[..., :n].astype(np.int64), rows[..., n:].astype(np.int64)
+    k = keys.astype(np.int64) + 2 * (p * q).sum(-1)[:, None, :]
+    x_terms = 2 * p @ grid.T  # 2 P_m.x over (table, element, x)
+    z_only = ~q.any(-1)
+    fixed = np.ones((*keys.shape[:2], len(grid)), dtype=bool)
+    for j in range(keys.shape[2]):
+        fixed &= ((k[:, :, j, None] + x_terms[:, None, j]) % order == 0) | ~z_only[:, j, None, None]
+    return fixed
+
+
 def pairwise_sum_tree(values) -> float:
     """Oracle: the fixed reduction tree in plain Python floats.
 

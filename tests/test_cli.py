@@ -317,9 +317,17 @@ def test_each_entry_point_checks_each_cap_once(monkeypatch):
     assert calls == [("realized states", 60), ("matrix dimension", 4), ("Lagrangians", 15)]
     assert scans == [(2, 2)]
     calls.clear()
+    scans.clear()
     run_verification(2, 2, 4)
-    # Once for the Weyl matrices (zx_matrices) and once for the states (state_vectors).
+    # Once for the Weyl matrices (zx_matrices) and once for the states (state_vectors_of).
     assert [call for call in calls if call[0] == "matrix dimension"] == [("matrix dimension", 4)] * 2
+    # One scan for the list, the spectrum and the states, checked against --enum-cap.
+    assert [call for call in calls if call[0] == "Lagrangians"] == [("Lagrangians", 15)]
+    assert scans == [(2, 2)]
+    calls.clear()
+    scans.clear()
+    assert run_cli(["enumerate", "spectrum", "--d", "2", "--n", "2"])[0] == 0
+    assert (calls, scans) == ([("Lagrangians", 15)], [(2, 2)])
 
 
 def _refuse_realization(monkeypatch):
@@ -327,6 +335,7 @@ def _refuse_realization(monkeypatch):
     for target in (
         "stabkit.stabilizer._state_blocks",
         "stabkit.stabilizer._block",
+        "stabkit.stabilizer._elements",
         "stabkit.stabilizer._fill",
         "stabkit.stabilizer._table",
         "stabkit.stabilizer.phase_table",
@@ -392,7 +401,7 @@ def test_verify_builds_each_weyl_matrix_once_and_intersects_only_for_the_spectru
     real_zx, real_intersect, real_spectrum = (
         weyl_module._zx_matrix,
         symplectic_module.intersect,
-        importlib.import_module("stabkit.cli").intersection_spectrum,
+        importlib.import_module("stabkit.cli")._spectrum,
     )
 
     def zx(d, p, q):
@@ -411,8 +420,10 @@ def test_verify_builds_each_weyl_matrix_once_and_intersects_only_for_the_spectru
             inside.pop()
 
     monkeypatch.setattr(weyl_module, "_zx_matrix", zx)
+    # Wrapped where the spectrum looks it up, and in symplectic for every other caller.
     monkeypatch.setattr(symplectic_module, "intersect", intersect)
-    monkeypatch.setattr("stabkit.cli.intersection_spectrum", spectrum)
+    monkeypatch.setattr("stabkit.cli.intersect", intersect)
+    monkeypatch.setattr("stabkit.cli._spectrum", spectrum)
     checks = run_verification(2, 2, 4)
     assert all(c.passed for c in checks)
     assert len(built) == len(set(built)) == 2 ** 4
@@ -453,7 +464,7 @@ def test_verify_runs_the_overlap_rule_once_per_lagrangian(monkeypatch):
 def test_verify_state_checks_fail_on_one_flipped_amplitude(monkeypatch):
     # Negate one amplitude of one state with two or more nonzero amplitudes: the
     # batched eigenvalue and overlap checks must both see it.
-    real_state_vectors = stabilizer.state_vectors
+    real_state_vectors = stabilizer.state_vectors_of
 
     for d, n in [(2, 2), (3, 1)]:
         flipped = []
@@ -465,7 +476,7 @@ def test_verify_state_checks_fail_on_one_flipped_amplitude(monkeypatch):
             flipped.append(row)
             return vecs
 
-        monkeypatch.setattr(stabilizer, "state_vectors", state_vectors)
+        monkeypatch.setattr(stabilizer, "state_vectors_of", state_vectors)
         passed = {c.name: c.passed for c in run_verification(d, n, 4)}
         assert len(flipped) == 1
         assert not passed["state-eigenvalue"]

@@ -1,6 +1,7 @@
 """Frame-potential engines: exact identities and numeric cross-checks."""
 
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from stabkit import (
 )
 from stabkit.errors import NonPrimeModulusError, ResourceCapError
 from stabkit.potential import _pairwise_tree, _state_stack, fraction_str, parse_fraction
+from stabkit.stabilizer import _WORK_BYTES
 
 
 # ---------------------------------------------------------------------------
@@ -57,6 +59,14 @@ def test_exact_engines_reject_bad_input():
         frame_potential_combinatorial(2, 0, 2)
     with pytest.raises(ValueError):
         frame_potential_recursion(2, 1, 0)
+    # Only a positive int: 2.5 gave 0.2845... from the recursion and a RuntimeError from the sum,
+    # 2.0 a TypeError, and True passed as 1.
+    for engine in (frame_potential_recursion, frame_potential_combinatorial):
+        for bad in (2.5, 2.0, True, Fraction(2)):
+            with pytest.raises(ValueError, match=re.escape(f"t must be a positive int, got {bad!r}")):
+                engine(2, 1, bad)
+            with pytest.raises(ValueError, match=re.escape(f"n must be a positive int, got {bad!r}")):
+                engine(2, bad, 2)
 
 
 def test_welch_is_a_lower_bound_with_design_pattern():
@@ -172,22 +182,38 @@ def test_fixed_state_sweep_streams_the_bits_of_the_whole_stack():
         assert sweep == [frame_potential_fixed_state(d, n, t) for t in ts]
 
 
+def traced_peak(call):
+    """The result of call() and the peak of the memory it allocated, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_fixed_state_engine_never_holds_the_stack(monkeypatch):
     def refused(*args, **kwargs):
         raise AssertionError("the fixed-state engine built the (S, d^n) stack")
 
     for target in ("stabkit.stabilizer.state_vectors", "stabkit.potential.state_vectors"):
         monkeypatch.setattr(target, refused)
-    frame_potential_fixed_state(2, 2, 2)  # first-call imports and caches stay out of the measurement
-    tracemalloc.start()
-    try:
-        value = frame_potential_fixed_state(2, 4, 2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    frame_potential_fixed_state(2, 4, 2)  # first-call imports and caches stay out of the measurement
+    value, peak = traced_peak(lambda: frame_potential_fixed_state(2, 4, 2))
     assert value == pytest.approx(float(frame_potential_combinatorial(2, 4, 2)), abs=1e-12)
-    # The (36720, 16) complex128 stack alone would be 9.4 MB.
-    assert peak < 3_000_000
+    # The (36720, 16) complex128 stack alone would be 9.4 MB, and the S reference overlaps 0.29 MB
+    # each as |amp|^2, their power and the tree's first level. What is left is one realized block within
+    # the budget, plus the chunked tree's chunk and the enumerator's own state.
+    assert peak < _WORK_BYTES + 150_000
+
+
+def test_bruteforce_engine_works_within_the_budget():
+    # At (3, 2) the 360 x 360 overlaps were one complex block and its squares: a 2.4 MB peak.
+    stack = state_vectors(3, 2)
+    frame_potentials_bruteforce(3, 2, [1], vectors=stack)
+    values, peak = traced_peak(lambda: frame_potentials_bruteforce(3, 2, range(1, 5), vectors=stack))
+    for t, value in zip(range(1, 5), values):
+        assert abs(value - float(frame_potential_combinatorial(3, 2, t))) <= 1e-9
+    assert peak < _WORK_BYTES
 
 
 def test_numeric_engines_reject_a_partial_vector_list():
@@ -198,6 +224,15 @@ def test_numeric_engines_reject_a_partial_vector_list():
             frame_potential_fixed_state(2, 1, 2, vectors=wrong)
         with pytest.raises(ValueError, match="6 state vectors"):
             frame_potential_bruteforce(2, 1, 2, vectors=wrong)
+
+
+def test_numeric_engines_reject_vectors_of_the_wrong_width():
+    # Six rows, as many as the (2, 1) states, but not of length 2: [81.0] and [625.0] before.
+    for engine, width in ((frame_potentials_bruteforce, 3), (frame_potentials_fixed_state, 5)):
+        with pytest.raises(ValueError, match=rf"6 state vectors, of length 2: got shape \(6, {width}\)"):
+            engine(2, 1, [2], vectors=np.ones((6, width)))
+        with pytest.raises(ValueError, match=r"got shape \(6,\)"):
+            engine(2, 1, [2], vectors=np.ones(6))
 
 
 def test_numeric_engines_reject_an_empty_t_list_before_realizing(monkeypatch):

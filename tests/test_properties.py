@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stabkit import StabilizerState, Subspace, coset_representatives, enumerate_lagrangians, intersect
-from stabkit.stabilizer import _block, _fill
+from stabkit.potential import _chunked_tree, _pairwise_tree
+from stabkit.stabilizer import _block, _elements, _fill, _z_fixed
 from stabkit.symplectic import _coset_rows
 
-from helpers import dense_state_vector, symplectic_complement
+from helpers import dense_state_vector, symplectic_complement, z_fixed_by_every_element
 
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=60, deadline=None)
 
@@ -118,7 +119,42 @@ def test_fill_is_the_same_for_any_batching_of_a_pivot_pattern(case):
     group, batches = case
     d, n = group[0].d, group[0].n
     cosets = np.array(list(_coset_rows(group[0])))
-    whole = _fill(d, n, *_block(group, cosets))
-    assert np.concatenate([_fill(d, n, *_block(batch, cosets)) for batch in batches]).tobytes() == whole.tobytes()
+    whole = _fill(d, n, cosets, *_elements(group))
+    assert np.concatenate([_fill(d, n, cosets, *_elements(batch)) for batch in batches]).tobytes() == whole.tobytes()
     dense = np.array([dense_basis(m_sub) for m_sub in group])
     assert np.max(np.abs(whole - dense)) <= 1e-12
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(pattern_batches())
+def test_generator_z_test_matches_the_per_element_oracle(case):
+    # The Z-only condition read on a greedy basis of each M_Z against every Z-only element of the full keys.
+    _, batches = case
+    for batch in batches:
+        d, n = batch[0].d, batch[0].n
+        cosets = np.array(list(_coset_rows(batch[0])))
+        rows, keys = _block(batch, cosets)
+        assert np.array_equal(_z_fixed(d, n, cosets, *_elements(batch)), z_fixed_by_every_element(d, n, rows, keys))
+
+
+# ---------------------------------------------------------------------------
+# the fixed reduction tree, a chunk at a time
+
+
+@st.composite
+def streamed_values(draw):
+    """Values of every magnitude, a power-of-two chunk size, and cuts of the values into pieces."""
+    length = draw(st.integers(1, 5000))
+    seed = draw(st.integers(0, 2**32 - 1))
+    chunk = 2 ** draw(st.integers(0, 12))
+    cuts = sorted(draw(st.sets(st.integers(1, length), max_size=8)))
+    rng = np.random.default_rng(seed)
+    values = rng.random((2, length)) * 10.0 ** rng.integers(-12, 13, size=(2, length))
+    return values, chunk, [values[:, a:b] for a, b in zip([0, *cuts], [*cuts, length]) if a < b]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(streamed_values())
+def test_chunked_tree_is_the_whole_tree_bit_for_bit(case):
+    values, chunk, pieces = case
+    assert _chunked_tree(pieces, chunk).tobytes() == _pairwise_tree(values).tobytes()

@@ -4,6 +4,7 @@ import importlib
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -33,13 +34,15 @@ from stabkit import (
     realized_states,
     stabilizer_basis,
     stabilizer_count,
+    state_blocks,
     state_vectors,
+    state_vectors_of,
     symplectic_form,
     weyl,
     weyl_representation,
 )
 from stabkit.errors import ResourceCapError
-from stabkit.stabilizer import _table
+from stabkit.stabilizer import _WORK_BYTES, _table
 from stabkit.symplectic import _coset_rows, _form_lift
 from stabkit.weyl import _omega_power, _word, tau_order
 
@@ -186,14 +189,14 @@ def test_realization_builds_no_matrix(monkeypatch):
 
 def test_state_vectors_match_the_per_lagrangian_tables_bit_for_bit(monkeypatch):
     stabilizer_module = importlib.import_module("stabkit.stabilizer")
-    real_block = stabilizer_module._block
+    real_elements = stabilizer_module._elements
     batches = []
 
-    def block(m_subs, cosets):
+    def elements(m_subs):
         batches.append([m_sub.pivots for m_sub in m_subs])
-        return real_block(m_subs, cosets)
+        return real_elements(m_subs)
 
-    monkeypatch.setattr(stabilizer_module, "_block", block)
+    monkeypatch.setattr(stabilizer_module, "_elements", elements)
     for d, n in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2), (3, 3)]:
         batches.clear()
         stack = state_vectors(d, n)
@@ -215,6 +218,36 @@ def test_state_vectors_match_the_per_lagrangian_tables_bit_for_bit(monkeypatch):
     for block in blocks:
         sizes.setdefault(block[0], []).append(len(block))
     assert max(len(parts) for parts in sizes.values()) > 1 and max(map(max, sizes.values())) < 729
+
+
+def test_state_blocks_work_within_the_budget(monkeypatch):
+    # Blocks of 2^14 keys with int64 temporaries peaked at 1.74 MB at (3, 3). The Lagrangians are listed
+    # first, so the measurement holds realization only.
+    lagrangians = list(enumerate_lagrangians(3, 3))
+    monkeypatch.setattr("stabkit.stabilizer.enumerate_lagrangians", lambda d, n: iter(lagrangians))
+    blocks = state_blocks(3, 3)
+    first = next(blocks)  # first-call caches stay out of the measurement
+    tracemalloc.start()
+    try:
+        count = len(first) + sum(map(len, blocks))  # map holds no block while the next is built
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == stabilizer_count(3, 3)
+    assert peak < _WORK_BYTES
+
+
+def test_state_vectors_of_a_list_in_hand_match_state_vectors():
+    for d, n in [(2, 2), (3, 2)]:
+        lagrangians = list(enumerate_lagrangians(d, n))
+        assert state_vectors_of(lagrangians).tobytes() == state_vectors(d, n).tobytes()
+        for wrong in (lagrangians[:-1], lagrangians + lagrangians[:1]):
+            with pytest.raises(ValueError, match=f"expected all {len(lagrangians)} Lagrangians"):
+                state_vectors_of(wrong)
+    with pytest.raises(ValueError, match="got none"):
+        state_vectors_of([])
+    with pytest.raises(ResourceCapError, match="realized states: need 60, cap 10"):
+        state_vectors_of(list(enumerate_lagrangians(2, 2)), state_cap=10)
 
 
 def test_batched_table_matches_the_one_lagrangian_table():
