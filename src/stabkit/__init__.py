@@ -36,6 +36,7 @@ from .stabilizer import (
     realized_states,
     stabilizer_basis,
     state_blocks,
+    state_deviations,
     state_vectors,
     state_vectors_of,
     weyl_representation,
@@ -50,6 +51,7 @@ from .symplectic import (
     extensions_through,
     intersect,
     intersection_spectrum,
+    intersection_spectrum_of,
     is_isotropic,
     is_lagrangian,
     symplectic_form,

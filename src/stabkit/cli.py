@@ -1,5 +1,10 @@
 """Command-line surface: frame potentials, enumeration, and cross-checks.
 
+A command parses its arguments, calls one public library rule per result or
+check, and renders. frame-potential and enumerate spectrum render through one
+_render: JSON and CSV from the same row dicts, and only the table rows are
+per command. enumerate lagrangians and states write JSON lines.
+
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource cap.
 Each command declares only the options it reads, so a misplaced flag is a usage
 error. Each cap goes to the library function that does the work it bounds, which
@@ -18,21 +23,20 @@ import itertools
 import json
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import Sequence
 
 from . import potential, stabilizer
-from .weyl import DEFAULT_MATRIX_CAP, WEYL_TOL, _tau_powers, verify_relations, zx_matrices
+from .weyl import DEFAULT_MATRIX_CAP, WEYL_TOL, verify_relations, zx_matrices
 from .combinatorics import (
     kappa,
     lagrangian_count,
     require_prime,
     stabilizer_count,
     transversal_count,
+    welch_bound,
 )
 from .errors import NonPrimeModulusError, ResourceCapError, check_cap
-from .symplectic import DEFAULT_ENUM_CAP, Subspace, enumerate_lagrangians, intersect
+from .symplectic import DEFAULT_ENUM_CAP, enumerate_lagrangians, intersection_spectrum_of
 
 
 def _int_range(text: str) -> list[int]:
@@ -150,6 +154,26 @@ def _decimal12(fr) -> str:
     return format(float(fr), ".12g")
 
 
+def _csv_cell(value):
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return "" if value is None else value
+
+
+def _render(rows: list[dict], table: list[list[str]], fmt: str) -> str:
+    """JSON or CSV from the row dicts (booleans as true/false, None as an empty field), or the table's rows aligned."""
+    if fmt == "json":
+        return json.dumps(rows, indent=2) + "\n"
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(rows[0].keys())
+        writer.writerows([_csv_cell(value) for value in row.values()] for row in rows)
+        return buf.getvalue()
+    widths = [max(len(row[c]) for row in table) for c in range(len(table[0]))]
+    return "".join("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() + "\n" for row in table)
+
+
 # ---------------------------------------------------------------------------
 # frame-potential
 
@@ -171,60 +195,26 @@ def cmd_frame_potential(args) -> int:
             )
         for t, value in zip(args.t, values):
             reports.append(potential.frame_potential_report(args.d, n, t, bruteforce=value))
-    _write(_render_reports(reports, args.format), args.output)
-    return 0
-
-
-def _render_reports(reports, fmt: str) -> str:
-    rows = [r.to_json_dict() for r in reports]
-    if fmt == "json":
-        return json.dumps(rows, indent=2) + "\n"
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        header = ["d", "n", "t", "D", "recursion", "combinatorial", "bruteforce", "welch", "is_design"]
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(
-                [
-                    row["d"],
-                    row["n"],
-                    row["t"],
-                    row["D"],
-                    row["recursion"],
-                    row["combinatorial"],
-                    "" if row["bruteforce"] is None else repr(row["bruteforce"]),
-                    row["welch"],
-                    "true" if row["is_design"] else "false",
-                ]
-            )
-        return buf.getvalue()
     # table: exact columns as p/q plus a 12-significant-digit decimal column.
-    header = ["d", "n", "t", "D", "recursion", "combinatorial", "value", "bruteforce", "welch", "welch-dec", "design"]
-    body = []
-    for r in reports:
-        body.append(
-            [
-                str(r.d),
-                str(r.n),
-                str(r.t),
-                str(r.dimension),
-                potential.fraction_str(r.value_recursion),
-                potential.fraction_str(r.value_combinatorial),
-                _decimal12(r.value_combinatorial),
-                "-" if r.value_bruteforce is None else format(r.value_bruteforce, ".12g"),
-                potential.fraction_str(r.welch),
-                _decimal12(r.welch),
-                "yes" if r.is_t_design else "no",
-            ]
-        )
-    return _format_table([header] + body)
-
-
-def _format_table(rows: list[list[str]]) -> str:
-    widths = [max(len(row[c]) for row in rows) for c in range(len(rows[0]))]
-    lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows]
-    return "\n".join(lines) + "\n"
+    table = [["d", "n", "t", "D", "recursion", "combinatorial", "value", "bruteforce", "welch", "welch-dec", "design"]]
+    table += [
+        [
+            str(r.d),
+            str(r.n),
+            str(r.t),
+            str(r.dimension),
+            potential.fraction_str(r.value_recursion),
+            potential.fraction_str(r.value_combinatorial),
+            _decimal12(r.value_combinatorial),
+            "-" if r.value_bruteforce is None else format(r.value_bruteforce, ".12g"),
+            potential.fraction_str(r.welch),
+            _decimal12(r.welch),
+            "yes" if r.is_t_design else "no",
+        ]
+        for r in reports
+    ]
+    _write(_render([r.to_json_dict() for r in reports], table, args.format), args.output)
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -247,41 +237,19 @@ def cmd_states(args) -> int:
     return 0
 
 
-def _spectrum(lagrangians: Iterable[Subspace]) -> dict[int, int]:
-    """intersection_spectrum of the first Lagrangian, read off every Lagrangian as given, in one pass."""
-    lagrangians = iter(lagrangians)
-    first = next(lagrangians)
-    counts = dict.fromkeys(range(first.n + 1), 0)
-    for other in itertools.chain([first], lagrangians):
-        counts[intersect(first, other).dim] += 1
-    return counts
-
-
 def cmd_spectrum(args) -> int:
-    """The empirical kappa of the first Lagrangian against the closed formula."""
-    spectrum = _spectrum(enumerate_lagrangians(args.d, args.n, cap=args.enum_cap))
+    """The empirical kappa of the first Lagrangian against the closed formula, in one pass over the Lagrangians."""
+    lagrangians = enumerate_lagrangians(args.d, args.n, cap=args.enum_cap)
+    first = next(lagrangians)
+    spectrum = intersection_spectrum_of(first, itertools.chain([first], lagrangians))
     rows = []
     for k in sorted(spectrum):
         formula = kappa(args.d, args.n, k)
         rows.append({"k": k, "count": spectrum[k], "formula": formula, "match": spectrum[k] == formula})
-    _write(_render_spectrum(rows, args.format), args.output)
+    table = [["k", "count", "formula", "match"]]
+    table += [[str(row["k"]), str(row["count"]), str(row["formula"]), "yes" if row["match"] else "no"] for row in rows]
+    _write(_render(rows, table, args.format), args.output)
     return 0
-
-
-def _render_spectrum(rows: list[dict], fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(rows, indent=2) + "\n"
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["k", "count", "formula", "match"])
-        for row in rows:
-            writer.writerow([row["k"], row["count"], row["formula"], "true" if row["match"] else "false"])
-        return buf.getvalue()
-    table = [["k", "count", "formula", "match"]] + [
-        [str(row["k"]), str(row["count"]), str(row["formula"]), "yes" if row["match"] else "no"] for row in rows
-    ]
-    return _format_table(table)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +292,7 @@ def run_verification(
         )
     )
 
-    spectrum = _spectrum(lagrangians)
+    spectrum = intersection_spectrum_of(lagrangians[0], lagrangians)
     kappa_ok = all(spectrum[k] == kappa(d, n, k) for k in range(n + 1))
     checks.append(
         CheckResult(
@@ -349,36 +317,17 @@ def run_verification(
     checks.append(CheckResult("weyl-commutation", comm_ok, f"{pairs} pairs"))
     checks.append(CheckResult("weyl-trace", trace_dev <= WEYL_TOL, f"{len(zx)} operators, max dev {trace_dev:.2e}"))
 
-    dim = d**n
-    tables = [stabilizer.phase_table(m_sub) for m_sub in lagrangians]
     stack = stabilizer.state_vectors_of(lagrangians, state_cap=state_cap, matrix_cap=matrix_cap)
-    bases = stack.reshape(len(tables), dim, dim)  # a view: (Lagrangian, state, amplitude)
-    taus = _tau_powers(d)
-    block = max(1, 2**18 // dim**3)  # tables per overlap call, so a call's key match holds at most 2^18 booleans
-    eigen_dev = gram_dev = overlap_dev = 0.0
-    for mi, (table, basis) in enumerate(zip(tables, bases)):
-        # w_B(m) = tau^{e_M(m)} z x(m), and omega^{[zeta,m]} = tau^{lambda(zeta,m) - e_M(m)}.
-        mats = taus[table.exponents][:, None, None] * zx[table.points]
-        phases = taus[(table.keys - table.exponents) % len(taus)]
-        # One matrix-vector product per (state, element), batched: one matrix product would round differently.
-        images = (mats @ basis[:, None, :, None])[..., 0]
-        eigen_dev = max(eigen_dev, float(np.max(np.abs(phases[..., None] * images - basis[:, None]))))
-        gram = np.conj(basis) @ basis.T
-        gram_dev = max(gram_dev, float(np.max(np.abs(gram - np.eye(dim)))))
-        # Every Lagrangian N >= M, a block of them per call.
-        for start in range(mi, len(tables), block):
-            amps = np.conj(basis) @ bases[start : start + block].swapaxes(1, 2)
-            values, hits = table.overlaps(tables[start : start + block])
-            exact = np.array(values, dtype=float)[:, None, None] * hits
-            overlap_dev = max(overlap_dev, float(np.max(np.abs(amps.real**2 + amps.imag**2 - exact))))
+    eigen_dev, gram_dev, overlap_dev = stabilizer.state_deviations(lagrangians, stack, zx)
     checks.append(CheckResult("state-eigenvalue", eigen_dev <= 1e-10, f"{count} states, max residual {eigen_dev:.2e}"))
-    checks.append(CheckResult("basis-gram", gram_dev <= 1e-10, f"{len(bases)} bases, max dev {gram_dev:.2e}"))
+    checks.append(CheckResult("basis-gram", gram_dev <= 1e-10, f"{len(lagrangians)} bases, max dev {gram_dev:.2e}"))
     checks.append(
         CheckResult("overlap-exact-numeric", overlap_dev <= 1e-10, f"{count * count} pairs, max dev {overlap_dev:.2e}")
     )
 
     exact_ok = True
     numeric_dev = 0.0
+    flags = []
     ts = range(1, t_max + 1)
     brutes = potential.frame_potentials_bruteforce(d, n, ts, pair_cap=pair_cap, vectors=stack)
     fixeds = potential.frame_potentials_fixed_state(d, n, ts, vectors=stack)
@@ -387,12 +336,12 @@ def run_verification(
         comb = potential.frame_potential_combinatorial(d, n, t)
         exact_ok = exact_ok and rec == comb
         numeric_dev = max(numeric_dev, abs(brute - float(comb)), abs(fixed - float(comb)))
+        flags.append(comb == welch_bound(d**n, t))
     checks.append(CheckResult("engines-exact", exact_ok, f"t=1..{t_max} recursion == combinatorial"))
     checks.append(
         CheckResult("engines-numeric", numeric_dev <= 1e-9, f"bruteforce and fixed-state, max dev {numeric_dev:.2e}")
     )
 
-    flags = [r.is_t_design for r in potential.design_verdict(d, n, t_max)]
     expected_flags = [_expected_design(d, t) for t in range(1, t_max + 1)]
     checks.append(
         CheckResult(

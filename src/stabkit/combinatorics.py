@@ -36,8 +36,10 @@ def require_prime(d: int) -> None:
 
 
 def _require_space(d: int, n: int) -> None:
-    """The phase space Z_d^{2n} of the Lagrangian counts: d prime and n >= 1."""
+    """The phase space Z_d^{2n} of the Lagrangian counts: d prime and n a positive int (a bool is not one)."""
     require_prime(d)
+    if type(n) is not int:
+        raise ValueError(f"n must be a positive int, got {n!r}")
     if n < 1:
         raise ValueError("n must be positive")
 

@@ -41,6 +41,12 @@ two stabilizer states overlap exactly when every shared Weyl operator has
 the same eigenvalue on both. PhaseTable.overlaps matches one table's keys
 against a batch of tables at once: the shared points are found by their
 indices through one lookup array, with no subspace intersection.
+
+state_deviations holds realized vectors to these rules: the eigenvalue
+equation for every state and element, each basis's Gram matrix, and the
+overlap rule for every pair of states, the last in blocks of tables sized
+by _WORK_BYTES. It owns the table layout and the tau convention, so callers
+pass only the Lagrangians, their vectors and the Weyl matrices.
 """
 
 from __future__ import annotations
@@ -70,9 +76,11 @@ from .symplectic import (
 
 DEFAULT_STATE_CAP = 10**6
 # The working memory of one numeric-path block, in bytes: a realized block in
-# _fill, a block of brute-force overlaps, or a chunk of reference overlaps.
+# _fill, a block of brute-force overlaps, a chunk of reference overlaps, or a
+# block of state_deviations' overlap checks.
 _WORK_BYTES = 2**19
 _FILL_BYTES = 28  # peak bytes per (table, coset, element) in _fill, its vectors included
+_PAIR_BYTES = 45  # peak bytes per state pair of a state_deviations overlap block, besides d^n for the key match
 
 
 @dataclass(frozen=True)
@@ -125,16 +133,14 @@ def weyl_representation(m_sub: Subspace, *, cap: int = DEFAULT_MATRIX_CAP) -> li
 class PhaseTable:
     """The integer phase data of one Lagrangian M, from phase_table.
 
-    rows[j] is the (P | Q) row of the j-th element m of M, in lexicographic
-    coefficient order, and points[j] its point index (weyl.zx_matrices order).
-    keys[i, j] is lambda(zeta_i, m_j) for the i-th coset in
-    coset_representatives order; row 0, the zero coset, holds the exponents
-    e_M(m).
+    points[j] is the point index (weyl.zx_matrices order) of the j-th element
+    m of M, in lexicographic coefficient order. keys[i, j] is
+    lambda(zeta_i, m_j) for the i-th coset in coset_representatives order;
+    row 0, the zero coset, holds the exponents e_M(m).
     """
 
     d: int
     n: int
-    rows: np.ndarray
     points: np.ndarray
     keys: np.ndarray
 
@@ -156,12 +162,13 @@ class PhaseTable:
             raise ValueError("needs tables of states in the same space")
         column = np.full(self.d ** (2 * self.n), -1)  # column[p]: the column of point p here, or -1 off M
         column[self.points] = np.arange(len(self.points))
-        mine = column[np.stack([t.points for t in others])]  # (N, element of N)
+        # np.array, not np.stack, which leaves about 200 B of cyclic garbage a call until the next collection.
+        mine = column[np.array([t.points for t in others])]  # (N, element of N)
         shared = mine >= 0
         # lambda of M's states at each element of N, read where that element is in M and ignored elsewhere.
-        agree = self.keys[:, mine].swapaxes(0, 1)[:, :, None] == np.stack([t.keys for t in others])[:, None]
-        hits = (agree | ~shared[:, None, None]).all(-1)
-        return [Fraction(int(size), self.d**self.n) for size in shared.sum(1)], hits
+        agree = self.keys[:, mine].swapaxes(0, 1)[:, :, None] == np.array([t.keys for t in others])[:, None]
+        agree |= ~shared[:, None, None]
+        return [Fraction(int(size), self.d**self.n) for size in shared.sum(1)], agree.all(-1)
 
 
 def _narrow(d: int, n: int) -> np.dtype:
@@ -234,7 +241,7 @@ def _table(m_subs: Sequence[Subspace], cosets: np.ndarray) -> list[PhaseTable]:
     """The PhaseTable of each Lagrangian of one pivot pattern, from _block."""
     d, n = m_subs[0].d, m_subs[0].n
     rows, keys = _block(m_subs, cosets)
-    return [PhaseTable(d, n, *arrays) for arrays in zip(rows, _point_index(rows, d), keys)]
+    return [PhaseTable(d, n, *arrays) for arrays in zip(_point_index(rows, d), keys)]
 
 
 def _z_fixed(d: int, n: int, cosets: np.ndarray, rows: np.ndarray, exponents: np.ndarray) -> np.ndarray:
@@ -312,7 +319,7 @@ def _fill(d: int, n: int, cosets: np.ndarray, rows: np.ndarray, exponents: np.nd
 
 
 def phase_table(m_sub: Subspace) -> PhaseTable:
-    """The lambda table of a Lagrangian M over all its cosets, with the rows and point index of each element."""
+    """The lambda table of a Lagrangian M over all its cosets, with the point index of each element."""
     if not is_lagrangian(m_sub):
         raise ValueError("needs a Lagrangian subspace")
     return _table([m_sub], np.array(list(_coset_rows(m_sub))))[0]
@@ -333,6 +340,48 @@ def overlap_exact(a: StabilizerState, b: StabilizerState) -> Fraction:
     (table_a,), (table_b,) = (_table([s.lagrangian], np.array([s.zeta.coords])) for s in (a, b))
     (value,), hits = table_a.overlaps([table_b])
     return value if hits[0, 0, 0] else Fraction(0)
+
+
+def state_deviations(
+    lagrangians: Sequence[Subspace], vectors: np.ndarray, zx: np.ndarray
+) -> tuple[float, float, float]:
+    """How far realized states stray from the exact rules: the largest entrywise deviation of each check.
+
+    lagrangians are Lagrangians of one (d, n), vectors their states' stack
+    (d^n rows each, in order, as state_vectors_of gives them) and zx the
+    Weyl matrices of weyl.zx_matrices(d, n). Returns (eigen, gram, overlap):
+    omega^{[zeta,m]} w_B(m)|M,zeta> against |M,zeta> for every state and
+    every m in M; each Lagrangian's Gram matrix against the identity; and
+    |<M,zeta|N,iota>|^2 against PhaseTable.overlaps for every pair of states
+    with N >= M. Each M's overlaps take as many tables N per call as fit
+    _WORK_BYTES at _PAIR_BYTES + d^n per state pair (at least one).
+    """
+    if not lagrangians:
+        raise ValueError("needs Lagrangians, got none")
+    d, n = lagrangians[0].d, lagrangians[0].n
+    dim = d**n
+    if vectors.shape != (len(lagrangians) * dim, dim) or zx.shape != (dim * dim, dim, dim):
+        raise ValueError(f"expected {len(lagrangians) * dim} state vectors and {dim * dim} Weyl matrices of size {dim}")
+    tables = [phase_table(m_sub) for m_sub in lagrangians]
+    bases = vectors.reshape(len(tables), dim, dim)  # a view: (Lagrangian, state, amplitude)
+    taus = _tau_powers(d)
+    block = max(1, _WORK_BYTES // ((_PAIR_BYTES + dim) * dim * dim))  # tables N per overlaps call
+    eigen = gram = overlap = 0.0
+    for mi, (table, basis) in enumerate(zip(tables, bases)):
+        # w_B(m) = tau^{e_M(m)} z x(m), and omega^{[zeta,m]} = tau^{lambda(zeta,m) - e_M(m)}.
+        mats = taus[table.exponents][:, None, None] * zx[table.points]
+        phases = taus[(table.keys - table.exponents) % len(taus)]
+        # One matrix-vector product per (state, element), batched: one matrix product would round differently.
+        images = (mats @ basis[:, None, :, None])[..., 0]
+        eigen = max(eigen, float(np.max(np.abs(phases[..., None] * images - basis[:, None]))))
+        del mats, images  # d^{3n} complex each: the overlap blocks below need not hold them
+        gram = max(gram, float(np.max(np.abs(np.conj(basis) @ basis.T - np.eye(dim)))))
+        for start in range(mi, len(tables), block):
+            amps = np.conj(basis) @ bases[start : start + block].swapaxes(1, 2)
+            values, hits = table.overlaps(tables[start : start + block])
+            exact = np.array(values, dtype=float)[:, None, None] * hits
+            overlap = max(overlap, float(np.max(np.abs(amps.real**2 + amps.imag**2 - exact))))
+    return eigen, gram, overlap
 
 
 def enumerate_states(d: int, n: int, *, cap: int = DEFAULT_STATE_CAP) -> Iterator[StabilizerState]:

@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .combinatorics import gaussian_binomial, lagrangian_count, require_prime
+from .combinatorics import _require_space, gaussian_binomial, lagrangian_count, require_prime
 from .errors import check_cap, json_field
 
 DEFAULT_ENUM_CAP = 10**7
@@ -51,9 +51,7 @@ class PhaseVector:
     coords: Row
 
     def __post_init__(self) -> None:
-        require_prime(self.d)
-        if self.n < 1:
-            raise ValueError("n must be positive")
+        _require_space(self.d, self.n)
         if len(self.coords) != 2 * self.n:
             raise ValueError(f"expected {2 * self.n} coordinates, got {len(self.coords)}")
         _require_integers([self.coords], "coordinates")
@@ -128,23 +126,6 @@ def _rref(rows: Iterable[Sequence[int]], d: int, limit: int | None = None) -> tu
     return mat, pivots
 
 
-def _is_canonical(rows: Sequence[Row], d: int, width: int) -> bool:
-    prev = -1
-    pivots = []
-    for row in rows:
-        if len(row) != width or any(not 0 <= x < d for x in row):
-            return False
-        lead = next((j for j, x in enumerate(row) if x), None)
-        if lead is None or lead <= prev or row[lead] != 1:
-            return False
-        pivots.append(lead)
-        prev = lead
-    for i, c in enumerate(pivots):
-        if any(rows[j][c] for j in range(len(rows)) if j != i):
-            return False
-    return True
-
-
 def _solve_linear_system(
     rows: Sequence[Sequence[int]], rhs_columns: Sequence[Sequence[int]], d: int, width: int
 ) -> list[Row | None]:
@@ -194,7 +175,9 @@ class Subspace:
         gens = tuple(tuple(row) for row in self.generators)
         object.__setattr__(self, "generators", gens)
         _require_integers(gens, "generator entries")
-        if not _is_canonical(gens, self.d, self.width):
+        # Canonical means RREF is a fixpoint: rows of width entries, one pivot each, returned unchanged.
+        reduced, pivots = _rref(gens, self.d) if all(len(row) == self.width for row in gens) else ([], [])
+        if len(pivots) != len(gens) or reduced != [list(row) for row in gens]:
             raise ValueError("generators are not in canonical reduced row echelon form")
 
     @classmethod
@@ -354,9 +337,6 @@ def enumerate_lagrangians(d: int, n: int, *, cap: int = DEFAULT_ENUM_CAP) -> Ite
     act as witnesses for each other. The cap guards the Lagrangian count
     prod_{j=1..n} (d^j + 1).
     """
-    require_prime(d)
-    if n < 1:
-        raise ValueError("n must be positive")
     check_cap("Lagrangians", lagrangian_count(d, n), cap)
     return _iter_lagrangians(d, n)
 
@@ -381,11 +361,15 @@ def _isotropic_completions(d: int, m: int, choices: list, prefix: list) -> Itera
 
 def intersection_spectrum(m_sub: Subspace, *, cap: int = DEFAULT_ENUM_CAP) -> dict[int, int]:
     """Empirical kappa: counts of Lagrangians N by dim(M ∩ N), k = 0..n."""
+    return intersection_spectrum_of(m_sub, enumerate_lagrangians(m_sub.d, m_sub.n, cap=cap))
+
+
+def intersection_spectrum_of(m_sub: Subspace, lagrangians: Iterable[Subspace]) -> dict[int, int]:
+    """intersection_spectrum over the Lagrangians given, in one pass: a caller that holds them scans them once."""
     if not is_lagrangian(m_sub):
         raise ValueError("intersection spectrum needs a Lagrangian reference")
-    n = m_sub.n
-    counts = {k: 0 for k in range(n + 1)}
-    for other in enumerate_lagrangians(m_sub.d, n, cap=cap):
+    counts = dict.fromkeys(range(m_sub.n + 1), 0)
+    for other in lagrangians:
         counts[intersect(m_sub, other).dim] += 1
     return counts
 

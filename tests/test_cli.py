@@ -12,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from stabkit import FramePotentialReport, PhaseTable, ResourceCapError, StabilizerState, Subspace, stabilizer
+from stabkit import FramePotentialReport, PhaseTable, ResourceCapError, StabilizerState, Subspace, potential, stabilizer
 from stabkit.cli import build_parser, main, run_verification
 
 from helpers import lagrangians_by_filter, source_env
@@ -401,7 +401,7 @@ def test_verify_builds_each_weyl_matrix_once_and_intersects_only_for_the_spectru
     real_zx, real_intersect, real_spectrum = (
         weyl_module._zx_matrix,
         symplectic_module.intersect,
-        importlib.import_module("stabkit.cli")._spectrum,
+        symplectic_module.intersection_spectrum_of,
     )
 
     def zx(d, p, q):
@@ -420,10 +420,9 @@ def test_verify_builds_each_weyl_matrix_once_and_intersects_only_for_the_spectru
             inside.pop()
 
     monkeypatch.setattr(weyl_module, "_zx_matrix", zx)
-    # Wrapped where the spectrum looks it up, and in symplectic for every other caller.
+    # intersect is looked up in symplectic by every caller; the spectrum rule where verify looks it up.
     monkeypatch.setattr(symplectic_module, "intersect", intersect)
-    monkeypatch.setattr("stabkit.cli.intersect", intersect)
-    monkeypatch.setattr("stabkit.cli._spectrum", spectrum)
+    monkeypatch.setattr("stabkit.cli.intersection_spectrum_of", spectrum)
     checks = run_verification(2, 2, 4)
     assert all(c.passed for c in checks)
     assert len(built) == len(set(built)) == 2 ** 4
@@ -431,7 +430,7 @@ def test_verify_builds_each_weyl_matrix_once_and_intersects_only_for_the_spectru
 
 
 def test_verify_builds_one_phase_table_per_lagrangian(monkeypatch):
-    # The table serves the eigenvalue check, realization and the overlap rule alike.
+    # The table serves the eigenvalue check and the overlap rule; realization reads the element rows instead.
     stabilizer_module = importlib.import_module("stabkit.stabilizer")
     built = []
     real_table = stabilizer_module._table
@@ -459,6 +458,21 @@ def test_verify_runs_the_overlap_rule_once_per_lagrangian(monkeypatch):
     checks = run_verification(2, 2, 4)
     assert all(c.passed for c in checks)
     assert calls == list(range(15, 0, -1))
+
+
+def test_verify_reports_an_exact_engine_disagreement_as_a_failed_check(monkeypatch):
+    # The verdicts used to go through design_verdict, whose report refuses disagreeing engines: exit 2 and no output.
+    real_recursion = potential.frame_potential_recursion
+
+    def off_at_3(d, n, t):
+        return real_recursion(d, n, t) * (2 if t == 3 else 1)
+
+    monkeypatch.setattr(potential, "frame_potential_recursion", off_at_3)
+    code, out, err = run_cli(["verify", "--d", "2", "--n", "2"])
+    assert (code, err) == (1, "")
+    assert "  engines-exact            FAIL  t=1..4 recursion == combinatorial\n" in out
+    assert "  welch-pattern            PASS  designs: t=1:yes t=2:yes t=3:yes t=4:no\n" in out
+    assert out.endswith("result: FAIL (11/12 checks)\n")
 
 
 def test_verify_state_checks_fail_on_one_flipped_amplitude(monkeypatch):

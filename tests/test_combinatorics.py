@@ -9,12 +9,14 @@ from helpers import count_subspaces_bruteforce, gaussian_pascal_check, pascal_bi
 from stabkit import (
     PhaseVector,
     binomial,
+    enumerate_lagrangians,
     frame_potential_combinatorial,
     gaussian_binomial,
     is_prime,
     kappa,
     lagrangian_count,
     stabilizer_count,
+    state_vectors,
     transversal_count,
     welch_bound,
 )
@@ -124,6 +126,22 @@ def test_count_functions_validate_alike():
         for n in (0, -1):
             with pytest.raises(ValueError, match="n must be positive"):
                 count(2, n)
+
+
+def test_the_space_rule_refuses_a_bool_or_float_n():
+    # True enumerated 3 width-2 subspaces and made a phase vector; 2.0 raised TypeError from the counts and the
+    # realization.
+    calls = [
+        lambda n: list(enumerate_lagrangians(2, n)),
+        lambda n: lagrangian_count(2, n),
+        lambda n: stabilizer_count(2, n),
+        lambda n: state_vectors(2, n),
+        lambda n: PhaseVector(2, n, (0, 0)),
+    ]
+    for call in calls:
+        for bad in (True, 2.0, Fraction(2)):
+            with pytest.raises(ValueError, match=re.escape(f"n must be a positive int, got {bad!r}")):
+                call(bad)
 
 
 def test_only_an_int_is_prime():

@@ -46,25 +46,33 @@ def test_enumeration_layer_imports_no_numpy():
     assert offenders == []
 
 
-def test_cli_uses_no_private_stabilizer_names():
-    # The CLI calls the library's public rules instead of re-implementing them.
+def test_cli_uses_no_private_library_names_and_no_numpy():
+    # The CLI parses, calls one public library rule per check and renders: it re-implements no rule, so it
+    # needs neither a private stabkit name nor numpy.
     tree = _parse(SOURCE_DIR / "cli.py")
-    private = [
-        f"cli.py:{node.lineno}"
+    modules = set()  # the stabkit modules imported as names, as in `from . import stabilizer`
+    offenders = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            offenders += [f"{node.lineno} import {a.name}" for a in node.names if a.name.split(".")[0] == "numpy"]
+        elif isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            if node.level or module.split(".")[0] == "stabkit":
+                if module in (".", "stabkit"):
+                    modules |= {a.asname or a.name for a in node.names}
+                offenders += [f"{node.lineno} {module}.{a.name}" for a in node.names if a.name.startswith("_")]
+            elif module.split(".")[0] == "numpy":
+                offenders.append(f"{node.lineno} from {module}")
+    assert {"potential", "stabilizer"} <= modules
+    offenders += [
+        f"{node.lineno} {node.value.id}.{node.attr}"
         for node in ast.walk(tree)
         if isinstance(node, ast.Attribute)
         and isinstance(node.value, ast.Name)
-        and node.value.id == "stabilizer"
+        and node.value.id in modules
         and node.attr.startswith("_")
     ]
-    private += [
-        f"cli.py:{node.lineno}"
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom)
-        and node.module == "stabilizer"
-        and any(alias.name.startswith("_") for alias in node.names)
-    ]
-    assert private == []
+    assert offenders == []
 
 
 def test_resource_cap_error_is_raised_only_by_check_cap():

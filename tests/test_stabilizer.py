@@ -35,11 +35,13 @@ from stabkit import (
     stabilizer_basis,
     stabilizer_count,
     state_blocks,
+    state_deviations,
     state_vectors,
     state_vectors_of,
     symplectic_form,
     weyl,
     weyl_representation,
+    zx_matrices,
 )
 from stabkit.errors import ResourceCapError
 from stabkit.stabilizer import _WORK_BYTES, _table
@@ -250,6 +252,36 @@ def test_state_vectors_of_a_list_in_hand_match_state_vectors():
         state_vectors_of(list(enumerate_lagrangians(2, 2)), state_cap=10)
 
 
+def test_state_deviations_work_within_the_budget(monkeypatch):
+    # Overlap blocks of 2^18 // d^{3n} tables took every N >= M at once at (2, 3): a 0.44 MB peak under a 2^17
+    # budget. The inputs and the phase tables are built first, so the measurement holds the checks' work only.
+    lagrangians = list(enumerate_lagrangians(2, 3))
+    vectors, zx = state_vectors_of(lagrangians), zx_matrices(2, 3)
+    tables = {m_sub: phase_table(m_sub) for m_sub in lagrangians}
+    monkeypatch.setattr("stabkit.stabilizer.phase_table", tables.__getitem__)
+    monkeypatch.setattr("stabkit.stabilizer._WORK_BYTES", 2**17)
+    tracemalloc.start()
+    try:
+        deviations = state_deviations(lagrangians, vectors, zx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert max(deviations) <= 1e-15
+    assert peak < 2**17
+
+
+def test_state_deviations_refuse_inputs_of_another_shape():
+    lagrangians = list(enumerate_lagrangians(2, 2))
+    vectors, zx = state_vectors_of(lagrangians), zx_matrices(2, 2)
+    for args in [(lagrangians, vectors[:-1], zx), (lagrangians, vectors, zx[:-1]), (lagrangians, vectors[:, :2], zx)]:
+        with pytest.raises(ValueError, match="expected 60 state vectors and 16 Weyl matrices of size 4"):
+            state_deviations(*args)
+    with pytest.raises(ValueError, match="expected 56 state vectors"):
+        state_deviations(lagrangians[:-1], vectors, zx)
+    with pytest.raises(ValueError, match="got none"):
+        state_deviations([], vectors, zx)
+
+
 def test_batched_table_matches_the_one_lagrangian_table():
     for d, n in [(2, 3), (3, 2)]:
         for _, group in itertools.groupby(enumerate_lagrangians(d, n), key=lambda m_sub: m_sub.pivots):
@@ -259,7 +291,7 @@ def test_batched_table_matches_the_one_lagrangian_table():
             assert len(batched) == len(group)
             for m_sub, table in zip(group, batched):
                 (single,) = _table([m_sub], cosets)
-                for name in ("rows", "points", "keys"):
+                for name in ("points", "keys"):
                     assert np.array_equal(getattr(table, name), getattr(single, name))
                     assert np.array_equal(getattr(table, name), getattr(phase_table(m_sub), name))
 

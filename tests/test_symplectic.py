@@ -16,6 +16,7 @@ from stabkit import (
     gaussian_binomial,
     intersect,
     intersection_spectrum,
+    intersection_spectrum_of,
     is_isotropic,
     is_lagrangian,
     kappa,
@@ -279,6 +280,17 @@ def test_intersection_spectrum_matches_kappa():
 def test_intersection_spectrum_reference_independent():
     lags = list(enumerate_lagrangians(2, 2))
     assert intersection_spectrum(lags[0]) == intersection_spectrum(lags[7])
+
+
+def test_intersection_spectrum_of_the_lagrangians_in_hand():
+    for d, n in [(2, 2), (3, 2)]:
+        lags = list(enumerate_lagrangians(d, n))
+        for m_sub in (lags[0], lags[-1]):
+            # One pass over any iterable: a generator is read once.
+            assert intersection_spectrum_of(m_sub, iter(lags)) == intersection_spectrum(m_sub)
+    assert intersection_spectrum_of(lags[0], lags[:1]) == {0: 0, 1: 0, 2: 1}
+    with pytest.raises(ValueError, match="needs a Lagrangian reference"):
+        intersection_spectrum_of(span(2, 2, (1, 0, 0, 0)), lags)
 
 
 # ---------------------------------------------------------------------------
