@@ -5,48 +5,52 @@ the canonical representative zeta of a coset of V/M (zero on M's pivot
 coordinates). Identity is structural: two states are equal iff their pairs
 are. Weyl operators w_B use M's canonical generator list B as basis.
 
-One integer table per Lagrangian (phase_table) holds the lambda values below
-and drives the overlap rule; realization (_fill) reads the same closed form
-off each Lagrangian's element rows and exponents, without building the
-table. Lagrangians of one pivot pattern share their coset rows, so
-state_blocks realizes them a block at a time, as many as fit one working
-memory budget (_WORK_BYTES, shared with the numeric engines), and yields each
-block's (states, d^n) vectors in enumeration order. state_vectors stacks
-those blocks into one (S(d,n), d^n) array, state_vectors_of does so from a
-list of the Lagrangians already in hand, and realized_states pairs each
-state with a row view of one stack, in one pass over the Lagrangians. Each
-entry point checks each cap once. For every m
-in M, in lexicographic coefficient order,
+One function computes the lambda values below (_block), a block of
+Lagrangians of one pivot pattern at a time: phase_table wraps its keys for
+the overlap rule, and realization (_fill) reads the same keys. Such
+Lagrangians share their coset rows, so state_blocks realizes them a block at
+a time, as many as fit one working memory budget (_WORK_BYTES, shared with
+the numeric engines), and yields each block's (states, d^n) vectors in
+enumeration order. state_vectors stacks those blocks into one (S(d,n), d^n)
+array, state_vectors_of does so from a list of the Lagrangians already in
+hand, and realized_states pairs each state with a row view of one stack, in
+one pass over the Lagrangians. Each entry point checks each cap once. For
+every m in M, in lexicographic coefficient order,
 w_B(m) = tau^{e_M(m)} z(P_m) x(Q_m) (the closed form of weyl._word), and
 
     lambda(zeta, m) = (2[zeta,m] + e_M(m)) mod the order of tau,
 
 over (coset in coset_representatives order, element). The state |M,zeta>,
 fixed by every omega^{[zeta,m]} w_B(m), is an eigenvector of z(P_m) x(Q_m)
-with eigenvalue tau^{-lambda(zeta,m)}.
+with eigenvalue tau^{-lambda(zeta,m)}. As m -> omega^{[zeta,m]} w_B(m) is a
+representation of M, and the operators z(P_m) x(Q_m) compose up to phases
+that depend on the points alone, two states' eigenvalue maps on a shared
+subgroup K differ by a character of K. It is trivial once it is trivial on a
+basis of K, at most n elements (_span_basis), so both rules below compare
+lambda on such a basis only, packed into one integer per state.
 
 Realization: with k(zeta, m, x) = lambda(zeta, m) + 2 P_m.(x + Q_m) mod the
 order of tau, let x0 be the lexicographically first x in Z_d^n with
-k(zeta, z, x) = 0 for every z in M_Z = {z in M : Q_z = 0}. The vector is
-|Q(M)|^{-1/2} tau^{k(zeta,m,x0)} at x0 + Q_m mod d and 0 elsewhere. It is well
-defined because m -> omega^{[zeta,m]} w_B(m) is a representation of M, so the
-amplitude depends only on m + M_Z; k = 0 at x0 makes the first nonzero
-amplitude real positive exactly. For the same reason z -> tau^{k(zeta, z, x)}
-is a character of M_Z, so x0 is found by testing a basis of M_Z, at most n
-elements, rather than every Z-only element.
+k(zeta, z, x) = 0 for every z in K = M_Z = {z in M : Q_z = 0}: the basis
+vector |x>, on which z(P_z) acts as tau^{2 P_z.x}, has the eigenvalues of
+|M,zeta> there. The vector is |Q(M)|^{-1/2} tau^{k(zeta,m,x0)} at x0 + Q_m
+mod d and 0 elsewhere. By the representation the amplitude depends only on
+m + M_Z, and k = 0 at x0 makes the first nonzero amplitude real positive
+exactly.
 
 Overlaps: |<M,zeta|N,iota>|^2 is d^{-n} |M cap N| when lambda_M(zeta, .) and
-lambda_N(iota, .) agree on every point M and N share, and 0 otherwise, since
-two stabilizer states overlap exactly when every shared Weyl operator has
-the same eigenvalue on both. PhaseTable.overlaps matches one table's keys
+lambda_N(iota, .) agree on K = M cap N, and 0 otherwise, since two
+stabilizer states overlap exactly when every shared Weyl operator has the
+same eigenvalue on both. PhaseTable.overlaps matches one table's keys
 against a batch of tables at once: the shared points are found by their
 indices through one lookup array, with no subspace intersection.
 
 state_deviations holds realized vectors to these rules: the eigenvalue
 equation for every state and element, each basis's Gram matrix, and the
-overlap rule for every pair of states, the last in blocks of tables sized
-by _WORK_BYTES. It owns the table layout and the tau convention, so callers
-pass only the Lagrangians, their vectors and the Weyl matrices.
+overlap rule for every pair of states, the first in chunks of elements and
+the last in blocks of tables, both sized by _WORK_BYTES. It owns the table
+layout and the tau convention, so callers pass only the Lagrangians, their
+vectors and the Weyl matrices.
 """
 
 from __future__ import annotations
@@ -77,10 +81,12 @@ from .symplectic import (
 DEFAULT_STATE_CAP = 10**6
 # The working memory of one numeric-path block, in bytes: a realized block in
 # _fill, a block of brute-force overlaps, a chunk of reference overlaps, or a
-# block of state_deviations' overlap checks.
+# chunk of state_deviations' eigenvalue checks or a block of its overlap checks.
 _WORK_BYTES = 2**19
 _FILL_BYTES = 28  # peak bytes per (table, coset, element) in _fill, its vectors included
-_PAIR_BYTES = 45  # peak bytes per state pair of a state_deviations overlap block, besides d^n for the key match
+# Peak bytes per (element, state, amplitude) of a state_deviations eigenvalue chunk, or per state pair of one
+# of its overlap blocks: 43-58 measured at 4 to 16 elements or tables, at (2, 3), (3, 2), (2, 4) and (3, 3).
+_CHECK_BYTES = 56
 
 
 @dataclass(frozen=True)
@@ -156,7 +162,8 @@ class PhaseTable:
         (len(others), rows here, rows of N): the i-th state of M and the j-th
         of N overlap with that value where it is True, and are orthogonal
         where it is False. The tables in others must have equally many rows.
-        Working memory is len(others) * rows^2 * d^n booleans.
+        Working memory is len(others) * rows^2 booleans, beside a few
+        integers per element of each N.
         """
         if not others or any((t.d, t.n) != (self.d, self.n) for t in others):
             raise ValueError("needs tables of states in the same space")
@@ -165,75 +172,61 @@ class PhaseTable:
         # np.array, not np.stack, which leaves about 200 B of cyclic garbage a call until the next collection.
         mine = column[np.array([t.points for t in others])]  # (N, element of N)
         shared = mine >= 0
-        # lambda of M's states at each element of N, read where that element is in M and ignored elsewhere.
-        agree = self.keys[:, mine].swapaxes(0, 1)[:, :, None] == np.array([t.keys for t in others])[:, None]
-        agree |= ~shared[:, None, None]
-        return [Fraction(int(size), self.d**self.n) for size in shared.sum(1)], agree.all(-1)
-
-
-def _narrow(d: int, n: int) -> np.dtype:
-    """The narrowest signed integer type for the point tables and the per-key arrays of _block and _fill.
-
-    Those hold point indices below d^n, and sums or differences of at most
-    three exponents below the order of tau.
-    """
-    return np.min_scalar_type(-max(3 * tau_order(d), d**n))
+        # lambda on a basis of M cap N (module docstring), in N's element indices and M's columns; element 0,
+        # where lambda = 0 on both sides, fills the rest. Each state's keys there are packed into one integer.
+        basis = _span_basis(self.d, self.n, shared)
+        digits = tau_order(self.d) ** np.arange(self.n)
+        here = self.keys[:, np.take_along_axis(mine, basis, 1)] @ digits  # (rows here, N)
+        there = np.array([t.keys[:, b] for t, b in zip(others, basis)]) @ digits  # (N, rows of N)
+        return [Fraction(int(size), self.d**self.n) for size in shared.sum(1)], here.T[:, :, None] == there[:, None]
 
 
 @functools.lru_cache(maxsize=4)
-def _points(d: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _points(d: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only tables of the points of Z_d^n, indexed in lexicographic order (first coordinate most significant).
 
-    The points as rows; sums[a, b], the index of point a + point b mod d; the
-    index of each point's negative; and dots[a, b] = 2 a.b mod the order of
-    tau, on the lifts.
+    The points as rows; sums[a, b], the index of point a + point b mod d; and
+    dots[a, b] = 2 a.b mod the order of tau, on the lifts. The last two are in
+    the narrowest signed integer type that holds point indices below d^n, and
+    sums or differences of at most three exponents below the order of tau, so
+    the per-key arrays that _block and _fill read off them are too.
     """
+    narrow = np.min_scalar_type(-max(3 * tau_order(d), d**n))
     grid = np.indices((d,) * n).reshape(n, -1).T
-    sums = np.zeros((d**n, d**n), dtype=_narrow(d, n))
+    sums = np.zeros((d**n, d**n), dtype=narrow)
     for i, weight in enumerate(d ** np.arange(n - 1, -1, -1)):
         sums += (grid[:, None, i] + grid[:, i]) % d * weight
-    negative = np.argmin(sums, axis=1)  # sums[b, -b] = 0 is the only zero of row b
-    tables = grid, sums, negative, (2 * grid @ grid.T % tau_order(d)).astype(_narrow(d, n))
+    tables = grid, sums, (2 * grid @ grid.T % tau_order(d)).astype(narrow)
     for table in tables:
         table.flags.writeable = False
     return tables
 
 
-def _elements(m_subs: Sequence[Subspace]) -> tuple[np.ndarray, np.ndarray]:
-    """The stacked rows (table, element, 2n) of Lagrangians of one space, and exponents e_M(m) (table, element).
-
-    Elements run in lexicographic coefficient order. With generator rows
-    (p_i | q_i) and coefficients c, the element is c.G mod d and weyl._word's
-    exponent is e(c) = -c^T (diag(p_i.q_i) + 2 triu(Q P^T, 1)) c: the matrix is
-    q_i.p_j weighted 1 on the diagonal, 2 above it and 0 below. The exponents
-    are reduced mod the order of tau, in the _narrow integer type.
-    """
-    d, n = m_subs[0].d, m_subs[0].n
-    coeffs = _points(d, n)[0]
-    gens = np.array([m_sub.generators for m_sub in m_subs])  # (batch, n, 2n)
-    p, q = gens[..., :n], gens[..., n:]
-    i = np.arange(n)
-    e = -((coeffs @ ((q @ p.swapaxes(1, 2)) * (1 + np.sign(i[None, :] - i[:, None])))) * coeffs).sum(-1)
-    return coeffs @ gens % d, (e % tau_order(d)).astype(_narrow(d, n))
-
-
 def _block(m_subs: Sequence[Subspace], cosets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The stacked rows (table, element, 2n) and keys (table, coset, element) of Lagrangians of one pivot pattern.
 
-    The keys run over that pattern's coset rows, zero coset first, in the
-    _narrow integer type: 2[zeta,m] + e_M(m) mod the order of tau, where
+    The only producer of lambda. Elements run in lexicographic coefficient
+    order: with generator rows (p_i | q_i) and coefficients c, the element is
+    c.G mod d and weyl._word's exponent is
+    e(c) = -c^T (diag(p_i.q_i) + 2 triu(Q P^T, 1)) c, the matrix being q_i.p_j
+    weighted 1 on the diagonal, 2 above it and 0 below. The keys run over that
+    pattern's coset rows, zero coset first, in the type of _points' tables:
+    2[zeta,m] + e_M(m) mod the order of tau, where
     2[zeta,m] = 2 zeta_P.Q_m - 2 zeta_Q.P_m may use the integer lifts, since
     2 (x mod d) = 2x (mod 2d).
     """
     d, n = m_subs[0].d, m_subs[0].n
-    dots = _points(d, n)[3]
-    rows, exponents = _elements(m_subs)
+    order, (coeffs, _, dots) = tau_order(d), _points(d, n)
+    gens = np.array([m_sub.generators for m_sub in m_subs])  # (table, n, 2n)
+    weights = 1 + np.sign(np.arange(n) - np.arange(n)[:, None])  # 1 on the diagonal, 2 above it, 0 below
+    exponents = -((coeffs @ ((gens[..., n:] @ gens[..., :n].swapaxes(1, 2)) * weights)) * coeffs).sum(-1)
+    rows = coeffs @ gens % d
     p_index, q_index = _point_index(rows[..., :n], d), _point_index(rows[..., n:], d)
     zeta_p, zeta_q = _point_index(cosets[:, :n], d)[:, None], _point_index(cosets[:, n:], d)[:, None]
-    keys = dots[zeta_p, q_index[:, None]]
-    keys -= dots[zeta_q, p_index[:, None]]
-    keys += exponents[:, None]
-    keys %= tau_order(d)
+    keys = dots.take(zeta_p * d**n + q_index[:, None])  # the flat table at row * width + column, as in _fill
+    keys -= dots.take(zeta_q * d**n + p_index[:, None])
+    keys += (exponents % order).astype(keys.dtype)[:, None]
+    keys %= order
     return rows, keys
 
 
@@ -244,64 +237,64 @@ def _table(m_subs: Sequence[Subspace], cosets: np.ndarray) -> list[PhaseTable]:
     return [PhaseTable(d, n, *arrays) for arrays in zip(_point_index(rows, d), keys)]
 
 
-def _z_fixed(d: int, n: int, cosets: np.ndarray, rows: np.ndarray, exponents: np.ndarray) -> np.ndarray:
-    """Whether k(zeta, z, x) = 0 for every z in M_Z, over (table, coset, x in grid order), from _elements' arrays.
+def _span_basis(d: int, n: int, mask: np.ndarray) -> np.ndarray:
+    """A basis of each subgroup mask[t] of the d^n elements of an n-dim subspace, as element indices (t, n).
 
-    On z in M_Z, Q_z = 0, so k(zeta, z, x) = -2 zeta_Q.P_z + e_M(z) + 2 P_z.x
-    mod the order of tau. z -> tau^{k(zeta, z, x)} is a character of M_Z (the
-    module docstring's representation, on diagonal operators), so it is
-    trivial once it is on a basis of M_Z. The basis is found greedily, at most
-    n elements per table (m = 0 fills the rest): each step takes the first
-    Z-only element outside the span so far and adds its multiples to the span
-    through the point-sum table, since the element with coefficients a plus
-    the one with b is the one with a + b. On the basis, x passes when the
-    digits 2 P_z.x match the digits -lambda(zeta, z), compared as one integer.
+    Elements are indexed in lexicographic coefficient order, so the element
+    with coefficients a plus the one with b is the one with a + b, read off
+    the point-sum table. Each greedy step takes the first element of the mask
+    outside the span so far and adds its multiples to the span; element 0
+    fills the rest once the span is the mask.
     """
-    order, (_, sums, negative, dots) = tau_order(d), _points(d, n)
-    p_index, z_only = _point_index(rows[..., :n], d), ~rows[..., n:].any(-1)
-    tables = np.arange(len(rows))[:, None]
-    span = np.zeros_like(z_only)
+    sums = _points(d, n)[1]
+    tables = np.arange(len(mask))[:, None]
+    span = np.zeros_like(mask)
     span[:, 0] = True
-    basis = np.zeros((len(rows), n), dtype=np.intp)
+    basis = np.zeros((len(mask), n), dtype=np.intp)
     for i in range(n):
-        new = z_only & ~span
-        if not new.any():
-            break
-        basis[:, i] = new.argmax(1)
-        minus_g = sums[:, negative[basis[:, i]]].T  # (table, element u): the index of u - g
+        basis[:, i] = (mask & ~span).argmax(1)
         for _ in range(d - 1):
-            span |= span[tables, minus_g]
-    basis_p = p_index[tables, basis]  # (table, i)
-    zeta_q = _point_index(cosets[:, n:], d)[:, None]
-    minus_lambda = (dots[zeta_q, basis_p[:, None]] - exponents[tables, basis][:, None]) % order  # (table, coset, i)
+            span[tables, sums[basis[:, i]]] |= span  # the span so far, and the span shifted by the new element
+    return basis
+
+
+def _z_fixed(d: int, n: int, rows: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Whether k(zeta, z, x) = 0 for every z in M_Z, over (table, coset, x in grid order), from _block's arrays.
+
+    On z in M_Z, Q_z = 0, so k(zeta, z, x) = lambda(zeta, z) + 2 P_z.x mod the
+    order of tau, a character of M_Z (the module docstring), tested on
+    _span_basis of M_Z: x passes when the digits 2 P_z.x match the digits
+    -lambda(zeta, z), compared as one integer.
+    """
+    order, dots = tau_order(d), _points(d, n)[2]
+    basis = _span_basis(d, n, ~rows[..., n:].any(-1))
+    basis_p = _point_index(np.take_along_axis(rows[..., :n], basis[..., None], 1), d)  # (table, i)
+    minus_lambda = -np.take_along_axis(keys, basis[:, None], 2) % order  # (table, coset, i)
     digits = order ** np.arange(n)
     return (dots[basis_p].swapaxes(1, 2) @ digits)[:, None] == (minus_lambda @ digits)[..., None]
 
 
-def _fill(d: int, n: int, cosets: np.ndarray, rows: np.ndarray, exponents: np.ndarray) -> np.ndarray:
+def _fill(d: int, n: int, rows: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """The vectors of a block of Lagrangians by the module's closed form, shape (table, coset, d^n).
 
-    cosets are their pivot pattern's coset rows, and rows and exponents are
-    stacked as _elements returns them; the full keys are never built. Over
-    (table, coset, element) the vectors take 16 bytes and the rest a few
-    _narrow arrays, beside one table's index arrays at a time: _FILL_BYTES
-    per such key in all.
+    rows and keys are stacked as _block returns them. Over (table, coset,
+    element) the vectors take 16 bytes and the rest a few narrow arrays,
+    beside one table's index arrays at a time: _FILL_BYTES per such key in
+    all, _block's keys included.
     """
-    order, (_, sums, negative, dots) = tau_order(d), _points(d, n)
+    order, (_, sums, dots) = tau_order(d), _points(d, n)
     p_index, q_index = _point_index(rows[..., :n], d), _point_index(rows[..., n:], d)
-    zeta_p, zeta_q = _point_index(cosets[:, :n], d), _point_index(cosets[:, n:], d)
-    fixed = _z_fixed(d, n, cosets, rows, exponents)
+    fixed = _z_fixed(d, n, rows, keys)
     x0 = fixed.argmax(-1)  # the index of x0 in grid, per (table, coset)
     if not np.take_along_axis(fixed, x0[..., None], axis=-1).all():
         raise RuntimeError("no basis point is fixed by the Z-only elements")
     # Over (table, coset, element), each table lookup reads the flat table at row * width + column, which is
-    # faster than indexing by a pair of arrays. k(zeta, m, x0) = 2[zeta, m] + e_M(m) + 2 P_m.(Q_m + x0)
-    # = 2 zeta_P.Q_m + 2 (x0 - zeta_Q).P_m + (e_M(m) + 2 P_m.Q_m) is left unreduced: three terms, each
-    # below the order of tau.
+    # faster than indexing by a pair of arrays. k(zeta, m, x0) = lambda(zeta, m) + 2 P_m.x0 + 2 P_m.Q_m is left
+    # unreduced: three terms, each below the order of tau.
     width = d**n
-    k = dots.take(zeta_p[:, None] * width + q_index[:, None])
-    k += dots.take(sums[x0, negative[zeta_q]].astype(np.intp)[..., None] * width + p_index[:, None])
-    k += ((exponents + dots[p_index, q_index]) % order)[:, None]
+    k = dots.take(x0[..., None] * width + p_index[:, None])
+    k += keys
+    k += dots.take(p_index * width + q_index)[:, None]
     support = sums.take(x0[..., None] * width + q_index[:, None])  # x0 + Q_m
     # Each amplitude is read off its table's row of powers |Q(M)|^{-1/2} tau^k, k below 3 orders, whose
     # last entry is 0: a table's exps holds that k at x0 + Q_m and the zero's index elsewhere. One table
@@ -331,7 +324,7 @@ def stabilizer_basis(m_sub: Subspace, *, cap: int = DEFAULT_MATRIX_CAP) -> list[
     if not is_lagrangian(m_sub):
         raise ValueError("needs a Lagrangian subspace")
     cosets = np.array(list(_coset_rows(m_sub)))
-    return list(zip(coset_representatives(m_sub), _fill(m_sub.d, m_sub.n, cosets, *_elements([m_sub]))[0]))
+    return list(zip(coset_representatives(m_sub), _fill(m_sub.d, m_sub.n, *_block([m_sub], cosets))[0]))
 
 
 def overlap_exact(a: StabilizerState, b: StabilizerState) -> Fraction:
@@ -353,8 +346,9 @@ def state_deviations(
     omega^{[zeta,m]} w_B(m)|M,zeta> against |M,zeta> for every state and
     every m in M; each Lagrangian's Gram matrix against the identity; and
     |<M,zeta|N,iota>|^2 against PhaseTable.overlaps for every pair of states
-    with N >= M. Each M's overlaps take as many tables N per call as fit
-    _WORK_BYTES at _PAIR_BYTES + d^n per state pair (at least one).
+    with N >= M. Each M's eigenvalue check takes as many elements m at a time,
+    and its overlaps as many tables N per call, as fit _WORK_BYTES at
+    _CHECK_BYTES per (element, state, amplitude) or state pair (at least one).
     """
     if not lagrangians:
         raise ValueError("needs Lagrangians, got none")
@@ -365,22 +359,28 @@ def state_deviations(
     tables = [phase_table(m_sub) for m_sub in lagrangians]
     bases = vectors.reshape(len(tables), dim, dim)  # a view: (Lagrangian, state, amplitude)
     taus = _tau_powers(d)
-    block = max(1, _WORK_BYTES // ((_PAIR_BYTES + dim) * dim * dim))  # tables N per overlaps call
+    block = max(1, _WORK_BYTES // (_CHECK_BYTES * dim * dim))  # elements per eigenvalue chunk, or tables N per call
     eigen = gram = overlap = 0.0
     for mi, (table, basis) in enumerate(zip(tables, bases)):
-        # w_B(m) = tau^{e_M(m)} z x(m), and omega^{[zeta,m]} = tau^{lambda(zeta,m) - e_M(m)}.
-        mats = taus[table.exponents][:, None, None] * zx[table.points]
-        phases = taus[(table.keys - table.exponents) % len(taus)]
-        # One matrix-vector product per (state, element), batched: one matrix product would round differently.
-        images = (mats @ basis[:, None, :, None])[..., 0]
-        eigen = max(eigen, float(np.max(np.abs(phases[..., None] * images - basis[:, None]))))
-        del mats, images  # d^{3n} complex each: the overlap blocks below need not hold them
+        for start in range(0, dim, block):
+            # w_B(m) = tau^{e_M(m)} z x(m), and omega^{[zeta,m]} = tau^{lambda(zeta,m) - e_M(m)}, for m in the chunk.
+            keys = table.keys[:, start : start + block]
+            mats = taus[keys[0]][:, None, None] * zx.take(table.points[start : start + block], axis=0)
+            # One matrix-vector product per (state, element), batched: one matrix product would round differently.
+            images = (mats @ basis[:, None, :, None])[..., 0]
+            del mats
+            np.multiply(taus[(keys - keys[0]) % len(taus)][..., None], images, out=images)  # in place, phase first
+            images -= basis[:, None]
+            eigen = max(eigen, float(np.max(np.abs(images))))
+            del images  # the next chunk need not hold it
         gram = max(gram, float(np.max(np.abs(np.conj(basis) @ basis.T - np.eye(dim)))))
         for start in range(mi, len(tables), block):
-            amps = np.conj(basis) @ bases[start : start + block].swapaxes(1, 2)
             values, hits = table.overlaps(tables[start : start + block])
-            exact = np.array(values, dtype=float)[:, None, None] * hits
-            overlap = max(overlap, float(np.max(np.abs(amps.real**2 + amps.imag**2 - exact))))
+            amps = np.conj(basis) @ bases[start : start + block].swapaxes(1, 2)
+            # Rebound to the residual, which frees the complex block before the residual's absolute value.
+            amps = amps.real**2 + amps.imag**2 - np.array(values, dtype=float)[:, None, None] * hits
+            overlap = max(overlap, float(np.max(np.abs(amps))))
+            del hits, amps  # the next block need not hold them
     return eigen, gram, overlap
 
 
@@ -431,7 +431,7 @@ def _state_blocks(d: int, n: int, lagrangians: Iterable[Subspace]) -> Iterator[t
                 cosets = np.array(list(_coset_rows(batch[0])))
                 if cosets[0].any():  # exponents, and the fixed-state reference |M_0, 0>, need it
                     raise RuntimeError("the zero coset must come first")
-            yield batch, _fill(d, n, cosets, *_elements(batch)).reshape(-1, d**n)
+            yield batch, _fill(d, n, *_block(batch, cosets)).reshape(-1, d**n)
 
 
 def _stacked(d: int, n: int, lagrangians: Iterable[Subspace]) -> tuple[list[Subspace], np.ndarray]:

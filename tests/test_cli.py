@@ -335,7 +335,6 @@ def _refuse_realization(monkeypatch):
     for target in (
         "stabkit.stabilizer._state_blocks",
         "stabkit.stabilizer._block",
-        "stabkit.stabilizer._elements",
         "stabkit.stabilizer._fill",
         "stabkit.stabilizer._table",
         "stabkit.stabilizer.phase_table",

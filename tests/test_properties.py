@@ -7,9 +7,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stabkit import StabilizerState, Subspace, coset_representatives, enumerate_lagrangians, intersect
+from stabkit import StabilizerState, Subspace, coset_representatives, enumerate_lagrangians, intersect, phase_table
 from stabkit.potential import _chunked_tree, _pairwise_tree
-from stabkit.stabilizer import _block, _elements, _fill, _z_fixed
+from stabkit.stabilizer import _block, _fill, _points, _span_basis, _z_fixed
 from stabkit.symplectic import _coset_rows
 
 from helpers import dense_state_vector, symplectic_complement, z_fixed_by_every_element
@@ -119,8 +119,8 @@ def test_fill_is_the_same_for_any_batching_of_a_pivot_pattern(case):
     group, batches = case
     d, n = group[0].d, group[0].n
     cosets = np.array(list(_coset_rows(group[0])))
-    whole = _fill(d, n, cosets, *_elements(group))
-    assert np.concatenate([_fill(d, n, cosets, *_elements(batch)) for batch in batches]).tobytes() == whole.tobytes()
+    whole = _fill(d, n, *_block(group, cosets))
+    assert np.concatenate([_fill(d, n, *_block(batch, cosets)) for batch in batches]).tobytes() == whole.tobytes()
     dense = np.array([dense_basis(m_sub) for m_sub in group])
     assert np.max(np.abs(whole - dense)) <= 1e-12
 
@@ -134,7 +134,34 @@ def test_generator_z_test_matches_the_per_element_oracle(case):
         d, n = batch[0].d, batch[0].n
         cosets = np.array(list(_coset_rows(batch[0])))
         rows, keys = _block(batch, cosets)
-        assert np.array_equal(_z_fixed(d, n, cosets, *_elements(batch)), z_fixed_by_every_element(d, n, rows, keys))
+        assert np.array_equal(_z_fixed(d, n, rows, keys), z_fixed_by_every_element(d, n, rows, keys))
+
+
+def span_of(d, n, basis):
+    """The elements spanned by each basis row, closed under the point-sum table one generator at a time."""
+    sums = _points(d, n)[1]
+    span = np.zeros((len(basis), d**n), dtype=bool)
+    span[:, 0] = True
+    for t, row in enumerate(basis):
+        for g in row:
+            for _ in range(d - 1):
+                span[t, sums[np.flatnonzero(span[t]), g]] = True
+    return span
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(pattern_batches(), st.randoms(use_true_random=False))
+def test_span_basis_spans_exactly_its_mask(case, rng):
+    # The Z-only masks M_Z, and masks of M cap N in N's element indices, N drawn from every Lagrangian.
+    group, _ = case
+    d, n = group[0].d, group[0].n
+    rows, _ = _block(group, np.array(list(_coset_rows(group[0]))))
+    lagrangians = [m_sub for pattern in pivot_patterns(d, n) for m_sub in pattern]
+    meets = [np.isin(phase_table(rng.choice(lagrangians)).points, phase_table(m_sub).points) for m_sub in group]
+    for mask in (~rows[..., n:].any(-1), np.array(meets)):
+        basis = _span_basis(d, n, mask)
+        assert basis.shape == (len(group), n)
+        assert np.array_equal(span_of(d, n, basis), mask)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from helpers import (
     dense_stabilizer_basis,
     dense_state_vector,
     overlap_keys_by_intersection,
+    overlaps_on_every_shared_point,
     single_qubit_rays,
 )
 from stabkit import (
@@ -191,14 +192,14 @@ def test_realization_builds_no_matrix(monkeypatch):
 
 def test_state_vectors_match_the_per_lagrangian_tables_bit_for_bit(monkeypatch):
     stabilizer_module = importlib.import_module("stabkit.stabilizer")
-    real_elements = stabilizer_module._elements
+    real_block = stabilizer_module._block
     batches = []
 
-    def elements(m_subs):
+    def block(m_subs, cosets):
         batches.append([m_sub.pivots for m_sub in m_subs])
-        return real_elements(m_subs)
+        return real_block(m_subs, cosets)
 
-    monkeypatch.setattr(stabilizer_module, "_elements", elements)
+    monkeypatch.setattr(stabilizer_module, "_block", block)
     for d, n in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2), (3, 3)]:
         batches.clear()
         stack = state_vectors(d, n)
@@ -254,20 +255,25 @@ def test_state_vectors_of_a_list_in_hand_match_state_vectors():
 
 def test_state_deviations_work_within_the_budget(monkeypatch):
     # Overlap blocks of 2^18 // d^{3n} tables took every N >= M at once at (2, 3): a 0.44 MB peak under a 2^17
-    # budget. The inputs and the phase tables are built first, so the measurement holds the checks' work only.
-    lagrangians = list(enumerate_lagrangians(2, 3))
-    vectors, zx = state_vectors_of(lagrangians), zx_matrices(2, 3)
-    tables = {m_sub: phase_table(m_sub) for m_sub in lagrangians}
-    monkeypatch.setattr("stabkit.stabilizer.phase_table", tables.__getitem__)
-    monkeypatch.setattr("stabkit.stabilizer._WORK_BYTES", 2**17)
-    tracemalloc.start()
-    try:
-        deviations = state_deviations(lagrangians, vectors, zx)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert max(deviations) <= 1e-15
-    assert peak < 2**17
+    # budget. The eigenvalue check held all d^n elements of one M at once: 71 KB at (3, 2) under 2^14. The inputs
+    # and the phase tables are built first, so the measurement holds the checks' work only. Smaller chunks and
+    # blocks leave every residual its own product, so the deviations keep their bits.
+    for d, n, budget, tol in [(2, 3, 2**17, 1e-15), (3, 2, 2**14, 2e-15)]:
+        lagrangians = list(enumerate_lagrangians(d, n))
+        vectors, zx = state_vectors_of(lagrangians), zx_matrices(d, n)
+        unbounded = state_deviations(lagrangians, vectors, zx)
+        tables = {m_sub: phase_table(m_sub) for m_sub in lagrangians}
+        monkeypatch.setattr("stabkit.stabilizer.phase_table", tables.__getitem__)
+        monkeypatch.setattr("stabkit.stabilizer._WORK_BYTES", budget)
+        tracemalloc.start()
+        try:
+            deviations = state_deviations(lagrangians, vectors, zx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        monkeypatch.undo()
+        assert deviations == unbounded and max(deviations) <= tol
+        assert peak < budget, (d, n, peak)
 
 
 def test_state_deviations_refuse_inputs_of_another_shape():
@@ -383,6 +389,22 @@ def test_overlaps_refuse_tables_of_another_space():
     for others in ([], [other_n], [table, other_d]):
         with pytest.raises(ValueError):
             table.overlaps(others)
+
+
+def test_overlaps_on_a_basis_match_every_shared_point():
+    # The rule compares lambda on a basis of M cap N; the oracle compares it on every shared point. Every pair of
+    # Lagrangians is checked, and at (3, 3) every M against a fixed sample of N; each run meets every dim(M cap N).
+    for d, n in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2), (7, 1), (3, 3)]:
+        tables = [phase_table(m_sub) for m_sub in enumerate_lagrangians(d, n)]
+        others = random.Random(20).sample(tables, 24) if (d, n) == (3, 3) else tables
+        seen = set()
+        for table in tables:
+            values, hits = table.overlaps(others)
+            expect_values, expect_hits = overlaps_on_every_shared_point(table, others)
+            assert values == expect_values
+            assert np.array_equal(hits, expect_hits)
+            seen.update(values)
+        assert seen == {Fraction(d**k, d**n) for k in range(n + 1)}
 
 
 def test_phase_table_matches_the_intersection_witness():
