@@ -28,11 +28,9 @@ from .potential import (
     frame_potential_report,
 )
 from .stabilizer import (
-    PhaseTable,
     StabilizerState,
     enumerate_states,
     overlap_exact,
-    phase_table,
     realized_states,
     stabilizer_basis,
     state_blocks,

@@ -16,7 +16,7 @@ list summed, so results do not depend on how rows are blocked.
 Both take a list of moments t: the overlaps |<x_i, x_j>|^2 are computed once,
 and only the power and the tree run once per t, with the same bits as one call
 per t. Neither holds an array that grows with S beyond the states themselves:
-their working memory is one budget, stabilizer._WORK_BYTES. The brute-force
+their working memory is one budget, weyl._WORK_BYTES. The brute-force
 engine reads the whole (S, d^n) stack of state vectors, a block of rows at a
 time, and keeps only each block's squared overlaps. The fixed-reference sum
 needs only the reference overlaps: frame_potentials_fixed_state streams the
@@ -35,8 +35,8 @@ import numpy as np
 
 from .combinatorics import gaussian_binomial, require_prime, stabilizer_count, welch_bound
 from .errors import check_cap, json_field
-from .stabilizer import _WORK_BYTES, DEFAULT_STATE_CAP, state_blocks, state_vectors
-from .weyl import DEFAULT_MATRIX_CAP
+from .stabilizer import DEFAULT_STATE_CAP, state_blocks, state_vectors
+from .weyl import _WORK_BYTES, DEFAULT_MATRIX_CAP
 
 DEFAULT_PAIR_CAP = 25_000_000
 _OVERLAP_BYTES = 32  # peak bytes per overlap in _row_sums: its |amp|^2, one power and the tree's levels

@@ -5,12 +5,12 @@ the canonical representative zeta of a coset of V/M (zero on M's pivot
 coordinates). Identity is structural: two states are equal iff their pairs
 are. Weyl operators w_B use M's canonical generator list B as basis.
 
-One function computes the lambda values below (_block), a block of
-Lagrangians of one pivot pattern at a time: phase_table wraps its keys for
-the overlap rule, and realization (_fill) reads the same keys. Such
-Lagrangians share their coset rows, so state_blocks realizes them a block at
-a time, as many as fit one working memory budget (_WORK_BYTES, shared with
-the numeric engines), and yields each block's (states, d^n) vectors in
+One function computes the lambda values below (_block), a run of
+Lagrangians of one pivot pattern at a time (_pattern_runs): the overlap rule
+reads its keys stacked, and realization (_fill) reads the same keys. Such
+Lagrangians share their coset rows, so state_blocks realizes them a run at
+a time, as many as fit one working memory budget (weyl._WORK_BYTES, shared
+with the numeric engines), and yields each block's (states, d^n) vectors in
 enumeration order. state_vectors stacks those blocks into one (S(d,n), d^n)
 array, state_vectors_of does so from a list of the Lagrangians already in
 hand, and realized_states pairs each state with a row view of one stack, in
@@ -41,16 +41,16 @@ exactly.
 Overlaps: |<M,zeta|N,iota>|^2 is d^{-n} |M cap N| when lambda_M(zeta, .) and
 lambda_N(iota, .) agree on K = M cap N, and 0 otherwise, since two
 stabilizer states overlap exactly when every shared Weyl operator has the
-same eigenvalue on both. PhaseTable.overlaps matches one table's keys
-against a batch of tables at once: the shared points are found by their
-indices through one lookup array, with no subspace intersection.
+same eigenvalue on both. _overlaps matches one M's keys against stacked
+tables at once, finding the shared points through one lookup array, with no
+subspace intersection; only overlap_exact turns |M cap N| into a rational.
 
 state_deviations holds realized vectors to these rules: the eigenvalue
 equation for every state and element, each basis's Gram matrix, and the
-overlap rule for every pair of states, the first in chunks of elements and
-the last in blocks of tables, both sized by _WORK_BYTES. It owns the table
-layout and the tau convention, so callers pass only the Lagrangians, their
-vectors and the Weyl matrices.
+overlap rule for every pair of states, over tables stacked once, in chunks
+of (Lagrangian, element) pairs, of Lagrangians and of N, all sized by
+_WORK_BYTES. It owns the table layout and the tau convention, so callers
+pass only the Lagrangians, their vectors and the Weyl matrices.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ import numpy as np
 
 from .combinatorics import lagrangian_count, require_prime, stabilizer_count
 from .errors import check_cap, json_field
-from .weyl import DEFAULT_MATRIX_CAP, _point_index, _tau_powers, _word, _zx_matrix, tau_order
+from .weyl import DEFAULT_MATRIX_CAP, _WORK_BYTES, _point_index, _tau_powers, _word, _zx_matrix, tau_order
 from .symplectic import (
     PhaseVector,
     Subspace,
@@ -79,14 +79,10 @@ from .symplectic import (
 )
 
 DEFAULT_STATE_CAP = 10**6
-# The working memory of one numeric-path block, in bytes: a realized block in
-# _fill, a block of brute-force overlaps, a chunk of reference overlaps, or a
-# chunk of state_deviations' eigenvalue checks or a block of its overlap checks.
-_WORK_BYTES = 2**19
 _FILL_BYTES = 28  # peak bytes per (table, coset, element) in _fill, its vectors included
-# Peak bytes per (element, state, amplitude) of a state_deviations eigenvalue chunk, or per state pair of one
-# of its overlap blocks: 43-58 measured at 4 to 16 elements or tables, at (2, 3), (3, 2), (2, 4) and (3, 3).
-_CHECK_BYTES = 56
+# Peak bytes per (pair or Lagrangian, state, amplitude) of a state_deviations eigenvalue or Gram chunk, or per state
+# pair of one of its overlap blocks: 48-63 measured at 4 to 16 pairs or tables, at (2, 3), (3, 2) and (5, 2).
+_CHECK_BYTES = 64
 
 
 @dataclass(frozen=True)
@@ -133,52 +129,6 @@ def weyl_representation(m_sub: Subspace, *, cap: int = DEFAULT_MATRIX_CAP) -> li
     taus = _tau_powers(d)
     words = (_word(d, n, m_sub.generators, c) for c in itertools.product(range(d), repeat=m_sub.dim))
     return [(_trusted(PhaseVector, d, n, p), taus[e] * _zx_matrix(d, p[:n], p[n:])) for e, p in words]
-
-
-@dataclass(frozen=True, eq=False)
-class PhaseTable:
-    """The integer phase data of one Lagrangian M, from phase_table.
-
-    points[j] is the point index (weyl.zx_matrices order) of the j-th element
-    m of M, in lexicographic coefficient order. keys[i, j] is
-    lambda(zeta_i, m_j) for the i-th coset in coset_representatives order;
-    row 0, the zero coset, holds the exponents e_M(m).
-    """
-
-    d: int
-    n: int
-    points: np.ndarray
-    keys: np.ndarray
-
-    @property
-    def exponents(self) -> np.ndarray:
-        """e_M(m) in w_B(m) = tau^{e_M(m)} z(P_m) x(Q_m), in the order of points."""
-        return self.keys[0]
-
-    def overlaps(self, others: Sequence["PhaseTable"]) -> tuple[list[Fraction], np.ndarray]:
-        """The overlap rule of this table's states against those of each table N in others, in one key match.
-
-        Returns d^{-n} |M cap N| for each N, and a boolean array of shape
-        (len(others), rows here, rows of N): the i-th state of M and the j-th
-        of N overlap with that value where it is True, and are orthogonal
-        where it is False. The tables in others must have equally many rows.
-        Working memory is len(others) * rows^2 booleans, beside a few
-        integers per element of each N.
-        """
-        if not others or any((t.d, t.n) != (self.d, self.n) for t in others):
-            raise ValueError("needs tables of states in the same space")
-        column = np.full(self.d ** (2 * self.n), -1)  # column[p]: the column of point p here, or -1 off M
-        column[self.points] = np.arange(len(self.points))
-        # np.array, not np.stack, which leaves about 200 B of cyclic garbage a call until the next collection.
-        mine = column[np.array([t.points for t in others])]  # (N, element of N)
-        shared = mine >= 0
-        # lambda on a basis of M cap N (module docstring), in N's element indices and M's columns; element 0,
-        # where lambda = 0 on both sides, fills the rest. Each state's keys there are packed into one integer.
-        basis = _span_basis(self.d, self.n, shared)
-        digits = tau_order(self.d) ** np.arange(self.n)
-        here = self.keys[:, np.take_along_axis(mine, basis, 1)] @ digits  # (rows here, N)
-        there = np.array([t.keys[:, b] for t, b in zip(others, basis)]) @ digits  # (N, rows of N)
-        return [Fraction(int(size), self.d**self.n) for size in shared.sum(1)], here.T[:, :, None] == there[:, None]
 
 
 @functools.lru_cache(maxsize=4)
@@ -230,13 +180,6 @@ def _block(m_subs: Sequence[Subspace], cosets: np.ndarray) -> tuple[np.ndarray, 
     return rows, keys
 
 
-def _table(m_subs: Sequence[Subspace], cosets: np.ndarray) -> list[PhaseTable]:
-    """The PhaseTable of each Lagrangian of one pivot pattern, from _block."""
-    d, n = m_subs[0].d, m_subs[0].n
-    rows, keys = _block(m_subs, cosets)
-    return [PhaseTable(d, n, *arrays) for arrays in zip(_point_index(rows, d), keys)]
-
-
 def _span_basis(d: int, n: int, mask: np.ndarray) -> np.ndarray:
     """A basis of each subgroup mask[t] of the d^n elements of an n-dim subspace, as element indices (t, n).
 
@@ -256,6 +199,29 @@ def _span_basis(d: int, n: int, mask: np.ndarray) -> np.ndarray:
         for _ in range(d - 1):
             span[tables, sums[basis[:, i]]] |= span  # the span so far, and the span shifted by the new element
     return basis
+
+
+def _overlaps(
+    d: int, n: int, points: np.ndarray, keys: np.ndarray, their_points: np.ndarray, their_keys: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The overlap rule of M's states against those of each N, from tables as _stacked_tables stacks them.
+
+    M's points (element,) and keys (coset, element) meet each N's (N, element)
+    and (N, coset, element). Returns |M cap N| for each N, and where the i-th
+    state of M and the j-th of N overlap (with value d^{-n} |M cap N|), as
+    (N, i, j) booleans: working memory beside a few integers per element of N.
+    """
+    column = np.full(d ** (2 * n), -1)  # column[p]: the column of point p in M, or -1 off M
+    column[points] = np.arange(len(points))
+    mine = column[their_points]  # (N, element of N)
+    shared = mine >= 0
+    # lambda on a basis of M cap N (module docstring), in N's element indices and M's columns; element 0,
+    # where lambda = 0 on both sides, fills the rest. Each state's keys there are packed into one integer.
+    basis = _span_basis(d, n, shared)
+    digits = tau_order(d) ** np.arange(n)
+    here = keys[:, np.take_along_axis(mine, basis, 1)] @ digits  # (cosets of M, N)
+    there = np.take_along_axis(their_keys, basis[:, None], 2) @ digits  # (N, cosets of N)
+    return shared.sum(1), here.T[:, :, None] == there[:, None]
 
 
 def _z_fixed(d: int, n: int, rows: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -311,13 +277,6 @@ def _fill(d: int, n: int, rows: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return out
 
 
-def phase_table(m_sub: Subspace) -> PhaseTable:
-    """The lambda table of a Lagrangian M over all its cosets, with the point index of each element."""
-    if not is_lagrangian(m_sub):
-        raise ValueError("needs a Lagrangian subspace")
-    return _table([m_sub], np.array(list(_coset_rows(m_sub))))[0]
-
-
 def stabilizer_basis(m_sub: Subspace, *, cap: int = DEFAULT_MATRIX_CAP) -> list[tuple[PhaseVector, np.ndarray]]:
     """The d^n states of one Lagrangian by the closed form above, in coset_representatives order."""
     check_cap("matrix dimension", m_sub.d**m_sub.n, cap)  # before the d^n x d^n vectors are built
@@ -329,10 +288,21 @@ def stabilizer_basis(m_sub: Subspace, *, cap: int = DEFAULT_MATRIX_CAP) -> list[
 
 def overlap_exact(a: StabilizerState, b: StabilizerState) -> Fraction:
     """|<M,zeta|N,iota>|^2 of the realized states, as an exact rational."""
+    a.zeta._check_compatible(b.zeta)
     # One key row per state: lambda of its own zeta only.
-    (table_a,), (table_b,) = (_table([s.lagrangian], np.array([s.zeta.coords])) for s in (a, b))
-    (value,), hits = table_a.overlaps([table_b])
-    return value if hits[0, 0, 0] else Fraction(0)
+    (rows_a, keys_a), (rows_b, keys_b) = (_block([s.lagrangian], np.array([s.zeta.coords])) for s in (a, b))
+    (size,), hits = _overlaps(a.d, a.n, _point_index(rows_a[0], a.d), keys_a[0], _point_index(rows_b, a.d), keys_b)
+    return Fraction(int(size), a.d**a.n) if hits[0, 0, 0] else Fraction(0)
+
+
+def _stacked_tables(lagrangians: Sequence[Subspace]) -> tuple[np.ndarray, np.ndarray]:
+    """The point indices (Lagrangian, element) and keys (Lagrangian, coset, element) of Lagrangians of one (d, n).
+
+    The rows are _block's, in the given order; coset 0 holds the exponents e_M(m).
+    """
+    d, n = lagrangians[0].d, lagrangians[0].n
+    runs = [(_point_index(rows, d), keys) for rows, keys in itertools.starmap(_block, _pattern_runs(d, n, lagrangians))]
+    return np.concatenate([points for points, _ in runs]), np.concatenate([keys for _, keys in runs])
 
 
 def state_deviations(
@@ -345,10 +315,10 @@ def state_deviations(
     Weyl matrices of weyl.zx_matrices(d, n). Returns (eigen, gram, overlap):
     omega^{[zeta,m]} w_B(m)|M,zeta> against |M,zeta> for every state and
     every m in M; each Lagrangian's Gram matrix against the identity; and
-    |<M,zeta|N,iota>|^2 against PhaseTable.overlaps for every pair of states
-    with N >= M. Each M's eigenvalue check takes as many elements m at a time,
-    and its overlaps as many tables N per call, as fit _WORK_BYTES at
-    _CHECK_BYTES per (element, state, amplitude) or state pair (at least one).
+    |<M,zeta|N,iota>|^2 against the overlap rule for every pair of states
+    with N >= M. The checks take (Lagrangian, element) pairs, Lagrangians and
+    N as many at a time as fit _WORK_BYTES at _CHECK_BYTES per (pair or
+    Lagrangian, state, amplitude) or per state pair (at least one).
     """
     if not lagrangians:
         raise ValueError("needs Lagrangians, got none")
@@ -356,31 +326,38 @@ def state_deviations(
     dim = d**n
     if vectors.shape != (len(lagrangians) * dim, dim) or zx.shape != (dim * dim, dim, dim):
         raise ValueError(f"expected {len(lagrangians) * dim} state vectors and {dim * dim} Weyl matrices of size {dim}")
-    tables = [phase_table(m_sub) for m_sub in lagrangians]
-    bases = vectors.reshape(len(tables), dim, dim)  # a view: (Lagrangian, state, amplitude)
+    if not all((m_sub.d, m_sub.n) == (d, n) and is_lagrangian(m_sub) for m_sub in lagrangians):
+        raise ValueError("needs Lagrangian subspaces of one space")
+    points, keys = _stacked_tables(lagrangians)
+    bases = vectors.reshape(len(lagrangians), dim, dim)  # a view: (Lagrangian, state, amplitude)
     taus = _tau_powers(d)
-    block = max(1, _WORK_BYTES // (_CHECK_BYTES * dim * dim))  # elements per eigenvalue chunk, or tables N per call
+    block = max(1, _WORK_BYTES // (_CHECK_BYTES * dim * dim))  # pairs per eigenvalue chunk, or Lagrangians
     eigen = gram = overlap = 0.0
-    for mi, (table, basis) in enumerate(zip(tables, bases)):
-        for start in range(0, dim, block):
-            # w_B(m) = tau^{e_M(m)} z x(m), and omega^{[zeta,m]} = tau^{lambda(zeta,m) - e_M(m)}, for m in the chunk.
-            keys = table.keys[:, start : start + block]
-            mats = taus[keys[0]][:, None, None] * zx.take(table.points[start : start + block], axis=0)
-            # One matrix-vector product per (state, element), batched: one matrix product would round differently.
-            images = (mats @ basis[:, None, :, None])[..., 0]
-            del mats
-            np.multiply(taus[(keys - keys[0]) % len(taus)][..., None], images, out=images)  # in place, phase first
-            images -= basis[:, None]
-            eigen = max(eigen, float(np.max(np.abs(images))))
-            del images  # the next chunk need not hold it
-        gram = max(gram, float(np.max(np.abs(np.conj(basis) @ basis.T - np.eye(dim)))))
-        for start in range(mi, len(tables), block):
-            values, hits = table.overlaps(tables[start : start + block])
-            amps = np.conj(basis) @ bases[start : start + block].swapaxes(1, 2)
-            # Rebound to the residual, which frees the complex block before the residual's absolute value.
-            amps = amps.real**2 + amps.imag**2 - np.array(values, dtype=float)[:, None, None] * hits
-            overlap = max(overlap, float(np.max(np.abs(amps))))
-            del hits, amps  # the next block need not hold them
+    for start in range(0, points.size, block):
+        tables, elements = np.divmod(np.arange(start, min(start + block, points.size)), dim)
+        lam = keys[tables, :, elements]  # (pair, coset): lambda(zeta, m), and e_M(m) at the zero coset
+        # w_B(m) = tau^{e_M(m)} z x(m), and omega^{[zeta,m]} = tau^{lambda(zeta,m) - e_M(m)}, for m in the chunk.
+        mats = taus[lam[:, 0]][:, None, None] * zx.take(points[tables, elements], axis=0)
+        chunk = bases[tables]  # (pair, state, amplitude)
+        # One matrix-vector product per (pair, state), batched: one matrix product would round differently.
+        images = (mats[:, None] @ chunk[..., None])[..., 0]
+        del mats
+        np.multiply(taus[(lam - lam[:, :1]) % len(taus)][..., None], images, out=images)  # in place, phase first
+        images -= chunk
+        eigen = max(eigen, float(np.max(np.abs(images))))
+        del chunk, images  # the next chunk need not hold them
+    for chunk in (bases[start : start + block] for start in range(0, len(bases), block)):
+        gram = max(gram, float(np.max(np.abs(np.conj(chunk) @ chunk.swapaxes(1, 2) - np.eye(dim)))))
+    for mi, basis in enumerate(map(np.conj, bases)):
+        for tables in (slice(start, start + block) for start in range(mi, len(bases), block)):
+            sizes, hits = _overlaps(d, n, points[mi], keys[mi], points[tables], keys[tables])
+            amps = basis @ bases[tables].swapaxes(1, 2)
+            residual = amps.real**2
+            residual += amps.imag**2
+            del amps  # the complex block is done with before the residual's absolute value
+            residual -= (sizes / dim)[:, None, None] * hits
+            overlap = max(overlap, float(np.max(np.abs(residual))))
+            del hits, residual  # the next block need not hold them
     return eigen, gram, overlap
 
 
@@ -423,15 +400,21 @@ def _state_blocks(d: int, n: int, lagrangians: Iterable[Subspace]) -> Iterator[t
 
     No cap is checked here.
     """
-    per_block = max(1, _WORK_BYTES // (_FILL_BYTES * d ** (2 * n)))  # Lagrangians per block
+    for run, cosets in _pattern_runs(d, n, lagrangians):
+        yield run, _fill(d, n, *_block(run, cosets)).reshape(-1, d**n)
+
+
+def _pattern_runs(d: int, n: int, lagrangians: Iterable[Subspace]) -> Iterator[tuple[list[Subspace], np.ndarray]]:
+    """Runs of Lagrangians of one pivot pattern, as many as _fill realizes within _WORK_BYTES, with its coset rows."""
+    per_run = max(1, _WORK_BYTES // (_FILL_BYTES * d ** (2 * n)))
     for _, group in itertools.groupby(lagrangians, key=lambda m_sub: m_sub.pivots):
         cosets = None  # the coset rows of the pattern, from its first Lagrangian
-        while batch := list(itertools.islice(group, per_block)):
+        while run := list(itertools.islice(group, per_run)):
             if cosets is None:
-                cosets = np.array(list(_coset_rows(batch[0])))
+                cosets = np.array(list(_coset_rows(run[0])))
                 if cosets[0].any():  # exponents, and the fixed-state reference |M_0, 0>, need it
                     raise RuntimeError("the zero coset must come first")
-            yield batch, _fill(d, n, *_block(batch, cosets)).reshape(-1, d**n)
+            yield run, cosets
 
 
 def _stacked(d: int, n: int, lagrangians: Iterable[Subspace]) -> tuple[list[Subspace], np.ndarray]:

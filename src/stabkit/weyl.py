@@ -14,7 +14,7 @@ and x are genuinely periodic mod d, by reordering through
 
 the product rule that _word applies in closed form below. The point
 v = (p | q) has index sum_i v_i d^{2n-1-i} on its lifts (lexicographic, p_1
-most significant): zx_matrices and the stabilizer phase tables share this
+most significant): zx_matrices and the stabilizer key tables share this
 order.
 
 A word w(u_1)^{c_1} ... w(u_k)^{c_k}, rows
@@ -43,6 +43,11 @@ from .errors import check_cap
 from .symplectic import PhaseVector, Row
 
 DEFAULT_MATRIX_CAP = 4096
+# The working memory of one numeric-path block, in bytes, in every layer: realization, either numeric engine,
+# stabilizer.state_deviations and verify_relations.
+_WORK_BYTES = 2**19
+# Peak bytes per (v, amplitude, amplitude) of a verify_relations block and one u's rows: 70-76 at (2, 4), (5, 2).
+_RELATION_BYTES = 80
 # Largest entrywise deviation the Weyl relation and trace checks accept.
 WEYL_TOL = 1e-12
 
@@ -156,21 +161,34 @@ def verify_commutation(u: PhaseVector, v: PhaseVector, *, tol: float = WEYL_TOL,
 def verify_relations(d: int, n: int, zx: np.ndarray) -> tuple[bool, bool, float]:
     """verify_composition and verify_commutation over every pair of points, and the trace check.
 
-    zx is the zx_matrices stack, so each w(v) is built once. Returns whether
-    composition and commutation hold for all pairs within WEYL_TOL, and the
-    largest |tr w(v) - d^n [v = 0]|.
+    zx is the zx_matrices stack, so each z(p) x(q) is built once. Returns
+    whether composition and commutation hold for all pairs within WEYL_TOL,
+    and the largest |tr w(v) - d^n [v = 0]|. Each u meets the points v as
+    many at a time as fit _WORK_BYTES at _RELATION_BYTES per unit (one at
+    least), one matrix product per pair, so no result depends on the block.
     """
     points = np.array(list(itertools.product(range(d), repeat=2 * n)))
     # w(v) = tau^{-p.q} z(p) x(q).
-    w = _tau_powers(d)[-(points[:, :n] * points[:, n:]).sum(1) % tau_order(d), None, None] * zx
-    composition, commutation = _relation_phases(d, n, points[:, None], points[None])
-    sums = _point_index((points[:, None] + points[None]) % d, d)
+    phases = _tau_powers(d)[-(points[:, :n] * points[:, n:]).sum(1) % tau_order(d), None, None]
+    step = max(1, _WORK_BYTES // (_RELATION_BYTES * d ** (2 * n)))
+    blocks = [slice(start, start + step) for start in range(0, len(points), step)]
     comp_ok = comm_ok = True
-    for i in range(len(points)):
-        lhs = w[i] @ w
-        comp_ok &= bool(np.max(np.abs(lhs - composition[i, :, None, None] * zx[sums[i]])) <= WEYL_TOL)
-        comm_ok &= bool(np.max(np.abs(lhs - commutation[i, :, None, None] * (w @ w[i]))) <= WEYL_TOL)
-    trace = np.trace(w, axis1=1, axis2=2)
+    for i, u in enumerate(points):
+        w_u = phases[i] * zx[i]
+        composition, commutation = _relation_phases(d, n, u, points)
+        sums = _point_index((u + points) % d, d)
+        for v in blocks:
+            w_v = phases[v] * zx[v]
+            lhs = w_u @ w_v
+            # Each right-hand side takes its phase, and then lhs minus itself, in its own buffer.
+            rhs = zx[sums[v]]
+            np.multiply(composition[v, None, None], rhs, out=rhs)
+            comp_ok &= bool(np.max(np.abs(np.subtract(lhs, rhs, out=rhs))) <= WEYL_TOL)
+            np.matmul(w_v, w_u, out=rhs)
+            np.multiply(commutation[v, None, None], rhs, out=rhs)
+            comm_ok &= bool(np.max(np.abs(np.subtract(lhs, rhs, out=rhs))) <= WEYL_TOL)
+            del w_v, lhs, rhs  # the next block need not hold them
+    trace = np.concatenate([np.trace(phases[v] * zx[v], axis1=1, axis2=2) for v in blocks])
     trace[0] -= d**n
     # Scalar abs: the array form rounds some moduli differently.
     return comp_ok, comm_ok, max(abs(x) for x in trace.tolist())

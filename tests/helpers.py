@@ -98,20 +98,20 @@ def overlap_keys_by_intersection(m_sub, n_sub):
     return Fraction(d**k_sub.dim, d**n), keys(m_sub), keys(n_sub)
 
 
-def overlaps_on_every_shared_point(table, others):
-    """Oracle: PhaseTable.overlaps by comparing lambda on every point M and N share, not on a basis of M cap N.
+def overlaps_on_every_shared_point(d, n, points, keys, their_points, their_keys):
+    """Oracle: stabilizer._overlaps by comparing lambda on every point M and N share, not on a basis of M cap N.
 
-    Returns the same (values, mask) pair: d^{-n} |M cap N| for each N, and
-    (len(others), rows of M, rows of N) booleans.
+    Takes the rule's arrays (M's points and keys, and each N's, stacked) and
+    returns the same pair: |M cap N| for each N, and (N, rows of M, rows of N)
+    booleans.
     """
-    d, n = table.d, table.n
     column = np.full(d ** (2 * n), -1)
-    column[table.points] = np.arange(len(table.points))
-    mine = column[np.array([t.points for t in others])]  # (N, element of N): M's column, or -1 off M
+    column[points] = np.arange(len(points))
+    mine = column[their_points]  # (N, element of N): M's column, or -1 off M
     shared = mine >= 0
-    agree = table.keys[:, mine].swapaxes(0, 1)[:, :, None] == np.array([t.keys for t in others])[:, None]
+    agree = keys[:, mine].swapaxes(0, 1)[:, :, None] == their_keys[:, None]
     agree |= ~shared[:, None, None]
-    return [Fraction(int(size), d**n) for size in shared.sum(1)], agree.all(-1)
+    return shared.sum(1), agree.all(-1)
 
 
 def dense_projector(m_sub, v, terms=None) -> np.ndarray:

@@ -12,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from stabkit import FramePotentialReport, PhaseTable, ResourceCapError, StabilizerState, Subspace, potential, stabilizer
+from stabkit import FramePotentialReport, ResourceCapError, StabilizerState, Subspace, potential, stabilizer
 from stabkit.cli import build_parser, main, run_verification
 
 from helpers import lagrangians_by_filter, source_env
@@ -336,8 +336,8 @@ def _refuse_realization(monkeypatch):
         "stabkit.stabilizer._state_blocks",
         "stabkit.stabilizer._block",
         "stabkit.stabilizer._fill",
-        "stabkit.stabilizer._table",
-        "stabkit.stabilizer.phase_table",
+        "stabkit.stabilizer._stacked_tables",
+        "stabkit.stabilizer._overlaps",
     ):
         monkeypatch.setattr(target, _refuse(target))
 
@@ -429,16 +429,16 @@ def test_verify_builds_each_weyl_matrix_once_and_intersects_only_for_the_spectru
 
 
 def test_verify_builds_one_phase_table_per_lagrangian(monkeypatch):
-    # The table serves the eigenvalue check and the overlap rule; realization reads the element rows instead.
+    # The stacked tables serve the eigenvalue check and the overlap rule; realization reads _block's rows instead.
     stabilizer_module = importlib.import_module("stabkit.stabilizer")
     built = []
-    real_table = stabilizer_module._table
+    real_tables = stabilizer_module._stacked_tables
 
-    def table(m_subs, cosets):
+    def tables(m_subs):
         built.extend(m_subs)
-        return real_table(m_subs, cosets)
+        return real_tables(m_subs)
 
-    monkeypatch.setattr(stabilizer_module, "_table", table)
+    monkeypatch.setattr(stabilizer_module, "_stacked_tables", tables)
     checks = run_verification(2, 2, 4)
     assert all(c.passed for c in checks)
     assert len(built) == len(set(built)) == 15
@@ -446,14 +446,15 @@ def test_verify_builds_one_phase_table_per_lagrangian(monkeypatch):
 
 def test_verify_runs_the_overlap_rule_once_per_lagrangian(monkeypatch):
     # One batched key match per M against every N >= M, not one call per Lagrangian pair (120 at (2, 2)).
+    stabilizer_module = importlib.import_module("stabkit.stabilizer")
     calls = []
-    real_overlaps = PhaseTable.overlaps
+    real_overlaps = stabilizer_module._overlaps
 
-    def overlaps(self, others):
-        calls.append(len(others))
-        return real_overlaps(self, others)
+    def overlaps(d, n, points, keys, their_points, their_keys):
+        calls.append(len(their_points))
+        return real_overlaps(d, n, points, keys, their_points, their_keys)
 
-    monkeypatch.setattr(PhaseTable, "overlaps", overlaps)
+    monkeypatch.setattr(stabilizer_module, "_overlaps", overlaps)
     checks = run_verification(2, 2, 4)
     assert all(c.passed for c in checks)
     assert calls == list(range(15, 0, -1))

@@ -24,7 +24,7 @@ from stabkit import (
 )
 from stabkit.errors import NonPrimeModulusError, ResourceCapError
 from stabkit.potential import _pairwise_tree, _state_stack, fraction_str, parse_fraction
-from stabkit.stabilizer import _WORK_BYTES
+from stabkit.weyl import _WORK_BYTES
 
 
 # ---------------------------------------------------------------------------

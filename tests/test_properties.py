@@ -7,12 +7,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stabkit import StabilizerState, Subspace, coset_representatives, enumerate_lagrangians, intersect, phase_table
+from stabkit import StabilizerState, Subspace, coset_representatives, enumerate_lagrangians, intersect
 from stabkit.potential import _chunked_tree, _pairwise_tree
-from stabkit.stabilizer import _block, _fill, _points, _span_basis, _z_fixed
+from stabkit.stabilizer import _block, _fill, _overlaps, _points, _span_basis, _stacked_tables, _z_fixed
 from stabkit.symplectic import _coset_rows
+from stabkit.weyl import _point_index
 
-from helpers import dense_state_vector, symplectic_complement, z_fixed_by_every_element
+from helpers import dense_state_vector, overlaps_on_every_shared_point, symplectic_complement, z_fixed_by_every_element
 
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=60, deadline=None)
 
@@ -157,11 +158,30 @@ def test_span_basis_spans_exactly_its_mask(case, rng):
     d, n = group[0].d, group[0].n
     rows, _ = _block(group, np.array(list(_coset_rows(group[0]))))
     lagrangians = [m_sub for pattern in pivot_patterns(d, n) for m_sub in pattern]
-    meets = [np.isin(phase_table(rng.choice(lagrangians)).points, phase_table(m_sub).points) for m_sub in group]
+    points = dict(zip(lagrangians, _stacked_tables(lagrangians)[0]))
+    meets = [np.isin(points[rng.choice(lagrangians)], points[m_sub]) for m_sub in group]
     for mask in (~rows[..., n:].any(-1), np.array(meets)):
         basis = _span_basis(d, n, mask)
         assert basis.shape == (len(group), n)
         assert np.array_equal(span_of(d, n, basis), mask)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(pattern_batches(), st.randoms(use_true_random=False))
+def test_overlap_rule_matches_every_shared_point_on_any_batch(case, rng):
+    # One M drawn from the whole space against each batch of one pivot pattern, keyed as _block stacks the batch.
+    group, batches = case
+    d, n = group[0].d, group[0].n
+    cosets = np.array(list(_coset_rows(group[0])))
+    m_sub = rng.choice([m for pattern in pivot_patterns(d, n) for m in pattern])
+    (points,), (keys,) = _stacked_tables([m_sub])
+    for batch in batches:
+        rows, their_keys = _block(batch, cosets)
+        args = (d, n, points, keys, _point_index(rows, d), their_keys)
+        sizes, hits = _overlaps(*args)
+        expect_sizes, expect_hits = overlaps_on_every_shared_point(*args)
+        assert np.array_equal(sizes, expect_sizes) and np.array_equal(hits, expect_hits)
+        assert sizes.tolist() == [d ** intersect(m_sub, n_sub).dim for n_sub in batch]
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,6 @@ from stabkit import (
     frame_potential_report,
     intersect,
     overlap_exact,
-    phase_table,
     realized_states,
     stabilizer_basis,
     stabilizer_count,
@@ -45,15 +44,17 @@ from stabkit import (
     zx_matrices,
 )
 from stabkit.errors import ResourceCapError
-from stabkit.stabilizer import _WORK_BYTES, _table
+from stabkit.stabilizer import _block, _overlaps, _stacked_tables
 from stabkit.symplectic import _coset_rows, _form_lift
-from stabkit.weyl import _omega_power, _word, tau_order
+from stabkit.weyl import _WORK_BYTES, _omega_power, _point_index, _word, tau_order
 
 
 def overlap_block(m_sub, n_sub):
-    """The overlap of every state of M (rows) with every state of N, by PhaseTable.overlaps."""
-    (value,), (hits,) = phase_table(m_sub).overlaps([phase_table(n_sub)])
-    return [[value if hit else 0 for hit in row] for row in hits.tolist()]
+    """The overlap of every state of M (rows) with every state of N, by the overlap rule on their tables."""
+    d, n = m_sub.d, m_sub.n
+    points, keys = _stacked_tables([m_sub, n_sub])
+    (size,), (hits,) = _overlaps(d, n, points[0], keys[0], points[1:], keys[1:])
+    return [[Fraction(int(size), d**n) if hit else 0 for hit in row] for row in hits.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -256,14 +257,14 @@ def test_state_vectors_of_a_list_in_hand_match_state_vectors():
 def test_state_deviations_work_within_the_budget(monkeypatch):
     # Overlap blocks of 2^18 // d^{3n} tables took every N >= M at once at (2, 3): a 0.44 MB peak under a 2^17
     # budget. The eigenvalue check held all d^n elements of one M at once: 71 KB at (3, 2) under 2^14. The inputs
-    # and the phase tables are built first, so the measurement holds the checks' work only. Smaller chunks and
+    # and the stacked tables are built first, so the measurement holds the checks' work only. Smaller chunks and
     # blocks leave every residual its own product, so the deviations keep their bits.
     for d, n, budget, tol in [(2, 3, 2**17, 1e-15), (3, 2, 2**14, 2e-15)]:
         lagrangians = list(enumerate_lagrangians(d, n))
         vectors, zx = state_vectors_of(lagrangians), zx_matrices(d, n)
         unbounded = state_deviations(lagrangians, vectors, zx)
-        tables = {m_sub: phase_table(m_sub) for m_sub in lagrangians}
-        monkeypatch.setattr("stabkit.stabilizer.phase_table", tables.__getitem__)
+        tables = _stacked_tables(lagrangians)
+        monkeypatch.setattr("stabkit.stabilizer._stacked_tables", lambda m_subs: tables)
         monkeypatch.setattr("stabkit.stabilizer._WORK_BYTES", budget)
         tracemalloc.start()
         try:
@@ -276,6 +277,21 @@ def test_state_deviations_work_within_the_budget(monkeypatch):
         assert peak < budget, (d, n, peak)
 
 
+def test_state_deviations_keep_their_bits():
+    # (eigen, gram, overlap) as hex floats, recorded when the checks ran one Lagrangian at a time over
+    # per-Lagrangian tables: the flat chunks, the batched Gram matrices and the stacked tables change no bit.
+    expected = {
+        (2, 2): ("0x0.0p+0", "0x1.0000000000000p-52", "0x1.0000000000000p-51"),
+        (3, 2): ("0x1.bed9eba16132cp-50", "0x1.000723c61c498p-51", "0x1.0000000000000p-50"),
+        (2, 3): ("0x0.0p+0", "0x1.0000000000000p-52", "0x1.0000000000000p-51"),
+        (5, 2): ("0x1.4e61e7bd546f4p-51", "0x1.000008792b93fp-50", "0x1.0000000000000p-49"),
+    }
+    for (d, n), triple in expected.items():
+        lagrangians = list(enumerate_lagrangians(d, n))
+        deviations = state_deviations(lagrangians, state_vectors_of(lagrangians), zx_matrices(d, n))
+        assert tuple(x.hex() for x in deviations) == triple, (d, n)
+
+
 def test_state_deviations_refuse_inputs_of_another_shape():
     lagrangians = list(enumerate_lagrangians(2, 2))
     vectors, zx = state_vectors_of(lagrangians), zx_matrices(2, 2)
@@ -286,20 +302,23 @@ def test_state_deviations_refuse_inputs_of_another_shape():
         state_deviations(lagrangians[:-1], vectors, zx)
     with pytest.raises(ValueError, match="got none"):
         state_deviations([], vectors, zx)
+    # A subspace that is not Lagrangian, or a Lagrangian of another space, in place of the last one.
+    line = Subspace.from_rows([(1, 0, 0, 0)], d=2, width=4)
+    for wrong in (line, next(enumerate_lagrangians(2, 1))):
+        with pytest.raises(ValueError, match="needs Lagrangian subspaces of one space"):
+            state_deviations(lagrangians[:-1] + [wrong], vectors, zx)
 
 
 def test_batched_table_matches_the_one_lagrangian_table():
+    # The tables stacked over every Lagrangian, a run of one pivot pattern at a time, against each one's own.
     for d, n in [(2, 3), (3, 2)]:
-        for _, group in itertools.groupby(enumerate_lagrangians(d, n), key=lambda m_sub: m_sub.pivots):
-            group = list(group)
-            cosets = np.array(list(_coset_rows(group[0])))
-            batched = _table(group, cosets)
-            assert len(batched) == len(group)
-            for m_sub, table in zip(group, batched):
-                (single,) = _table([m_sub], cosets)
-                for name in ("points", "keys"):
-                    assert np.array_equal(getattr(table, name), getattr(single, name))
-                    assert np.array_equal(getattr(table, name), getattr(phase_table(m_sub), name))
+        lagrangians = list(enumerate_lagrangians(d, n))
+        points, keys = _stacked_tables(lagrangians)
+        assert points.shape == (len(lagrangians), d**n) and keys.shape == (len(lagrangians), d**n, d**n)
+        for m_sub, stacked_points, stacked_keys in zip(lagrangians, points, keys):
+            rows, single = _block([m_sub], np.array(list(_coset_rows(m_sub))))
+            assert np.array_equal(stacked_points, _point_index(rows[0], d))
+            assert np.array_equal(stacked_keys, single[0])
 
 
 # ---------------------------------------------------------------------------
@@ -369,54 +388,60 @@ def test_overlaps_give_the_table_as_a_mask():
     # dim(M cap N) = 0 leaves only the shared point 0, whose key is 0, and then every pair overlaps.
     for d, n in [(2, 2), (3, 1)]:
         lagrangians = list(enumerate_lagrangians(d, n))
-        tables = [phase_table(m_sub) for m_sub in lagrangians]
+        points, keys = _stacked_tables(lagrangians)
         states = {m_sub: [StabilizerState(m_sub, zeta) for zeta in coset_representatives(m_sub)] for m_sub in lagrangians}
-        for m_sub, table in zip(lagrangians, tables):
-            values, hits = table.overlaps(tables)
-            assert hits.shape == (len(tables), d**n, d**n) and hits.dtype == bool
-            for n_sub, value, mask in zip(lagrangians, values, hits):
+        for mi, m_sub in enumerate(lagrangians):
+            sizes, hits = _overlaps(d, n, points[mi], keys[mi], points, keys)
+            assert sizes.shape == (len(lagrangians),) and sizes.dtype.kind == "i"
+            assert hits.shape == (len(lagrangians), d**n, d**n) and hits.dtype == bool
+            for n_sub, size, mask in zip(lagrangians, sizes, hits):
                 k = intersect(m_sub, n_sub).dim
-                assert value == Fraction(d**k, d**n)
-                block = float(value) * mask
+                assert size == d**k
+                # The float that state_deviations compares against is the exact value's float, bit for bit.
+                assert (size / d**n).hex() == float(Fraction(int(size), d**n)).hex()
+                block = size / d**n * mask
                 exact = [[float(overlap_exact(a, b)) for b in states[n_sub]] for a in states[m_sub]]
                 assert np.array_equal(block, np.array(exact))
                 if k == 0:
                     assert mask.all()
 
 
-def test_overlaps_refuse_tables_of_another_space():
-    table, other_n, other_d = (phase_table(next(enumerate_lagrangians(d, n))) for d, n in [(2, 2), (2, 1), (3, 2)])
-    for others in ([], [other_n], [table, other_d]):
-        with pytest.raises(ValueError):
-            table.overlaps(others)
+def test_overlap_exact_refuses_states_of_another_space():
+    state = next(enumerate_states(2, 2))
+    for other in (next(enumerate_states(2, 1)), next(enumerate_states(3, 2))):
+        for a, b in [(state, other), (other, state)]:
+            with pytest.raises(ValueError, match="different spaces"):
+                overlap_exact(a, b)
 
 
 def test_overlaps_on_a_basis_match_every_shared_point():
     # The rule compares lambda on a basis of M cap N; the oracle compares it on every shared point. Every pair of
     # Lagrangians is checked, and at (3, 3) every M against a fixed sample of N; each run meets every dim(M cap N).
     for d, n in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2), (7, 1), (3, 3)]:
-        tables = [phase_table(m_sub) for m_sub in enumerate_lagrangians(d, n)]
-        others = random.Random(20).sample(tables, 24) if (d, n) == (3, 3) else tables
+        lagrangians = list(enumerate_lagrangians(d, n))
+        points, keys = _stacked_tables(lagrangians)
+        others = random.Random(20).sample(range(len(lagrangians)), 24) if (d, n) == (3, 3) else slice(None)
         seen = set()
-        for table in tables:
-            values, hits = table.overlaps(others)
-            expect_values, expect_hits = overlaps_on_every_shared_point(table, others)
-            assert values == expect_values
+        for mi in range(len(lagrangians)):
+            args = (d, n, points[mi], keys[mi], points[others], keys[others])
+            (sizes, hits), (expect_sizes, expect_hits) = _overlaps(*args), overlaps_on_every_shared_point(*args)
+            assert np.array_equal(sizes, expect_sizes)
             assert np.array_equal(hits, expect_hits)
-            seen.update(values)
-        assert seen == {Fraction(d**k, d**n) for k in range(n + 1)}
+            seen.update(sizes.tolist())
+        assert seen == {d**k for k in range(n + 1)}
 
 
-def test_phase_table_matches_the_intersection_witness():
-    # Keys on every shared point against keys on the generators of M cap N: same value, same mask.
-    # (2, 2), (3, 1), (3, 2) and (5, 1) are in test_batched_overlap_rule_matches_the_pairwise_witnesses.
+def test_overlap_rule_matches_the_intersection_witness():
+    # Keys on a basis of M cap N against keys on the generators of M cap N, found by intersect: d^{dim(M cap N)}
+    # shared points, and the same mask. (2, 2), (3, 1), (3, 2) and (5, 1) are in
+    # test_batched_overlap_rule_matches_the_pairwise_witnesses.
     for d, n in [(2, 1), (2, 3)]:
         lagrangians = list(enumerate_lagrangians(d, n))
-        tables = [phase_table(m_sub) for m_sub in lagrangians]
-        for m_sub, table in zip(lagrangians, tables):
-            for n_sub, value, mask in zip(lagrangians, *table.overlaps(tables)):
+        points, keys = _stacked_tables(lagrangians)
+        for mi, m_sub in enumerate(lagrangians):
+            for n_sub, size, mask in zip(lagrangians, *_overlaps(d, n, points[mi], keys[mi], points, keys)):
                 witness, wit_m, wit_n = overlap_keys_by_intersection(m_sub, n_sub)
-                assert value == witness
+                assert Fraction(int(size), d**n) == witness
                 assert np.array_equal(mask, (wit_m[:, None] == wit_n[None, :]).all(-1))
 
 
@@ -425,30 +450,31 @@ def test_batched_overlap_rule_matches_the_pairwise_witnesses():
     # overlap_exact (the rule's batch of one) on an overlapping and an orthogonal pair of states.
     for d, n in [(2, 2), (3, 1), (3, 2), (5, 1)]:
         lagrangians = list(enumerate_lagrangians(d, n))
-        tables = [phase_table(m_sub) for m_sub in lagrangians]
+        points, keys = _stacked_tables(lagrangians)
         states = {m_sub: [StabilizerState(m_sub, zeta) for zeta in coset_representatives(m_sub)] for m_sub in lagrangians}
-        for m_sub, table in zip(lagrangians, tables):
-            values, hits = table.overlaps(tables)
-            assert len(values) == len(hits) == len(tables)
-            for n_sub, value, mask in zip(lagrangians, values, hits):
+        for mi, m_sub in enumerate(lagrangians):
+            sizes, hits = _overlaps(d, n, points[mi], keys[mi], points, keys)
+            assert len(sizes) == len(hits) == len(lagrangians)
+            for n_sub, size, mask in zip(lagrangians, sizes, hits):
                 witness, wit_m, wit_n = overlap_keys_by_intersection(m_sub, n_sub)
+                value = Fraction(int(size), d**n)
                 assert value == witness
                 assert np.array_equal(mask, (wit_m[:, None] == wit_n[None, :]).all(-1))
                 for i, j in [*np.argwhere(mask)[:1], *np.argwhere(~mask)[:1]]:
                     assert overlap_exact(states[m_sub][i], states[n_sub][j]) == (value if mask[i, j] else 0)
 
 
-def test_phase_table_entries_match_the_word_closed_form():
+def test_stacked_table_entries_match_the_word_closed_form():
     for d, n in [(2, 3), (3, 2), (5, 2)]:
         order = tau_order(d)
         radix = [d ** (2 * n - 1 - i) for i in range(2 * n)]
-        for m_sub in enumerate_lagrangians(d, n):
-            table = phase_table(m_sub)
+        lagrangians = list(enumerate_lagrangians(d, n))
+        for m_sub, points, keys in zip(lagrangians, *_stacked_tables(lagrangians)):
             words = [_word(d, n, m_sub.generators, c) for c in itertools.product(range(d), repeat=n)]
-            assert table.exponents.tolist() == [e for e, _ in words]
-            assert table.points.tolist() == [sum(a * r for a, r in zip(point, radix)) for _, point in words]
+            assert keys[0].tolist() == [e for e, _ in words]
+            assert points.tolist() == [sum(a * r for a, r in zip(point, radix)) for _, point in words]
             expect = [[(2 * _form_lift(z, point, n) + e) % order for e, point in words] for z in _coset_rows(m_sub)]
-            assert table.keys.tolist() == expect
+            assert keys.tolist() == expect
 
 
 def test_nonzero_overlap_count_per_lagrangian_pair():
