@@ -3,7 +3,7 @@
 A command parses its arguments, calls one public library rule per result or
 check, and renders. frame-potential and enumerate spectrum render through one
 _render: JSON and CSV from the same row dicts, and only the table rows are
-per command. enumerate lagrangians and states write JSON lines.
+per command. enumerate lagrangians and states stream JSON lines through _write.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource cap.
 Each command declares only the options it reads, so a misplaced flag is a usage
@@ -23,7 +23,7 @@ import itertools
 import json
 import sys
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import potential, stabilizer
 from .weyl import DEFAULT_MATRIX_CAP, WEYL_TOL, verify_relations, zx_matrices
@@ -138,16 +138,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write(text: str, output: str | None) -> None:
+def _write(chunks: Iterable[str], output: str | None) -> None:
     if output is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         try:
             with open(output, "w", newline="") as fh:
-                fh.write(text)
+                fh.writelines(chunks)
         except OSError as exc:
             # An unwritable --output path is a usage error, not a crash.
             raise ValueError(f"cannot write --output: {exc}") from exc
+
+
+def _json_lines(objs: Iterable[dict]) -> Iterator[str]:
+    return (json.dumps(obj, separators=(",", ":")) + "\n" for obj in objs)
 
 
 def _decimal12(fr) -> str:
@@ -213,7 +217,7 @@ def cmd_frame_potential(args) -> int:
         ]
         for r in reports
     ]
-    _write(_render([r.to_json_dict() for r in reports], table, args.format), args.output)
+    _write([_render([r.to_json_dict() for r in reports], table, args.format)], args.output)
     return 0
 
 
@@ -223,17 +227,17 @@ def cmd_frame_potential(args) -> int:
 
 def cmd_lagrangians(args) -> int:
     dicts = (sub.to_json_dict() for sub in enumerate_lagrangians(args.d, args.n, cap=args.enum_cap))
-    _write("\n".join(json.dumps(obj, separators=(",", ":")) for obj in dicts) + "\n", args.output)
+    _write(_json_lines(dicts), args.output)
     return 0
 
 
 def cmd_states(args) -> int:
     if args.realize:
         pairs = stabilizer.realized_states(args.d, args.n, state_cap=args.state_cap, matrix_cap=args.matrix_cap)
-        dicts = [state.to_json_dict(amplitudes=vec) for state, vec in pairs]
+        dicts = (state.to_json_dict(amplitudes=vec) for state, vec in pairs)
     else:
-        dicts = [state.to_json_dict() for state in stabilizer.enumerate_states(args.d, args.n, cap=args.state_cap)]
-    _write("\n".join(json.dumps(obj, separators=(",", ":")) for obj in dicts) + "\n", args.output)
+        dicts = (state.to_json_dict() for state in stabilizer.enumerate_states(args.d, args.n, cap=args.state_cap))
+    _write(_json_lines(dicts), args.output)
     return 0
 
 
@@ -248,7 +252,7 @@ def cmd_spectrum(args) -> int:
         rows.append({"k": k, "count": spectrum[k], "formula": formula, "match": spectrum[k] == formula})
     table = [["k", "count", "formula", "match"]]
     table += [[str(row["k"]), str(row["count"]), str(row["formula"]), "yes" if row["match"] else "no"] for row in rows]
-    _write(_render(rows, table, args.format), args.output)
+    _write([_render(rows, table, args.format)], args.output)
     return 0
 
 
@@ -378,7 +382,7 @@ def cmd_verify(args) -> int:
     passed = sum(1 for c in checks if c.passed)
     ok = passed == len(checks)
     lines.append(f"result: {'PASS' if ok else 'FAIL'} ({passed}/{len(checks)} checks)")
-    _write("\n".join(lines) + "\n", args.output)
+    _write(["\n".join(lines) + "\n"], args.output)
     return 0 if ok else 1
 
 

@@ -13,9 +13,9 @@ a time, as many as fit one working memory budget (weyl._WORK_BYTES, shared
 with the numeric engines), and yields each block's (states, d^n) vectors in
 enumeration order. state_vectors stacks those blocks into one (S(d,n), d^n)
 array, state_vectors_of does so from a list of the Lagrangians already in
-hand, and realized_states pairs each state with a row view of one stack, in
-one pass over the Lagrangians. Each entry point checks each cap once. For
-every m in M, in lexicographic coefficient order,
+hand, realized_states pairs each state with a row of its block as it comes,
+and stabilizer_basis takes one Lagrangian's block. Each entry point checks
+each cap once. For every m in M, in lexicographic coefficient order,
 w_B(m) = tau^{e_M(m)} z(P_m) x(Q_m) (the closed form of weyl._word), and
 
     lambda(zeta, m) = (2[zeta,m] + e_M(m)) mod the order of tau,
@@ -282,8 +282,7 @@ def stabilizer_basis(m_sub: Subspace, *, cap: int = DEFAULT_MATRIX_CAP) -> list[
     check_cap("matrix dimension", m_sub.d**m_sub.n, cap)  # before the d^n x d^n vectors are built
     if not is_lagrangian(m_sub):
         raise ValueError("needs a Lagrangian subspace")
-    cosets = np.array(list(_coset_rows(m_sub)))
-    return list(zip(coset_representatives(m_sub), _fill(m_sub.d, m_sub.n, *_block([m_sub], cosets))[0]))
+    return list(zip(coset_representatives(m_sub), next(_state_blocks(m_sub.d, m_sub.n, [m_sub]))[1]))
 
 
 def overlap_exact(a: StabilizerState, b: StabilizerState) -> Fraction:
@@ -417,14 +416,14 @@ def _pattern_runs(d: int, n: int, lagrangians: Iterable[Subspace]) -> Iterator[t
             yield run, cosets
 
 
-def _stacked(d: int, n: int, lagrangians: Iterable[Subspace]) -> tuple[list[Subspace], np.ndarray]:
-    """The given Lagrangians, every one in enumeration order, and their blocks stacked into one (S(d,n), d^n) array."""
-    done: list[Subspace] = []
+def _stacked(d: int, n: int, lagrangians: Iterable[Subspace]) -> np.ndarray:
+    """The blocks of the given Lagrangians, every one in enumeration order, stacked into one (S(d,n), d^n) array."""
     out = np.empty((stabilizer_count(d, n), d**n), dtype=np.complex128)
-    for batch, block in _state_blocks(d, n, lagrangians):
-        out[len(done) * d**n : (len(done) + len(batch)) * d**n] = block
-        done += batch
-    return done, out
+    row = 0
+    for _, block in _state_blocks(d, n, lagrangians):
+        out[row : row + len(block)] = block
+        row += len(block)
+    return out
 
 
 def state_vectors(
@@ -432,7 +431,7 @@ def state_vectors(
 ) -> np.ndarray:
     """Every stabilizer state's vector as one (S(d,n), d^n) stack, rows in enumeration order: state_blocks stacked."""
     _check_realization(d, n, state_cap, matrix_cap)
-    return _stacked(d, n, enumerate_lagrangians(d, n))[1]
+    return _stacked(d, n, enumerate_lagrangians(d, n))
 
 
 def state_vectors_of(
@@ -450,13 +449,12 @@ def state_vectors_of(
     _check_realization(d, n, state_cap, matrix_cap)
     if len(lagrangians) != lagrangian_count(d, n):
         raise ValueError(f"expected all {lagrangian_count(d, n)} Lagrangians, got {len(lagrangians)}")
-    return _stacked(d, n, lagrangians)[1]
+    return _stacked(d, n, lagrangians)
 
 
 def realized_states(
     d: int, n: int, *, state_cap: int = DEFAULT_STATE_CAP, matrix_cap: int = DEFAULT_MATRIX_CAP
-) -> list[tuple[StabilizerState, np.ndarray]]:
-    """Every stabilizer state with its Hilbert-space vector, in enumeration order: rows of state_vectors."""
+) -> Iterator[tuple[StabilizerState, np.ndarray]]:
+    """Every stabilizer state with its vector (a row view of its block), in enumeration order, lazily: caps on call."""
     _check_realization(d, n, state_cap, matrix_cap)
-    lagrangians, stack = _stacked(d, n, enumerate_lagrangians(d, n))
-    return list(zip(_states(lagrangians), stack))
+    return (pair for run, vecs in _state_blocks(d, n, enumerate_lagrangians(d, n)) for pair in zip(_states(run), vecs))

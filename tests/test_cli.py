@@ -8,12 +8,14 @@ import io
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from stabkit import FramePotentialReport, ResourceCapError, StabilizerState, Subspace, potential, stabilizer
 from stabkit.cli import build_parser, main, run_verification
+from stabkit.weyl import _WORK_BYTES
 
 from helpers import lagrangians_by_filter, source_env
 
@@ -167,6 +169,54 @@ def test_enumerate_states_realized_respects_state_cap():
         assert (code, out, err) == (3, "", "error: realized states: need 60, cap 10\n")
         code, out, _ = run_cli([*argv, "--state-cap", "60"])
         assert code == 0 and out
+
+
+@pytest.mark.parametrize(
+    "dn, size, digest",
+    [
+        ("2 3 --realize", 311176, "0da160b9d54c6dead7088facc4925a2341d5438adcf09b30c7c32df7dc85edc5"),
+        ("2 3", 137160, "a71f9f17d9885757753667a4dd879bb3f376f695c9d9e752233dd469b1836fac"),
+        ("3 2 --realize", 137529, "21ada83b0e3a562d54aeee69afa5425ec051227e37fe44c2f56dddd9587a4662"),
+    ],
+)
+def test_enumerate_states_stream_is_pinned(tmp_path, dn, size, digest):
+    # Recorded when the whole stream was joined into one string before it was written; --output holds the same.
+    d, n, *realize = dn.split()
+    argv = ["--d", d, "--n", n, *realize]
+    code, out, _ = run_cli(["enumerate", "states", *argv])
+    assert code == 0 and len(out.encode()) == size
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    path = tmp_path / "states.jsonl"
+    assert run_cli(["enumerate", "states", *argv, "--output", str(path)]) == (0, "", "")
+    assert path.read_bytes() == out.encode()
+
+
+@pytest.mark.parametrize("realize", [["--realize"], []])
+def test_enumerate_states_streams_within_the_budget(tmp_path, realize):
+    # Each line is written as it is made. Gathering every line first peaked at 3.35 MB with --realize and
+    # 1.35 MB without at (2, 3), against a stream of 311,176 and 137,160 bytes.
+    argv = ["enumerate", "states", "--d", "2", "--n", "3", *realize, "--output", str(tmp_path / "states.jsonl")]
+    assert main(argv) == 0  # first-call caches stay out of the measurement
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and peak < _WORK_BYTES
+
+
+def test_cap_errors_leave_no_output_file(tmp_path):
+    # Each cap is checked when the command calls the library, before the output file is opened.
+    path = tmp_path / "out.jsonl"
+    for argv, err in (
+        (["states", "--d", "2", "--n", "2", "--realize", "--state-cap", "10"], "realized states: need 60, cap 10"),
+        (["states", "--d", "2", "--n", "2", "--realize", "--matrix-cap", "3"], "matrix dimension: need 4, cap 3"),
+        (["states", "--d", "2", "--n", "2", "--state-cap", "10"], "states: need 60, cap 10"),
+        (["lagrangians", "--d", "2", "--n", "2", "--enum-cap", "3"], "Lagrangians: need 15, cap 3"),
+    ):
+        assert run_cli(["enumerate", *argv, "--output", str(path)]) == (3, "", f"error: {err}\n")
+        assert not path.exists()
 
 
 def test_enumerate_spectrum():

@@ -75,6 +75,27 @@ def test_cli_uses_no_private_library_names_and_no_numpy():
     assert offenders == []
 
 
+def test_cli_writes_only_through_one_writer():
+    # Every command hands its output to cli._write, which streams it to stdout or the --output file: sys.stdout
+    # and open appear nowhere else in the CLI, and print writes only to stderr.
+    tree = _parse(SOURCE_DIR / "cli.py")
+    writer = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_write")
+    inside = {id(node) for node in ast.walk(writer)}
+
+    def writes(node):
+        if isinstance(node, ast.Name):
+            return node.id == "open"
+        if isinstance(node, ast.Attribute):
+            return node.attr == "stdout" and isinstance(node.value, ast.Name) and node.value.id == "sys"
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "print":
+            return not any(kw.arg == "file" and ast.unparse(kw.value) == "sys.stderr" for kw in node.keywords)
+        return False
+
+    found = [node for node in ast.walk(tree) if writes(node)]
+    assert sum(id(node) in inside for node in found) == 2, "_write no longer reaches stdout and open"
+    assert [f"{node.lineno} {ast.unparse(node)}" for node in found if id(node) not in inside] == []
+
+
 def test_resource_cap_error_is_raised_only_by_check_cap():
     raises = [
         path.name

@@ -28,8 +28,10 @@ from stabkit import (
     coset_representatives,
     enumerate_lagrangians,
     enumerate_states,
+    frame_potential_combinatorial,
     frame_potential_report,
     intersect,
+    kappa,
     overlap_exact,
     realized_states,
     stabilizer_basis,
@@ -185,7 +187,7 @@ def test_realization_builds_no_matrix(monkeypatch):
         weyl(PhaseVector.zero(2, 2))
     for (d, n), pairs in expected.items():
         assert state_vectors(d, n).tobytes() == np.array([vec for _, vec in pairs]).tobytes()
-        realized = realized_states(d, n)
+        realized = list(realized_states(d, n))
         assert len(realized) == stabilizer_count(d, n)
         assert [s for s, _ in realized] == [s for s, _ in pairs]
         assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(realized, pairs))
@@ -210,10 +212,12 @@ def test_state_vectors_match_the_per_lagrangian_tables_bit_for_bit(monkeypatch):
         assert all(len(set(block)) == 1 for block in blocks)
         per_lagrangian = np.array([vec for m_sub in enumerate_lagrangians(d, n) for _, vec in stabilizer_basis(m_sub)])
         assert stack.tobytes() == per_lagrangian.tobytes()
-        realized = realized_states(d, n)
+        realized = list(realized_states(d, n))
         assert np.array([vec for _, vec in realized]).tobytes() == stack.tobytes()
-        # The realized vectors are rows of one stack, not copies.
-        assert all(vec.base is realized[0][1].base for _, vec in realized)
+        # The realized vectors are rows of their blocks, not copies: the d^n rows of one Lagrangian share one base.
+        assert all(vec.base is not None for _, vec in realized)
+        bases = [realized[i][1].base for i in range(0, len(realized), d**n)]
+        assert all(vec.base is bases[i // d**n] for i, (_, vec) in enumerate(realized))
         assert [s for s, _ in realized] == list(enumerate_states(d, n))
     # At (3, 3) the largest pivot pattern (729 Lagrangians) spans several blocks.
     patterns = [len(list(group)) for _, group in itertools.groupby(m.pivots for m in enumerate_lagrangians(3, 3))]
@@ -490,6 +494,29 @@ def test_nonzero_overlap_count_per_lagrangian_pair():
         k = intersect(ref.lagrangian, n_sub).dim
         nonzero = sum(1 for s in states if overlap_exact(ref, s) != 0)
         assert nonzero == d ** (n - k)
+
+
+def test_every_state_sees_the_reference_overlap_distribution():
+    # The fixed-state engines rest on the Clifford group acting transitively: every state, not only |M_0, 0>,
+    # has kappa(d, n, k) d^{n-k} states at overlap d^{k-n}. Summed over every reference, the histograms give an
+    # exact all-pairs frame potential, the exact counterpart of the brute-force engine.
+    for d, n in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]:
+        lagrangians = list(enumerate_lagrangians(d, n))
+        points, keys = _stacked_tables(lagrangians)
+        expected = {d**k: kappa(d, n, k) * d ** (n - k) for k in range(n + 1)}
+        totals = dict.fromkeys(expected, 0)
+        for mi in range(len(lagrangians)):
+            sizes, hits = _overlaps(d, n, points[mi], keys[mi], points, keys)
+            assert set(sizes.tolist()) <= set(expected)
+            met = hits.sum(2)  # (N, state of M): how many of N's states each state of M overlaps
+            for size in expected:
+                counts = met[sizes == size].sum(0)
+                assert counts.tolist() == [expected[size]] * d**n, (d, n, mi, size)
+                totals[size] += int(counts.sum())
+        count = stabilizer_count(d, n)
+        for t in range(1, 6):
+            potential = sum(c * Fraction(size, d**n) ** t for size, c in totals.items()) / count**2
+            assert potential == frame_potential_combinatorial(d, n, t), (d, n, t)
 
 
 # ---------------------------------------------------------------------------

@@ -63,7 +63,7 @@ def test_enumeration_and_realization_skip_validation(monkeypatch):
     states = _count_post_init(monkeypatch, StabilizerState)
     assert len(list(enumerate_lagrangians(2, 3))) == 135
     assert subspaces == []
-    assert len(realized_states(2, 2)) == 60
+    assert len(list(realized_states(2, 2))) == 60
     assert states == [] and vectors == []
     # The counter itself works: a public construction is counted.
     Subspace(2, 2, ((1, 0),))
