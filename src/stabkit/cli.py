@@ -5,7 +5,9 @@ check, and renders. frame-potential and enumerate spectrum render through one
 _render: JSON and CSV from the same row dicts, and only the table rows are
 per command. enumerate lagrangians and states stream JSON lines through _write.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource cap.
+Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource cap,
+and 141 (128 + SIGPIPE) from the process entry, __main__.run, when a reader
+closes stdout early; main itself lets that BrokenPipeError through.
 Each command declares only the options it reads, so a misplaced flag is a usage
 error. Each cap goes to the library function that does the work it bounds, which
 checks it once, before that work; verify also pre-checks its state and pair caps

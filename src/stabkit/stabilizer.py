@@ -16,7 +16,7 @@ array, state_vectors_of does so from a list of the Lagrangians already in
 hand, realized_states pairs each state with a row of its block as it comes,
 and stabilizer_basis takes one Lagrangian's block. Each entry point checks
 each cap once. For every m in M, in lexicographic coefficient order,
-w_B(m) = tau^{e_M(m)} z(P_m) x(Q_m) (the closed form of weyl._word), and
+w_B(m) = tau^{e_M(m)} z(P_m) x(Q_m) (the closed form of weyl._words), and
 
     lambda(zeta, m) = (2[zeta,m] + e_M(m)) mod the order of tau,
 
@@ -66,7 +66,7 @@ import numpy as np
 
 from .combinatorics import lagrangian_count, require_prime, stabilizer_count
 from .errors import check_cap, json_field
-from .weyl import DEFAULT_MATRIX_CAP, _WORK_BYTES, _point_index, _tau_powers, _word, _zx_matrix, tau_order
+from .weyl import DEFAULT_MATRIX_CAP, _WORK_BYTES, _point_index, _tau_powers, _words, _zx_matrix, tau_order
 from .symplectic import (
     PhaseVector,
     Subspace,
@@ -127,26 +127,29 @@ def weyl_representation(m_sub: Subspace, *, cap: int = DEFAULT_MATRIX_CAP) -> li
     d, n = m_sub.d, m_sub.n
     check_cap("matrix dimension", d**n, cap)
     taus = _tau_powers(d)
-    words = (_word(d, n, m_sub.generators, c) for c in itertools.product(range(d), repeat=m_sub.dim))
-    return [(_trusted(PhaseVector, d, n, p), taus[e] * _zx_matrix(d, p[:n], p[n:])) for e, p in words]
+    points, exponents = _words(d, np.array(m_sub.generators, dtype=np.int64).reshape(m_sub.dim, 2 * n))
+    return [
+        (_trusted(PhaseVector, d, n, tuple(p)), taus[e] * _zx_matrix(d, p[:n], p[n:]))
+        for p, e in zip(points.tolist(), exponents.tolist())
+    ]
 
 
 @functools.lru_cache(maxsize=4)
-def _points(d: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only tables of the points of Z_d^n, indexed in lexicographic order (first coordinate most significant).
+def _points(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only tables over the points of Z_d^n, indexed in lexicographic order (first coordinate most significant).
 
-    The points as rows; sums[a, b], the index of point a + point b mod d; and
-    dots[a, b] = 2 a.b mod the order of tau, on the lifts. The last two are in
-    the narrowest signed integer type that holds point indices below d^n, and
-    sums or differences of at most three exponents below the order of tau, so
-    the per-key arrays that _block and _fill read off them are too.
+    sums[a, b], the index of point a + point b mod d; and dots[a, b] =
+    2 a.b mod the order of tau, on the lifts. Both are in the narrowest
+    signed integer type that holds point indices below d^n, and sums or
+    differences of at most three exponents below the order of tau, so the
+    per-key arrays that _block and _fill read off them are too.
     """
     narrow = np.min_scalar_type(-max(3 * tau_order(d), d**n))
     grid = np.indices((d,) * n).reshape(n, -1).T
     sums = np.zeros((d**n, d**n), dtype=narrow)
     for i, weight in enumerate(d ** np.arange(n - 1, -1, -1)):
         sums += (grid[:, None, i] + grid[:, i]) % d * weight
-    tables = grid, sums, (2 * grid @ grid.T % tau_order(d)).astype(narrow)
+    tables = sums, (2 * grid @ grid.T % tau_order(d)).astype(narrow)
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -155,27 +158,21 @@ def _points(d: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _block(m_subs: Sequence[Subspace], cosets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The stacked rows (table, element, 2n) and keys (table, coset, element) of Lagrangians of one pivot pattern.
 
-    The only producer of lambda. Elements run in lexicographic coefficient
-    order: with generator rows (p_i | q_i) and coefficients c, the element is
-    c.G mod d and weyl._word's exponent is
-    e(c) = -c^T (diag(p_i.q_i) + 2 triu(Q P^T, 1)) c, the matrix being q_i.p_j
-    weighted 1 on the diagonal, 2 above it and 0 below. The keys run over that
-    pattern's coset rows, zero coset first, in the type of _points' tables:
-    2[zeta,m] + e_M(m) mod the order of tau, where
+    The only producer of lambda. Elements and their exponents e_M(m) are
+    weyl._words over the generator rows, in lexicographic coefficient order.
+    The keys run over that pattern's coset rows, zero coset first, in the
+    type of _points' tables: 2[zeta,m] + e_M(m) mod the order of tau, where
     2[zeta,m] = 2 zeta_P.Q_m - 2 zeta_Q.P_m may use the integer lifts, since
     2 (x mod d) = 2x (mod 2d).
     """
     d, n = m_subs[0].d, m_subs[0].n
-    order, (coeffs, _, dots) = tau_order(d), _points(d, n)
-    gens = np.array([m_sub.generators for m_sub in m_subs])  # (table, n, 2n)
-    weights = 1 + np.sign(np.arange(n) - np.arange(n)[:, None])  # 1 on the diagonal, 2 above it, 0 below
-    exponents = -((coeffs @ ((gens[..., n:] @ gens[..., :n].swapaxes(1, 2)) * weights)) * coeffs).sum(-1)
-    rows = coeffs @ gens % d
+    order, dots = tau_order(d), _points(d, n)[1]
+    rows, exponents = _words(d, np.array([m_sub.generators for m_sub in m_subs]))  # (table, element[, 2n])
     p_index, q_index = _point_index(rows[..., :n], d), _point_index(rows[..., n:], d)
     zeta_p, zeta_q = _point_index(cosets[:, :n], d)[:, None], _point_index(cosets[:, n:], d)[:, None]
     keys = dots.take(zeta_p * d**n + q_index[:, None])  # the flat table at row * width + column, as in _fill
     keys -= dots.take(zeta_q * d**n + p_index[:, None])
-    keys += (exponents % order).astype(keys.dtype)[:, None]
+    keys += exponents.astype(keys.dtype)[:, None]
     keys %= order
     return rows, keys
 
@@ -189,7 +186,7 @@ def _span_basis(d: int, n: int, mask: np.ndarray) -> np.ndarray:
     outside the span so far and adds its multiples to the span; element 0
     fills the rest once the span is the mask.
     """
-    sums = _points(d, n)[1]
+    sums = _points(d, n)[0]
     tables = np.arange(len(mask))[:, None]
     span = np.zeros_like(mask)
     span[:, 0] = True
@@ -232,7 +229,7 @@ def _z_fixed(d: int, n: int, rows: np.ndarray, keys: np.ndarray) -> np.ndarray:
     _span_basis of M_Z: x passes when the digits 2 P_z.x match the digits
     -lambda(zeta, z), compared as one integer.
     """
-    order, dots = tau_order(d), _points(d, n)[2]
+    order, dots = tau_order(d), _points(d, n)[1]
     basis = _span_basis(d, n, ~rows[..., n:].any(-1))
     basis_p = _point_index(np.take_along_axis(rows[..., :n], basis[..., None], 1), d)  # (table, i)
     minus_lambda = -np.take_along_axis(keys, basis[:, None], 2) % order  # (table, coset, i)
@@ -248,7 +245,7 @@ def _fill(d: int, n: int, rows: np.ndarray, keys: np.ndarray) -> np.ndarray:
     beside one table's index arrays at a time: _FILL_BYTES per such key in
     all, _block's keys included.
     """
-    order, (_, sums, dots) = tau_order(d), _points(d, n)
+    order, (sums, dots) = tau_order(d), _points(d, n)
     p_index, q_index = _point_index(rows[..., :n], d), _point_index(rows[..., n:], d)
     fixed = _z_fixed(d, n, rows, keys)
     x0 = fixed.argmax(-1)  # the index of x0 in grid, per (table, coset)

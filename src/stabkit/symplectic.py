@@ -92,23 +92,17 @@ def symplectic_form(u: PhaseVector, v: PhaseVector) -> int:
 # Exact row reduction
 
 
-def _rref(rows: Iterable[Sequence[int]], d: int, limit: int | None = None) -> tuple[list[list[int]], list[int]]:
-    """Gauss-Jordan over Z_d. Returns (all rows, pivot columns).
-
-    ``limit`` restricts pivot search to columns < limit; the remaining
-    columns are still transformed, which is how augmented systems are solved.
-    Rows beyond len(pivots) are zero in the pivot-eligible columns.
-    """
+def _rref(rows: Iterable[Sequence[int]], d: int) -> tuple[list[list[int]], list[int]]:
+    """Gauss-Jordan over Z_d. Returns (all rows, pivot columns); rows beyond len(pivots) are zero."""
     mat = [[c % d for c in row] for row in rows]
     if not mat:
         return [], []
     width = len(mat[0])
     if any(len(r) != width for r in mat):
         raise ValueError("ragged matrix")
-    stop = width if limit is None else limit
     pivots: list[int] = []
     r = 0
-    for c in range(stop):
+    for c in range(width):
         pr = next((i for i in range(r, len(mat)) if mat[i][c]), None)
         if pr is None:
             continue
@@ -124,32 +118,6 @@ def _rref(rows: Iterable[Sequence[int]], d: int, limit: int | None = None) -> tu
         if r == len(mat):
             break
     return mat, pivots
-
-
-def _solve_linear_system(
-    rows: Sequence[Sequence[int]], rhs_columns: Sequence[Sequence[int]], d: int, width: int
-) -> list[Row | None]:
-    """Particular solutions (free variables zero) of rows.x = rhs, per column.
-
-    Returns None in a slot when that right-hand side is inconsistent.
-    """
-    nrows = len(rows)
-    if any(len(col) != nrows for col in rhs_columns):
-        raise ValueError("right-hand side length mismatch")
-    aug = [list(rows[i]) + [col[i] for col in rhs_columns] for i in range(nrows)]
-    reduced, pivots = _rref(aug, d, limit=width)
-    rank = len(pivots)
-    out: list[Row | None] = []
-    for j in range(len(rhs_columns)):
-        col = width + j
-        if any(reduced[i][col] for i in range(rank, nrows)):
-            out.append(None)
-            continue
-        x = [0] * width
-        for i, c in enumerate(pivots):
-            x[c] = reduced[i][col]
-        out.append(tuple(x))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -395,14 +363,17 @@ def _dual_partners(k_sub: Subspace, a_rows: Sequence[Row]) -> list[Row]:
     reduction K^⊥/K adapted to the Lagrangian containing the a_i.
     """
     d, w, n = k_sub.d, k_sub.width, k_sub.n
-    m = len(a_rows)
+    m, k = len(a_rows), k_sub.dim
+    # [g, c_j] = 0 for g in K and [a_i, c_j] = delta_ij: the constraint rows, then one column per j on the right.
     constraints = [_form_row(g, n, d) for g in k_sub.generators] + [_form_row(a, n, d) for a in a_rows]
-    k = k_sub.dim
-    rhs = [[0] * k + [1 if i == j else 0 for i in range(m)] for j in range(m)]
-    solved = _solve_linear_system(constraints, rhs, d, w)
-    if any(c is None for c in solved):
+    reduced, pivots = _rref([row + tuple(int(i == k + j) for j in range(m)) for i, row in enumerate(constraints)], d)
+    if any(c >= w for c in pivots):  # a pivot on the right: 0 = 1 in some row
         raise RuntimeError("dual-partner system must be solvable")
-    cs = [list(c) for c in solved]  # type: ignore[union-attr]
+    # The particular solutions, free variables zero.
+    cs = [[0] * w for _ in range(m)]
+    for row, c in zip(reduced, pivots):
+        for j in range(m):
+            cs[j][c] = row[w + j]
     s = [[_form_lift(ci, cj, n) % d for cj in cs] for ci in cs]
     out = []
     for i in range(m):

@@ -12,21 +12,12 @@ and x are genuinely periodic mod d, by reordering through
 
     x(q) z(p') = omega^{-q.p'} z(p') x(q),
 
-the product rule that _word applies in closed form below. The point
-v = (p | q) has index sum_i v_i d^{2n-1-i} on its lifts (lexicographic, p_1
-most significant): zx_matrices and the stabilizer key tables share this
-order.
-
-A word w(u_1)^{c_1} ... w(u_k)^{c_k}, rows
-u_i = (p_i | q_i) on the lifts and c_i mod d, is tau^e z(P) x(Q) in closed form,
-with (P | Q) = sum_i c_i u_i mod d and
-
-    e = -(sum_i c_i^2 p_i.q_i + 2 sum_{i<j} c_i c_j q_i.p_j) mod the order of tau:
-
-the product rule applied factor by factor, since reducing a partial sum mod d
-moves e only by multiples of 2d, which the order of tau divides. Matrices on
-C^{d^n} (computational basis |q_1..q_n>, lexicographic, q_1 most significant)
-are realized on demand and capped by DEFAULT_MATRIX_CAP.
+the product rule that _words applies in closed form (its docstring has the
+exponent). The point v = (p | q) has index sum_i v_i d^{2n-1-i} on its lifts
+(lexicographic, p_1 most significant): zx_matrices and the stabilizer key
+tables share this order. Matrices on C^{d^n} (computational basis
+|q_1..q_n>, lexicographic, q_1 most significant) are realized on demand and
+capped by DEFAULT_MATRIX_CAP.
 """
 
 from __future__ import annotations
@@ -40,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import check_cap
-from .symplectic import PhaseVector, Row
+from .symplectic import PhaseVector
 
 DEFAULT_MATRIX_CAP = 4096
 # The working memory of one numeric-path block, in bytes, in every layer: realization, either numeric engine,
@@ -99,16 +90,25 @@ def weyl(v: PhaseVector, *, cap: int = DEFAULT_MATRIX_CAP) -> np.ndarray:
     return _tau_powers(v.d)[-dot % tau_order(v.d)] * _zx_matrix(v.d, v.p, v.q)
 
 
-def _word(d: int, n: int, rows: Sequence[Row], coeffs: Sequence[int]) -> tuple[int, Row]:
-    """(e, (P | Q)) of the word prod_i w(u_i)^{c_i}, by the closed form above."""
-    e, point = 0, [0] * (2 * n)
-    for row, c in zip(rows, coeffs, strict=True):
-        c %= d
-        p, q = row[:n], row[n:]
-        # This factor's c^2 p.q, and 2c (q-part of the earlier factors' sum).p.
-        e -= c * c * sum(a * b for a, b in zip(p, q)) + 2 * c * sum(a * b for a, b in zip(point[n:], p))
-        point = [x + c * y for x, y in zip(point, row)]
-    return e % tau_order(d), tuple(x % d for x in point)
+def _words(d: int, gens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every word w(u_1)^{c_1} ... w(u_k)^{c_k} = tau^e z(P) x(Q) over stacked generator rows, in closed form.
+
+    gens stacks k rows u_i = (p_i | q_i) on the lifts as (..., k, 2n), and c
+    runs over Z_d^k in lexicographic order (c_1 most significant). Returns
+    the points (P | Q) = c.G mod d, shape (..., d^k, 2n), and the exponents
+    e mod the order of tau, shape (..., d^k), where
+
+        e(c) = -c^T (diag(p_i.q_i) + 2 triu(Q P^T, 1)) c
+             = -(sum_i c_i^2 p_i.q_i + 2 sum_{i<j} c_i c_j q_i.p_j):
+
+    the product rule applied factor by factor, since reducing a partial sum
+    mod d moves e only by multiples of 2d, which the order of tau divides.
+    """
+    k, n = gens.shape[-2], gens.shape[-1] // 2
+    coeffs = np.indices((d,) * k).reshape(k, d**k).T
+    weights = 1 + np.sign(np.arange(k) - np.arange(k)[:, None])  # 1 on the diagonal, 2 above it, 0 below
+    forms = (gens[..., n:] @ gens[..., :n].swapaxes(-1, -2)) * weights  # q_i.p_j, weighted
+    return coeffs @ gens % d, -((coeffs @ forms) * coeffs).sum(-1) % tau_order(d)
 
 
 def _point_index(rows: np.ndarray, d: int) -> np.ndarray:

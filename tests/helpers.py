@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from stabkit import (
+    PhaseVector,
     Subspace,
     coset_representatives,
     enumerate_subspaces,
@@ -22,7 +23,7 @@ from stabkit import (
     weyl_representation,
 )
 from stabkit.symplectic import _coset_rows, _form_lift
-from stabkit.weyl import _omega_power, _word, tau_order
+from stabkit.weyl import _omega_power, _tau_powers, _zx_matrix, tau_order
 
 
 @lru_cache(maxsize=None)
@@ -77,6 +78,30 @@ def weyl_word_by_fold(d, n, rows, coefficients) -> tuple[int, tuple[int, ...]]:
     return e, point
 
 
+def weyl_terms_by_fold(m_sub):
+    """Oracle: weyl_representation's (m, w_B(m)) pairs in its order, lazily, each word by weyl_word_by_fold.
+
+    One d^n x d^n matrix is held at a time, so a dense projector stays small past the exhaustive frontier.
+    """
+    d, n = m_sub.d, m_sub.n
+    for coeffs in itertools.product(range(d), repeat=m_sub.dim):
+        e, point = weyl_word_by_fold(d, n, m_sub.generators, coeffs)
+        yield PhaseVector(d, n, point), _tau_powers(d)[e] * _zx_matrix(d, point[:n], point[n:])
+
+
+def lagrangian_by_transvections(d, n, steps):
+    """Witness past the exhaustive frontier: M0 = {(p | 0)} moved by each transvection x -> x + c[x, v]v in turn.
+
+    steps holds (c, v) pairs, v a row of 2n integers. A transvection keeps the
+    symplectic form, so it maps a Lagrangian to a Lagrangian; the image is
+    returned in canonical form.
+    """
+    rows = [[int(i == j) for j in range(2 * n)] for i in range(n)]
+    for c, v in steps:
+        rows = [[(x + c * _form_lift(row, v, n) * y) % d for x, y in zip(row, v)] for row in rows]
+    return Subspace.from_rows(rows, d=d, width=2 * n)
+
+
 def overlap_keys_by_intersection(m_sub, n_sub):
     """Witness: the overlap rule keyed on the generators g of K = M cap N, found by intersect.
 
@@ -91,7 +116,7 @@ def overlap_keys_by_intersection(m_sub, n_sub):
     order = tau_order(d)
 
     def keys(sub):
-        terms = [(g, _word(d, n, sub.generators, [g[c] for c in sub.pivots])[0]) for g in k_sub.generators]
+        terms = [(g, weyl_word_by_fold(d, n, sub.generators, [g[c] for c in sub.pivots])[0]) for g in k_sub.generators]
         rows = [[(2 * _form_lift(zeta, g, n) + e) % order for g, e in terms] for zeta in _coset_rows(sub)]
         return np.array(rows, dtype=np.int64).reshape(d**n, k_sub.dim)
 
@@ -134,9 +159,9 @@ def _unit_column(rho: np.ndarray) -> np.ndarray:
     return vec * (pivot.conjugate() / abs(pivot))
 
 
-def dense_state_vector(state) -> np.ndarray:
-    """Oracle: the unit vector of a state, read off its dense projector."""
-    return _unit_column(dense_projector(state.lagrangian, state.zeta))
+def dense_state_vector(state, terms=None) -> np.ndarray:
+    """Oracle: the unit vector of a state, read off its dense projector (summed over terms, as dense_projector)."""
+    return _unit_column(dense_projector(state.lagrangian, state.zeta, terms))
 
 
 def dense_stabilizer_basis(m_sub) -> list:

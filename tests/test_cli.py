@@ -658,6 +658,17 @@ def test_other_os_errors_are_not_usage_errors(monkeypatch):
         main(["verify", "--d", "2", "--n", "1"])
 
 
+def test_a_closed_stdout_ends_the_stream_quietly():
+    # A reader that stops after one line, as `| head -1` does: the process entry exits 141 (128 + SIGPIPE) and
+    # writes nothing to stderr. Both streams are larger than a pipe's buffer, so the writer meets the closed end.
+    for argv in (["lagrangians", "--d", "2", "--n", "4"], ["states", "--d", "2", "--n", "3", "--realize"]):
+        command = [sys.executable, "-m", "stabkit", "enumerate", *argv]
+        with subprocess.Popen(command, env=source_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.readline().startswith(b'{"d":2')
+            proc.stdout.close()
+            assert (proc.stderr.read(), proc.wait(timeout=120)) == (b"", 141)
+
+
 def test_output_file_matches_stdout(tmp_path):
     args = ["enumerate", "spectrum", "--d", "2", "--n", "2", "--format", "csv"]
     _, stdout_text, _ = run_cli(args)

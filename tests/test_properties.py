@@ -4,16 +4,32 @@ import itertools
 from functools import lru_cache
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stabkit import StabilizerState, Subspace, coset_representatives, enumerate_lagrangians, intersect
+from stabkit import (
+    StabilizerState,
+    Subspace,
+    coset_representatives,
+    enumerate_lagrangians,
+    intersect,
+    is_lagrangian,
+    stabilizer_basis,
+)
 from stabkit.potential import _chunked_tree, _pairwise_tree
 from stabkit.stabilizer import _block, _fill, _overlaps, _points, _span_basis, _stacked_tables, _z_fixed
 from stabkit.symplectic import _coset_rows
 from stabkit.weyl import _point_index
 
-from helpers import dense_state_vector, overlaps_on_every_shared_point, symplectic_complement, z_fixed_by_every_element
+from helpers import (
+    dense_state_vector,
+    lagrangian_by_transvections,
+    overlaps_on_every_shared_point,
+    symplectic_complement,
+    weyl_terms_by_fold,
+    z_fixed_by_every_element,
+)
 
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=60, deadline=None)
 
@@ -140,7 +156,7 @@ def test_generator_z_test_matches_the_per_element_oracle(case):
 
 def span_of(d, n, basis):
     """The elements spanned by each basis row, closed under the point-sum table one generator at a time."""
-    sums = _points(d, n)[1]
+    sums = _points(d, n)[0]
     span = np.zeros((len(basis), d**n), dtype=bool)
     span[:, 0] = True
     for t, row in enumerate(basis):
@@ -182,6 +198,34 @@ def test_overlap_rule_matches_every_shared_point_on_any_batch(case, rng):
         expect_sizes, expect_hits = overlaps_on_every_shared_point(*args)
         assert np.array_equal(sizes, expect_sizes) and np.array_equal(hits, expect_hits)
         assert sizes.tolist() == [d ** intersect(m_sub, n_sub).dim for n_sub in batch]
+
+
+# ---------------------------------------------------------------------------
+# past the exhaustive frontier: Lagrangians drawn by transvections
+
+
+def transvections(d, n, min_size, max_size):
+    """Lists of (c, v) steps for lagrangian_by_transvections."""
+    step = st.tuples(st.integers(1, d - 1), st.lists(st.integers(0, d - 1), min_size=2 * n, max_size=2 * n))
+    return st.lists(step, min_size=min_size, max_size=max_size)
+
+
+@pytest.mark.parametrize("d, n", [(2, 6), (3, 5), (5, 3)])
+@settings(derandomize=True, max_examples=6, deadline=None)
+@given(st.data())
+def test_lagrangians_past_the_frontier(d, n, data):
+    # M by transvections from M0; N by a prefix of M's steps and up to two more, so that N runs from M and
+    # its near neighbours to a Lagrangian drawn afresh.
+    steps = data.draw(transvections(d, n, 1, 3 * n))
+    m_sub = lagrangian_by_transvections(d, n, steps)
+    prefix = steps[: data.draw(st.integers(0, len(steps)), label="prefix")]
+    n_sub = lagrangian_by_transvections(d, n, prefix + data.draw(transvections(d, n, 0, 2)))
+    assert is_lagrangian(m_sub) and is_lagrangian(n_sub)
+    zeta, vec = stabilizer_basis(m_sub)[data.draw(st.integers(0, d**n - 1))]
+    assert np.max(np.abs(vec - dense_state_vector(StabilizerState(m_sub, zeta), weyl_terms_by_fold(m_sub)))) <= 1e-12
+    points, keys = _stacked_tables([m_sub, n_sub])
+    (size,), _ = _overlaps(d, n, points[0], keys[0], points[1:], keys[1:])
+    assert size == d ** intersect(m_sub, n_sub).dim
 
 
 # ---------------------------------------------------------------------------

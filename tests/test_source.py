@@ -221,3 +221,12 @@ def test_every_private_function_is_called_in_the_library():
         used |= {name for name, inside in uses if name not in inside}
     assert len(defined) > 20, "no private functions found"
     assert sorted(f"{module}:{name}" for module, name in defined if name not in used) == []
+
+
+def test_readme_library_example_runs():
+    # The documented API cannot drift from the code: the first python block under "## Library" runs as written.
+    text = (SOURCE_DIR.parents[1] / "README.md").read_text()
+    heading = "\n## Library\n"
+    head, block = text[text.index(heading) + len(heading) :].split("```python\n", 1)
+    assert "\n## " not in head, "the Library section has no python block"
+    exec(compile(block.split("\n```", 1)[0], "README.md", "exec"), {})

@@ -18,6 +18,7 @@ from helpers import (
     overlap_keys_by_intersection,
     overlaps_on_every_shared_point,
     single_qubit_rays,
+    weyl_word_by_fold,
 )
 from stabkit import (
     FramePotentialReport,
@@ -48,7 +49,7 @@ from stabkit import (
 from stabkit.errors import ResourceCapError
 from stabkit.stabilizer import _block, _overlaps, _stacked_tables
 from stabkit.symplectic import _coset_rows, _form_lift
-from stabkit.weyl import _WORK_BYTES, _omega_power, _point_index, _word, tau_order
+from stabkit.weyl import _WORK_BYTES, _omega_power, _point_index, tau_order
 
 
 def overlap_block(m_sub, n_sub):
@@ -379,7 +380,7 @@ def test_overlap_table_needs_no_operator_or_representative_objects(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the overlap rule built a Weyl operator or a representative vector")
 
-    for name in ("_word", "coset_representatives"):
+    for name in ("_zx_matrix", "coset_representatives"):
         monkeypatch.setattr(f"stabkit.stabilizer.{name}", refuse)
     for m_sub in lagrangians:
         for n_sub in lagrangians:
@@ -474,7 +475,7 @@ def test_stacked_table_entries_match_the_word_closed_form():
         radix = [d ** (2 * n - 1 - i) for i in range(2 * n)]
         lagrangians = list(enumerate_lagrangians(d, n))
         for m_sub, points, keys in zip(lagrangians, *_stacked_tables(lagrangians)):
-            words = [_word(d, n, m_sub.generators, c) for c in itertools.product(range(d), repeat=n)]
+            words = [weyl_word_by_fold(d, n, m_sub.generators, c) for c in itertools.product(range(d), repeat=n)]
             assert keys[0].tolist() == [e for e, _ in words]
             assert points.tolist() == [sum(a * r for a, r in zip(point, radix)) for _, point in words]
             expect = [[(2 * _form_lift(z, point, n) + e) % order for e, point in words] for z in _coset_rows(m_sub)]

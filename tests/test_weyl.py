@@ -19,7 +19,7 @@ from stabkit import (
     zx_matrices,
 )
 from stabkit.errors import ResourceCapError
-from stabkit.weyl import _omega_power, _tau_powers, _word, _zx_matrix, tau_order
+from stabkit.weyl import _omega_power, _tau_powers, _words, _zx_matrix, tau_order
 
 from helpers import weyl_word_by_fold
 
@@ -36,9 +36,16 @@ def all_points(d, n):
     return [PhaseVector(d, n, c) for c in itertools.product(range(d), repeat=2 * n)]
 
 
+def words(d, n, rows):
+    """{c: (e, (P | Q))} of prod_i w(u_i)^{c_i} over the rows u_i, for every c in Z_d^k: weyl._words."""
+    points, exponents = _words(d, np.array(rows, dtype=np.int64).reshape(len(rows), 2 * n))
+    coeffs = itertools.product(range(d), repeat=len(rows))
+    return {c: (e, tuple(p)) for c, e, p in zip(coeffs, exponents.tolist(), points.tolist(), strict=True)}
+
+
 def word(sub, coeffs):
-    """(e, (P | Q)) of w_B at coefficients c, prod_i w(u_i)^{c_i}, B the generators of sub: weyl._word."""
-    return _word(sub.d, sub.n, sub.generators, coeffs)
+    """(e, (P | Q)) of w_B at coefficients c, B the generators of sub."""
+    return words(sub.d, sub.n, sub.generators)[tuple(coeffs)]
 
 
 def word_matrix(d, n, w):
@@ -184,28 +191,34 @@ def test_weyl_basis_group_law():
     for d, n in [(2, 1), (2, 2), (3, 1), (3, 2)]:
         for m_sub in enumerate_lagrangians(d, n):
             coeff_space = list(itertools.product(range(d), repeat=n))
-            words = {c: word(m_sub, c) for c in coeff_space}
+            single, twice = words(d, n, m_sub.generators), words(d, n, m_sub.generators * 2)
             for a in coeff_space:
                 for b in coeff_space:
                     total = tuple((x + y) % d for x, y in zip(a, b))
                     # Exact: w_B(a) w_B(b), one word over the basis twice, is w_B(a + b).
-                    assert _word(d, n, m_sub.generators * 2, a + b) == words[total]
-            mats = {c: word_matrix(d, n, w) for c, w in words.items()}
+                    assert twice[a + b] == single[total]
+            mats = {c: word_matrix(d, n, w) for c, w in single.items()}
             for a in coeff_space:
                 for b in coeff_space:
                     total = tuple((x + y) % d for x, y in zip(a, b))
                     assert np.max(np.abs(mats[a] @ mats[b] - mats[total])) <= 1e-12
 
 
-def test_basis_weyl_operator_matches_fold():
-    # The closed-form word against the product rule folded factor by factor:
-    # every Lagrangian basis, and the RREF bases of all 1- and 2-dimensional
-    # subspaces, isotropic or not; coefficients run over -d..d-1.
-    bases = [s for d, n in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)] for s in enumerate_lagrangians(d, n)]
-    bases += [s for d, n in [(2, 1), (2, 2), (3, 1), (3, 2)] for k in (1, 2) for s in enumerate_subspaces(d, 2 * n, k)]
-    for s in bases:
-        for coeffs in itertools.product(range(-s.d, s.d), repeat=s.dim):
-            assert word(s, coeffs) == weyl_word_by_fold(s.d, s.n, s.generators, coeffs)
+def test_words_match_fold():
+    # The closed-form words against the product rule folded factor by factor: every Lagrangian basis, and
+    # the RREF bases of all 0-, 1- and 2-dimensional subspaces, isotropic or not, each kind stacked as one
+    # (basis, k, 2n) array.
+    stacks = [list(enumerate_lagrangians(d, n)) for d, n in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)]]
+    stacks += [list(enumerate_subspaces(d, 2 * n, k)) for d, n in [(2, 1), (2, 2), (3, 1), (3, 2)] for k in (0, 1, 2)]
+    for stack in stacks:
+        d, n, k = stack[0].d, stack[0].n, stack[0].dim
+        gens = np.array([s.generators for s in stack], dtype=np.int64).reshape(len(stack), k, 2 * n)
+        points, exponents = _words(d, gens)
+        assert points.shape == (len(stack), d**k, 2 * n) and exponents.shape == (len(stack), d**k)
+        for s, s_points, s_exponents in zip(stack, points.tolist(), exponents.tolist()):
+            coeffs = itertools.product(range(d), repeat=k)
+            expect = [weyl_word_by_fold(d, n, s.generators, c) for c in coeffs]
+            assert list(zip(s_exponents, map(tuple, s_points))) == expect
 
 
 def test_matrix_cap():
