@@ -45,9 +45,9 @@ def _require_space(d: int, n: int) -> None:
 
 
 def binomial(n: int, k: int) -> int:
-    """C(n, k); zero when k > n."""
-    if n < 0 or k < 0:
-        raise ValueError("binomial arguments must be non-negative")
+    """C(n, k) of non-negative ints (a bool or a float is not one); zero when k > n."""
+    if type(n) is not int or type(k) is not int or n < 0 or k < 0:
+        raise ValueError(f"binomial arguments must be non-negative ints, got {n!r}, {k!r}")
     return math.comb(n, k)
 
 
@@ -59,8 +59,8 @@ def gaussian_binomial(n: int, k: int, d: int) -> int:
     exact on integers.
     """
     require_prime(d)
-    if n < 0 or k < 0:
-        raise ValueError("gaussian_binomial arguments must be non-negative")
+    if type(n) is not int or type(k) is not int or n < 0 or k < 0:
+        raise ValueError(f"gaussian_binomial arguments must be non-negative ints, got {n!r}, {k!r}")
     if k > n:
         return 0
     result = 1
@@ -97,14 +97,14 @@ def kappa(d: int, n: int, k: int) -> int:
     kappa(d, n, k) = binom(n,k)_d * d^{(n-k)(n-k+1)/2}.
     """
     _require_space(d, n)
-    if not 0 <= k <= n:
-        raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
+    if type(k) is not int or not 0 <= k <= n:
+        raise ValueError(f"need an int 0 <= k <= n, got k={k!r}, n={n}")
     m = n - k
     return gaussian_binomial(n, k, d) * d ** (m * (m + 1) // 2)
 
 
 def welch_bound(dimension: int, t: int) -> Fraction:
-    """Universal frame-potential lower bound 1 / C(D+t-1, t)."""
-    if dimension < 1 or t < 1:
-        raise ValueError("dimension and t must be positive")
+    """Universal frame-potential lower bound 1 / C(D+t-1, t), for positive ints D and t."""
+    if type(dimension) is not int or type(t) is not int or dimension < 1 or t < 1:
+        raise ValueError(f"dimension and t must be positive ints, got {dimension!r}, {t!r}")
     return Fraction(1, math.comb(dimension + t - 1, t))

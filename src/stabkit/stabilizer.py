@@ -5,13 +5,12 @@ the canonical representative zeta of a coset of V/M (zero on M's pivot
 coordinates). Identity is structural: two states are equal iff their pairs
 are. Weyl operators w_B use M's canonical generator list B as basis.
 
-One function computes the lambda values below (_block), a run of
-Lagrangians of one pivot pattern at a time (_pattern_runs): the overlap rule
-reads its keys stacked, and realization (_fill) reads the same keys. Such
-Lagrangians share their coset rows, so state_blocks realizes them a run at
-a time, as many as fit one working memory budget (weyl._WORK_BYTES, shared
-with the numeric engines), and yields each block's (states, d^n) vectors in
-enumeration order. state_vectors stacks those blocks into one (S(d,n), d^n)
+One function computes the lambda values below (_block), for a run of
+consecutive Lagrangians at a time: the overlap rule reads its keys stacked,
+and realization (_fill) reads the same keys. A block is such a run, as many
+Lagrangians as fit one working memory budget (weyl._WORK_BYTES, shared with
+the numeric engines); state_blocks yields each block's (states, d^n) vectors
+in enumeration order. state_vectors stacks those blocks into one (S(d,n), d^n)
 array, state_vectors_of does so from a list of the Lagrangians already in
 hand, realized_states pairs each state with a row of its block as it comes,
 and stabilizer_basis takes one Lagrangian's block. Each entry point checks
@@ -70,7 +69,6 @@ from .weyl import DEFAULT_MATRIX_CAP, _WORK_BYTES, _point_index, _tau_powers, _w
 from .symplectic import (
     PhaseVector,
     Subspace,
-    _coset_rows,
     _trusted,
     canonical_coset_representative,
     coset_representatives,
@@ -155,26 +153,35 @@ def _points(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return tables
 
 
-def _block(m_subs: Sequence[Subspace], cosets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The stacked rows (table, element, 2n) and keys (table, coset, element) of Lagrangians of one pivot pattern.
+def _block(m_subs: Sequence[Subspace]) -> tuple[np.ndarray, np.ndarray]:
+    """The stacked rows (table, element, 2n) and keys (table, coset, element) of Lagrangians of one (d, n).
 
     The only producer of lambda. Elements and their exponents e_M(m) are
     weyl._words over the generator rows, in lexicographic coefficient order.
-    The keys run over that pattern's coset rows, zero coset first, in the
-    type of _points' tables: 2[zeta,m] + e_M(m) mod the order of tau, where
-    2[zeta,m] = 2 zeta_P.Q_m - 2 zeta_Q.P_m may use the integer lifts, since
-    2 (x mod d) = 2x (mod 2d).
+    Each table's cosets are in coset_representatives order: the points of
+    Z_d^n on its free columns, read as zeta_P's and zeta_Q's point indices.
+    The keys, in the type of _points' tables, are 2[zeta,m] + e_M(m) mod the
+    order of tau, where 2[zeta,m] = 2 zeta_P.Q_m - 2 zeta_Q.P_m may use the
+    integer lifts, since 2 (x mod d) = 2x (mod 2d).
     """
     d, n = m_subs[0].d, m_subs[0].n
     order, dots = tau_order(d), _points(d, n)[1]
-    rows, exponents = _words(d, np.array([m_sub.generators for m_sub in m_subs]))  # (table, element[, 2n])
+    gens = np.array([m_sub.generators for m_sub in m_subs])  # (table, n, 2n)
+    rows, exponents = _words(d, gens)  # (table, element[, 2n])
     p_index, q_index = _point_index(rows[..., :n], d), _point_index(rows[..., n:], d)
-    zeta_p, zeta_q = _point_index(cosets[:, :n], d)[:, None], _point_index(cosets[:, n:], d)[:, None]
-    keys = dots.take(zeta_p * d**n + q_index[:, None])  # the flat table at row * width + column, as in _fill
-    keys -= dots.take(zeta_q * d**n + p_index[:, None])
+    free = _free_columns(gens)  # (table, n); each adds its coordinate at its place value in zeta_P or in zeta_Q
+    zeta_p, zeta_q = d ** ((n - 1 - free) % n) * np.array([free < n, free >= n]) @ np.indices((d,) * n).reshape(n, -1)
+    keys = dots.take(zeta_p[..., None] * d**n + q_index[:, None])  # the flat table at row * width + column, as in _fill
+    keys -= dots.take(zeta_q[..., None] * d**n + p_index[:, None])
     keys += exponents.astype(keys.dtype)[:, None]
     keys %= order
     return rows, keys
+
+
+def _free_columns(gens: np.ndarray) -> np.ndarray:
+    """The free (non-pivot) columns of stacked RREF generator rows (table, n, 2n), ascending: shape (table, n)."""
+    pivot = ((gens != 0).argmax(-1)[..., None] == np.arange(gens.shape[-1])).any(1)  # (table, 2n)
+    return (~pivot).nonzero()[1].reshape(len(gens), -1)
 
 
 def _span_basis(d: int, n: int, mask: np.ndarray) -> np.ndarray:
@@ -285,10 +292,12 @@ def stabilizer_basis(m_sub: Subspace, *, cap: int = DEFAULT_MATRIX_CAP) -> list[
 def overlap_exact(a: StabilizerState, b: StabilizerState) -> Fraction:
     """|<M,zeta|N,iota>|^2 of the realized states, as an exact rational."""
     a.zeta._check_compatible(b.zeta)
-    # One key row per state: lambda of its own zeta only.
-    (rows_a, keys_a), (rows_b, keys_b) = (_block([s.lagrangian], np.array([s.zeta.coords])) for s in (a, b))
+    (rows_a, keys_a), (rows_b, keys_b) = (_block([s.lagrangian]) for s in (a, b))
     (size,), hits = _overlaps(a.d, a.n, _point_index(rows_a[0], a.d), keys_a[0], _point_index(rows_b, a.d), keys_b)
-    return Fraction(int(size), a.d**a.n) if hits[0, 0, 0] else Fraction(0)
+    # Each state's row of its table: zeta's free coordinates read as a base-d number, the order _block gives cosets.
+    free = _free_columns(np.array([a.lagrangian.generators, b.lagrangian.generators]))
+    i, j = _point_index(np.take_along_axis(np.array([a.zeta.coords, b.zeta.coords]), free, 1), a.d)
+    return Fraction(int(size), a.d**a.n) if hits[0, i, j] else Fraction(0)
 
 
 def _stacked_tables(lagrangians: Sequence[Subspace]) -> tuple[np.ndarray, np.ndarray]:
@@ -297,7 +306,7 @@ def _stacked_tables(lagrangians: Sequence[Subspace]) -> tuple[np.ndarray, np.nda
     The rows are _block's, in the given order; coset 0 holds the exponents e_M(m).
     """
     d, n = lagrangians[0].d, lagrangians[0].n
-    runs = [(_point_index(rows, d), keys) for rows, keys in itertools.starmap(_block, _pattern_runs(d, n, lagrangians))]
+    runs = [(_point_index(rows, d), keys) for rows, keys in map(_block, _runs(d, n, lagrangians))]
     return np.concatenate([points for points, _ in runs]), np.concatenate([keys for _, keys in runs])
 
 
@@ -381,10 +390,10 @@ def state_blocks(
 ) -> Iterator[np.ndarray]:
     """Every stabilizer state's vector, one (states, d^n) block of rows at a time, in enumeration order.
 
-    A block holds the states of a run of Lagrangians of one pivot pattern, as
-    many as _fill realizes within _WORK_BYTES (one Lagrangian at least). Both
-    caps are checked by this call, before any block is built; the first row of
-    the first block is |M_0, 0>.
+    A block holds the states of a run of consecutive Lagrangians, as many as
+    _fill realizes within _WORK_BYTES (one at least). Both caps are checked by
+    this call, before any block is built; the first row of the first block is
+    |M_0, 0>.
     """
     _check_realization(d, n, state_cap, matrix_cap)
     # map, unlike a generator expression, holds no block while the next one is built.
@@ -392,25 +401,15 @@ def state_blocks(
 
 
 def _state_blocks(d: int, n: int, lagrangians: Iterable[Subspace]) -> Iterator[tuple[list[Subspace], np.ndarray]]:
-    """Each block's Lagrangians, with the vectors of their states, from every Lagrangian in enumeration order.
-
-    No cap is checked here.
-    """
-    for run, cosets in _pattern_runs(d, n, lagrangians):
-        yield run, _fill(d, n, *_block(run, cosets)).reshape(-1, d**n)
+    """Each block's Lagrangians with their states' vectors, from Lagrangians in enumeration order; no cap is checked."""
+    for run in _runs(d, n, lagrangians):
+        yield run, _fill(d, n, *_block(run)).reshape(-1, d**n)
 
 
-def _pattern_runs(d: int, n: int, lagrangians: Iterable[Subspace]) -> Iterator[tuple[list[Subspace], np.ndarray]]:
-    """Runs of Lagrangians of one pivot pattern, as many as _fill realizes within _WORK_BYTES, with its coset rows."""
-    per_run = max(1, _WORK_BYTES // (_FILL_BYTES * d ** (2 * n)))
-    for _, group in itertools.groupby(lagrangians, key=lambda m_sub: m_sub.pivots):
-        cosets = None  # the coset rows of the pattern, from its first Lagrangian
-        while run := list(itertools.islice(group, per_run)):
-            if cosets is None:
-                cosets = np.array(list(_coset_rows(run[0])))
-                if cosets[0].any():  # exponents, and the fixed-state reference |M_0, 0>, need it
-                    raise RuntimeError("the zero coset must come first")
-            yield run, cosets
+def _runs(d: int, n: int, lagrangians: Iterable[Subspace]) -> Iterator[list[Subspace]]:
+    """Consecutive runs of the given Lagrangians, as many as _fill realizes within _WORK_BYTES (one at least)."""
+    stream, per_run = iter(lagrangians), max(1, _WORK_BYTES // (_FILL_BYTES * d ** (2 * n)))
+    return iter(lambda: list(itertools.islice(stream, per_run)), [])
 
 
 def _stacked(d: int, n: int, lagrangians: Iterable[Subspace]) -> np.ndarray:

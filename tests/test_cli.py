@@ -116,8 +116,8 @@ def test_enumerate_lagrangians_stream_order():
 
 
 def test_enumerate_lagrangians_stream_order_is_pinned_at_d2_n4():
-    # The ordered stream, not only its set: the fixed-state reference |M_0, 0> and the grouping of
-    # realized blocks by pivot pattern both rest on this order.
+    # The ordered stream, not only its set: the fixed-state reference |M_0, 0> and the order of realized
+    # states, which follows the Lagrangians run by run, both rest on this order.
     code, out, _ = run_cli(["enumerate", "lagrangians", "--d", "2", "--n", "4"])
     assert code == 0 and len(out.splitlines()) == 2295
     digest = hashlib.sha256(out.encode()).hexdigest()

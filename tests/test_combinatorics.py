@@ -144,6 +144,25 @@ def test_the_space_rule_refuses_a_bool_or_float_n():
                 call(bad)
 
 
+def test_the_exact_counts_refuse_a_bool_or_float():
+    # kappa(2, 2, True) gave 6, welch_bound(True, 1) 1, welch_bound(8, True) 1/8, gaussian_binomial(3, True, 2) 7
+    # and binomial(True, False) 1; kappa(2, 2, 1.0) and welch_bound(8.0, 2) raised TypeError.
+    calls = [
+        lambda x: kappa(2, 2, x),
+        lambda x: welch_bound(x, 1),
+        lambda x: welch_bound(8, x),
+        lambda x: gaussian_binomial(3, x, 2),
+        lambda x: gaussian_binomial(x, 1, 2),
+        lambda x: binomial(x, 0),
+        lambda x: binomial(3, x),
+    ]
+    for call in calls:
+        for bad in (True, False, 1.0, Fraction(1)):
+            with pytest.raises(ValueError, match=re.escape(repr(bad))):
+                call(bad)
+    assert binomial(1, 0) == 1 and kappa(2, 2, 1) == 6 and welch_bound(8, 2) == Fraction(1, 36)
+
+
 def test_only_an_int_is_prime():
     assert is_prime(2) and is_prime(3) and not is_prime(4)
     for d in (3.5, 2.0, 3.0, True, "3", None, Fraction(3)):

@@ -170,7 +170,7 @@ def test_bruteforce_sweep_over_t_is_bit_identical_to_one_t_calls():
 
 def test_fixed_state_sweep_streams_the_bits_of_the_whole_stack():
     # The oracle reads the reference overlaps off the whole stack; the sweep keeps them block by block.
-    # (3, 3) and (5, 2) realize in several blocks, and (3, 3) cuts one pivot pattern across blocks.
+    # (3, 3) and (5, 2) realize in several blocks, each ending in a shorter run.
     for d, n, t_max in [(2, 1, 5), (2, 3, 5), (3, 2, 5), (3, 3, 4), (5, 2, 4), (7, 1, 5), (13, 1, 5)]:
         stack = state_vectors(d, n)
         amps = stack @ np.conj(stack[0])

@@ -1,6 +1,5 @@
 """Property-based tests of the subspace algebra over Z_d^{2n}, and of blockwise realization."""
 
-import itertools
 from functools import lru_cache
 
 import numpy as np
@@ -19,7 +18,6 @@ from stabkit import (
 )
 from stabkit.potential import _chunked_tree, _pairwise_tree
 from stabkit.stabilizer import _block, _fill, _overlaps, _points, _span_basis, _stacked_tables, _z_fixed
-from stabkit.symplectic import _coset_rows
 from stabkit.weyl import _point_index
 
 from helpers import (
@@ -110,9 +108,9 @@ def test_reduce_coords_is_consistent(case):
 
 
 @lru_cache(maxsize=None)
-def pivot_patterns(d, n):
-    """The Lagrangians of each pivot pattern, in enumeration order."""
-    return [list(group) for _, group in itertools.groupby(enumerate_lagrangians(d, n), key=lambda m: m.pivots)]
+def lagrangians_of(d, n):
+    """Every Lagrangian, in enumeration order."""
+    return list(enumerate_lagrangians(d, n))
 
 
 @lru_cache(maxsize=None)
@@ -122,35 +120,35 @@ def dense_basis(m_sub):
 
 
 @st.composite
-def pattern_batches(draw):
-    """One pivot pattern's Lagrangians, cut into consecutive batches at random places."""
+def stream_batches(draw):
+    """A stretch of consecutive Lagrangians, across pivot patterns, cut into consecutive batches at random places."""
     d, n = draw(st.sampled_from([(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)]))
-    group = draw(st.sampled_from(pivot_patterns(d, n)))
+    stream = lagrangians_of(d, n)
+    start = draw(st.integers(0, len(stream) - 1))
+    group = stream[start : draw(st.integers(start + 1, min(start + 64, len(stream))))]
     cuts = sorted(draw(st.sets(st.integers(1, len(group)), max_size=6)))
     return group, [group[a:b] for a, b in zip([0, *cuts], [*cuts, len(group)]) if a < b]
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
-@given(pattern_batches())
-def test_fill_is_the_same_for_any_batching_of_a_pivot_pattern(case):
+@given(stream_batches())
+def test_fill_is_the_same_for_any_batching_of_the_stream(case):
     group, batches = case
     d, n = group[0].d, group[0].n
-    cosets = np.array(list(_coset_rows(group[0])))
-    whole = _fill(d, n, *_block(group, cosets))
-    assert np.concatenate([_fill(d, n, *_block(batch, cosets)) for batch in batches]).tobytes() == whole.tobytes()
+    whole = _fill(d, n, *_block(group))
+    assert np.concatenate([_fill(d, n, *_block(batch)) for batch in batches]).tobytes() == whole.tobytes()
     dense = np.array([dense_basis(m_sub) for m_sub in group])
     assert np.max(np.abs(whole - dense)) <= 1e-12
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
-@given(pattern_batches())
+@given(stream_batches())
 def test_generator_z_test_matches_the_per_element_oracle(case):
     # The Z-only condition read on a greedy basis of each M_Z against every Z-only element of the full keys.
     _, batches = case
     for batch in batches:
         d, n = batch[0].d, batch[0].n
-        cosets = np.array(list(_coset_rows(batch[0])))
-        rows, keys = _block(batch, cosets)
+        rows, keys = _block(batch)
         assert np.array_equal(_z_fixed(d, n, rows, keys), z_fixed_by_every_element(d, n, rows, keys))
 
 
@@ -167,13 +165,13 @@ def span_of(d, n, basis):
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
-@given(pattern_batches(), st.randoms(use_true_random=False))
+@given(stream_batches(), st.randoms(use_true_random=False))
 def test_span_basis_spans_exactly_its_mask(case, rng):
     # The Z-only masks M_Z, and masks of M cap N in N's element indices, N drawn from every Lagrangian.
     group, _ = case
     d, n = group[0].d, group[0].n
-    rows, _ = _block(group, np.array(list(_coset_rows(group[0]))))
-    lagrangians = [m_sub for pattern in pivot_patterns(d, n) for m_sub in pattern]
+    rows, _ = _block(group)
+    lagrangians = lagrangians_of(d, n)
     points = dict(zip(lagrangians, _stacked_tables(lagrangians)[0]))
     meets = [np.isin(points[rng.choice(lagrangians)], points[m_sub]) for m_sub in group]
     for mask in (~rows[..., n:].any(-1), np.array(meets)):
@@ -183,16 +181,15 @@ def test_span_basis_spans_exactly_its_mask(case, rng):
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
-@given(pattern_batches(), st.randoms(use_true_random=False))
+@given(stream_batches(), st.randoms(use_true_random=False))
 def test_overlap_rule_matches_every_shared_point_on_any_batch(case, rng):
-    # One M drawn from the whole space against each batch of one pivot pattern, keyed as _block stacks the batch.
+    # One M drawn from the whole space against each batch of consecutive Lagrangians, keyed as _block stacks it.
     group, batches = case
     d, n = group[0].d, group[0].n
-    cosets = np.array(list(_coset_rows(group[0])))
-    m_sub = rng.choice([m for pattern in pivot_patterns(d, n) for m in pattern])
+    m_sub = rng.choice(lagrangians_of(d, n))
     (points,), (keys,) = _stacked_tables([m_sub])
     for batch in batches:
-        rows, their_keys = _block(batch, cosets)
+        rows, their_keys = _block(batch)
         args = (d, n, points, keys, _point_index(rows, d), their_keys)
         sizes, hits = _overlaps(*args)
         expect_sizes, expect_hits = overlaps_on_every_shared_point(*args)

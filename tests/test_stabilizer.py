@@ -47,7 +47,7 @@ from stabkit import (
     zx_matrices,
 )
 from stabkit.errors import ResourceCapError
-from stabkit.stabilizer import _block, _overlaps, _stacked_tables
+from stabkit.stabilizer import _FILL_BYTES, _block, _overlaps, _stacked_tables
 from stabkit.symplectic import _coset_rows, _form_lift
 from stabkit.weyl import _WORK_BYTES, _omega_power, _point_index, tau_order
 
@@ -199,9 +199,9 @@ def test_state_vectors_match_the_per_lagrangian_tables_bit_for_bit(monkeypatch):
     real_block = stabilizer_module._block
     batches = []
 
-    def block(m_subs, cosets):
-        batches.append([m_sub.pivots for m_sub in m_subs])
-        return real_block(m_subs, cosets)
+    def block(m_subs):
+        batches.append(list(m_subs))
+        return real_block(m_subs)
 
     monkeypatch.setattr(stabilizer_module, "_block", block)
     for d, n in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2), (3, 3)]:
@@ -209,8 +209,10 @@ def test_state_vectors_match_the_per_lagrangian_tables_bit_for_bit(monkeypatch):
         stack = state_vectors(d, n)
         blocks = list(batches)
         assert stack.shape == (stabilizer_count(d, n), d**n) and stack.dtype == np.complex128
-        # Each block holds one pivot pattern.
-        assert all(len(set(block)) == 1 for block in blocks)
+        # Blocks are consecutive runs of per_run Lagrangians, the last one at most per_run.
+        per_run = _WORK_BYTES // (_FILL_BYTES * d ** (2 * n))
+        assert [m_sub for block in blocks for m_sub in block] == list(enumerate_lagrangians(d, n))
+        assert [len(block) for block in blocks[:-1]] == [per_run] * (len(blocks) - 1) and len(blocks[-1]) <= per_run
         per_lagrangian = np.array([vec for m_sub in enumerate_lagrangians(d, n) for _, vec in stabilizer_basis(m_sub)])
         assert stack.tobytes() == per_lagrangian.tobytes()
         realized = list(realized_states(d, n))
@@ -220,30 +222,27 @@ def test_state_vectors_match_the_per_lagrangian_tables_bit_for_bit(monkeypatch):
         bases = [realized[i][1].base for i in range(0, len(realized), d**n)]
         assert all(vec.base is bases[i // d**n] for i, (_, vec) in enumerate(realized))
         assert [s for s, _ in realized] == list(enumerate_states(d, n))
-    # At (3, 3) the largest pivot pattern (729 Lagrangians) spans several blocks.
-    patterns = [len(list(group)) for _, group in itertools.groupby(m.pivots for m in enumerate_lagrangians(3, 3))]
-    assert max(patterns) == 729
-    sizes = {}
-    for block in blocks:
-        sizes.setdefault(block[0], []).append(len(block))
-    assert max(len(parts) for parts in sizes.values()) > 1 and max(map(max, sizes.values())) < 729
+    # (3, 3) takes several blocks: 45 runs of 25 Lagrangians, the last of 20.
+    assert [len(block) for block in blocks] == [25] * 44 + [20]
 
 
 def test_state_blocks_work_within_the_budget(monkeypatch):
     # Blocks of 2^14 keys with int64 temporaries peaked at 1.74 MB at (3, 3). The Lagrangians are listed
-    # first, so the measurement holds realization only.
-    lagrangians = list(enumerate_lagrangians(3, 3))
-    monkeypatch.setattr("stabkit.stabilizer.enumerate_lagrangians", lambda d, n: iter(lagrangians))
-    blocks = state_blocks(3, 3)
-    first = next(blocks)  # first-call caches stay out of the measurement
-    tracemalloc.start()
-    try:
-        count = len(first) + sum(map(len, blocks))  # map holds no block while the next is built
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert count == stabilizer_count(3, 3)
-    assert peak < _WORK_BYTES
+    # first, so the measurement holds realization only, every block included. One block holds all 135 tables at
+    # (2, 3) (343 KB), and a block holds 73 at (2, 4) (504 KB) and 25 at (3, 3) (441 KB), under 512 KiB.
+    for d, n in [(2, 3), (2, 4), (3, 3)]:
+        lagrangians = list(enumerate_lagrangians(d, n))
+        monkeypatch.setattr("stabkit.stabilizer.enumerate_lagrangians", lambda d, n: iter(lagrangians))
+        next(state_blocks(d, n))  # first-call caches stay out of the measurement
+        blocks = state_blocks(d, n)
+        tracemalloc.start()
+        try:
+            count = sum(map(len, blocks))  # map holds no block while the next is built
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == stabilizer_count(d, n)
+        assert peak < _WORK_BYTES, (d, n, peak)
 
 
 def test_state_vectors_of_a_list_in_hand_match_state_vectors():
@@ -315,13 +314,13 @@ def test_state_deviations_refuse_inputs_of_another_shape():
 
 
 def test_batched_table_matches_the_one_lagrangian_table():
-    # The tables stacked over every Lagrangian, a run of one pivot pattern at a time, against each one's own.
+    # The tables stacked over every Lagrangian, in runs of consecutive Lagrangians, against each one's own.
     for d, n in [(2, 3), (3, 2)]:
         lagrangians = list(enumerate_lagrangians(d, n))
         points, keys = _stacked_tables(lagrangians)
         assert points.shape == (len(lagrangians), d**n) and keys.shape == (len(lagrangians), d**n, d**n)
         for m_sub, stacked_points, stacked_keys in zip(lagrangians, points, keys):
-            rows, single = _block([m_sub], np.array(list(_coset_rows(m_sub))))
+            rows, single = _block([m_sub])
             assert np.array_equal(stacked_points, _point_index(rows[0], d))
             assert np.array_equal(stacked_keys, single[0])
 
