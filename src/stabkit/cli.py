@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from . import potential, stabilizer
-from .weyl import DEFAULT_MATRIX_CAP, WEYL_TOL, verify_relations, zx_matrices
+from .weyl import WEYL_TOL, verify_relations, zx_matrices
 from .combinatorics import (
     kappa,
     lagrangian_count,
@@ -37,8 +37,16 @@ from .combinatorics import (
     transversal_count,
     welch_bound,
 )
-from .errors import NonPrimeModulusError, ResourceCapError, check_cap
-from .symplectic import DEFAULT_ENUM_CAP, enumerate_lagrangians, intersection_spectrum_of
+from .errors import (
+    DEFAULT_ENUM_CAP,
+    DEFAULT_MATRIX_CAP,
+    DEFAULT_PAIR_CAP,
+    DEFAULT_STATE_CAP,
+    NonPrimeModulusError,
+    ResourceCapError,
+    check_cap,
+)
+from .symplectic import enumerate_lagrangians, intersection_spectrum_of
 
 
 def _int_range(text: str) -> list[int]:
@@ -73,8 +81,8 @@ def _int_at_least(low: int):
 
 _CAPS = {
     "--enum-cap": (DEFAULT_ENUM_CAP, "max Lagrangians enumerated"),
-    "--state-cap": (stabilizer.DEFAULT_STATE_CAP, "max states enumerated or realized"),
-    "--pair-cap": (potential.DEFAULT_PAIR_CAP, "max state pairs brute-forced"),
+    "--state-cap": (DEFAULT_STATE_CAP, "max states enumerated or realized"),
+    "--pair-cap": (DEFAULT_PAIR_CAP, "max state pairs brute-forced"),
     "--matrix-cap": (DEFAULT_MATRIX_CAP, "max Hilbert-space dimension realized"),
 }
 
@@ -275,8 +283,8 @@ def run_verification(
     t_max: int,
     *,
     enum_cap: int = DEFAULT_ENUM_CAP,
-    state_cap: int = stabilizer.DEFAULT_STATE_CAP,
-    pair_cap: int = potential.DEFAULT_PAIR_CAP,
+    state_cap: int = DEFAULT_STATE_CAP,
+    pair_cap: int = DEFAULT_PAIR_CAP,
     matrix_cap: int = DEFAULT_MATRIX_CAP,
 ) -> list[CheckResult]:
     """The full cross-check suite for one (d, n); raises on cap violations."""

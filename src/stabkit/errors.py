@@ -1,4 +1,14 @@
-"""Shared exception types, the one resource-cap check and the one JSON field check."""
+"""Shared exception types, every limit, the one resource-cap check and the one JSON field check."""
+
+# The default of each cap, beside the check that enforces it: Lagrangians enumerated, states enumerated or realized,
+# state pairs brute-forced, and the Hilbert-space dimension d^n realized.
+DEFAULT_ENUM_CAP = 10**7
+DEFAULT_STATE_CAP = 10**6
+DEFAULT_PAIR_CAP = 25_000_000
+DEFAULT_MATRIX_CAP = 4096
+# The working memory of one numeric-path block, in bytes, in every layer: realization, either numeric engine,
+# stabilizer.state_deviations and weyl.verify_relations.
+_WORK_BYTES = 2**19
 
 
 class NonPrimeModulusError(ValueError):

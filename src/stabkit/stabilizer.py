@@ -8,7 +8,7 @@ are. Weyl operators w_B use M's canonical generator list B as basis.
 One function computes the lambda values below (_block), for a run of
 consecutive Lagrangians at a time: the overlap rule reads its keys stacked,
 and realization (_fill) reads the same keys. A block is such a run, as many
-Lagrangians as fit one working memory budget (weyl._WORK_BYTES, shared with
+Lagrangians as fit one working memory budget (errors._WORK_BYTES, shared with
 the numeric engines); state_blocks yields each block's (states, d^n) vectors
 in enumeration order. state_vectors stacks those blocks into one (S(d,n), d^n)
 array, state_vectors_of does so from a list of the Lagrangians already in
@@ -64,8 +64,8 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .combinatorics import lagrangian_count, require_prime, stabilizer_count
-from .errors import check_cap, json_field
-from .weyl import DEFAULT_MATRIX_CAP, _WORK_BYTES, _point_index, _tau_powers, _words, _zx_matrix, tau_order
+from .errors import _WORK_BYTES, DEFAULT_MATRIX_CAP, DEFAULT_STATE_CAP, check_cap, json_field
+from .weyl import _point_index, _tau_powers, _words, _zx_matrix, tau_order
 from .symplectic import (
     PhaseVector,
     Subspace,
@@ -76,7 +76,6 @@ from .symplectic import (
     is_lagrangian,
 )
 
-DEFAULT_STATE_CAP = 10**6
 _FILL_BYTES = 28  # peak bytes per (table, coset, element) in _fill, its vectors included
 # Peak bytes per (pair or Lagrangian, state, amplitude) of a state_deviations eigenvalue or Gram chunk, or per state
 # pair of one of its overlap blocks: 48-63 measured at 4 to 16 pairs or tables, at (2, 3), (3, 2) and (5, 2).
@@ -436,8 +435,9 @@ def state_vectors_of(
     """state_vectors from a list already in hand: every Lagrangian of one (d, n), in enumeration order.
 
     It enumerates nothing itself, so a caller that holds the list scans the
-    Lagrangians once. The caps are checked as state_vectors checks them, and
-    a list of any other length is a ValueError.
+    Lagrangians once. The caps are checked as state_vectors checks them. A
+    list of any other length, a member that is not a Lagrangian of the first
+    member's (d, n), or a member listed twice is a ValueError.
     """
     if not lagrangians:
         raise ValueError("needs every Lagrangian, got none")
@@ -445,6 +445,10 @@ def state_vectors_of(
     _check_realization(d, n, state_cap, matrix_cap)
     if len(lagrangians) != lagrangian_count(d, n):
         raise ValueError(f"expected all {lagrangian_count(d, n)} Lagrangians, got {len(lagrangians)}")
+    if not all((m_sub.d, m_sub.width) == (d, 2 * n) and is_lagrangian(m_sub) for m_sub in lagrangians):
+        raise ValueError("needs Lagrangian subspaces of one space")
+    if len(set(lagrangians)) != len(lagrangians):
+        raise ValueError("a Lagrangian is listed twice")
     return _stacked(d, n, lagrangians)
 
 

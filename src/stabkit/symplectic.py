@@ -18,9 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .combinatorics import _require_space, gaussian_binomial, lagrangian_count, require_prime
-from .errors import check_cap, json_field
-
-DEFAULT_ENUM_CAP = 10**7
+from .errors import DEFAULT_ENUM_CAP, check_cap, json_field
 
 Row = tuple[int, ...]
 
@@ -333,12 +331,17 @@ def intersection_spectrum(m_sub: Subspace, *, cap: int = DEFAULT_ENUM_CAP) -> di
 
 
 def intersection_spectrum_of(m_sub: Subspace, lagrangians: Iterable[Subspace]) -> dict[int, int]:
-    """intersection_spectrum over the Lagrangians given, in one pass: a caller that holds them scans them once."""
+    """intersection_spectrum over the Lagrangians given, in one pass: a caller that holds them scans them once.
+
+    Each N is counted by dim(M ∩ N) = dim M + dim N - dim(M + N), a rank of
+    their stacked generators; no intersection subspace is built.
+    """
     if not is_lagrangian(m_sub):
         raise ValueError("intersection spectrum needs a Lagrangian reference")
     counts = dict.fromkeys(range(m_sub.n + 1), 0)
     for other in lagrangians:
-        counts[intersect(m_sub, other).dim] += 1
+        _check_same_ambient(m_sub, other)
+        counts[m_sub.dim + other.dim - len(_rref(m_sub.generators + other.generators, m_sub.d)[1])] += 1
     return counts
 
 

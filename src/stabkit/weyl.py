@@ -30,13 +30,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import check_cap
+from .errors import _WORK_BYTES, DEFAULT_MATRIX_CAP, check_cap
 from .symplectic import PhaseVector
 
-DEFAULT_MATRIX_CAP = 4096
-# The working memory of one numeric-path block, in bytes, in every layer: realization, either numeric engine,
-# stabilizer.state_deviations and verify_relations.
-_WORK_BYTES = 2**19
 # Peak bytes per (v, amplitude, amplitude) of a verify_relations block and one u's rows: 70-76 at (2, 4), (5, 2).
 _RELATION_BYTES = 80
 # Largest entrywise deviation the Weyl relation and trace checks accept.

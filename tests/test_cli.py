@@ -15,7 +15,7 @@ import pytest
 
 from stabkit import FramePotentialReport, ResourceCapError, StabilizerState, Subspace, potential, stabilizer
 from stabkit.cli import build_parser, main, run_verification
-from stabkit.weyl import _WORK_BYTES
+from stabkit.errors import _WORK_BYTES
 
 from helpers import lagrangians_by_filter, source_env
 
@@ -442,40 +442,24 @@ def test_numeric_engines_build_no_state_or_phase_vector_objects(monkeypatch):
         assert built == {"Subspace": 4 + 40}
 
 
-def test_verify_builds_each_weyl_matrix_once_and_intersects_only_for_the_spectrum(monkeypatch):
+def test_verify_builds_each_weyl_matrix_once_and_never_intersects(monkeypatch):
+    # The spectrum counts dim(M cap N) by a rank, so no intersection subspace is built.
     # The package's `weyl` attribute is the function, so the module comes from importlib.
     weyl_module = importlib.import_module("stabkit.weyl")
-    symplectic_module = importlib.import_module("stabkit.symplectic")
-    built, calls, inside = [], [], []
-    real_zx, real_intersect, real_spectrum = (
-        weyl_module._zx_matrix,
-        symplectic_module.intersect,
-        symplectic_module.intersection_spectrum_of,
-    )
+    built, calls = [], []
+    real_zx = weyl_module._zx_matrix
 
     def zx(d, p, q):
         built.append((tuple(p), tuple(q)))
         return real_zx(d, p, q)
 
-    def intersect(a, b):
-        calls.append(bool(inside))
-        return real_intersect(a, b)
-
-    def spectrum(*args, **kwargs):
-        inside.append(True)
-        try:
-            return real_spectrum(*args, **kwargs)
-        finally:
-            inside.pop()
-
     monkeypatch.setattr(weyl_module, "_zx_matrix", zx)
-    # intersect is looked up in symplectic by every caller; the spectrum rule where verify looks it up.
-    monkeypatch.setattr(symplectic_module, "intersect", intersect)
-    monkeypatch.setattr("stabkit.cli.intersection_spectrum_of", spectrum)
+    # intersect is looked up in symplectic by every caller.
+    monkeypatch.setattr("stabkit.symplectic.intersect", lambda a, b: calls.append((a, b)))
     checks = run_verification(2, 2, 4)
     assert all(c.passed for c in checks)
     assert len(built) == len(set(built)) == 2 ** 4
-    assert calls == [True] * 15
+    assert calls == []
 
 
 def test_verify_builds_one_phase_table_per_lagrangian(monkeypatch):

@@ -22,9 +22,8 @@ from stabkit import (
     state_vectors,
     welch_bound,
 )
-from stabkit.errors import NonPrimeModulusError, ResourceCapError
+from stabkit.errors import _WORK_BYTES, NonPrimeModulusError, ResourceCapError
 from stabkit.potential import _pairwise_tree, _state_stack, fraction_str, parse_fraction
-from stabkit.weyl import _WORK_BYTES
 
 
 # ---------------------------------------------------------------------------

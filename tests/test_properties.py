@@ -1,5 +1,6 @@
 """Property-based tests of the subspace algebra over Z_d^{2n}, and of blockwise realization."""
 
+import itertools
 from functools import lru_cache
 
 import numpy as np
@@ -13,6 +14,7 @@ from stabkit import (
     coset_representatives,
     enumerate_lagrangians,
     intersect,
+    intersection_spectrum_of,
     is_lagrangian,
     stabilizer_basis,
 )
@@ -207,22 +209,54 @@ def transvections(d, n, min_size, max_size):
     return st.lists(step, min_size=min_size, max_size=max_size)
 
 
+@st.composite
+def frontier_pairs(draw, d, n):
+    """(M, N): M by transvections from M0; N by a prefix of M's steps and up to two more, so that N runs from M
+    and its near neighbours to a Lagrangian drawn afresh."""
+    steps = draw(transvections(d, n, 1, 3 * n))
+    prefix = steps[: draw(st.integers(0, len(steps)), label="prefix")]
+    m_sub = lagrangian_by_transvections(d, n, steps)
+    return m_sub, lagrangian_by_transvections(d, n, prefix + draw(transvections(d, n, 0, 2)))
+
+
 @pytest.mark.parametrize("d, n", [(2, 6), (3, 5), (5, 3)])
 @settings(derandomize=True, max_examples=6, deadline=None)
 @given(st.data())
 def test_lagrangians_past_the_frontier(d, n, data):
-    # M by transvections from M0; N by a prefix of M's steps and up to two more, so that N runs from M and
-    # its near neighbours to a Lagrangian drawn afresh.
-    steps = data.draw(transvections(d, n, 1, 3 * n))
-    m_sub = lagrangian_by_transvections(d, n, steps)
-    prefix = steps[: data.draw(st.integers(0, len(steps)), label="prefix")]
-    n_sub = lagrangian_by_transvections(d, n, prefix + data.draw(transvections(d, n, 0, 2)))
+    m_sub, n_sub = data.draw(frontier_pairs(d, n))
     assert is_lagrangian(m_sub) and is_lagrangian(n_sub)
     zeta, vec = stabilizer_basis(m_sub)[data.draw(st.integers(0, d**n - 1))]
     assert np.max(np.abs(vec - dense_state_vector(StabilizerState(m_sub, zeta), weyl_terms_by_fold(m_sub)))) <= 1e-12
     points, keys = _stacked_tables([m_sub, n_sub])
     (size,), _ = _overlaps(d, n, points[0], keys[0], points[1:], keys[1:])
-    assert size == d ** intersect(m_sub, n_sub).dim
+    k = intersect(m_sub, n_sub).dim
+    assert size == d**k
+    # The spectrum counts N by dim M + dim N - the rank of their stacked generators; intersect is its witness.
+    assert intersection_spectrum_of(m_sub, [n_sub]) == {j: int(j == k) for j in range(n + 1)}
+
+
+@pytest.mark.parametrize("d, n, examples", [(2, 6, 6), (3, 5, 2)])
+def test_overlap_mask_matches_dense_overlaps_past_the_frontier(d, n, examples):
+    # One state of M and one of N, each from its dense projector: |<a|b>|^2 is |M cap N| / d^n where _overlaps
+    # says the keys agree on M cap N, and 0 where it says they differ. A dense state at (3, 5) costs about 0.2 s.
+    @settings(derandomize=True, max_examples=examples, deadline=None)
+    @given(st.data())
+    def check(data):
+        m_sub, n_sub = data.draw(frontier_pairs(d, n))
+        points, keys = _stacked_tables([m_sub, n_sub])
+        (size,), (hits,) = _overlaps(d, n, points[0], keys[0], points[1:], keys[1:])
+        i = data.draw(st.integers(0, d**n - 1), label="state of M")
+        # A pair that overlaps, or one that does not, as drawn: the mask only picks the column, the dense value decides.
+        hit = data.draw(st.booleans(), label="overlapping") if 0 < hits[i].sum() < d**n else bool(hits[i, 0])
+        j = int(data.draw(st.sampled_from(np.flatnonzero(hits[i] == hit).tolist()), label="state of N"))
+        a, b = (
+            dense_state_vector(StabilizerState(sub, zeta), weyl_terms_by_fold(sub))
+            for sub, c in ((m_sub, i), (n_sub, j))
+            for zeta in itertools.islice(coset_representatives(sub), c, c + 1)
+        )
+        assert abs(abs(np.vdot(a, b)) ** 2 - (size / d**n if hit else 0.0)) <= 1e-12
+
+    check()
 
 
 # ---------------------------------------------------------------------------

@@ -128,6 +128,47 @@ def test_trusted_constructor_lives_only_in_symplectic():
     assert named == []
 
 
+def _is_limit(name):
+    return name == "_WORK_BYTES" or (name.startswith("DEFAULT_") and name.endswith("_CAP"))
+
+
+def test_every_limit_lives_beside_check_cap():
+    # Each cap default and the working-memory budget is assigned once, in errors.py. Another module reads a limit
+    # only by importing its name from errors, never from a third module or as a module attribute, and the CLI's
+    # cap table names only those imports.
+    assigned, offenders = [], []
+    for path in sorted(SOURCE_DIR.glob("*.py")):
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store) and _is_limit(node.id):
+                assigned.append((path.name, node.id))
+            elif isinstance(node, ast.Attribute) and _is_limit(node.attr):
+                offenders.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+            elif isinstance(node, ast.ImportFrom) and node.module != "errors":
+                named = [a.name for a in node.names if _is_limit(a.name)]
+                offenders += [f"{path.name}:{node.lineno} {node.module}.{name}" for name in named]
+    limits = ["DEFAULT_ENUM_CAP", "DEFAULT_MATRIX_CAP", "DEFAULT_PAIR_CAP", "DEFAULT_STATE_CAP", "_WORK_BYTES"]
+    assert sorted(assigned) == [("errors.py", name) for name in limits]
+    assert offenders == []
+    tree = _parse(SOURCE_DIR / "cli.py")
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom) and node.module == "errors"]
+    from_errors = {a.name for node in imports for a in node.names}
+    caps = next(node.value for node in tree.body if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "_CAPS")
+    named = {node.id for node in ast.walk(caps) if isinstance(node, ast.Name)}
+    assert named == set(limits[:4]) and named <= from_errors
+
+
+def test_no_library_function_builds_an_intersection():
+    # The spectrum counts dim(M cap N) by a rank and the overlap rule reads stacked tables: intersect stays public
+    # as the tests' witness, and nothing in src/stabkit calls it.
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SOURCE_DIR.glob("*.py"))
+        for node in ast.walk(_parse(path))
+        if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "intersect"
+    ]
+    assert calls == []
+
+
 _WORKER_MODULES = {"concurrent", "threading", "multiprocessing"}
 _ENVIRONMENT_READS = {"environ", "getenv"}
 

@@ -46,10 +46,10 @@ from stabkit import (
     weyl_representation,
     zx_matrices,
 )
-from stabkit.errors import ResourceCapError
+from stabkit.errors import _WORK_BYTES, ResourceCapError
 from stabkit.stabilizer import _FILL_BYTES, _block, _overlaps, _stacked_tables
 from stabkit.symplectic import _coset_rows, _form_lift
-from stabkit.weyl import _WORK_BYTES, _omega_power, _point_index, tau_order
+from stabkit.weyl import _omega_power, _point_index, tau_order
 
 
 def overlap_block(m_sub, n_sub):
@@ -256,6 +256,23 @@ def test_state_vectors_of_a_list_in_hand_match_state_vectors():
         state_vectors_of([])
     with pytest.raises(ResourceCapError, match="realized states: need 60, cap 10"):
         state_vectors_of(list(enumerate_lagrangians(2, 2)), state_cap=10)
+
+
+@pytest.mark.parametrize(
+    "last, message",
+    [
+        # Not isotropic: [(1,0 | 0,0), (0,0 | 1,0)] = 1. Realized, it gave 60 rows whose F_1..3 missed the exact values.
+        (Subspace.from_rows([(1, 0, 0, 0), (0, 0, 1, 0)], d=2, width=4), "Lagrangian subspaces of one space"),
+        (next(enumerate_lagrangians(3, 2)), "Lagrangian subspaces of one space"),
+        (next(enumerate_lagrangians(2, 2)), "listed twice"),
+    ],
+    ids=["not-isotropic", "other-space", "duplicate"],
+)
+def test_state_vectors_of_refuses_a_list_that_is_not_every_lagrangian(last, message):
+    # The right length is not enough: each member must be a Lagrangian of the first member's (d, n), once.
+    lagrangians = list(enumerate_lagrangians(2, 2))
+    with pytest.raises(ValueError, match=message):
+        state_vectors_of(lagrangians[:-1] + [last])
 
 
 def test_state_deviations_work_within_the_budget(monkeypatch):

@@ -24,8 +24,8 @@ from stabkit import (
     symplectic_form,
     transversal_count,
 )
-from stabkit.errors import ResourceCapError
-from stabkit.symplectic import DEFAULT_ENUM_CAP, _dual_partners
+from stabkit.errors import DEFAULT_ENUM_CAP, ResourceCapError
+from stabkit.symplectic import _dual_partners
 
 from helpers import count_subspaces_bruteforce, lagrangians_by_filter, symplectic_complement
 
@@ -291,6 +291,21 @@ def test_intersection_spectrum_of_the_lagrangians_in_hand():
     assert intersection_spectrum_of(lags[0], lags[:1]) == {0: 0, 1: 0, 2: 1}
     with pytest.raises(ValueError, match="needs a Lagrangian reference"):
         intersection_spectrum_of(span(2, 2, (1, 0, 0, 0)), lags)
+    # A subspace of another ambient space is refused, as intersect refuses it.
+    m_sub = next(enumerate_lagrangians(2, 2))
+    for other in (next(enumerate_lagrangians(3, 2)), next(enumerate_lagrangians(2, 3))):
+        with pytest.raises(ValueError, match="different ambient spaces"):
+            intersection_spectrum_of(m_sub, [other])
+
+
+@pytest.mark.parametrize("d, n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2)])
+def test_intersection_spectrum_counts_each_pair_as_intersect_does(d, n):
+    # The spectrum counts dim(M cap N) by a rank; the Zassenhaus intersection is its witness, pair by pair.
+    lags = list(enumerate_lagrangians(d, n))
+    for m_sub in lags:
+        for n_sub in lags:
+            k = intersect(m_sub, n_sub).dim
+            assert intersection_spectrum_of(m_sub, [n_sub]) == {j: int(j == k) for j in range(n + 1)}
 
 
 # ---------------------------------------------------------------------------

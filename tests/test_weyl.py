@@ -18,7 +18,7 @@ from stabkit import (
     weyl,
     zx_matrices,
 )
-from stabkit.errors import ResourceCapError
+from stabkit.errors import _WORK_BYTES, ResourceCapError
 from stabkit.weyl import _omega_power, _tau_powers, _words, _zx_matrix, tau_order
 
 from helpers import weyl_word_by_fold
@@ -144,7 +144,7 @@ def test_verify_relations_works_within_the_budget(monkeypatch):
         finally:
             tracemalloc.stop()
         assert result[:2] == (True, True)
-        assert peak < weyl_module._WORK_BYTES, (d, n, peak)
+        assert peak < _WORK_BYTES, (d, n, peak)
         for budget in (1, 2**40):
             monkeypatch.setattr(weyl_module, "_WORK_BYTES", budget)
             assert verify_relations(d, n, zx) == result
