@@ -6,7 +6,6 @@ numeric engines, and verifies the design thresholds against Welch bounds.
 """
 
 from .combinatorics import (
-    binomial,
     gaussian_binomial,
     is_prime,
     kappa,
@@ -18,7 +17,6 @@ from .combinatorics import (
 from .errors import NonPrimeModulusError, ResourceCapError
 from .potential import (
     FramePotentialReport,
-    design_verdict,
     frame_potential_bruteforce,
     frame_potentials_bruteforce,
     frame_potential_combinatorial,
@@ -45,9 +43,6 @@ from .symplectic import (
     canonical_coset_representative,
     coset_representatives,
     enumerate_lagrangians,
-    enumerate_subspaces,
-    extensions_through,
-    intersect,
     intersection_spectrum,
     intersection_spectrum_of,
     is_isotropic,

@@ -1,4 +1,4 @@
-"""Exact counting formulas: binomials, Gaussian binomials, Lagrangian and
+"""Exact counting formulas: Gaussian binomials, Lagrangian and
 stabilizer-state counts, Welch bounds.
 
 Everything is computed on Python ints and ``fractions.Fraction``, so identity
@@ -42,13 +42,6 @@ def _require_space(d: int, n: int) -> None:
         raise ValueError(f"n must be a positive int, got {n!r}")
     if n < 1:
         raise ValueError("n must be positive")
-
-
-def binomial(n: int, k: int) -> int:
-    """C(n, k) of non-negative ints (a bool or a float is not one); zero when k > n."""
-    if type(n) is not int or type(k) is not int or n < 0 or k < 0:
-        raise ValueError(f"binomial arguments must be non-negative ints, got {n!r}, {k!r}")
-    return math.comb(n, k)
 
 
 def gaussian_binomial(n: int, k: int, d: int) -> int:

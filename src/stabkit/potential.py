@@ -1,4 +1,4 @@
-"""Frame potentials of the stabilizer-state ensemble, three ways.
+"""Frame potentials of the stabilizer-state ensemble, four ways.
 
 Two exact engines return identical rationals by construction of the theory:
 
@@ -302,9 +302,3 @@ def frame_potential_report(d: int, n: int, t: int, *, bruteforce: float | None =
         value_bruteforce=bruteforce,
     )
 
-
-def design_verdict(d: int, n: int, t_max: int) -> list[FramePotentialReport]:
-    """Reports for t = 1..t_max with exact design verdicts."""
-    if t_max < 1:
-        raise ValueError("t_max must be positive")
-    return [frame_potential_report(d, n, t) for t in range(1, t_max + 1)]

@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .combinatorics import _require_space, gaussian_binomial, lagrangian_count, require_prime
+from .combinatorics import _require_space, lagrangian_count, require_prime
 from .errors import DEFAULT_ENUM_CAP, check_cap, json_field
 
 Row = tuple[int, ...]
@@ -127,7 +127,7 @@ class Subspace:
     """A subspace of Z_d^width held by its canonical RREF generator matrix.
 
     ``width`` is 2n for phase-space subspaces; plain configuration spaces
-    Z_d^m are supported too (the subspace-counting oracle uses them).
+    Z_d^m are supported too (the tests' subspace-counting oracle uses them).
     """
 
     d: int
@@ -239,33 +239,8 @@ def is_lagrangian(s: Subspace) -> bool:
     return s.dim == s.n and is_isotropic(s)
 
 
-def intersect(a: Subspace, b: Subspace) -> Subspace:
-    """A ∩ B via the Zassenhaus block trick. The reduced rows with a zero left half
-    have their pivots, cleared in every other row, on the right: those halves are RREF."""
-    _check_same_ambient(a, b)
-    w = a.width
-    rows = [list(g) + list(g) for g in a.generators] + [list(g) + [0] * w for g in b.generators]
-    reduced, pivots = _rref(rows, a.d)
-    return _trusted(Subspace, a.d, w, tuple(tuple(row[w:]) for row in reduced[: len(pivots)] if not any(row[:w])))
-
-
 # ---------------------------------------------------------------------------
 # Enumeration
-
-
-def enumerate_subspaces(d: int, ambient_dim: int, k: int, *, cap: int = DEFAULT_ENUM_CAP) -> Iterator[Subspace]:
-    """Every k-dimensional subspace of Z_d^ambient_dim exactly once.
-
-    Order: pivot-column pattern (lexicographic), then free entries
-    (lexicographic, row-major). The total equals binom(ambient_dim, k)_d.
-    """
-    require_prime(d)
-    if ambient_dim < 1:
-        raise ValueError("ambient dimension must be positive")
-    if not 0 <= k <= ambient_dim:
-        raise ValueError(f"need 0 <= k <= ambient dimension, got k={k}, ambient={ambient_dim}")
-    check_cap("subspaces", gaussian_binomial(ambient_dim, k, d), cap)
-    return _iter_subspaces(d, ambient_dim, k)
 
 
 def _fill_free(d: int, base: Row, free: Sequence[int]) -> Iterator[Row]:
@@ -285,23 +260,17 @@ def _rref_rows(d: int, m: int, pivots: Sequence[int]) -> list[list[Row]]:
     ]
 
 
-def _iter_subspaces(d: int, m: int, k: int) -> Iterator[Subspace]:
-    for pivots in itertools.combinations(range(m), k):
-        for rows in itertools.product(*_rref_rows(d, m, pivots)):
-            yield _trusted(Subspace, d, m, rows)
-
-
 def enumerate_lagrangians(d: int, n: int, *, cap: int = DEFAULT_ENUM_CAP) -> Iterator[Subspace]:
     """Every Lagrangian subspace of Z_d^{2n} exactly once.
 
     A prefix-pruned isotropy filter over the n-dimensional RREF subspaces:
     rows are chosen one at a time, and a row that pairs non-trivially with an
     earlier one cuts off its whole subtree, since isotropy is a pairwise
-    condition on generators. Rows are tried in the order enumerate_subspaces
-    varies them, so the survivors come out in exactly its order. This stays
-    independent of the extension recursion (extensions_through), so the two
-    act as witnesses for each other. The cap guards the Lagrangian count
-    prod_{j=1..n} (d^j + 1).
+    condition on generators. Rows are tried in the order the tests' subspace
+    oracle (helpers.enumerate_subspaces) varies them, so the survivors come
+    out in exactly its order. This stays independent of the extension
+    recursion (helpers.extensions_through), so the two act as witnesses for
+    each other. The cap guards the Lagrangian count prod_{j=1..n} (d^j + 1).
     """
     check_cap("Lagrangians", lagrangian_count(d, n), cap)
     return _iter_lagrangians(d, n)
@@ -343,93 +312,6 @@ def intersection_spectrum_of(m_sub: Subspace, lagrangians: Iterable[Subspace]) -
         _check_same_ambient(m_sub, other)
         counts[m_sub.dim + other.dim - len(_rref(m_sub.generators + other.generators, m_sub.d)[1])] += 1
     return counts
-
-
-# ---------------------------------------------------------------------------
-# Extension machinery
-
-
-def _complete_basis(inner: Subspace, outer: Subspace) -> list[Row]:
-    """Rows of outer's generators that extend a basis of inner to one of outer."""
-    added: list[Row] = []
-    for g in outer.generators:
-        _, pivots = _rref(list(inner.generators) + added + [g], inner.d)
-        if len(pivots) > inner.dim + len(added):
-            added.append(g)
-    return added
-
-
-def _dual_partners(k_sub: Subspace, a_rows: Sequence[Row]) -> list[Row]:
-    """Vectors b_j in K^⊥ with [a_i, b_j] = δ_ij and [b_i, b_j] = 0.
-
-    Together with K and the a_i this is a symplectic half-basis of the
-    reduction K^⊥/K adapted to the Lagrangian containing the a_i.
-    """
-    d, w, n = k_sub.d, k_sub.width, k_sub.n
-    m, k = len(a_rows), k_sub.dim
-    # [g, c_j] = 0 for g in K and [a_i, c_j] = delta_ij: the constraint rows, then one column per j on the right.
-    constraints = [_form_row(g, n, d) for g in k_sub.generators] + [_form_row(a, n, d) for a in a_rows]
-    reduced, pivots = _rref([row + tuple(int(i == k + j) for j in range(m)) for i, row in enumerate(constraints)], d)
-    if any(c >= w for c in pivots):  # a pivot on the right: 0 = 1 in some row
-        raise RuntimeError("dual-partner system must be solvable")
-    # The particular solutions, free variables zero.
-    cs = [[0] * w for _ in range(m)]
-    for row, c in zip(reduced, pivots):
-        for j in range(m):
-            cs[j][c] = row[w + j]
-    s = [[_form_lift(ci, cj, n) % d for cj in cs] for ci in cs]
-    out = []
-    for i in range(m):
-        b = list(cs[i])
-        for l in range(i + 1, m):
-            if s[i][l]:
-                b = [(x - s[i][l] * y) % d for x, y in zip(b, a_rows[l])]
-        out.append(tuple(b))
-    if not all(_form_lift(a_rows[i], out[j], n) % d == (i == j) for i in range(m) for j in range(m)):
-        raise RuntimeError("dual partners must pair as [a_i, b_j] = delta_ij")
-    if not all(_form_lift(out[i], out[j], n) % d == 0 for i in range(m) for j in range(m)):
-        raise RuntimeError("dual partners must span an isotropic subspace")
-    return out
-
-
-def extensions_through(m_sub: Subspace, k_sub: Subspace, *, cap: int = DEFAULT_ENUM_CAP) -> Iterator[Subspace]:
-    """All Lagrangians N with M ∩ N = K, for K a subspace of the Lagrangian M.
-
-    Constructed directly through the reduction K^⊥/K: Lagrangians meeting M
-    exactly in K correspond one-to-one to symmetric (n-k)x(n-k) matrices over
-    Z_d, giving d^{(n-k)(n-k+1)/2} of them. This is the formula-independent
-    counterpart of the filter in enumerate_lagrangians.
-    """
-    if not is_lagrangian(m_sub):
-        raise ValueError("extensions need a Lagrangian reference")
-    _check_same_ambient(m_sub, k_sub)
-    if not all(m_sub.contains_coords(g) for g in k_sub.generators):
-        raise ValueError("K must be contained in M")
-    m = m_sub.dim - k_sub.dim
-    check_cap("Lagrangian extensions", m_sub.d ** (m * (m + 1) // 2), cap)
-    return _iter_extensions(m_sub, k_sub, m)
-
-
-def _iter_extensions(m_sub: Subspace, k_sub: Subspace, m: int) -> Iterator[Subspace]:
-    if m == 0:
-        yield m_sub
-        return
-    d, w = m_sub.d, m_sub.width
-    a_rows = _complete_basis(k_sub, m_sub)
-    b_rows = _dual_partners(k_sub, a_rows)
-    upper = [(i, j) for i in range(m) for j in range(i, m)]
-    for vals in itertools.product(range(d), repeat=len(upper)):
-        a_mat = [[0] * m for _ in range(m)]
-        for (i, j), v in zip(upper, vals):
-            a_mat[i][j] = a_mat[j][i] = v
-        gens = [list(g) for g in k_sub.generators]
-        for j in range(m):
-            row = list(b_rows[j])
-            for i in range(m):
-                if a_mat[j][i]:
-                    row = [(x + a_mat[j][i] * y) % d for x, y in zip(row, a_rows[i])]
-            gens.append(row)
-        yield Subspace.from_rows(gens, d=d, width=w)
 
 
 def _coset_rows(m_sub: Subspace) -> Iterator[Row]:

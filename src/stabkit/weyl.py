@@ -163,6 +163,8 @@ def verify_relations(d: int, n: int, zx: np.ndarray) -> tuple[bool, bool, float]
     many at a time as fit _WORK_BYTES at _RELATION_BYTES per unit (one at
     least), one matrix product per pair, so no result depends on the block.
     """
+    if zx.shape != (d ** (2 * n), d**n, d**n):
+        raise ValueError(f"expected {d ** (2 * n)} Weyl matrices of size {d**n}: got shape {zx.shape}")
     points = np.array(list(itertools.product(range(d), repeat=2 * n)))
     # w(v) = tau^{-p.q} z(p) x(q).
     phases = _tau_powers(d)[-(points[:, :n] * points[:, n:]).sum(1) % tau_order(d), None, None]

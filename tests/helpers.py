@@ -14,15 +14,16 @@ from stabkit import (
     PhaseVector,
     Subspace,
     coset_representatives,
-    enumerate_subspaces,
     gaussian_binomial,
-    intersect,
     is_isotropic,
+    is_lagrangian,
     realized_states,
     symplectic_form,
     weyl_representation,
 )
-from stabkit.symplectic import _coset_rows, _form_lift
+from stabkit.combinatorics import require_prime
+from stabkit.errors import DEFAULT_ENUM_CAP, check_cap
+from stabkit.symplectic import _check_same_ambient, _coset_rows, _form_lift, _form_row, _rref, _rref_rows
 from stabkit.weyl import _omega_power, _tau_powers, _zx_matrix, tau_order
 
 
@@ -40,6 +41,118 @@ def source_env() -> dict[str, str]:
 
 def cached_vectors(d: int, n: int) -> list[np.ndarray]:
     return [vec for _, vec in cached_states(d, n)]
+
+
+def intersect(a, b):
+    """Oracle: A cap B via the Zassenhaus block trick. The reduced rows with a zero left half
+    have their pivots, cleared in every other row, on the right: those halves are RREF, as the constructor checks."""
+    _check_same_ambient(a, b)
+    w = a.width
+    rows = [list(g) + list(g) for g in a.generators] + [list(g) + [0] * w for g in b.generators]
+    reduced, pivots = _rref(rows, a.d)
+    return Subspace(a.d, w, tuple(tuple(row[w:]) for row in reduced[: len(pivots)] if not any(row[:w])))
+
+
+def enumerate_subspaces(d: int, ambient_dim: int, k: int, *, cap: int = DEFAULT_ENUM_CAP):
+    """Oracle: every k-dimensional subspace of Z_d^ambient_dim exactly once, each built by the public constructor.
+
+    Order: pivot-column pattern (lexicographic), then free entries
+    (lexicographic, row-major). The total equals binom(ambient_dim, k)_d.
+    """
+    require_prime(d)
+    if ambient_dim < 1:
+        raise ValueError("ambient dimension must be positive")
+    if not 0 <= k <= ambient_dim:
+        raise ValueError(f"need 0 <= k <= ambient dimension, got k={k}, ambient={ambient_dim}")
+    check_cap("subspaces", gaussian_binomial(ambient_dim, k, d), cap)
+    return (
+        Subspace(d, ambient_dim, rows)
+        for pivots in itertools.combinations(range(ambient_dim), k)
+        for rows in itertools.product(*_rref_rows(d, ambient_dim, pivots))
+    )
+
+
+def _complete_basis(inner, outer) -> list:
+    """Rows of outer's generators that extend a basis of inner to one of outer."""
+    added = []
+    for g in outer.generators:
+        _, pivots = _rref(list(inner.generators) + added + [g], inner.d)
+        if len(pivots) > inner.dim + len(added):
+            added.append(g)
+    return added
+
+
+def _dual_partners(k_sub, a_rows) -> list:
+    """Vectors b_j in K^perp with [a_i, b_j] = delta_ij and [b_i, b_j] = 0.
+
+    Together with K and the a_i this is a symplectic half-basis of the
+    reduction K^perp/K adapted to the Lagrangian containing the a_i.
+    """
+    d, w, n = k_sub.d, k_sub.width, k_sub.n
+    m, k = len(a_rows), k_sub.dim
+    # [g, c_j] = 0 for g in K and [a_i, c_j] = delta_ij: the constraint rows, then one column per j on the right.
+    constraints = [_form_row(g, n, d) for g in k_sub.generators] + [_form_row(a, n, d) for a in a_rows]
+    reduced, pivots = _rref([row + tuple(int(i == k + j) for j in range(m)) for i, row in enumerate(constraints)], d)
+    if any(c >= w for c in pivots):  # a pivot on the right: 0 = 1 in some row
+        raise RuntimeError("dual-partner system must be solvable")
+    # The particular solutions, free variables zero.
+    cs = [[0] * w for _ in range(m)]
+    for row, c in zip(reduced, pivots):
+        for j in range(m):
+            cs[j][c] = row[w + j]
+    s = [[_form_lift(ci, cj, n) % d for cj in cs] for ci in cs]
+    out = []
+    for i in range(m):
+        b = list(cs[i])
+        for l in range(i + 1, m):
+            if s[i][l]:
+                b = [(x - s[i][l] * y) % d for x, y in zip(b, a_rows[l])]
+        out.append(tuple(b))
+    if not all(_form_lift(a_rows[i], out[j], n) % d == (i == j) for i in range(m) for j in range(m)):
+        raise RuntimeError("dual partners must pair as [a_i, b_j] = delta_ij")
+    if not all(_form_lift(out[i], out[j], n) % d == 0 for i in range(m) for j in range(m)):
+        raise RuntimeError("dual partners must span an isotropic subspace")
+    return out
+
+
+def extensions_through(m_sub, k_sub, *, cap: int = DEFAULT_ENUM_CAP):
+    """Oracle: all Lagrangians N with M cap N = K, for K a subspace of the Lagrangian M.
+
+    Constructed directly through the reduction K^perp/K: Lagrangians meeting M
+    exactly in K correspond one-to-one to symmetric (n-k)x(n-k) matrices over
+    Z_d, giving d^{(n-k)(n-k+1)/2} of them. This is the formula-independent
+    counterpart of the filter in enumerate_lagrangians.
+    """
+    if not is_lagrangian(m_sub):
+        raise ValueError("extensions need a Lagrangian reference")
+    _check_same_ambient(m_sub, k_sub)
+    if not all(m_sub.contains_coords(g) for g in k_sub.generators):
+        raise ValueError("K must be contained in M")
+    m = m_sub.dim - k_sub.dim
+    check_cap("Lagrangian extensions", m_sub.d ** (m * (m + 1) // 2), cap)
+    return _iter_extensions(m_sub, k_sub, m)
+
+
+def _iter_extensions(m_sub, k_sub, m: int):
+    if m == 0:
+        yield m_sub
+        return
+    d, w = m_sub.d, m_sub.width
+    a_rows = _complete_basis(k_sub, m_sub)
+    b_rows = _dual_partners(k_sub, a_rows)
+    upper = [(i, j) for i in range(m) for j in range(i, m)]
+    for vals in itertools.product(range(d), repeat=len(upper)):
+        a_mat = [[0] * m for _ in range(m)]
+        for (i, j), v in zip(upper, vals):
+            a_mat[i][j] = a_mat[j][i] = v
+        gens = [list(g) for g in k_sub.generators]
+        for j in range(m):
+            row = list(b_rows[j])
+            for i in range(m):
+                if a_mat[j][i]:
+                    row = [(x + a_mat[j][i] * y) % d for x, y in zip(row, a_rows[i])]
+            gens.append(row)
+        yield Subspace.from_rows(gens, d=d, width=w)
 
 
 def lagrangians_by_filter(d: int, n: int) -> list:
@@ -203,18 +316,6 @@ def pairwise_sum_tree(values) -> float:
             nxt.append(vals[-1])
         vals = nxt
     return vals[0]
-
-
-def pascal_binomial(n: int, k: int, _memo={}) -> int:
-    """Oracle: additive Pascal recursion, no multiplication or division."""
-    if k < 0 or k > n:
-        return 0
-    if k == 0 or k == n:
-        return 1
-    key = (n, k)
-    if key not in _memo:
-        _memo[key] = pascal_binomial(n - 1, k - 1) + pascal_binomial(n - 1, k)
-    return _memo[key]
 
 
 def gaussian_pascal_check(n: int, k: int, d: int) -> bool:

@@ -5,10 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import count_subspaces_bruteforce, gaussian_pascal_check, pascal_binomial
+from helpers import count_subspaces_bruteforce, gaussian_pascal_check
 from stabkit import (
     PhaseVector,
-    binomial,
     enumerate_lagrangians,
     frame_potential_combinatorial,
     gaussian_binomial,
@@ -22,27 +21,6 @@ from stabkit import (
 )
 from stabkit.combinatorics import require_prime
 from stabkit.errors import NonPrimeModulusError
-
-
-def test_binomial_examples():
-    assert binomial(4, 3) == 4
-    assert binomial(3, 5) == 0
-    # multiply-and-divide value cross-checked against the Pascal recursion
-    assert pascal_binomial(9, 3) == 84
-    assert binomial(9, 3) == 84
-
-
-def test_binomial_matches_pascal_recursion():
-    for n in range(13):
-        for k in range(n + 2):
-            assert binomial(n, k) == pascal_binomial(n, k)
-
-
-def test_binomial_rejects_negative():
-    with pytest.raises(ValueError):
-        binomial(-1, 0)
-    with pytest.raises(ValueError):
-        binomial(3, -2)
 
 
 def test_gaussian_binomial_examples():
@@ -145,22 +123,20 @@ def test_the_space_rule_refuses_a_bool_or_float_n():
 
 
 def test_the_exact_counts_refuse_a_bool_or_float():
-    # kappa(2, 2, True) gave 6, welch_bound(True, 1) 1, welch_bound(8, True) 1/8, gaussian_binomial(3, True, 2) 7
-    # and binomial(True, False) 1; kappa(2, 2, 1.0) and welch_bound(8.0, 2) raised TypeError.
+    # kappa(2, 2, True) gave 6, welch_bound(True, 1) 1, welch_bound(8, True) 1/8 and gaussian_binomial(3, True, 2) 7;
+    # kappa(2, 2, 1.0) and welch_bound(8.0, 2) raised TypeError.
     calls = [
         lambda x: kappa(2, 2, x),
         lambda x: welch_bound(x, 1),
         lambda x: welch_bound(8, x),
         lambda x: gaussian_binomial(3, x, 2),
         lambda x: gaussian_binomial(x, 1, 2),
-        lambda x: binomial(x, 0),
-        lambda x: binomial(3, x),
     ]
     for call in calls:
         for bad in (True, False, 1.0, Fraction(1)):
             with pytest.raises(ValueError, match=re.escape(repr(bad))):
                 call(bad)
-    assert binomial(1, 0) == 1 and kappa(2, 2, 1) == 6 and welch_bound(8, 2) == Fraction(1, 36)
+    assert kappa(2, 2, 1) == 6 and welch_bound(8, 2) == Fraction(1, 36)
 
 
 def test_only_an_int_is_prime():

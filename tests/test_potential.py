@@ -11,7 +11,6 @@ import pytest
 from helpers import cached_vectors, pairwise_sum_tree, single_qubit_rays
 from stabkit import (
     FramePotentialReport,
-    design_verdict,
     frame_potential_bruteforce,
     frame_potentials_bruteforce,
     frame_potential_combinatorial,
@@ -273,9 +272,8 @@ def test_numeric_engine_caps():
 
 
 def test_design_verdict_flags():
-    assert [r.is_t_design for r in design_verdict(2, 3, 4)] == [True, True, True, False]
-    assert [r.is_t_design for r in design_verdict(3, 2, 3)] == [True, True, False]
-    assert [r.is_t_design for r in design_verdict(5, 1, 2)] == [True, True]
+    for d, n, flags in [(2, 3, [True, True, True, False]), (3, 2, [True, True, False]), (5, 1, [True, True])]:
+        assert [frame_potential_report(d, n, t).is_t_design for t in range(1, len(flags) + 1)] == flags
 
 
 def test_report_fields_and_roundtrip():

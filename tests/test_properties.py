@@ -13,7 +13,6 @@ from stabkit import (
     Subspace,
     coset_representatives,
     enumerate_lagrangians,
-    intersect,
     intersection_spectrum_of,
     is_lagrangian,
     stabilizer_basis,
@@ -24,6 +23,7 @@ from stabkit.weyl import _point_index
 
 from helpers import (
     dense_state_vector,
+    intersect,
     lagrangian_by_transvections,
     overlaps_on_every_shared_point,
     symplectic_complement,

@@ -158,8 +158,8 @@ def test_every_limit_lives_beside_check_cap():
 
 
 def test_no_library_function_builds_an_intersection():
-    # The spectrum counts dim(M cap N) by a rank and the overlap rule reads stacked tables: intersect stays public
-    # as the tests' witness, and nothing in src/stabkit calls it.
+    # The spectrum counts dim(M cap N) by a rank and the overlap rule reads stacked tables: intersect is the tests'
+    # witness in helpers.py, and nothing in src/stabkit calls one.
     calls = [
         f"{path.name}:{node.lineno}"
         for path in sorted(SOURCE_DIR.glob("*.py"))
@@ -231,14 +231,14 @@ def test_library_modules_use_every_name_they_import():
 
 def _private_functions_and_uses(tree):
     """The private (_x, not dunder) functions and methods defined in tree, and each name tree references, paired
-    with the private definitions that enclose the reference."""
+    with the function definitions that enclose the reference."""
     defined, uses = set(), []
 
     def visit(node, inside):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             if node.name.startswith("_") and not node.name.endswith("__"):
                 defined.add(node.name)
-                inside = inside | {node.name}
+            inside = inside | {node.name}
         elif isinstance(node, ast.Name):
             uses.append((node.id, inside))
         elif isinstance(node, ast.Attribute):
@@ -262,6 +262,40 @@ def test_every_private_function_is_called_in_the_library():
         used |= {name for name, inside in uses if name not in inside}
     assert len(defined) > 20, "no private functions found"
     assert sorted(f"{module}:{name}" for module, name in defined if name not in used) == []
+
+
+def _unreferenced_public_functions(modules, frozen):
+    """The public module-level functions in modules (file name -> tree, __init__.py left out) that no module
+    references outside the function's own body, less the names in frozen, as sorted "module:name" strings."""
+    defined, used = set(), set()
+    for name, tree in modules.items():
+        functions = [node.name for node in tree.body if isinstance(node, ast.FunctionDef)]
+        defined |= {(name, function) for function in functions if not function.startswith("_")}
+        used |= {use for use, inside in _private_functions_and_uses(tree)[1] if use not in inside}
+    return sorted(f"{module}:{function}" for module, function in defined if function not in used | frozen)
+
+
+def test_every_public_function_is_called_in_the_library_or_frozen_by_acceptance():
+    # The library is the pipeline: a public module-level function that nothing in src/stabkit references outside its
+    # own body (a re-export in __init__.py does not count) is either API that tests/test_acceptance.py imports from
+    # stabkit, or a witness that belongs in tests/helpers.py.
+    imports = _parse(TESTS_DIR / "test_acceptance.py").body
+    frozen = {a.name for node in imports if isinstance(node, ast.ImportFrom) and node.module == "stabkit" for a in node.names}
+    modules = {path.name: _parse(path) for path in sorted(SOURCE_DIR.glob("*.py")) if path.name != "__init__.py"}
+    public = [node for tree in modules.values() for node in tree.body if isinstance(node, ast.FunctionDef)]
+    assert len(public) > 30 and len(frozen) > 10, "no public functions or acceptance imports found"
+    assert _unreferenced_public_functions(modules, frozen) == []
+
+
+def test_the_public_surface_rule_flags_a_function_only_its_own_body_calls():
+    # The rule is only as good as its notion of a reference: a call from another module or another function counts,
+    # a recursive call inside the function's own body does not, and a frozen acceptance name is never flagged.
+    modules = {
+        "a.py": ast.parse("def used():\n    return 1\n\ndef recursive(k):\n    return recursive(k - 1)\n"),
+        "b.py": ast.parse("from .a import used\n\ndef caller():\n    return used()\n\ndef orphan():\n    pass\n"),
+    }
+    assert _unreferenced_public_functions(modules, set()) == ["a.py:recursive", "b.py:caller", "b.py:orphan"]
+    assert _unreferenced_public_functions(modules, {"caller", "orphan"}) == ["a.py:recursive"]
 
 
 def test_readme_library_example_runs():

@@ -15,6 +15,7 @@ from helpers import (
     dense_projector,
     dense_stabilizer_basis,
     dense_state_vector,
+    intersect,
     overlap_keys_by_intersection,
     overlaps_on_every_shared_point,
     single_qubit_rays,
@@ -31,7 +32,6 @@ from stabkit import (
     enumerate_states,
     frame_potential_combinatorial,
     frame_potential_report,
-    intersect,
     kappa,
     overlap_exact,
     realized_states,

@@ -14,7 +14,6 @@ from stabkit import (
     coset_representatives,
     enumerate_lagrangians,
     enumerate_states,
-    enumerate_subspaces,
     realized_states,
 )
 from stabkit.errors import NonPrimeModulusError
@@ -37,12 +36,6 @@ def test_enumerated_values_pass_the_public_constructors(d, n):
         assert _rebuilt(state) == state
     for state, _ in cached_states(d, n):
         assert _rebuilt(state) == state
-
-
-def test_enumerated_subspaces_pass_the_public_constructor():
-    for d, m, k in [(2, 4, 0), (2, 4, 2), (3, 3, 1), (5, 2, 1)]:
-        for s in enumerate_subspaces(d, m, k):
-            assert Subspace(d, m, s.generators) == s
 
 
 def _count_post_init(monkeypatch, cls):

@@ -11,7 +11,6 @@ from stabkit import (
     PhaseVector,
     Subspace,
     enumerate_lagrangians,
-    enumerate_subspaces,
     verify_commutation,
     verify_composition,
     verify_relations,
@@ -21,7 +20,7 @@ from stabkit import (
 from stabkit.errors import _WORK_BYTES, ResourceCapError
 from stabkit.weyl import _omega_power, _tau_powers, _words, _zx_matrix, tau_order
 
-from helpers import weyl_word_by_fold
+from helpers import enumerate_subspaces, weyl_word_by_fold
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -149,6 +148,17 @@ def test_verify_relations_works_within_the_budget(monkeypatch):
             monkeypatch.setattr(weyl_module, "_WORK_BYTES", budget)
             assert verify_relations(d, n, zx) == result
         monkeypatch.undo()
+
+
+def test_verify_relations_refuses_a_stack_for_another_n():
+    # A stack for another n failed deep inside numpy with a broadcast error.
+    with pytest.raises(ValueError, match=r"expected 16 Weyl matrices of size 4: got shape \(4, 2, 2\)"):
+        verify_relations(2, 2, zx_matrices(2, 1))
+
+
+def test_verify_relations_refuses_a_short_stack():
+    with pytest.raises(ValueError, match=r"expected 4 Weyl matrices of size 2: got shape \(3, 2, 2\)"):
+        verify_relations(2, 1, zx_matrices(2, 1)[:3])
 
 
 def test_a_wrong_omega_fails_commutation_in_both_paths(monkeypatch):
