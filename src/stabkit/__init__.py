@@ -35,7 +35,6 @@ from .stabilizer import (
     state_deviations,
     state_vectors,
     state_vectors_of,
-    weyl_representation,
 )
 from .symplectic import (
     PhaseVector,
@@ -54,6 +53,7 @@ from .weyl import (
     verify_composition,
     verify_relations,
     weyl,
+    weyl_representation,
     zx_matrices,
 )
 

@@ -11,8 +11,8 @@ closes stdout early; main itself lets that BrokenPipeError through.
 Each command declares only the options it reads, so a misplaced flag is a usage
 error. Each cap goes to the library function that does the work it bounds, which
 checks it once, before that work; verify also pre-checks its state and pair caps
-before it enumerates. Every computation is single-threaded with fixed
-reduction orders, so identical invocations produce byte-identical output.
+before it enumerates. stabkit starts no thread (numpy's BLAS may), and every
+reduction has a fixed order, so identical invocations produce identical bytes.
 --threads is accepted and validated for compatibility, and changes nothing.
 """
 

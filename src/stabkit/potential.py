@@ -9,9 +9,9 @@ Two exact engines return identical rationals by construction of the theory:
 
 Two floating-point engines recompute the same quantity from realized state
 vectors: the full double sum over pairs, and the single fixed-reference sum
-that orbit symmetry makes equivalent. Both are single-threaded, and every sum
-uses a fixed pairwise-tree order whose shape depends only on the length of the
-list summed, so results do not depend on how rows are blocked.
+that orbit symmetry makes equivalent. Neither starts a thread (numpy's BLAS
+may), and every sum uses a fixed pairwise-tree order shaped only by the length
+of the list summed, so results do not depend on how rows are blocked.
 
 Both take a list of moments t: the overlaps |<x_i, x_j>|^2 are computed once,
 and only the power and the tree run once per t, with the same bits as one call

@@ -6,16 +6,16 @@ coordinates). Identity is structural: two states are equal iff their pairs
 are. Weyl operators w_B use M's canonical generator list B as basis.
 
 One function computes the lambda values below (_block), for a run of
-consecutive Lagrangians at a time: the overlap rule reads its keys stacked,
-and realization (_fill) reads the same keys. A block is such a run, as many
-Lagrangians as fit one working memory budget (errors._WORK_BYTES, shared with
-the numeric engines); state_blocks yields each block's (states, d^n) vectors
-in enumeration order. state_vectors stacks those blocks into one (S(d,n), d^n)
-array, state_vectors_of does so from a list of the Lagrangians already in
-hand, realized_states pairs each state with a row of its block as it comes,
-and stabilizer_basis takes one Lagrangian's block. Each entry point checks
-each cap once. For every m in M, in lexicographic coefficient order,
-w_B(m) = tau^{e_M(m)} z(P_m) x(Q_m) (the closed form of weyl._words), and
+consecutive Lagrangians at a time, as the module's one table format: point
+indices and keys, which the overlap rule reads stacked and realization
+(_fill) reads run by run. No dense matrix is built here; those are weyl's.
+A block is such a run, as many Lagrangians as fit one working memory budget
+(errors._WORK_BYTES, shared with the numeric engines); state_blocks yields
+each block's (states, d^n) vectors in enumeration order, and state_vectors,
+state_vectors_of, realized_states and stabilizer_basis read the same blocks.
+Each entry point checks each cap once. For every m in M, in lexicographic
+coefficient order, w_B(m) = tau^{e_M(m)} z(P_m) x(Q_m) (the closed form of
+weyl._words), and
 
     lambda(zeta, m) = (2[zeta,m] + e_M(m)) mod the order of tau,
 
@@ -41,15 +41,11 @@ Overlaps: |<M,zeta|N,iota>|^2 is d^{-n} |M cap N| when lambda_M(zeta, .) and
 lambda_N(iota, .) agree on K = M cap N, and 0 otherwise, since two
 stabilizer states overlap exactly when every shared Weyl operator has the
 same eigenvalue on both. _overlaps matches one M's keys against stacked
-tables at once, finding the shared points through one lookup array, with no
-subspace intersection; only overlap_exact turns |M cap N| into a rational.
+tables through one lookup array of points, with no subspace intersection.
 
-state_deviations holds realized vectors to these rules: the eigenvalue
-equation for every state and element, each basis's Gram matrix, and the
-overlap rule for every pair of states, over tables stacked once, in chunks
-of (Lagrangian, element) pairs, of Lagrangians and of N, all sized by
-_WORK_BYTES. It owns the table layout and the tau convention, so callers
-pass only the Lagrangians, their vectors and the Weyl matrices.
+state_deviations holds realized vectors to these rules, within _WORK_BYTES.
+It owns the table layout and the tau convention, so callers pass only the
+Lagrangians, their vectors and the Weyl matrices.
 """
 
 from __future__ import annotations
@@ -65,7 +61,7 @@ import numpy as np
 
 from .combinatorics import lagrangian_count, require_prime, stabilizer_count
 from .errors import _WORK_BYTES, DEFAULT_MATRIX_CAP, DEFAULT_STATE_CAP, check_cap, json_field
-from .weyl import _point_index, _tau_powers, _words, _zx_matrix, tau_order
+from .weyl import _point_index, _tau_powers, _words, tau_order
 from .symplectic import (
     PhaseVector,
     Subspace,
@@ -119,18 +115,6 @@ class StabilizerState:
         return cls(sub, PhaseVector(json_field(obj, "d", int), json_field(obj, "n", int), zeta))
 
 
-def weyl_representation(m_sub: Subspace, *, cap: int = DEFAULT_MATRIX_CAP) -> list[tuple[PhaseVector, np.ndarray]]:
-    """(m, w_B(m)) for every m in M, B its canonical generators, in lexicographic coefficient order."""
-    d, n = m_sub.d, m_sub.n
-    check_cap("matrix dimension", d**n, cap)
-    taus = _tau_powers(d)
-    points, exponents = _words(d, np.array(m_sub.generators, dtype=np.int64).reshape(m_sub.dim, 2 * n))
-    return [
-        (_trusted(PhaseVector, d, n, tuple(p)), taus[e] * _zx_matrix(d, p[:n], p[n:]))
-        for p, e in zip(points.tolist(), exponents.tolist())
-    ]
-
-
 @functools.lru_cache(maxsize=4)
 def _points(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only tables over the points of Z_d^n, indexed in lexicographic order (first coordinate most significant).
@@ -153,13 +137,14 @@ def _points(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _block(m_subs: Sequence[Subspace]) -> tuple[np.ndarray, np.ndarray]:
-    """The stacked rows (table, element, 2n) and keys (table, coset, element) of Lagrangians of one (d, n).
+    """The stacked point indices (table, element) and keys (table, coset, element) of Lagrangians of one (d, n).
 
-    The only producer of lambda. Elements and their exponents e_M(m) are
-    weyl._words over the generator rows, in lexicographic coefficient order.
-    Each table's cosets are in coset_representatives order: the points of
-    Z_d^n on its free columns, read as zeta_P's and zeta_Q's point indices.
-    The keys, in the type of _points' tables, are 2[zeta,m] + e_M(m) mod the
+    The only producer of lambda and of point indices, P_m d^n + Q_m in
+    zx_matrices order; the coordinate rows of weyl._words stay here. Elements
+    and their exponents e_M(m) are in lexicographic coefficient order. Each
+    table's cosets are in coset_representatives order: the points of Z_d^n
+    on its free columns, read as zeta_P's and zeta_Q's point indices. The
+    keys, in the type of _points' tables, are 2[zeta,m] + e_M(m) mod the
     order of tau, where 2[zeta,m] = 2 zeta_P.Q_m - 2 zeta_Q.P_m may use the
     integer lifts, since 2 (x mod d) = 2x (mod 2d).
     """
@@ -167,14 +152,16 @@ def _block(m_subs: Sequence[Subspace]) -> tuple[np.ndarray, np.ndarray]:
     order, dots = tau_order(d), _points(d, n)[1]
     gens = np.array([m_sub.generators for m_sub in m_subs])  # (table, n, 2n)
     rows, exponents = _words(d, gens)  # (table, element[, 2n])
-    p_index, q_index = _point_index(rows[..., :n], d), _point_index(rows[..., n:], d)
+    points = _point_index(rows, d)
+    del rows  # the keys' temporaries need not sit beside it
+    p_index, q_index = np.divmod(points, d**n)
     free = _free_columns(gens)  # (table, n); each adds its coordinate at its place value in zeta_P or in zeta_Q
     zeta_p, zeta_q = d ** ((n - 1 - free) % n) * np.array([free < n, free >= n]) @ np.indices((d,) * n).reshape(n, -1)
     keys = dots.take(zeta_p[..., None] * d**n + q_index[:, None])  # the flat table at row * width + column, as in _fill
     keys -= dots.take(zeta_q[..., None] * d**n + p_index[:, None])
     keys += exponents.astype(keys.dtype)[:, None]
     keys %= order
-    return rows, keys
+    return points, keys
 
 
 def _free_columns(gens: np.ndarray) -> np.ndarray:
@@ -227,8 +214,8 @@ def _overlaps(
     return shared.sum(1), here.T[:, :, None] == there[:, None]
 
 
-def _z_fixed(d: int, n: int, rows: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Whether k(zeta, z, x) = 0 for every z in M_Z, over (table, coset, x in grid order), from _block's arrays.
+def _z_fixed(d: int, n: int, points: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Whether k(zeta, z, x) = 0 for every z in M_Z, over (table, coset, x in grid order), from _block's tables.
 
     On z in M_Z, Q_z = 0, so k(zeta, z, x) = lambda(zeta, z) + 2 P_z.x mod the
     order of tau, a character of M_Z (the module docstring), tested on
@@ -236,31 +223,30 @@ def _z_fixed(d: int, n: int, rows: np.ndarray, keys: np.ndarray) -> np.ndarray:
     -lambda(zeta, z), compared as one integer.
     """
     order, dots = tau_order(d), _points(d, n)[1]
-    basis = _span_basis(d, n, ~rows[..., n:].any(-1))
-    basis_p = _point_index(np.take_along_axis(rows[..., :n], basis[..., None], 1), d)  # (table, i)
+    basis = _span_basis(d, n, points % d**n == 0)  # on Q_z = 0
+    basis_p = np.take_along_axis(points, basis, 1) // d**n  # (table, i)
     minus_lambda = -np.take_along_axis(keys, basis[:, None], 2) % order  # (table, coset, i)
     digits = order ** np.arange(n)
     return (dots[basis_p].swapaxes(1, 2) @ digits)[:, None] == (minus_lambda @ digits)[..., None]
 
 
-def _fill(d: int, n: int, rows: np.ndarray, keys: np.ndarray) -> np.ndarray:
+def _fill(d: int, n: int, points: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """The vectors of a block of Lagrangians by the module's closed form, shape (table, coset, d^n).
 
-    rows and keys are stacked as _block returns them. Over (table, coset,
+    points and keys are stacked as _block returns them. Over (table, coset,
     element) the vectors take 16 bytes and the rest a few narrow arrays,
     beside one table's index arrays at a time: _FILL_BYTES per such key in
     all, _block's keys included.
     """
-    order, (sums, dots) = tau_order(d), _points(d, n)
-    p_index, q_index = _point_index(rows[..., :n], d), _point_index(rows[..., n:], d)
-    fixed = _z_fixed(d, n, rows, keys)
+    order, (sums, dots), width = tau_order(d), _points(d, n), d**n
+    p_index, q_index = np.divmod(points, width)
+    fixed = _z_fixed(d, n, points, keys)
     x0 = fixed.argmax(-1)  # the index of x0 in grid, per (table, coset)
     if not np.take_along_axis(fixed, x0[..., None], axis=-1).all():
         raise RuntimeError("no basis point is fixed by the Z-only elements")
     # Over (table, coset, element), each table lookup reads the flat table at row * width + column, which is
     # faster than indexing by a pair of arrays. k(zeta, m, x0) = lambda(zeta, m) + 2 P_m.x0 + 2 P_m.Q_m is left
     # unreduced: three terms, each below the order of tau.
-    width = d**n
     k = dots.take(x0[..., None] * width + p_index[:, None])
     k += keys
     k += dots.take(p_index * width + q_index)[:, None]
@@ -291,8 +277,8 @@ def stabilizer_basis(m_sub: Subspace, *, cap: int = DEFAULT_MATRIX_CAP) -> list[
 def overlap_exact(a: StabilizerState, b: StabilizerState) -> Fraction:
     """|<M,zeta|N,iota>|^2 of the realized states, as an exact rational."""
     a.zeta._check_compatible(b.zeta)
-    (rows_a, keys_a), (rows_b, keys_b) = (_block([s.lagrangian]) for s in (a, b))
-    (size,), hits = _overlaps(a.d, a.n, _point_index(rows_a[0], a.d), keys_a[0], _point_index(rows_b, a.d), keys_b)
+    points, keys = _stacked_tables([a.lagrangian, b.lagrangian])
+    (size,), hits = _overlaps(a.d, a.n, points[0], keys[0], points[1:], keys[1:])
     # Each state's row of its table: zeta's free coordinates read as a base-d number, the order _block gives cosets.
     free = _free_columns(np.array([a.lagrangian.generators, b.lagrangian.generators]))
     i, j = _point_index(np.take_along_axis(np.array([a.zeta.coords, b.zeta.coords]), free, 1), a.d)
@@ -300,13 +286,9 @@ def overlap_exact(a: StabilizerState, b: StabilizerState) -> Fraction:
 
 
 def _stacked_tables(lagrangians: Sequence[Subspace]) -> tuple[np.ndarray, np.ndarray]:
-    """The point indices (Lagrangian, element) and keys (Lagrangian, coset, element) of Lagrangians of one (d, n).
-
-    The rows are _block's, in the given order; coset 0 holds the exponents e_M(m).
-    """
-    d, n = lagrangians[0].d, lagrangians[0].n
-    runs = [(_point_index(rows, d), keys) for rows, keys in map(_block, _runs(d, n, lagrangians))]
-    return np.concatenate([points for points, _ in runs]), np.concatenate([keys for _, keys in runs])
+    """_block's point indices (Lagrangian, element) and keys (Lagrangian, coset, element), concatenated over runs."""
+    points, keys = zip(*map(_block, _runs(lagrangians[0].d, lagrangians[0].n, lagrangians)))
+    return np.concatenate(points), np.concatenate(keys)
 
 
 def state_deviations(

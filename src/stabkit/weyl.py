@@ -16,8 +16,8 @@ the product rule that _words applies in closed form (its docstring has the
 exponent). The point v = (p | q) has index sum_i v_i d^{2n-1-i} on its lifts
 (lexicographic, p_1 most significant): zx_matrices and the stabilizer key
 tables share this order. Matrices on C^{d^n} (computational basis
-|q_1..q_n>, lexicographic, q_1 most significant) are realized on demand and
-capped by DEFAULT_MATRIX_CAP.
+|q_1..q_n>, lexicographic, q_1 most significant) are realized on demand, in
+this module only; DEFAULT_MATRIX_CAP bounds d^n, not a stack's size.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import _WORK_BYTES, DEFAULT_MATRIX_CAP, check_cap
-from .symplectic import PhaseVector
+from .symplectic import PhaseVector, Subspace, _trusted
 
 # Peak bytes per (v, amplitude, amplitude) of a verify_relations block and one u's rows: 70-76 at (2, 4), (5, 2).
 _RELATION_BYTES = 80
@@ -113,9 +113,27 @@ def _point_index(rows: np.ndarray, d: int) -> np.ndarray:
 
 
 def zx_matrices(d: int, n: int, *, cap: int = DEFAULT_MATRIX_CAP) -> np.ndarray:
-    """z(p) x(q) for every point (p | q) of Z_d^{2n}, stacked in point-index order."""
+    """z(p) x(q) for every point (p | q) of Z_d^{2n}, stacked in point-index order.
+
+    cap bounds d^n only: d^{4n} complex entries, 268 MB at (2, 6) and 4.3 GB at (2, 7) under the default.
+    """
     check_cap("matrix dimension", d**n, cap)
     return np.array([_zx_matrix(d, v[:n], v[n:]) for v in itertools.product(range(d), repeat=2 * n)])
+
+
+def weyl_representation(m_sub: Subspace, *, cap: int = DEFAULT_MATRIX_CAP) -> list[tuple[PhaseVector, np.ndarray]]:
+    """(m, w_B(m)) for every m in M, B its canonical generators, in lexicographic coefficient order.
+
+    cap bounds d^n only: d^{3n} complex entries, 17 GB at (2, 10) under the default.
+    """
+    d, n = m_sub.d, m_sub.n
+    check_cap("matrix dimension", d**n, cap)
+    taus = _tau_powers(d)
+    points, exponents = _words(d, np.array(m_sub.generators, dtype=np.int64).reshape(m_sub.dim, 2 * n))
+    return [
+        (_trusted(PhaseVector, d, n, tuple(p)), taus[e] * _zx_matrix(d, p[:n], p[n:]))
+        for p, e in zip(points.tolist(), exponents.tolist())
+    ]
 
 
 def _relation_phases(d: int, n: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

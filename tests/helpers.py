@@ -283,16 +283,17 @@ def dense_stabilizer_basis(m_sub) -> list:
     return [(zeta, _unit_column(dense_projector(m_sub, zeta, terms))) for zeta in coset_representatives(m_sub)]
 
 
-def z_fixed_by_every_element(d: int, n: int, rows: np.ndarray, keys: np.ndarray) -> np.ndarray:
+def z_fixed_by_every_element(d: int, n: int, points: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """Oracle: whether k(zeta, z, x) = 0 for every Z-only element z, over (table, coset, x), one element at a time.
 
-    rows and keys are the full tables, stacked as stabilizer._block returns them, and x runs
-    over Z_d^n in lexicographic order. k(zeta, m, x) = lambda(zeta, m) +
-    2 P_m.(x + Q_m) mod the order of tau.
+    points and keys are the full tables, stacked as stabilizer._block returns them, each point
+    index read back into its (P | Q) coordinates, and x runs over Z_d^n in lexicographic order.
+    k(zeta, m, x) = lambda(zeta, m) + 2 P_m.(x + Q_m) mod the order of tau.
     """
     order = tau_order(d)
     grid = np.array(list(itertools.product(range(d), repeat=n)), dtype=np.int64).reshape(-1, n)
-    p, q = rows[..., :n].astype(np.int64), rows[..., n:].astype(np.int64)
+    rows = np.stack(np.unravel_index(points, (d,) * (2 * n)), axis=-1).astype(np.int64)
+    p, q = rows[..., :n], rows[..., n:]
     k = keys.astype(np.int64) + 2 * (p * q).sum(-1)[:, None, :]
     x_terms = 2 * p @ grid.T  # 2 P_m.x over (table, element, x)
     z_only = ~q.any(-1)

@@ -459,7 +459,7 @@ def test_verify_builds_each_weyl_matrix_once(monkeypatch):
 
 
 def test_verify_builds_one_phase_table_per_lagrangian(monkeypatch):
-    # The stacked tables serve the eigenvalue check and the overlap rule; realization reads _block's rows instead.
+    # The stacked tables serve the eigenvalue check and the overlap rule; realization reads _block's tables instead.
     stabilizer_module = importlib.import_module("stabkit.stabilizer")
     built = []
     real_tables = stabilizer_module._stacked_tables

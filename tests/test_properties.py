@@ -19,7 +19,6 @@ from stabkit import (
 )
 from stabkit.potential import _chunked_tree, _pairwise_tree
 from stabkit.stabilizer import _block, _fill, _overlaps, _points, _span_basis, _stacked_tables, _z_fixed
-from stabkit.weyl import _point_index
 
 from helpers import (
     dense_state_vector,
@@ -150,8 +149,8 @@ def test_generator_z_test_matches_the_per_element_oracle(case):
     _, batches = case
     for batch in batches:
         d, n = batch[0].d, batch[0].n
-        rows, keys = _block(batch)
-        assert np.array_equal(_z_fixed(d, n, rows, keys), z_fixed_by_every_element(d, n, rows, keys))
+        points, keys = _block(batch)
+        assert np.array_equal(_z_fixed(d, n, points, keys), z_fixed_by_every_element(d, n, points, keys))
 
 
 def span_of(d, n, basis):
@@ -172,11 +171,11 @@ def test_span_basis_spans_exactly_its_mask(case, rng):
     # The Z-only masks M_Z, and masks of M cap N in N's element indices, N drawn from every Lagrangian.
     group, _ = case
     d, n = group[0].d, group[0].n
-    rows, _ = _block(group)
+    z_only = _block(group)[0] % d**n == 0  # Q_m = 0
     lagrangians = lagrangians_of(d, n)
     points = dict(zip(lagrangians, _stacked_tables(lagrangians)[0]))
     meets = [np.isin(points[rng.choice(lagrangians)], points[m_sub]) for m_sub in group]
-    for mask in (~rows[..., n:].any(-1), np.array(meets)):
+    for mask in (z_only, np.array(meets)):
         basis = _span_basis(d, n, mask)
         assert basis.shape == (len(group), n)
         assert np.array_equal(span_of(d, n, basis), mask)
@@ -191,8 +190,7 @@ def test_overlap_rule_matches_every_shared_point_on_any_batch(case, rng):
     m_sub = rng.choice(lagrangians_of(d, n))
     (points,), (keys,) = _stacked_tables([m_sub])
     for batch in batches:
-        rows, their_keys = _block(batch)
-        args = (d, n, points, keys, _point_index(rows, d), their_keys)
+        args = (d, n, points, keys, *_block(batch))
         sizes, hits = _overlaps(*args)
         expect_sizes, expect_hits = overlaps_on_every_shared_point(*args)
         assert np.array_equal(sizes, expect_sizes) and np.array_equal(hits, expect_hits)

@@ -169,6 +169,32 @@ def test_no_library_function_builds_an_intersection():
     assert calls == []
 
 
+_DENSE_BUILDERS = {"_zx_matrix", "zx_matrices", "weyl", "weyl_representation"}
+
+
+def _dense_builder_names(tree):
+    """Each place tree imports, names or defines a dense Weyl-matrix builder, as "lineno name"."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.alias):
+            names = {node.name, node.asname}
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = {node.name}
+        elif isinstance(node, ast.Name):
+            names = {node.id}
+        elif isinstance(node, ast.Attribute):
+            names = {node.attr}
+        else:
+            continue
+        yield from (f"{getattr(node, 'lineno', '?')} {name}" for name in sorted(names & _DENSE_BUILDERS))
+
+
+def test_stabilizer_layer_builds_no_dense_matrix():
+    # Realization and the overlap rule read integer tables: the dense Weyl matrices are weyl's alone, and
+    # stabilizer.py imports, names and defines none of their builders. The scan finds them where they live.
+    assert list(_dense_builder_names(_parse(SOURCE_DIR / "weyl.py"))), "no dense builders found in weyl.py"
+    assert list(_dense_builder_names(_parse(SOURCE_DIR / "stabilizer.py"))) == []
+
+
 _WORKER_MODULES = {"concurrent", "threading", "multiprocessing"}
 _ENVIRONMENT_READS = {"environ", "getenv"}
 

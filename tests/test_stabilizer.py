@@ -177,13 +177,12 @@ def test_realization_builds_no_matrix(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("realization built a dense Weyl matrix")
 
-    # Every name a dense z(p) x(q) matrix is built through, where it is looked up.
-    # The package's `weyl` attribute is the function, so the module comes from importlib.
+    # Every name a dense z(p) x(q) matrix is built through, in weyl, the one module that builds them;
+    # stabilizer.py names none of them (test_source). The package's `weyl` attribute is the function, so the
+    # module comes from importlib.
     weyl_module = importlib.import_module("stabkit.weyl")
     monkeypatch.setattr(weyl_module, "_zx_matrix", refuse)
     monkeypatch.setattr(weyl_module, "zx_matrices", refuse)
-    monkeypatch.setattr("stabkit.stabilizer._zx_matrix", refuse)
-    monkeypatch.setattr("stabkit.stabilizer.weyl_representation", refuse)
     with pytest.raises(AssertionError, match="dense Weyl matrix"):
         weyl(PhaseVector.zero(2, 2))
     for (d, n), pairs in expected.items():
@@ -229,19 +228,20 @@ def test_state_vectors_match_the_per_lagrangian_tables_bit_for_bit(monkeypatch):
 def test_state_blocks_work_within_the_budget(monkeypatch):
     # Blocks of 2^14 keys with int64 temporaries peaked at 1.74 MB at (3, 3). The Lagrangians are listed
     # first, so the measurement holds realization only, every block included. One block holds all 135 tables at
-    # (2, 3) (343 KB), and a block holds 73 at (2, 4) (504 KB) and 25 at (3, 3) (441 KB), under 512 KiB.
-    for d, n in [(2, 3), (2, 4), (3, 3)]:
-        lagrangians = list(enumerate_lagrangians(d, n))
+    # (2, 3) (299 KB), and a block holds 73 at (2, 4) (439 KB), 25 at (3, 3) (414 KB), 18 at (2, 5) (421 KB, over
+    # its first 72 Lagrangians) and 2 at (3, 4) (437 KB, over its first 40), under 512 KiB.
+    for d, n, count in [(2, 3, None), (2, 4, None), (3, 3, None), (2, 5, 72), (3, 4, 40)]:
+        lagrangians = list(itertools.islice(enumerate_lagrangians(d, n), count))
         monkeypatch.setattr("stabkit.stabilizer.enumerate_lagrangians", lambda d, n: iter(lagrangians))
-        next(state_blocks(d, n))  # first-call caches stay out of the measurement
-        blocks = state_blocks(d, n)
+        next(state_blocks(d, n, state_cap=10**7))  # first-call caches stay out of the measurement
+        blocks = state_blocks(d, n, state_cap=10**7)
         tracemalloc.start()
         try:
-            count = sum(map(len, blocks))  # map holds no block while the next is built
+            states = sum(map(len, blocks))  # map holds no block while the next is built
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert count == stabilizer_count(d, n)
+        assert states == len(lagrangians) * d**n
         assert peak < _WORK_BYTES, (d, n, peak)
 
 
@@ -337,9 +337,12 @@ def test_batched_table_matches_the_one_lagrangian_table():
         points, keys = _stacked_tables(lagrangians)
         assert points.shape == (len(lagrangians), d**n) and keys.shape == (len(lagrangians), d**n, d**n)
         for m_sub, stacked_points, stacked_keys in zip(lagrangians, points, keys):
-            rows, single = _block([m_sub])
-            assert np.array_equal(stacked_points, _point_index(rows[0], d))
-            assert np.array_equal(stacked_keys, single[0])
+            (single_points,), (single_keys,) = _block([m_sub])
+            assert np.array_equal(stacked_points, single_points)
+            assert np.array_equal(stacked_keys, single_keys)
+            # Point indices in zx_matrices order, element by element as weyl_representation lists M.
+            elements = [m.coords for m, _ in weyl_representation(m_sub)]
+            assert stacked_points.tolist() == _point_index(np.array(elements), d).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -396,8 +399,9 @@ def test_overlap_table_needs_no_operator_or_representative_objects(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the overlap rule built a Weyl operator or a representative vector")
 
-    for name in ("_zx_matrix", "coset_representatives"):
-        monkeypatch.setattr(f"stabkit.stabilizer.{name}", refuse)
+    # stabilizer.py names no dense-matrix builder (test_source); weyl's is refused where it is looked up.
+    monkeypatch.setattr(importlib.import_module("stabkit.weyl"), "_zx_matrix", refuse)
+    monkeypatch.setattr("stabkit.stabilizer.coset_representatives", refuse)
     for m_sub in lagrangians:
         for n_sub in lagrangians:
             table = overlap_block(m_sub, n_sub)
