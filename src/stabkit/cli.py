@@ -193,7 +193,6 @@ def _render(rows: list[dict], table: list[list[str]], fmt: str) -> str:
 
 
 def cmd_frame_potential(args) -> int:
-    require_prime(args.d)
     reports = []
     for n in args.n:
         # Each engine checks its own caps; the pair cap also picks the engine for --method all.

@@ -14,19 +14,38 @@ from fractions import Fraction
 from .errors import NonPrimeModulusError
 
 
+# The first 13 primes: trial divisors, and Miller-Rabin bases that decide every n below _MILLER_RABIN_BOUND
+# (Sorenson and Webster, 2015).
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MILLER_RABIN_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
-    """Trial division; d is small by construction everywhere in this package. Only an int (not a bool) is prime."""
+    """Deterministic Miller-Rabin after trial division by the small primes. Only an int (not a bool) is prime.
+
+    A number with no factor up to 41 that is not below _MILLER_RABIN_BOUND is a ValueError: no verdict rests on an
+    unproven test.
+    """
     if type(n) is not int or n < 2:
         return False
-    if n < 4:
+    for p in _SMALL_PRIMES:
+        if n % p == 0:
+            return n == p
+    if n < 43 * 43:
         return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    if n >= _MILLER_RABIN_BOUND:
+        raise ValueError(f"cannot decide whether {n} is prime: Miller-Rabin is proven only below {_MILLER_RABIN_BOUND}")
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^s r with r odd
+    for a in _SMALL_PRIMES:
+        x = pow(a, (n - 1) >> s, n)
+        if x == 1:
+            continue
+        for _ in range(s):  # a^r, a^{2r}, ..., a^{2^{s-1} r}: one of them must be n - 1
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
             return False
-        f += 2
     return True
 
 

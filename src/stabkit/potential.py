@@ -4,8 +4,8 @@ Two exact engines return identical rationals by construction of the theory:
 
 * a recursion over n with base case (d^{2-t}+1)/((d+1)d) and step factor
   (d^{k-(t-2)}+1)/(d(d^{k+1}+1)),
-* the closed combinatorial sum S(d,n)^{-1} sum_{k=0..n} binom(n,k)_d *
-  d^{(n-k)(n-k+3-2t)/2}.
+* the paper's intersection count S(d,n)^{-1} sum_{k=0..n} kappa(d,n,k) *
+  d^{n-k} * d^{(k-n)t}.
 
 Two floating-point engines recompute the same quantity from realized state
 vectors: the full double sum over pairs, and the single fixed-reference sum
@@ -16,7 +16,7 @@ of the list summed, so results do not depend on how rows are blocked.
 Both take a list of moments t: the overlaps |<x_i, x_j>|^2 are computed once,
 and only the power and the tree run once per t, with the same bits as one call
 per t. Neither holds an array that grows with S beyond the states themselves:
-their working memory is one budget, errors._WORK_BYTES. The brute-force
+their working memory is one budget, sized by errors._batches. The brute-force
 engine reads the whole (S, d^n) stack of state vectors, a block of rows at a
 time, and keeps only each block's squared overlaps. The fixed-reference sum
 needs only the reference overlaps: frame_potentials_fixed_state streams the
@@ -33,8 +33,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .combinatorics import gaussian_binomial, require_prime, stabilizer_count, welch_bound
-from .errors import _WORK_BYTES, DEFAULT_MATRIX_CAP, DEFAULT_PAIR_CAP, DEFAULT_STATE_CAP, check_cap, json_field
+from .combinatorics import kappa, require_prime, stabilizer_count, welch_bound
+from .errors import DEFAULT_MATRIX_CAP, DEFAULT_PAIR_CAP, DEFAULT_STATE_CAP, _batches, check_cap, json_field
 from .stabilizer import state_blocks, state_vectors
 
 _OVERLAP_BYTES = 32  # peak bytes per overlap in _row_sums: its |amp|^2, one power and the tree's levels
@@ -66,18 +66,9 @@ def frame_potential_recursion(d: int, n: int, t: int) -> Fraction:
 
 
 def frame_potential_combinatorial(d: int, n: int, t: int) -> Fraction:
-    """Exact frame potential via the closed intersection-counting sum.
-
-    The k index runs over 0..n inclusive: the k=0 term is required for the
-    term count to add up to the total number of Lagrangians.
-    """
+    """Exact frame potential via the paper's count: kappa(d,n,k) d^{n-k} states have overlap d^{k-n} with |M_0, 0>."""
     _validate(d, n, t)
-    total = Fraction(0)
-    for k in range(n + 1):
-        e = (n - k) * (n - k + 3 - 2 * t)
-        if e % 2:
-            raise RuntimeError("intersection-sum exponent must be even")
-        total += gaussian_binomial(n, k, d) * Fraction(d) ** (e // 2)
+    total = sum(kappa(d, n, k) * d ** (n - k) * Fraction(d) ** ((k - n) * t) for k in range(n + 1))
     return total / stabilizer_count(d, n)
 
 
@@ -164,8 +155,7 @@ def frame_potentials_bruteforce(
     count = stabilizer_count(d, n)
     check_cap("brute-force state pairs", count * count, pair_cap)
     stack = _state_stack(vectors, count, d, n, state_cap=state_cap, matrix_cap=matrix_cap)
-    block = max(1, _WORK_BYTES // (_OVERLAP_BYTES * count))  # rows per block
-    totals = (_row_sums(stack, range(i, min(i + block, count)), ts) for i in range(0, count, block))
+    totals = (_row_sums(stack, range(count)[rows], ts) for rows in _batches(0, count, _OVERLAP_BYTES * count))
     return [float(total) / (count * count) for total in _chunked_tree(totals, _TREE_CHUNK)]
 
 
@@ -212,8 +202,7 @@ def frame_potentials_fixed_state(
         blocks = state_blocks(d, n, state_cap=state_cap, matrix_cap=matrix_cap)
     else:
         stack = _state_stack(vectors, count, d, n, state_cap=state_cap, matrix_cap=matrix_cap)
-        rows = max(1, _WORK_BYTES // (16 * d**n))  # a block of stack rows as large as _WORK_BYTES
-        blocks = (stack[i : i + rows] for i in range(0, count, rows))
+        blocks = (stack[rows] for rows in _batches(0, count, 16 * d**n))  # 16 bytes per complex128 amplitude
     return [float(total) / count for total in _chunked_tree(_reference_powers(blocks, ts), _TREE_CHUNK)]
 
 

@@ -10,7 +10,7 @@ consecutive Lagrangians at a time, as the module's one table format: point
 indices and keys, which the overlap rule reads stacked and realization
 (_fill) reads run by run. No dense matrix is built here; those are weyl's.
 A block is such a run, as many Lagrangians as fit one working memory budget
-(errors._WORK_BYTES, shared with the numeric engines); state_blocks yields
+(errors._per_batch, shared with the numeric engines); state_blocks yields
 each block's (states, d^n) vectors in enumeration order, and state_vectors,
 state_vectors_of, realized_states and stabilizer_basis read the same blocks.
 Each entry point checks each cap once. For every m in M, in lexicographic
@@ -43,7 +43,7 @@ stabilizer states overlap exactly when every shared Weyl operator has the
 same eigenvalue on both. _overlaps matches one M's keys against stacked
 tables through one lookup array of points, with no subspace intersection.
 
-state_deviations holds realized vectors to these rules, within _WORK_BYTES.
+state_deviations holds realized vectors to these rules, within the same budget.
 It owns the table layout and the tau convention, so callers pass only the
 Lagrangians, their vectors and the Weyl matrices.
 """
@@ -59,8 +59,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .combinatorics import lagrangian_count, require_prime, stabilizer_count
-from .errors import _WORK_BYTES, DEFAULT_MATRIX_CAP, DEFAULT_STATE_CAP, check_cap, json_field
+from .combinatorics import lagrangian_count, stabilizer_count
+from .errors import DEFAULT_MATRIX_CAP, DEFAULT_STATE_CAP, _batches, _per_batch, check_cap, json_field
 from .weyl import _point_index, _tau_powers, _words, tau_order
 from .symplectic import (
     PhaseVector,
@@ -266,9 +266,9 @@ def _fill(d: int, n: int, points: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return out
 
 
-def stabilizer_basis(m_sub: Subspace, *, cap: int = DEFAULT_MATRIX_CAP) -> list[tuple[PhaseVector, np.ndarray]]:
+def stabilizer_basis(m_sub: Subspace) -> list[tuple[PhaseVector, np.ndarray]]:
     """The d^n states of one Lagrangian by the closed form above, in coset_representatives order."""
-    check_cap("matrix dimension", m_sub.d**m_sub.n, cap)  # before the d^n x d^n vectors are built
+    check_cap("matrix dimension", m_sub.d**m_sub.n, DEFAULT_MATRIX_CAP)  # before the d^n x d^n vectors are built
     if not is_lagrangian(m_sub):
         raise ValueError("needs a Lagrangian subspace")
     return list(zip(coset_representatives(m_sub), next(_state_blocks(m_sub.d, m_sub.n, [m_sub]))[1]))
@@ -303,8 +303,8 @@ def state_deviations(
     every m in M; each Lagrangian's Gram matrix against the identity; and
     |<M,zeta|N,iota>|^2 against the overlap rule for every pair of states
     with N >= M. The checks take (Lagrangian, element) pairs, Lagrangians and
-    N as many at a time as fit _WORK_BYTES at _CHECK_BYTES per (pair or
-    Lagrangian, state, amplitude) or per state pair (at least one).
+    N as many at a time as errors._batches fits at _CHECK_BYTES per (pair or
+    Lagrangian, state, amplitude) or per state pair.
     """
     if not lagrangians:
         raise ValueError("needs Lagrangians, got none")
@@ -317,10 +317,10 @@ def state_deviations(
     points, keys = _stacked_tables(lagrangians)
     bases = vectors.reshape(len(lagrangians), dim, dim)  # a view: (Lagrangian, state, amplitude)
     taus = _tau_powers(d)
-    block = max(1, _WORK_BYTES // (_CHECK_BYTES * dim * dim))  # pairs per eigenvalue chunk, or Lagrangians
+    unit = _CHECK_BYTES * dim * dim  # per pair of an eigenvalue chunk, Lagrangian of a Gram batch or N of a block
     eigen = gram = overlap = 0.0
-    for start in range(0, points.size, block):
-        tables, elements = np.divmod(np.arange(start, min(start + block, points.size)), dim)
+    for pairs in _batches(0, points.size, unit):
+        tables, elements = np.divmod(np.arange(*pairs.indices(points.size)), dim)
         lam = keys[tables, :, elements]  # (pair, coset): lambda(zeta, m), and e_M(m) at the zero coset
         # w_B(m) = tau^{e_M(m)} z x(m), and omega^{[zeta,m]} = tau^{lambda(zeta,m) - e_M(m)}, for m in the chunk.
         mats = taus[lam[:, 0]][:, None, None] * zx.take(points[tables, elements], axis=0)
@@ -332,10 +332,10 @@ def state_deviations(
         images -= chunk
         eigen = max(eigen, float(np.max(np.abs(images))))
         del chunk, images  # the next chunk need not hold them
-    for chunk in (bases[start : start + block] for start in range(0, len(bases), block)):
+    for chunk in (bases[batch] for batch in _batches(0, len(bases), unit)):
         gram = max(gram, float(np.max(np.abs(np.conj(chunk) @ chunk.swapaxes(1, 2) - np.eye(dim)))))
     for mi, basis in enumerate(map(np.conj, bases)):
-        for tables in (slice(start, start + block) for start in range(mi, len(bases), block)):
+        for tables in _batches(mi, len(bases), unit):
             sizes, hits = _overlaps(d, n, points[mi], keys[mi], points[tables], keys[tables])
             amps = basis @ bases[tables].swapaxes(1, 2)
             residual = amps.real**2
@@ -349,7 +349,6 @@ def state_deviations(
 
 def enumerate_states(d: int, n: int, *, cap: int = DEFAULT_STATE_CAP) -> Iterator[StabilizerState]:
     """All S(d,n) stabilizer states: Lagrangians outer, coset reps inner."""
-    require_prime(d)
     check_cap("states", stabilizer_count(d, n), cap)
     return _states(enumerate_lagrangians(d, n))
 
@@ -361,7 +360,6 @@ def _states(lagrangians: Iterable[Subspace]) -> Iterator[StabilizerState]:
 
 def _check_realization(d: int, n: int, state_cap: int, matrix_cap: int) -> None:
     """The caps of realizing every state of (d, n), each checked once, before any state is built."""
-    require_prime(d)
     check_cap("realized states", stabilizer_count(d, n), state_cap)
     check_cap("matrix dimension", d**n, matrix_cap)
 
@@ -372,9 +370,9 @@ def state_blocks(
     """Every stabilizer state's vector, one (states, d^n) block of rows at a time, in enumeration order.
 
     A block holds the states of a run of consecutive Lagrangians, as many as
-    _fill realizes within _WORK_BYTES (one at least). Both caps are checked by
-    this call, before any block is built; the first row of the first block is
-    |M_0, 0>.
+    _fill realizes within one batch of errors._per_batch. Both caps are
+    checked by this call, before any block is built; the first row of the
+    first block is |M_0, 0>.
     """
     _check_realization(d, n, state_cap, matrix_cap)
     # map, unlike a generator expression, holds no block while the next one is built.
@@ -388,8 +386,8 @@ def _state_blocks(d: int, n: int, lagrangians: Iterable[Subspace]) -> Iterator[t
 
 
 def _runs(d: int, n: int, lagrangians: Iterable[Subspace]) -> Iterator[list[Subspace]]:
-    """Consecutive runs of the given Lagrangians, as many as _fill realizes within _WORK_BYTES (one at least)."""
-    stream, per_run = iter(lagrangians), max(1, _WORK_BYTES // (_FILL_BYTES * d ** (2 * n)))
+    """Consecutive runs of the given Lagrangians, as many as _fill realizes within one batch of errors._per_batch."""
+    stream, per_run = iter(lagrangians), _per_batch(_FILL_BYTES * d ** (2 * n))
     return iter(lambda: list(itertools.islice(stream, per_run)), [])
 
 

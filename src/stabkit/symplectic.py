@@ -294,9 +294,9 @@ def _isotropic_completions(d: int, m: int, choices: list, prefix: list) -> Itera
             prefix.pop()
 
 
-def intersection_spectrum(m_sub: Subspace, *, cap: int = DEFAULT_ENUM_CAP) -> dict[int, int]:
-    """Empirical kappa: counts of Lagrangians N by dim(M ∩ N), k = 0..n."""
-    return intersection_spectrum_of(m_sub, enumerate_lagrangians(m_sub.d, m_sub.n, cap=cap))
+def intersection_spectrum(m_sub: Subspace) -> dict[int, int]:
+    """Empirical kappa: counts of Lagrangians N by dim(M ∩ N), k = 0..n, enumerated under DEFAULT_ENUM_CAP."""
+    return intersection_spectrum_of(m_sub, enumerate_lagrangians(m_sub.d, m_sub.n))
 
 
 def intersection_spectrum_of(m_sub: Subspace, lagrangians: Iterable[Subspace]) -> dict[int, int]:

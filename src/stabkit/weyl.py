@@ -30,7 +30,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import _WORK_BYTES, DEFAULT_MATRIX_CAP, check_cap
+from .combinatorics import _require_space
+from .errors import DEFAULT_MATRIX_CAP, _batches, check_cap
 from .symplectic import PhaseVector, Subspace, _trusted
 
 # Peak bytes per (v, amplitude, amplitude) of a verify_relations block and one u's rows: 70-76 at (2, 4), (5, 2).
@@ -79,9 +80,9 @@ def _zx_matrix(d: int, pvec: Sequence[int], qvec: Sequence[int]) -> np.ndarray:
     return reduce(np.kron, mats)
 
 
-def weyl(v: PhaseVector, *, cap: int = DEFAULT_MATRIX_CAP) -> np.ndarray:
+def weyl(v: PhaseVector) -> np.ndarray:
     """Dense matrix of w(v) = tau^{-p.q} z(p) x(q), with p.q on the integer lifts."""
-    check_cap("matrix dimension", v.d**v.n, cap)
+    check_cap("matrix dimension", v.d**v.n, DEFAULT_MATRIX_CAP)
     dot = sum(a * b for a, b in zip(v.p, v.q))
     return _tau_powers(v.d)[-dot % tau_order(v.d)] * _zx_matrix(v.d, v.p, v.q)
 
@@ -117,17 +118,18 @@ def zx_matrices(d: int, n: int, *, cap: int = DEFAULT_MATRIX_CAP) -> np.ndarray:
 
     cap bounds d^n only: d^{4n} complex entries, 268 MB at (2, 6) and 4.3 GB at (2, 7) under the default.
     """
+    _require_space(d, n)
     check_cap("matrix dimension", d**n, cap)
     return np.array([_zx_matrix(d, v[:n], v[n:]) for v in itertools.product(range(d), repeat=2 * n)])
 
 
-def weyl_representation(m_sub: Subspace, *, cap: int = DEFAULT_MATRIX_CAP) -> list[tuple[PhaseVector, np.ndarray]]:
+def weyl_representation(m_sub: Subspace) -> list[tuple[PhaseVector, np.ndarray]]:
     """(m, w_B(m)) for every m in M, B its canonical generators, in lexicographic coefficient order.
 
-    cap bounds d^n only: d^{3n} complex entries, 17 GB at (2, 10) under the default.
+    DEFAULT_MATRIX_CAP bounds d^n only: d^{3n} complex entries, 17 GB at (2, 10).
     """
     d, n = m_sub.d, m_sub.n
-    check_cap("matrix dimension", d**n, cap)
+    check_cap("matrix dimension", d**n, DEFAULT_MATRIX_CAP)
     taus = _tau_powers(d)
     points, exponents = _words(d, np.array(m_sub.generators, dtype=np.int64).reshape(m_sub.dim, 2 * n))
     return [
@@ -149,7 +151,7 @@ def _relation_phases(d: int, n: int, u: np.ndarray, v: np.ndarray) -> tuple[np.n
     return _tau_powers(d)[(form - (s[..., :n] * s[..., n:]).sum(-1)) % tau_order(d)], omegas[form % d]
 
 
-def verify_composition(u: PhaseVector, v: PhaseVector, *, tol: float = WEYL_TOL, cap: int = DEFAULT_MATRIX_CAP) -> bool:
+def verify_composition(u: PhaseVector, v: PhaseVector, *, tol: float = WEYL_TOL) -> bool:
     """Check w(u) w(v) = tau^{[u,v]} w(u+v) as matrices.
 
     [u,v] is the integer-lift value and u+v on the right is the integer sum;
@@ -159,16 +161,15 @@ def verify_composition(u: PhaseVector, v: PhaseVector, *, tol: float = WEYL_TOL,
     n = u.n
     phase, _ = _relation_phases(u.d, n, np.array(u.coords), np.array(v.coords))
     s = [a + b for a, b in zip(u.coords, v.coords)]
-    lhs = weyl(u, cap=cap) @ weyl(v, cap=cap)
+    lhs = weyl(u) @ weyl(v)
     return bool(np.max(np.abs(lhs - phase * _zx_matrix(u.d, s[:n], s[n:]))) <= tol)
 
 
-def verify_commutation(u: PhaseVector, v: PhaseVector, *, tol: float = WEYL_TOL, cap: int = DEFAULT_MATRIX_CAP) -> bool:
+def verify_commutation(u: PhaseVector, v: PhaseVector, *, tol: float = WEYL_TOL) -> bool:
     """Check w(u) w(v) = omega^{[u,v]} w(v) w(u) as matrices."""
     u._check_compatible(v)
     _, phase = _relation_phases(u.d, u.n, np.array(u.coords), np.array(v.coords))
-    wu = weyl(u, cap=cap)
-    wv = weyl(v, cap=cap)
+    wu, wv = weyl(u), weyl(v)
     return bool(np.max(np.abs(wu @ wv - phase * (wv @ wu))) <= tol)
 
 
@@ -178,16 +179,16 @@ def verify_relations(d: int, n: int, zx: np.ndarray) -> tuple[bool, bool, float]
     zx is the zx_matrices stack, so each z(p) x(q) is built once. Returns
     whether composition and commutation hold for all pairs within WEYL_TOL,
     and the largest |tr w(v) - d^n [v = 0]|. Each u meets the points v as
-    many at a time as fit _WORK_BYTES at _RELATION_BYTES per unit (one at
-    least), one matrix product per pair, so no result depends on the block.
+    many at a time as errors._batches fits at _RELATION_BYTES per unit, one
+    matrix product per pair, so no result depends on the block.
     """
+    _require_space(d, n)
     if zx.shape != (d ** (2 * n), d**n, d**n):
         raise ValueError(f"expected {d ** (2 * n)} Weyl matrices of size {d**n}: got shape {zx.shape}")
     points = np.array(list(itertools.product(range(d), repeat=2 * n)))
     # w(v) = tau^{-p.q} z(p) x(q).
     phases = _tau_powers(d)[-(points[:, :n] * points[:, n:]).sum(1) % tau_order(d), None, None]
-    step = max(1, _WORK_BYTES // (_RELATION_BYTES * d ** (2 * n)))
-    blocks = [slice(start, start + step) for start in range(0, len(points), step)]
+    blocks = list(_batches(0, len(points), _RELATION_BYTES * d ** (2 * n)))
     comp_ok = comm_ok = True
     for i, u in enumerate(points):
         w_u = phases[i] * zx[i]

@@ -8,6 +8,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -617,6 +618,14 @@ def test_usage_errors_exit_2():
             assert code == 2 and out == "" and flag in err
     code, out, err = run_cli(["enumerate", "lagrangians", "--d", "2", "--n", "1", "--enum-cap", "0"])
     assert (code, out, err) == (3, "", "error: Lagrangians: need 3, cap 0\n")
+
+
+def test_a_large_prime_d_is_decided_at_once():
+    # Trial division up to sqrt(d) had not finished after 20 s for this prime; its Lagrangian count is d + 1.
+    start = time.perf_counter()
+    code, out, err = run_cli(["enumerate", "lagrangians", "--d", "1000000000000000003", "--n", "1"])
+    assert (code, out, err) == (3, "", "error: Lagrangians: need 1000000000000000004, cap 10000000\n")
+    assert time.perf_counter() - start < 5
 
 
 def test_output_write_failure_is_a_usage_error(tmp_path):

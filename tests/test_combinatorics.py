@@ -1,5 +1,6 @@
 """Counting formulas against independent oracles and against each other."""
 
+import itertools
 import re
 from fractions import Fraction
 
@@ -152,6 +153,32 @@ def test_only_an_int_is_prime():
         lagrangian_count(3.5, 1)
     with pytest.raises(NonPrimeModulusError):
         PhaseVector(3.5, 1, (1, 2))
+
+
+def test_is_prime_agrees_with_trial_division_below_10_5():
+    primes = []  # trial division by the primes found so far, up to the square root
+    for n in range(10**5):
+        prime = n >= 2 and all(n % p for p in itertools.takewhile(lambda p: p * p <= n, primes))
+        primes += [n] * prime
+        assert is_prime(n) == prime, n
+
+
+def test_is_prime_refuses_carmichael_numbers_and_strong_pseudoprimes():
+    # 2047 is a strong pseudoprime to base 2, 3215031751 to bases 2, 3, 5 and 7, and 3825123056546413051 to the
+    # first nine primes; the first three are Carmichael numbers.
+    for n in (561, 1105, 41041, 2047, 3215031751, 3825123056546413051):
+        assert not is_prime(n), n
+    assert is_prime(2**61 - 1) and is_prime(10**18 + 3)
+
+
+def test_is_prime_decides_nothing_past_its_proven_bound():
+    # From 3,317,044,064,679,887,385,961,981 on, the first 13 prime bases are not proven to decide; a small factor
+    # still does.
+    bound = 3_317_044_064_679_887_385_961_981
+    for n in (bound, 2**89 - 1):
+        with pytest.raises(ValueError, match="proven only below 3317044064679887385961981"):
+            is_prime(n)
+    assert not is_prime(bound + 1) and not is_prime(41 * bound)
 
 
 def test_kappa_sums_to_lagrangian_count():

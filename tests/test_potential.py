@@ -11,6 +11,7 @@ import pytest
 from helpers import cached_vectors, pairwise_sum_tree, single_qubit_rays
 from stabkit import (
     FramePotentialReport,
+    enumerate_lagrangians,
     frame_potential_bruteforce,
     frame_potentials_bruteforce,
     frame_potential_combinatorial,
@@ -18,6 +19,8 @@ from stabkit import (
     frame_potentials_fixed_state,
     frame_potential_recursion,
     frame_potential_report,
+    intersection_spectrum_of,
+    stabilizer_count,
     state_vectors,
     welch_bound,
 )
@@ -48,6 +51,17 @@ def test_exact_engines_agree_on_grid():
         for n in range(1, 6):
             for t in range(1, 9):
                 assert frame_potential_recursion(d, n, t) == frame_potential_combinatorial(d, n, t)
+
+
+def test_combinatorial_engine_sums_the_enumerated_spectrum():
+    # The engine's kappa-weighted sum, with kappa read off enumeration instead of its formula: each of the
+    # spectrum[k] Lagrangians meeting M_0 in dimension k carries d^{n-k} states of overlap d^{k-n} with |M_0, 0>.
+    for d, n in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2)]:
+        lagrangians = list(enumerate_lagrangians(d, n))
+        spectrum = intersection_spectrum_of(lagrangians[0], lagrangians)
+        for t in range(1, 6):
+            total = sum(spectrum[k] * d ** (n - k) * Fraction(d) ** ((k - n) * t) for k in range(n + 1))
+            assert total / stabilizer_count(d, n) == frame_potential_combinatorial(d, n, t), (d, n, t)
 
 
 def test_exact_engines_reject_bad_input():

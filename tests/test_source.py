@@ -133,9 +133,10 @@ def _is_limit(name):
 
 
 def test_every_limit_lives_beside_check_cap():
-    # Each cap default and the working-memory budget is assigned once, in errors.py. Another module reads a limit
-    # only by importing its name from errors, never from a third module or as a module attribute, and the CLI's
-    # cap table names only those imports.
+    # Each cap default and the working-memory budget is assigned once, in errors.py. Another module reads a cap
+    # default only by importing its name from errors, never from a third module or as a module attribute, and the
+    # CLI's cap table names only those imports. The budget is read by errors' batching rule alone: no other module
+    # names it, so one rule sizes every batch.
     assigned, offenders = [], []
     for path in sorted(SOURCE_DIR.glob("*.py")):
         for node in ast.walk(_parse(path)):
@@ -143,9 +144,13 @@ def test_every_limit_lives_beside_check_cap():
                 assigned.append((path.name, node.id))
             elif isinstance(node, ast.Attribute) and _is_limit(node.attr):
                 offenders.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
-            elif isinstance(node, ast.ImportFrom) and node.module != "errors":
+            elif isinstance(node, ast.ImportFrom):
                 named = [a.name for a in node.names if _is_limit(a.name)]
+                # A cap default may come from errors; the budget may come from nowhere.
+                named = [name for name in named if node.module != "errors" or name == "_WORK_BYTES"]
                 offenders += [f"{path.name}:{node.lineno} {node.module}.{name}" for name in named]
+            elif isinstance(node, ast.Name) and node.id == "_WORK_BYTES" and path.name != "errors.py":
+                offenders.append(f"{path.name}:{node.lineno} {node.id}")
     limits = ["DEFAULT_ENUM_CAP", "DEFAULT_MATRIX_CAP", "DEFAULT_PAIR_CAP", "DEFAULT_STATE_CAP", "_WORK_BYTES"]
     assert sorted(assigned) == [("errors.py", name) for name in limits]
     assert offenders == []
@@ -322,6 +327,45 @@ def test_the_public_surface_rule_flags_a_function_only_its_own_body_calls():
     }
     assert _unreferenced_public_functions(modules, set()) == ["a.py:recursive", "b.py:caller", "b.py:orphan"]
     assert _unreferenced_public_functions(modules, {"caller", "orphan"}) == ["a.py:recursive"]
+
+
+def _unset_keywords(modules, callers):
+    """The keyword-only parameters of the public module-level functions in modules (file name -> tree) that no call in
+    callers (trees) passes by name, as sorted "module:function.keyword" strings. Calls are matched by function name."""
+    passed = {
+        (ast.unparse(node.func).split(".")[-1], keyword.arg)
+        for tree in callers
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        for keyword in node.keywords
+    }
+    return sorted(
+        f"{module}:{node.name}.{arg.arg}"
+        for module, tree in modules.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+        for arg in node.args.kwonlyargs
+        if (node.name, arg.arg) not in passed
+    )
+
+
+def test_every_keyword_of_a_public_function_is_set_by_some_caller():
+    # A keyword that no library call and no acceptance test ever sets is a knob nobody turns: its default belongs in
+    # the body as a constant. A call counts wherever it is, a forwarding one included.
+    modules = {path.name: _parse(path) for path in sorted(SOURCE_DIR.glob("*.py"))}
+    callers = [*modules.values(), _parse(TESTS_DIR / "test_acceptance.py")]
+    functions = [node for tree in modules.values() for node in tree.body if isinstance(node, ast.FunctionDef)]
+    assert sum(len(node.args.kwonlyargs) for node in functions) > 10, "no keyword-only parameters found"
+    assert _unset_keywords(modules, callers) == []
+
+
+def test_the_keyword_rule_flags_a_keyword_only_its_default_sets():
+    modules = {
+        "a.py": ast.parse("def f(x, *, cap=1, tol=2):\n    return x\n\ndef _g(*, cap=1):\n    return 0\n"),
+        "b.py": ast.parse("from .a import f\n\ndef h(*, tol=2):\n    return f(0, tol=tol)\n"),
+    }
+    assert _unset_keywords(modules, modules.values()) == ["a.py:f.cap", "b.py:h.tol"]
+    assert _unset_keywords(modules, [*modules.values(), ast.parse("a.f(1, cap=3)\nh(tol=1)\n")]) == []
 
 
 def test_readme_library_example_runs():

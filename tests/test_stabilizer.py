@@ -286,7 +286,7 @@ def test_state_deviations_work_within_the_budget(monkeypatch):
         unbounded = state_deviations(lagrangians, vectors, zx)
         tables = _stacked_tables(lagrangians)
         monkeypatch.setattr("stabkit.stabilizer._stacked_tables", lambda m_subs: tables)
-        monkeypatch.setattr("stabkit.stabilizer._WORK_BYTES", budget)
+        monkeypatch.setattr("stabkit.errors._WORK_BYTES", budget)
         tracemalloc.start()
         try:
             deviations = state_deviations(lagrangians, vectors, zx)

@@ -17,7 +17,7 @@ from stabkit import (
     weyl,
     zx_matrices,
 )
-from stabkit.errors import _WORK_BYTES, ResourceCapError
+from stabkit.errors import _WORK_BYTES, NonPrimeModulusError, ResourceCapError
 from stabkit.weyl import _omega_power, _tau_powers, _words, _zx_matrix, tau_order
 
 from helpers import enumerate_subspaces, weyl_word_by_fold
@@ -133,7 +133,6 @@ def test_verify_relations_works_within_the_budget(monkeypatch):
     # (d^{2n}, d^{2n}) phase tables: 594 KB at (2, 3) and 792 KB at (3, 2), 50 MB at (5, 2). The Weyl matrices
     # are built first, so the measurement holds the check's work only. Blocks of one point and of every point
     # give the same verdicts and the same trace deviation, bit for bit.
-    weyl_module = importlib.import_module("stabkit.weyl")
     for d, n in [(2, 3), (3, 2)]:
         zx = zx_matrices(d, n)
         tracemalloc.start()
@@ -145,9 +144,24 @@ def test_verify_relations_works_within_the_budget(monkeypatch):
         assert result[:2] == (True, True)
         assert peak < _WORK_BYTES, (d, n, peak)
         for budget in (1, 2**40):
-            monkeypatch.setattr(weyl_module, "_WORK_BYTES", budget)
+            monkeypatch.setattr("stabkit.errors._WORK_BYTES", budget)
             assert verify_relations(d, n, zx) == result
         monkeypatch.undo()
+
+
+def test_the_dense_builders_check_the_space_first():
+    # zx_matrices(2, 0) raised a TypeError from reduce and verify_relations(2, 0, ...) an IndexError, while a
+    # composite d and a bool n were accepted: zx_matrices(4, 1) returned a stack that verify_relations passed.
+    with pytest.raises(ValueError, match="n must be positive"):
+        zx_matrices(2, 0)
+    with pytest.raises(NonPrimeModulusError, match="got 4"):
+        zx_matrices(4, 1)
+    with pytest.raises(ValueError, match="n must be a positive int, got True"):
+        zx_matrices(2, True)
+    with pytest.raises(ValueError, match="n must be positive"):
+        verify_relations(2, 0, np.zeros((1, 1, 1)))
+    with pytest.raises(NonPrimeModulusError, match="got 4"):
+        verify_relations(4, 1, np.zeros((16, 4, 4), dtype=np.complex128))
 
 
 def test_verify_relations_refuses_a_stack_for_another_n():
