@@ -54,7 +54,7 @@ from .weyl import (
     verify_relations,
     weyl,
     weyl_representation,
-    zx_matrices,
+    zx_monomials,
 )
 
 __version__ = "0.1.0"

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from . import potential, stabilizer
-from .weyl import WEYL_TOL, verify_relations, zx_matrices
+from .weyl import WEYL_TOL, verify_relations, zx_monomials
 from .combinatorics import (
     kappa,
     lagrangian_count,
@@ -296,39 +296,21 @@ def run_verification(
 
     checks: list[CheckResult] = []
     lagrangians = list(enumerate_lagrangians(d, n, cap=enum_cap))
-    expected_l = lagrangian_count(d, n)
-    checks.append(
-        CheckResult(
-            "lagrangian-count",
-            len(lagrangians) == expected_l,
-            f"enumerated {len(lagrangians)}, formula {expected_l}",
-        )
-    )
+    found, expected = len(lagrangians), lagrangian_count(d, n)
+    checks.append(CheckResult("lagrangian-count", found == expected, f"enumerated {found}, formula {expected}"))
 
     spectrum = intersection_spectrum_of(lagrangians[0], lagrangians)
     kappa_ok = all(spectrum[k] == kappa(d, n, k) for k in range(n + 1))
-    checks.append(
-        CheckResult(
-            "kappa-spectrum",
-            kappa_ok,
-            " ".join(f"k={k}:{spectrum[k]}" for k in sorted(spectrum)),
-        )
-    )
-    expected_t = transversal_count(d, n)
-    checks.append(
-        CheckResult(
-            "transversal-count",
-            spectrum[0] == expected_t,
-            f"enumerated {spectrum[0]}, formula {expected_t}",
-        )
-    )
+    checks.append(CheckResult("kappa-spectrum", kappa_ok, " ".join(f"k={k}:{spectrum[k]}" for k in sorted(spectrum))))
+    found, expected = spectrum[0], transversal_count(d, n)
+    checks.append(CheckResult("transversal-count", found == expected, f"enumerated {found}, formula {expected}"))
 
-    zx = zx_matrices(d, n, cap=matrix_cap)
+    zx = zx_monomials(d, n, cap=matrix_cap)
     comp_ok, comm_ok, trace_dev = verify_relations(d, n, zx)
-    pairs = len(zx) ** 2
-    checks.append(CheckResult("weyl-composition", comp_ok, f"{pairs} pairs"))
-    checks.append(CheckResult("weyl-commutation", comm_ok, f"{pairs} pairs"))
-    checks.append(CheckResult("weyl-trace", trace_dev <= WEYL_TOL, f"{len(zx)} operators, max dev {trace_dev:.2e}"))
+    operators = len(zx[0])  # one row of rows per operator
+    checks.append(CheckResult("weyl-composition", comp_ok, f"{operators**2} pairs"))
+    checks.append(CheckResult("weyl-commutation", comm_ok, f"{operators**2} pairs"))
+    checks.append(CheckResult("weyl-trace", trace_dev <= WEYL_TOL, f"{operators} operators, max dev {trace_dev:.2e}"))
 
     stack = stabilizer.state_vectors_of(lagrangians, state_cap=state_cap, matrix_cap=matrix_cap)
     eigen_dev, gram_dev, overlap_dev = stabilizer.state_deviations(lagrangians, stack, zx)
@@ -356,22 +338,13 @@ def run_verification(
     )
 
     expected_flags = [_expected_design(d, t) for t in range(1, t_max + 1)]
-    checks.append(
-        CheckResult(
-            "welch-pattern",
-            flags == expected_flags,
-            "designs: " + " ".join(f"t={t}:{'yes' if f else 'no'}" for t, f in enumerate(flags, start=1)),
-        )
-    )
+    designs = " ".join(f"t={t}:{'yes' if f else 'no'}" for t, f in enumerate(flags, start=1))
+    checks.append(CheckResult("welch-pattern", flags == expected_flags, f"designs: {designs}"))
     return checks
 
 
 def _expected_design(d: int, t: int) -> bool:
-    if t <= 2:
-        return True
-    if t == 3:
-        return d == 2
-    return False
+    return t <= 2 or (t == 3 and d == 2)
 
 
 def cmd_verify(args) -> int:

@@ -111,10 +111,8 @@ def _chunked_tree(pieces: Iterable[np.ndarray], chunk: int) -> np.ndarray:
     return _pairwise_tree(np.stack(sums, axis=-1))
 
 
-def _state_stack(vectors, count: int, d: int, n: int, *, state_cap: int, matrix_cap: int) -> np.ndarray:
-    """The vectors as one (S, d^n) array, rows in order (an array is not copied), or state_vectors for None."""
-    if vectors is None:
-        return state_vectors(d, n, state_cap=state_cap, matrix_cap=matrix_cap)
+def _state_stack(vectors, count: int, d: int, n: int) -> np.ndarray:
+    """The given vectors as one (S, d^n) array, rows in order (an array is not copied), once its shape is checked."""
     stack = np.asarray(vectors)
     if stack.shape != (count, d**n):
         raise ValueError(f"expected all {count} state vectors, of length {d**n}: got shape {stack.shape}")
@@ -154,7 +152,10 @@ def frame_potentials_bruteforce(
     _validate_ts(d, n, ts)
     count = stabilizer_count(d, n)
     check_cap("brute-force state pairs", count * count, pair_cap)
-    stack = _state_stack(vectors, count, d, n, state_cap=state_cap, matrix_cap=matrix_cap)
+    if vectors is None:
+        stack = state_vectors(d, n, state_cap=state_cap, matrix_cap=matrix_cap)
+    else:
+        stack = _state_stack(vectors, count, d, n)
     totals = (_row_sums(stack, range(count)[rows], ts) for rows in _batches(0, count, _OVERLAP_BYTES * count))
     return [float(total) / (count * count) for total in _chunked_tree(totals, _TREE_CHUNK)]
 
@@ -201,7 +202,7 @@ def frame_potentials_fixed_state(
     if vectors is None:
         blocks = state_blocks(d, n, state_cap=state_cap, matrix_cap=matrix_cap)
     else:
-        stack = _state_stack(vectors, count, d, n, state_cap=state_cap, matrix_cap=matrix_cap)
+        stack = _state_stack(vectors, count, d, n)
         blocks = (stack[rows] for rows in _batches(0, count, 16 * d**n))  # 16 bytes per complex128 amplitude
     return [float(total) / count for total in _chunked_tree(_reference_powers(blocks, ts), _TREE_CHUNK)]
 

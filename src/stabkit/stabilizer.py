@@ -45,7 +45,7 @@ tables through one lookup array of points, with no subspace intersection.
 
 state_deviations holds realized vectors to these rules, within the same budget.
 It owns the table layout and the tau convention, so callers pass only the
-Lagrangians, their vectors and the Weyl matrices.
+Lagrangians, their vectors and the Weyl operators of weyl.zx_monomials.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ import numpy as np
 
 from .combinatorics import lagrangian_count, stabilizer_count
 from .errors import DEFAULT_MATRIX_CAP, DEFAULT_STATE_CAP, _batches, _per_batch, check_cap, json_field
-from .weyl import _point_index, _tau_powers, _words, tau_order
+from .weyl import _monomials, _point_index, _tau_powers, _words, tau_order
 from .symplectic import (
     PhaseVector,
     Subspace,
@@ -292,26 +292,27 @@ def _stacked_tables(lagrangians: Sequence[Subspace]) -> tuple[np.ndarray, np.nda
 
 
 def state_deviations(
-    lagrangians: Sequence[Subspace], vectors: np.ndarray, zx: np.ndarray
+    lagrangians: Sequence[Subspace], vectors: np.ndarray, zx: Sequence[np.ndarray]
 ) -> tuple[float, float, float]:
     """How far realized states stray from the exact rules: the largest entrywise deviation of each check.
 
     lagrangians are Lagrangians of one (d, n), vectors their states' stack
-    (d^n rows each, in order, as state_vectors_of gives them) and zx the
-    Weyl matrices of weyl.zx_matrices(d, n). Returns (eigen, gram, overlap):
-    omega^{[zeta,m]} w_B(m)|M,zeta> against |M,zeta> for every state and
-    every m in M; each Lagrangian's Gram matrix against the identity; and
-    |<M,zeta|N,iota>|^2 against the overlap rule for every pair of states
-    with N >= M. The checks take (Lagrangian, element) pairs, Lagrangians and
-    N as many at a time as errors._batches fits at _CHECK_BYTES per (pair or
-    Lagrangian, state, amplitude) or per state pair.
+    (d^n rows each, in order, as state_vectors_of gives them) and zx the pair
+    of weyl.zx_monomials(d, n). Returns (eigen, gram, overlap): omega^{[zeta,m]}
+    w_B(m)|M,zeta> against |M,zeta> for every state and every m in M, gathered,
+    as row rows[x] of w_B(m)|psi> is values[x] psi[x]; each Lagrangian's Gram
+    matrix against the identity; and |<M,zeta|N,iota>|^2 against the overlap
+    rule for every pair of states with N >= M. The checks take (Lagrangian,
+    element) pairs, Lagrangians and N as many at a time as errors._batches fits
+    at _CHECK_BYTES per (pair or Lagrangian, state, amplitude) or state pair.
     """
     if not lagrangians:
         raise ValueError("needs Lagrangians, got none")
     d, n = lagrangians[0].d, lagrangians[0].n
     dim = d**n
-    if vectors.shape != (len(lagrangians) * dim, dim) or zx.shape != (dim * dim, dim, dim):
-        raise ValueError(f"expected {len(lagrangians) * dim} state vectors and {dim * dim} Weyl matrices of size {dim}")
+    if vectors.shape != (len(lagrangians) * dim, dim):
+        raise ValueError(f"expected {len(lagrangians) * dim} state vectors of length {dim}: got shape {vectors.shape}")
+    rows, values = _monomials(d, n, zx)
     if not all((m_sub.d, m_sub.n) == (d, n) and is_lagrangian(m_sub) for m_sub in lagrangians):
         raise ValueError("needs Lagrangian subspaces of one space")
     points, keys = _stacked_tables(lagrangians)
@@ -322,16 +323,17 @@ def state_deviations(
     for pairs in _batches(0, points.size, unit):
         tables, elements = np.divmod(np.arange(*pairs.indices(points.size)), dim)
         lam = keys[tables, :, elements]  # (pair, coset): lambda(zeta, m), and e_M(m) at the zero coset
-        # w_B(m) = tau^{e_M(m)} z x(m), and omega^{[zeta,m]} = tau^{lambda(zeta,m) - e_M(m)}, for m in the chunk.
-        mats = taus[lam[:, 0]][:, None, None] * zx.take(points[tables, elements], axis=0)
+        point = points[tables, elements]
         chunk = bases[tables]  # (pair, state, amplitude)
-        # One matrix-vector product per (pair, state), batched: one matrix product would round differently.
-        images = (mats[:, None] @ chunk[..., None])[..., 0]
-        del mats
-        np.multiply(taus[(lam - lam[:, :1]) % len(taus)][..., None], images, out=images)  # in place, phase first
-        images -= chunk
-        eigen = max(eigen, float(np.max(np.abs(images))))
-        del chunk, images  # the next chunk need not hold them
+        # Each amplitude at its image's row, off the flat chunk: take_along_axis's index arrays would outgrow it.
+        target = chunk.take(np.arange(0, chunk.size, dim).reshape(chunk.shape[:2])[..., None] + rows[point][:, None])
+        # w_B(m) = tau^{e_M(m)} z x(m), and omega^{[zeta,m]} = tau^{lambda(zeta,m) - e_M(m)}, for m in the chunk.
+        # In place, each amplitude becomes its image's: one product, the matrix value first.
+        np.multiply((taus[lam[:, 0]][:, None] * values[point])[:, None], chunk, out=chunk)
+        np.multiply(taus[(lam - lam[:, :1]) % len(taus)][..., None], chunk, out=chunk)  # phase first
+        chunk -= target
+        eigen = max(eigen, float(np.max(np.abs(chunk))))
+        del chunk, target  # the next chunk need not hold them
     for chunk in (bases[batch] for batch in _batches(0, len(bases), unit)):
         gram = max(gram, float(np.max(np.abs(np.conj(chunk) @ chunk.swapaxes(1, 2) - np.eye(dim)))))
     for mi, basis in enumerate(map(np.conj, bases)):

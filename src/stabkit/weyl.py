@@ -1,4 +1,4 @@
-"""Weyl (generalized Pauli) operators: closed-form integer words, dense matrices.
+"""Weyl (generalized Pauli) operators: closed-form integer words, monomial z(p) x(q).
 
 Phase conventions: tau = exp(i*pi*(d^2+1)/d) and omega = tau^2 = exp(2*pi*i/d).
 tau has order 2d in even dimension and order d in odd dimension. All
@@ -14,10 +14,12 @@ and x are genuinely periodic mod d, by reordering through
 
 the product rule that _words applies in closed form (its docstring has the
 exponent). The point v = (p | q) has index sum_i v_i d^{2n-1-i} on its lifts
-(lexicographic, p_1 most significant): zx_matrices and the stabilizer key
-tables share this order. Matrices on C^{d^n} (computational basis
-|q_1..q_n>, lexicographic, q_1 most significant) are realized on demand, in
-this module only; DEFAULT_MATRIX_CAP bounds d^n, not a stack's size.
+(lexicographic, p_1 most significant): zx_monomials and the stabilizer key
+tables share this order. On C^{d^n} (basis |q_1..q_n>, lexicographic, q_1
+most significant) every z(p) x(q) is monomial, with one closed form,
+_zx_monomial's (rows, values), which the relation checks read by gathers. Only
+the acceptance API scatters it to dense matrices (_scatter), in this module
+only. DEFAULT_MATRIX_CAP bounds d^n, not a stack's size.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -34,8 +35,8 @@ from .combinatorics import _require_space
 from .errors import DEFAULT_MATRIX_CAP, _batches, check_cap
 from .symplectic import PhaseVector, Subspace, _trusted
 
-# Peak bytes per (v, amplitude, amplitude) of a verify_relations block and one u's rows: 70-76 at (2, 4), (5, 2).
-_RELATION_BYTES = 80
+# Peak bytes per (v, amplitude) of a verify_relations block: 80 at (5, 2), (3, 3), beside the tables of one u.
+_RELATION_BYTES = 96
 # Largest entrywise deviation the Weyl relation and trace checks accept.
 WEYL_TOL = 1e-12
 
@@ -66,25 +67,32 @@ def _omega_power(d: int, k: int) -> complex:
     return _unit_root(k, d)
 
 
-def _register_matrix(d: int, p: int, q: int) -> np.ndarray:
-    # z(p) x(q) on C^d: column x carries omega^{p*(x+q mod d)} at row x+q mod d.
-    out = np.zeros((d, d), dtype=np.complex128)
-    for x in range(d):
-        r = (x + q) % d
-        out[r, x] = _unit_root(p * r, d)
+def _zx_monomial(d: int, p: Sequence[int], q: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """z(p) x(q) on C^{d^n} as (rows, values): column x holds its one nonzero, values[x], at row rows[x].
+
+    On register i, column x_i carries omega^{p_i r_i} at row r_i = x_i + q_i mod d. Each value is the product of
+    its register factors in register order, as np.kron forms it (1 times a root of unity is exact).
+    """
+    roots = np.array([_unit_root(k, d) for k in range(d)])
+    rows, values = np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.complex128)
+    for a, b in zip(p, q):
+        r = (np.arange(d) + b) % d
+        rows, values = (rows[:, None] * d + r).ravel(), (values[:, None] * roots[a * r % d]).ravel()
+    return rows, values
+
+
+def _scatter(rows: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The dense matrix of a monomial (rows, values): values[x] at (rows[x], x), zero elsewhere."""
+    out = np.zeros((len(rows), len(rows)), dtype=np.complex128)
+    out[rows, np.arange(len(rows))] = values
     return out
-
-
-def _zx_matrix(d: int, pvec: Sequence[int], qvec: Sequence[int]) -> np.ndarray:
-    mats = [_register_matrix(d, p % d, q % d) for p, q in zip(pvec, qvec)]
-    return reduce(np.kron, mats)
 
 
 def weyl(v: PhaseVector) -> np.ndarray:
     """Dense matrix of w(v) = tau^{-p.q} z(p) x(q), with p.q on the integer lifts."""
     check_cap("matrix dimension", v.d**v.n, DEFAULT_MATRIX_CAP)
     dot = sum(a * b for a, b in zip(v.p, v.q))
-    return _tau_powers(v.d)[-dot % tau_order(v.d)] * _zx_matrix(v.d, v.p, v.q)
+    return _tau_powers(v.d)[-dot % tau_order(v.d)] * _scatter(*_zx_monomial(v.d, v.p, v.q))
 
 
 def _words(d: int, gens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -109,18 +117,28 @@ def _words(d: int, gens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _point_index(rows: np.ndarray, d: int) -> np.ndarray:
-    """Index of each (p | q) row on the lifts, in zx_matrices order."""
+    """Index of each (p | q) row on the lifts, in zx_monomials order."""
     return rows @ d ** np.arange(rows.shape[-1] - 1, -1, -1)
 
 
-def zx_matrices(d: int, n: int, *, cap: int = DEFAULT_MATRIX_CAP) -> np.ndarray:
-    """z(p) x(q) for every point (p | q) of Z_d^{2n}, stacked in point-index order.
+def zx_monomials(d: int, n: int, *, cap: int = DEFAULT_MATRIX_CAP) -> tuple[np.ndarray, np.ndarray]:
+    """_zx_monomial's (rows, values) at every point of Z_d^{2n}, each stacked (d^{2n}, d^n): 6.3 MB at (2, 6).
 
-    cap bounds d^n only: d^{4n} complex entries, 268 MB at (2, 6) and 4.3 GB at (2, 7) under the default.
+    cap bounds d^n only.
     """
     _require_space(d, n)
     check_cap("matrix dimension", d**n, cap)
-    return np.array([_zx_matrix(d, v[:n], v[n:]) for v in itertools.product(range(d), repeat=2 * n)])
+    rows, values = zip(*(_zx_monomial(d, v[:n], v[n:]) for v in itertools.product(range(d), repeat=2 * n)))
+    return np.array(rows), np.array(values)
+
+
+def _monomials(d: int, n: int, zx: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """zx as zx_monomials(d, n) stacks it, or a ValueError: rows are sorted and compared at 16 bytes per entry."""
+    shape, pair = (d ** (2 * n), d**n), [np.asarray(a) for a in zx]
+    ok = len(pair) == 2 and all(a.shape == shape for a in pair) and pair[0].dtype.kind in "iu"
+    if not (ok and all((np.sort(pair[0][b]) == np.arange(d**n)).all() for b in _batches(0, shape[0], 16 * shape[1]))):
+        raise ValueError(f"expected integer rows, each a permutation of 0..{d**n - 1}, and values of shape {shape}")
+    return pair[0], pair[1]
 
 
 def weyl_representation(m_sub: Subspace) -> list[tuple[PhaseVector, np.ndarray]]:
@@ -133,7 +151,7 @@ def weyl_representation(m_sub: Subspace) -> list[tuple[PhaseVector, np.ndarray]]
     taus = _tau_powers(d)
     points, exponents = _words(d, np.array(m_sub.generators, dtype=np.int64).reshape(m_sub.dim, 2 * n))
     return [
-        (_trusted(PhaseVector, d, n, tuple(p)), taus[e] * _zx_matrix(d, p[:n], p[n:]))
+        (_trusted(PhaseVector, d, n, tuple(p)), taus[e] * _scatter(*_zx_monomial(d, p[:n], p[n:])))
         for p, e in zip(points.tolist(), exponents.tolist())
     ]
 
@@ -162,7 +180,7 @@ def verify_composition(u: PhaseVector, v: PhaseVector, *, tol: float = WEYL_TOL)
     phase, _ = _relation_phases(u.d, n, np.array(u.coords), np.array(v.coords))
     s = [a + b for a, b in zip(u.coords, v.coords)]
     lhs = weyl(u) @ weyl(v)
-    return bool(np.max(np.abs(lhs - phase * _zx_matrix(u.d, s[:n], s[n:]))) <= tol)
+    return bool(np.max(np.abs(lhs - phase * _scatter(*_zx_monomial(u.d, s[:n], s[n:])))) <= tol)
 
 
 def verify_commutation(u: PhaseVector, v: PhaseVector, *, tol: float = WEYL_TOL) -> bool:
@@ -173,39 +191,40 @@ def verify_commutation(u: PhaseVector, v: PhaseVector, *, tol: float = WEYL_TOL)
     return bool(np.max(np.abs(wu @ wv - phase * (wv @ wu))) <= tol)
 
 
-def verify_relations(d: int, n: int, zx: np.ndarray) -> tuple[bool, bool, float]:
-    """verify_composition and verify_commutation over every pair of points, and the trace check.
+def _agree(lhs_rows: np.ndarray, rhs_rows: np.ndarray, lhs: np.ndarray, rhs: np.ndarray) -> bool:
+    """Whether two stacks of monomials agree: rows exactly and values within WEYL_TOL. rhs is overwritten."""
+    return np.array_equal(lhs_rows, rhs_rows) and bool(np.max(np.abs(np.subtract(lhs, rhs, out=rhs))) <= WEYL_TOL)
 
-    zx is the zx_matrices stack, so each z(p) x(q) is built once. Returns
-    whether composition and commutation hold for all pairs within WEYL_TOL,
-    and the largest |tr w(v) - d^n [v = 0]|. Each u meets the points v as
-    many at a time as errors._batches fits at _RELATION_BYTES per unit, one
-    matrix product per pair, so no result depends on the block.
+
+def verify_relations(d: int, n: int, zx: Sequence[np.ndarray]) -> tuple[bool, bool, float]:
+    """verify_composition and verify_commutation over every pair of points, and the trace check, by exact gathers.
+
+    zx is the zx_monomials pair, so each z(p) x(q) is built once. w(u) w(v) sends column x to row rows_u[rows_v[x]]
+    with value w_u[rows_v[x]] w_v[x]; a relation holds when its rows agree exactly and its values within WEYL_TOL.
+    Returns both verdicts and the largest |tr w(v) - d^n [v = 0]|, summed over the diagonal entries. Each u meets
+    the points v as many at a time as errors._batches fits at _RELATION_BYTES per (v, amplitude).
     """
     _require_space(d, n)
-    if zx.shape != (d ** (2 * n), d**n, d**n):
-        raise ValueError(f"expected {d ** (2 * n)} Weyl matrices of size {d**n}: got shape {zx.shape}")
-    points = np.array(list(itertools.product(range(d), repeat=2 * n)))
+    rows, values = _monomials(d, n, zx)
+    points = np.indices((d,) * (2 * n)).reshape(2 * n, -1).T  # in point-index order
     # w(v) = tau^{-p.q} z(p) x(q).
-    phases = _tau_powers(d)[-(points[:, :n] * points[:, n:]).sum(1) % tau_order(d), None, None]
-    blocks = list(_batches(0, len(points), _RELATION_BYTES * d ** (2 * n)))
+    phases = _tau_powers(d)[-(points[:, :n] * points[:, n:]).sum(1) % tau_order(d), None]
+    blocks = list(_batches(0, len(points), _RELATION_BYTES * d**n))
     comp_ok = comm_ok = True
     for i, u in enumerate(points):
-        w_u = phases[i] * zx[i]
+        rows_u, w_u = rows[i], phases[i] * values[i]
         composition, commutation = _relation_phases(d, n, u, points)
         sums = _point_index((u + points) % d, d)
         for v in blocks:
-            w_v = phases[v] * zx[v]
-            lhs = w_u @ w_v
-            # Each right-hand side takes its phase, and then lhs minus itself, in its own buffer.
-            rhs = zx[sums[v]]
-            np.multiply(composition[v, None, None], rhs, out=rhs)
-            comp_ok &= bool(np.max(np.abs(np.subtract(lhs, rhs, out=rhs))) <= WEYL_TOL)
-            np.matmul(w_v, w_u, out=rhs)
-            np.multiply(commutation[v, None, None], rhs, out=rhs)
-            comm_ok &= bool(np.max(np.abs(np.subtract(lhs, rhs, out=rhs))) <= WEYL_TOL)
-            del w_v, lhs, rhs  # the next block need not hold them
-    trace = np.concatenate([np.trace(phases[v] * zx[v], axis1=1, axis2=2) for v in blocks])
+            rows_v, w_v, rhs = rows[v], phases[v] * values[v], values[sums[v]]
+            lhs_rows, lhs = rows_u[rows_v], w_u[rows_v]
+            lhs *= w_v  # w(u) w(v)
+            comp_ok &= _agree(lhs_rows, rows[sums[v]], lhs, np.multiply(composition[v, None], rhs, out=rhs))
+            rhs = w_v.take(rows_u, axis=1)  # w(v) w(u); take, unlike w_v[:, rows_u], keeps the block C-ordered
+            rhs *= w_u
+            comm_ok &= _agree(lhs_rows, rows_v.take(rows_u, 1), lhs, np.multiply(commutation[v, None], rhs, out=rhs))
+            del rows_v, w_v, lhs_rows, lhs, rhs  # the next block need not hold them
+    trace = np.concatenate([np.where(rows[v] == np.arange(d**n), phases[v] * values[v], 0).sum(1) for v in blocks])
     trace[0] -= d**n
     # Scalar abs: the array form rounds some moduli differently.
     return comp_ok, comm_ok, max(abs(x) for x in trace.tolist())

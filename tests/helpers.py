@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 import os
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from pathlib import Path
 
 import numpy as np
@@ -20,11 +20,12 @@ from stabkit import (
     realized_states,
     symplectic_form,
     weyl_representation,
+    zx_monomials,
 )
 from stabkit.combinatorics import require_prime
 from stabkit.errors import DEFAULT_ENUM_CAP, check_cap
 from stabkit.symplectic import _check_same_ambient, _coset_rows, _form_lift, _form_row, _rref, _rref_rows
-from stabkit.weyl import _omega_power, _tau_powers, _zx_matrix, tau_order
+from stabkit.weyl import _omega_power, _tau_powers, _unit_root, tau_order
 
 
 @lru_cache(maxsize=None)
@@ -191,6 +192,37 @@ def weyl_word_by_fold(d, n, rows, coefficients) -> tuple[int, tuple[int, ...]]:
     return e, point
 
 
+def zx_matrix(d, p, q):
+    """Oracle: the dense z(p) x(q), the np.kron fold of each register's d x d matrix in register order.
+
+    On one register, column x carries omega^{p (x+q mod d)} at row x+q mod d.
+    """
+    mats = []
+    for a, b in zip(p, q):
+        mat = np.zeros((d, d), dtype=np.complex128)
+        for x in range(d):
+            mat[(x + b) % d, x] = _unit_root(a * ((x + b) % d), d)
+        mats.append(mat)
+    return reduce(np.kron, mats)
+
+
+def zx_dense(d, n):
+    """Oracle: zx_matrix for every point (p | q) of Z_d^{2n}, stacked in point-index order."""
+    return np.array([zx_matrix(d, v[:n], v[n:]) for v in itertools.product(range(d), repeat=2 * n)])
+
+
+MALFORMED = ("repeated row", "float rows", "short rows", "short values", "one array")
+
+
+def malformed_monomials(d, n):
+    """{what: zx} for pairs that are not zx_monomials(d, n), each what in MALFORMED: bad rows or wrong shapes."""
+    rows, values = zx_monomials(d, n)
+    repeated = rows.copy()
+    repeated[1, 0] = repeated[1, 1]
+    zx = (repeated, values), (rows.astype(float), values), (rows[:-1], values), (rows, values[:, :-1]), (rows,)
+    return dict(zip(MALFORMED, zx, strict=True))
+
+
 def weyl_terms_by_fold(m_sub):
     """Oracle: weyl_representation's (m, w_B(m)) pairs in its order, lazily, each word by weyl_word_by_fold.
 
@@ -199,7 +231,7 @@ def weyl_terms_by_fold(m_sub):
     d, n = m_sub.d, m_sub.n
     for coeffs in itertools.product(range(d), repeat=m_sub.dim):
         e, point = weyl_word_by_fold(d, n, m_sub.generators, coeffs)
-        yield PhaseVector(d, n, point), _tau_powers(d)[e] * _zx_matrix(d, point[:n], point[n:])
+        yield PhaseVector(d, n, point), _tau_powers(d)[e] * zx_matrix(d, point[:n], point[n:])
 
 
 def lagrangian_by_transvections(d, n, steps):

@@ -370,7 +370,7 @@ def test_each_entry_point_checks_each_cap_once(monkeypatch):
     calls.clear()
     scans.clear()
     run_verification(2, 2, 4)
-    # Once for the Weyl matrices (zx_matrices) and once for the states (state_vectors_of).
+    # Once for the Weyl operators (zx_monomials) and once for the states (state_vectors_of).
     assert [call for call in calls if call[0] == "matrix dimension"] == [("matrix dimension", 4)] * 2
     # One scan for the list, the spectrum and the states, checked against --enum-cap.
     assert [call for call in calls if call[0] == "Lagrangians"] == [("Lagrangians", 15)]
@@ -447,16 +447,22 @@ def test_verify_builds_each_weyl_matrix_once(monkeypatch):
     # The package's `weyl` attribute is the function, so the module comes from importlib.
     weyl_module = importlib.import_module("stabkit.weyl")
     built = []
-    real_zx = weyl_module._zx_matrix
+    real_zx = weyl_module._zx_monomial
 
     def zx(d, p, q):
         built.append((tuple(p), tuple(q)))
         return real_zx(d, p, q)
 
-    monkeypatch.setattr(weyl_module, "_zx_matrix", zx)
+    monkeypatch.setattr(weyl_module, "_zx_monomial", zx)
     checks = run_verification(2, 2, 4)
     assert all(c.passed for c in checks)
     assert len(built) == len(set(built)) == 2 ** 4
+
+
+def test_verify_builds_no_dense_weyl_matrix(monkeypatch):
+    # The relation and eigenvalue checks read the monomial form by gathers; only the acceptance API scatters it.
+    monkeypatch.setattr(importlib.import_module("stabkit.weyl"), "_scatter", _refuse("weyl._scatter"))
+    assert all(c.passed for c in run_verification(2, 2, 4))
 
 
 def test_verify_builds_one_phase_table_per_lagrangian(monkeypatch):

@@ -15,7 +15,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from stabkit import frame_potential_combinatorial, state_vectors, welch_bound, zx_matrices
+from stabkit import frame_potential_combinatorial, state_vectors, welch_bound
+
+from helpers import zx_dense
 
 SIZES = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)]
 
@@ -71,7 +73,7 @@ def _affine_coefficients(n: int) -> tuple[Fraction, Fraction]:
 def test_qubit_fourth_moment_is_affine_in_the_pauli_fourth_moment(n, expected):
     a, b = _affine_coefficients(n)
     assert (a, b) == expected
-    vectors, paulis, dim = state_vectors(2, n), zx_matrices(2, n), 2**n
+    vectors, paulis, dim = state_vectors(2, n), zx_dense(2, n), 2**n
     for psi in _seeded_states(dim):
         x = np.sum(np.abs(np.conj(psi) @ paulis @ psi) ** 4) / dim**2
         moment = np.mean(np.abs(vectors @ np.conj(psi)) ** 8)

@@ -1,4 +1,4 @@
-"""Byte pins: realized vectors, stacked overlap tables and two CLI outputs, floats included.
+"""Byte pins: realized vectors, stacked overlap tables and four CLI outputs, floats included.
 
 How Lagrangians are grouped into blocks is not part of the output: any
 grouping, and any reordering of the arithmetic inside a block, must leave
@@ -72,6 +72,15 @@ def test_stacked_tables_are_pinned(d, n, points_digest, keys_digest):
         (
             "verify --d 2 --n 3 --t-max 4 --threads 2",
             "346a72becc425fbde55490cbc351d953185837ceb363e35d00691555c440337e",
+        ),
+        # At odd d the Weyl values are not quarter turns, so the printed deviations read their rounding.
+        (
+            "verify --d 3 --n 2 --t-max 4",
+            "4a4915adb7d2f68c3dedf3a282ae1e60f8919f14ba5528467df901ba3bbd2883",
+        ),
+        (
+            "verify --d 5 --n 1 --t-max 4",
+            "f494d306242de5241425b255e1d7791267f8d5525ce292bfe6236fd852a573ef",
         ),
         (
             "frame-potential --d 3 --n 1..3 --t 1..4 --method all --format csv --threads 2",

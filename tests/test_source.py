@@ -174,7 +174,7 @@ def test_no_library_function_builds_an_intersection():
     assert calls == []
 
 
-_DENSE_BUILDERS = {"_zx_matrix", "zx_matrices", "weyl", "weyl_representation"}
+_DENSE_BUILDERS = {"_scatter", "weyl", "weyl_representation"}
 
 
 def _dense_builder_names(tree):
@@ -194,10 +194,13 @@ def _dense_builder_names(tree):
 
 
 def test_stabilizer_layer_builds_no_dense_matrix():
-    # Realization and the overlap rule read integer tables: the dense Weyl matrices are weyl's alone, and
-    # stabilizer.py imports, names and defines none of their builders. The scan finds them where they live.
+    # Realization and the overlap rule read integer tables, and the eigenvalue and relation checks gather the
+    # monomial (rows, values) of zx_monomials: the dense Weyl matrices are weyl's alone, scattered for the
+    # acceptance API, and neither stabilizer.py nor cli.py imports, names or defines a builder of them. The scan
+    # finds them where they live.
     assert list(_dense_builder_names(_parse(SOURCE_DIR / "weyl.py"))), "no dense builders found in weyl.py"
-    assert list(_dense_builder_names(_parse(SOURCE_DIR / "stabilizer.py"))) == []
+    for name in ("stabilizer.py", "cli.py"):
+        assert list(_dense_builder_names(_parse(SOURCE_DIR / name))) == [], name
 
 
 _WORKER_MODULES = {"concurrent", "threading", "multiprocessing"}

@@ -11,11 +11,13 @@ import numpy as np
 import pytest
 
 from helpers import (
+    MALFORMED,
     cached_states,
     dense_projector,
     dense_stabilizer_basis,
     dense_state_vector,
     intersect,
+    malformed_monomials,
     overlap_keys_by_intersection,
     overlaps_on_every_shared_point,
     single_qubit_rays,
@@ -44,7 +46,7 @@ from stabkit import (
     symplectic_form,
     weyl,
     weyl_representation,
-    zx_matrices,
+    zx_monomials,
 )
 from stabkit.errors import _WORK_BYTES, ResourceCapError
 from stabkit.stabilizer import _FILL_BYTES, _block, _overlaps, _stacked_tables
@@ -177,12 +179,12 @@ def test_realization_builds_no_matrix(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("realization built a dense Weyl matrix")
 
-    # Every name a dense z(p) x(q) matrix is built through, in weyl, the one module that builds them;
-    # stabilizer.py names none of them (test_source). The package's `weyl` attribute is the function, so the
-    # module comes from importlib.
+    # Every name a z(p) x(q) is built or scattered to a dense matrix through, in weyl, the one module that builds
+    # them; stabilizer.py names no dense builder (test_source). The package's `weyl` attribute is the function, so
+    # the module comes from importlib.
     weyl_module = importlib.import_module("stabkit.weyl")
-    monkeypatch.setattr(weyl_module, "_zx_matrix", refuse)
-    monkeypatch.setattr(weyl_module, "zx_matrices", refuse)
+    for name in ("_zx_monomial", "_scatter", "zx_monomials"):
+        monkeypatch.setattr(weyl_module, name, refuse)
     with pytest.raises(AssertionError, match="dense Weyl matrix"):
         weyl(PhaseVector.zero(2, 2))
     for (d, n), pairs in expected.items():
@@ -282,7 +284,7 @@ def test_state_deviations_work_within_the_budget(monkeypatch):
     # blocks leave every residual its own product, so the deviations keep their bits.
     for d, n, budget, tol in [(2, 3, 2**17, 1e-15), (3, 2, 2**14, 2e-15)]:
         lagrangians = list(enumerate_lagrangians(d, n))
-        vectors, zx = state_vectors_of(lagrangians), zx_matrices(d, n)
+        vectors, zx = state_vectors_of(lagrangians), zx_monomials(d, n)
         unbounded = state_deviations(lagrangians, vectors, zx)
         tables = _stacked_tables(lagrangians)
         monkeypatch.setattr("stabkit.stabilizer._stacked_tables", lambda m_subs: tables)
@@ -309,15 +311,15 @@ def test_state_deviations_keep_their_bits():
     }
     for (d, n), triple in expected.items():
         lagrangians = list(enumerate_lagrangians(d, n))
-        deviations = state_deviations(lagrangians, state_vectors_of(lagrangians), zx_matrices(d, n))
+        deviations = state_deviations(lagrangians, state_vectors_of(lagrangians), zx_monomials(d, n))
         assert tuple(x.hex() for x in deviations) == triple, (d, n)
 
 
 def test_state_deviations_refuse_inputs_of_another_shape():
     lagrangians = list(enumerate_lagrangians(2, 2))
-    vectors, zx = state_vectors_of(lagrangians), zx_matrices(2, 2)
-    for args in [(lagrangians, vectors[:-1], zx), (lagrangians, vectors, zx[:-1]), (lagrangians, vectors[:, :2], zx)]:
-        with pytest.raises(ValueError, match="expected 60 state vectors and 16 Weyl matrices of size 4"):
+    vectors, zx = state_vectors_of(lagrangians), zx_monomials(2, 2)
+    for args in [(lagrangians, vectors[:-1], zx), (lagrangians, vectors[:, :2], zx)]:
+        with pytest.raises(ValueError, match="expected 60 state vectors of length 4"):
             state_deviations(*args)
     with pytest.raises(ValueError, match="expected 56 state vectors"):
         state_deviations(lagrangians[:-1], vectors, zx)
@@ -330,6 +332,13 @@ def test_state_deviations_refuse_inputs_of_another_shape():
             state_deviations(lagrangians[:-1] + [wrong], vectors, zx)
 
 
+@pytest.mark.parametrize("what", MALFORMED)
+def test_state_deviations_refuse_malformed_monomials(what):
+    lagrangians = list(enumerate_lagrangians(2, 2))
+    with pytest.raises(ValueError, match=r"expected .*rows.* of shape \(16, 4\)"):
+        state_deviations(lagrangians, state_vectors_of(lagrangians), malformed_monomials(2, 2)[what])
+
+
 def test_batched_table_matches_the_one_lagrangian_table():
     # The tables stacked over every Lagrangian, in runs of consecutive Lagrangians, against each one's own.
     for d, n in [(2, 3), (3, 2)]:
@@ -340,7 +349,7 @@ def test_batched_table_matches_the_one_lagrangian_table():
             (single_points,), (single_keys,) = _block([m_sub])
             assert np.array_equal(stacked_points, single_points)
             assert np.array_equal(stacked_keys, single_keys)
-            # Point indices in zx_matrices order, element by element as weyl_representation lists M.
+            # Point indices in zx_monomials order, element by element as weyl_representation lists M.
             elements = [m.coords for m, _ in weyl_representation(m_sub)]
             assert stacked_points.tolist() == _point_index(np.array(elements), d).tolist()
 
@@ -400,7 +409,7 @@ def test_overlap_table_needs_no_operator_or_representative_objects(monkeypatch):
         raise AssertionError("the overlap rule built a Weyl operator or a representative vector")
 
     # stabilizer.py names no dense-matrix builder (test_source); weyl's is refused where it is looked up.
-    monkeypatch.setattr(importlib.import_module("stabkit.weyl"), "_zx_matrix", refuse)
+    monkeypatch.setattr(importlib.import_module("stabkit.weyl"), "_zx_monomial", refuse)
     monkeypatch.setattr("stabkit.stabilizer.coset_representatives", refuse)
     for m_sub in lagrangians:
         for n_sub in lagrangians:

@@ -15,12 +15,12 @@ from stabkit import (
     verify_composition,
     verify_relations,
     weyl,
-    zx_matrices,
+    zx_monomials,
 )
 from stabkit.errors import _WORK_BYTES, NonPrimeModulusError, ResourceCapError
-from stabkit.weyl import _omega_power, _tau_powers, _words, _zx_matrix, tau_order
+from stabkit.weyl import _omega_power, _scatter, _tau_powers, _words, tau_order
 
-from helpers import enumerate_subspaces, weyl_word_by_fold
+from helpers import MALFORMED, enumerate_subspaces, malformed_monomials, weyl_word_by_fold, zx_dense, zx_matrix
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -49,7 +49,7 @@ def word(sub, coeffs):
 
 def word_matrix(d, n, w):
     e, point = w
-    return _tau_powers(d)[e] * _zx_matrix(d, point[:n], point[n:])
+    return _tau_powers(d)[e] * zx_matrix(d, point[:n], point[n:])
 
 
 def test_tau_phase_values():
@@ -63,10 +63,14 @@ def test_tau_phase_values():
 
 
 def test_shift_boost_pauli():
-    # The shift x(q) and the boost z(p) in the zx_matrices stack, at point index sum_i v_i 2^{2n-1-i}.
-    eye, x, z, zx = zx_matrices(2, 1)
+    # The shift x(q) and the boost z(p) in the dense oracle's stack, at point index sum_i v_i 2^{2n-1-i}.
+    eye, x, z, zx = zx_dense(2, 1)
     assert np.allclose(eye, np.eye(2)) and np.allclose(x, X) and np.allclose(z, Z) and np.allclose(zx, Z @ X)
-    stack = zx_matrices(2, 2)
+    # The same operators in monomial form: column c holds values[c] at row rows[c].
+    rows, values = zx_monomials(2, 1)
+    assert rows.tolist() == [[0, 1], [1, 0], [0, 1], [1, 0]]
+    assert values.tolist() == [[1, 1], [1, 1], [1, -1], [-1, 1]]
+    stack = zx_dense(2, 2)
     assert np.allclose(stack[0], np.eye(4))
     assert np.allclose(stack[0b0010], np.kron(X, np.eye(2)))  # x((1, 0))
     assert np.allclose(stack[0b0100], np.kron(np.eye(2), Z))  # z((0, 1))
@@ -112,12 +116,13 @@ def test_composition_commutation_exhaustive():
 
 
 def test_all_pairs_relations_match_the_per_pair_witness():
-    # One stack of d^{2n} matrices serves every pair; the trace deviation is bit-identical.
+    # One stack of d^{2n} monomials serves every pair, and is left as it was; the trace deviation is bit-identical.
     for d, n in [(2, 1), (2, 2), (3, 1)]:
         points = all_points(d, n)
-        zx = zx_matrices(d, n)
-        assert len(zx) == len(points) == d ** (2 * n)
-        for v, mat in zip(points, zx):
+        zx = zx_monomials(d, n)
+        before = [a.copy() for a in zx]
+        assert len(zx[0]) == len(points) == d ** (2 * n)
+        for v, mat in zip(points, zx_dense(d, n)):
             assert np.array_equal(_tau_powers(d)[-sum(a * b for a, b in zip(v.p, v.q)) % tau_order(d)] * mat, weyl(v))
         trace_dev = max(abs(np.trace(weyl(v)) - (d**n if v.is_zero() else 0.0)) for v in points)
         assert verify_relations(d, n, zx) == (
@@ -126,6 +131,7 @@ def test_all_pairs_relations_match_the_per_pair_witness():
             trace_dev,
         )
         assert verify_relations(d, n, zx)[:2] == (True, True)
+        assert all(np.array_equal(a, b) for a, b in zip(zx, before))
 
 
 def test_verify_relations_works_within_the_budget(monkeypatch):
@@ -134,7 +140,7 @@ def test_verify_relations_works_within_the_budget(monkeypatch):
     # are built first, so the measurement holds the check's work only. Blocks of one point and of every point
     # give the same verdicts and the same trace deviation, bit for bit.
     for d, n in [(2, 3), (3, 2)]:
-        zx = zx_matrices(d, n)
+        zx = zx_monomials(d, n)
         tracemalloc.start()
         try:
             result = verify_relations(d, n, zx)
@@ -150,29 +156,75 @@ def test_verify_relations_works_within_the_budget(monkeypatch):
 
 
 def test_the_dense_builders_check_the_space_first():
-    # zx_matrices(2, 0) raised a TypeError from reduce and verify_relations(2, 0, ...) an IndexError, while a
-    # composite d and a bool n were accepted: zx_matrices(4, 1) returned a stack that verify_relations passed.
+    # zx_matrices(2, 0), the dense stack this builder replaced, raised a TypeError from reduce and
+    # verify_relations(2, 0, ...) an IndexError, while a composite d and a bool n were accepted: zx_matrices(4, 1)
+    # returned a stack that verify_relations passed.
     with pytest.raises(ValueError, match="n must be positive"):
-        zx_matrices(2, 0)
+        zx_monomials(2, 0)
     with pytest.raises(NonPrimeModulusError, match="got 4"):
-        zx_matrices(4, 1)
+        zx_monomials(4, 1)
     with pytest.raises(ValueError, match="n must be a positive int, got True"):
-        zx_matrices(2, True)
+        zx_monomials(2, True)
     with pytest.raises(ValueError, match="n must be positive"):
-        verify_relations(2, 0, np.zeros((1, 1, 1)))
+        verify_relations(2, 0, (np.zeros((1, 1), dtype=int), np.zeros((1, 1))))
     with pytest.raises(NonPrimeModulusError, match="got 4"):
-        verify_relations(4, 1, np.zeros((16, 4, 4), dtype=np.complex128))
+        verify_relations(4, 1, (np.zeros((16, 4), dtype=int), np.zeros((16, 4), dtype=np.complex128)))
 
 
 def test_verify_relations_refuses_a_stack_for_another_n():
     # A stack for another n failed deep inside numpy with a broadcast error.
-    with pytest.raises(ValueError, match=r"expected 16 Weyl matrices of size 4: got shape \(4, 2, 2\)"):
-        verify_relations(2, 2, zx_matrices(2, 1))
+    with pytest.raises(ValueError, match=r"values of shape \(16, 4\)$"):
+        verify_relations(2, 2, zx_monomials(2, 1))
 
 
 def test_verify_relations_refuses_a_short_stack():
-    with pytest.raises(ValueError, match=r"expected 4 Weyl matrices of size 2: got shape \(3, 2, 2\)"):
-        verify_relations(2, 1, zx_matrices(2, 1)[:3])
+    rows, values = zx_monomials(2, 1)
+    with pytest.raises(ValueError, match=r"values of shape \(4, 2\)$"):
+        verify_relations(2, 1, (rows[:3], values))
+
+
+def test_scattered_monomials_are_the_dense_oracle():
+    # Each column's one nonzero, scattered to its row, is the oracle's kron fold entry for entry, the nonzero
+    # values bit for bit.
+    for d, n in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2)]:
+        rows, values = zx_monomials(d, n)
+        oracle = zx_dense(d, n)
+        assert rows.shape == values.shape == (d ** (2 * n), d**n) and rows.dtype.kind == "i"
+        assert np.array_equal(np.array([_scatter(r, v) for r, v in zip(rows, values)]), oracle)
+        nonzero = oracle[np.arange(len(rows))[:, None], rows, np.arange(d**n)]
+        assert nonzero.tobytes() == values.tobytes(), (d, n)
+
+
+def test_a_phase_error_in_one_value_fails_composition(monkeypatch):
+    # The column-0 value of x(1) at d = 3 off by a 1e-9 phase: the gathered check and the dense per-pair verifier,
+    # which scatters the same monomial form, both refuse composition.
+    weyl_module = importlib.import_module("stabkit.weyl")
+    real = weyl_module._zx_monomial
+
+    def perturbed(d, p, q):
+        rows, values = real(d, p, q)
+        if [x % d for x in (*p, *q)] == [0, 1]:
+            values = values * np.where(np.arange(d) == 0, np.exp(1e-9j), 1)
+        return rows, values
+
+    monkeypatch.setattr(weyl_module, "_zx_monomial", perturbed)
+    comp_ok, _, _ = verify_relations(3, 1, zx_monomials(3, 1))
+    points = all_points(3, 1)
+    assert comp_ok is False and not all(verify_composition(u, v) for u in points for v in points)
+
+
+def test_a_permuted_column_fails_both_relations():
+    # Swapping two entries of x(1)'s rows leaves a permutation, but not a Weyl operator.
+    rows, values = zx_monomials(3, 1)
+    rows[1, [0, 1]] = rows[1, [1, 0]]
+    comp_ok, comm_ok, _ = verify_relations(3, 1, (rows, values))
+    assert (comp_ok, comm_ok) == (False, False)
+
+
+@pytest.mark.parametrize("what", MALFORMED)
+def test_verify_relations_refuses_malformed_monomials(what):
+    with pytest.raises(ValueError, match=r"expected .*rows.* of shape \(16, 4\)"):
+        verify_relations(2, 2, malformed_monomials(2, 2)[what])
 
 
 def test_a_wrong_omega_fails_commutation_in_both_paths(monkeypatch):
@@ -181,7 +233,7 @@ def test_a_wrong_omega_fails_commutation_in_both_paths(monkeypatch):
     real = _omega_power
     monkeypatch.setattr(importlib.import_module("stabkit.weyl"), "_omega_power", lambda d, k: real(d, k).conjugate())
     points = all_points(3, 1)
-    comp_ok, comm_ok, _ = verify_relations(3, 1, zx_matrices(3, 1))
+    comp_ok, comm_ok, _ = verify_relations(3, 1, zx_monomials(3, 1))
     assert comm_ok is False and not all(verify_commutation(u, v) for u in points for v in points)
     assert comp_ok is True and all(verify_composition(u, v) for u in points for v in points)
 
