@@ -108,8 +108,9 @@ def kappa(d: int, n: int, k: int) -> int:
 
     kappa(d, n, k) = binom(n,k)_d * d^{(n-k)(n-k+1)/2}.
     """
-    _require_space(d, n)
-    if type(k) is not int or not 0 <= k <= n:
+    # d is tested once per call: by gaussian_binomial for a valid n and k, else by the space rule, before n and k.
+    if type(n) is not int or n < 1 or type(k) is not int or not 0 <= k <= n:
+        _require_space(d, n)
         raise ValueError(f"need an int 0 <= k <= n, got k={k!r}, n={n}")
     m = n - k
     return gaussian_binomial(n, k, d) * d ** (m * (m + 1) // 2)

@@ -1,4 +1,4 @@
-"""Shared exception types, every limit, and the one rule each for resource caps, batch sizes and JSON fields."""
+"""Shared exception types, every limit, and the one rule each for resource caps and batch sizes."""
 
 from typing import Iterator
 
@@ -40,13 +40,3 @@ def _batches(start: int, stop: int, unit_bytes: int) -> Iterator[slice]:
     """start..stop as consecutive slices of _per_batch(unit_bytes) units; the last may pass stop, as a slice may."""
     step = _per_batch(unit_bytes)
     return map(slice, range(start, stop, step), range(start + step, stop + step, step))
-
-
-def json_field(obj: object, key: str, kind: type | tuple[type, ...]) -> object:
-    """obj[key] when obj is a dict holding a kind there (a bool is no int); ValueError otherwise."""
-    if not isinstance(obj, dict) or key not in obj:
-        raise ValueError(f"missing JSON field {key!r}")
-    value = obj[key]
-    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
-        raise ValueError(f"JSON field {key!r} has the wrong type: {value!r}")
-    return value

@@ -34,7 +34,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .combinatorics import kappa, require_prime, stabilizer_count, welch_bound
-from .errors import DEFAULT_MATRIX_CAP, DEFAULT_PAIR_CAP, DEFAULT_STATE_CAP, _batches, check_cap, json_field
+from .errors import DEFAULT_MATRIX_CAP, DEFAULT_PAIR_CAP, DEFAULT_STATE_CAP, _batches, check_cap
 from .stabilizer import state_blocks, state_vectors
 
 _OVERLAP_BYTES = 32  # peak bytes per overlap in _row_sums: its |amp|^2, one power and the tree's levels
@@ -119,17 +119,27 @@ def _state_stack(vectors, count: int, d: int, n: int) -> np.ndarray:
     return stack
 
 
-def _row_sums(stack: np.ndarray, rows: range, ts: Sequence[int]) -> np.ndarray:
+def _squared_overlaps(rows: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """|<x, y>|^2 for each x in rows (axis 0) and each row y of block (axis 1): both numeric engines' one row kernel.
+
+    Each row's overlaps come from their own product with the whole block: a
+    single matrix product over the rows rounds differently. Only their
+    squared moduli are kept.
+    """
+    sq = np.empty((len(rows), len(block)))
+    for r, row in enumerate(rows):
+        amps = block @ np.conj(row)
+        sq[r] = amps.real**2 + amps.imag**2
+    return sq
+
+
+def _row_sums(stack: np.ndarray, rows: slice, ts: Sequence[int]) -> np.ndarray:
     """sum_j |<x_i, x_j>|^{2t} for each t in ts (axis 0) and each i in rows, each row by the fixed tree.
 
-    Each row's overlaps come from their own product with the whole stack: a
-    single matrix product over the block rounds differently. Only their
-    squared moduli are kept, _OVERLAP_BYTES per overlap at the peak.
+    The block's squared overlaps, its powers and the tree take _OVERLAP_BYTES
+    per overlap at the peak.
     """
-    sq = np.empty((len(rows), len(stack)))
-    for r, i in enumerate(rows):
-        amps = stack @ np.conj(stack[i])
-        sq[r] = amps.real**2 + amps.imag**2
+    sq = _squared_overlaps(stack[rows], stack)
     return np.array([_pairwise_tree(sq**t) for t in ts])
 
 
@@ -156,7 +166,7 @@ def frame_potentials_bruteforce(
         stack = state_vectors(d, n, state_cap=state_cap, matrix_cap=matrix_cap)
     else:
         stack = _state_stack(vectors, count, d, n)
-    totals = (_row_sums(stack, range(count)[rows], ts) for rows in _batches(0, count, _OVERLAP_BYTES * count))
+    totals = (_row_sums(stack, rows, ts) for rows in _batches(0, count, _OVERLAP_BYTES * count))
     return [float(total) / (count * count) for total in _chunked_tree(totals, _TREE_CHUNK)]
 
 
@@ -170,10 +180,9 @@ def _reference_powers(blocks: Iterable[np.ndarray], ts: Sequence[int]) -> Iterat
     ref = None
     for block in blocks:
         if ref is None:
-            ref = np.conj(block[0])
-        amps = block @ ref
+            ref = block[:1].copy()  # a view would hold the first block
+        sq = _squared_overlaps(ref, block)[0]
         del block  # the next block is realized while this generator waits: it need not hold this one
-        sq = amps.real**2 + amps.imag**2
         yield np.array([sq**t for t in ts])
 
 
@@ -248,34 +257,9 @@ class FramePotentialReport:
             "is_design": self.is_t_design,
         }
 
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "FramePotentialReport":
-        d, n, t, dim = (json_field(obj, key, int) for key in ("d", "n", "t", "D"))
-        _validate(d, n, t)
-        if dim != d**n:
-            raise ValueError(f"JSON field 'D' is {dim}, but d**n is {d**n}")
-        return cls(
-            d=d,
-            n=n,
-            t=t,
-            value_recursion=parse_fraction(json_field(obj, "recursion", str)),
-            value_combinatorial=parse_fraction(json_field(obj, "combinatorial", str)),
-            welch=parse_fraction(json_field(obj, "welch", str)),
-            is_t_design=json_field(obj, "is_design", bool),
-            value_bruteforce=json_field(obj, "bruteforce", (float, int, type(None))),
-        )
-
 
 def fraction_str(fr: Fraction) -> str:
     return f"{fr.numerator}/{fr.denominator}"
-
-
-def parse_fraction(s: str) -> Fraction:
-    """The fraction of a "p/q" string, as fraction_str writes it; ValueError otherwise."""
-    num, slash, den = s.partition("/")
-    if not slash or int(den) == 0:
-        raise ValueError(f"not a p/q fraction: {s!r}")
-    return Fraction(int(num), int(den))
 
 
 def frame_potential_report(d: int, n: int, t: int, *, bruteforce: float | None = None) -> FramePotentialReport:

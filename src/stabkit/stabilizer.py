@@ -60,7 +60,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .combinatorics import lagrangian_count, stabilizer_count
-from .errors import DEFAULT_MATRIX_CAP, DEFAULT_STATE_CAP, _batches, _per_batch, check_cap, json_field
+from .errors import DEFAULT_MATRIX_CAP, DEFAULT_STATE_CAP, _batches, _per_batch, check_cap
 from .weyl import _monomials, _point_index, _tau_powers, _words, tau_order
 from .symplectic import (
     PhaseVector,
@@ -107,12 +107,6 @@ class StabilizerState:
         if amplitudes is not None:
             out["amplitudes"] = [[float(a.real), float(a.imag)] for a in amplitudes]
         return out
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "StabilizerState":
-        sub = Subspace.from_json_dict(json_field(obj, "lagrangian", dict))
-        zeta = tuple(json_field(obj, "zeta", list))
-        return cls(sub, PhaseVector(json_field(obj, "d", int), json_field(obj, "n", int), zeta))
 
 
 @functools.lru_cache(maxsize=4)

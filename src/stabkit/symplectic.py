@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .combinatorics import _require_space, lagrangian_count, require_prime
-from .errors import DEFAULT_ENUM_CAP, check_cap, json_field
+from .errors import DEFAULT_ENUM_CAP, check_cap
 
 Row = tuple[int, ...]
 
@@ -54,10 +54,6 @@ class PhaseVector:
             raise ValueError(f"expected {2 * self.n} coordinates, got {len(self.coords)}")
         _require_integers([self.coords], "coordinates")
         object.__setattr__(self, "coords", tuple(c % self.d for c in self.coords))
-
-    @classmethod
-    def zero(cls, d: int, n: int) -> "PhaseVector":
-        return cls(d, n, (0,) * (2 * n))
 
     @property
     def p(self) -> Row:
@@ -146,23 +142,6 @@ class Subspace:
         if len(pivots) != len(gens) or reduced != [list(row) for row in gens]:
             raise ValueError("generators are not in canonical reduced row echelon form")
 
-    @classmethod
-    def zero(cls, d: int, width: int) -> "Subspace":
-        return cls(d, width, ())
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Sequence[int]], *, d: int, width: int) -> "Subspace":
-        """Span of the given integer rows, each of length width, in canonical form."""
-        require_prime(d)
-        if width < 1:
-            raise ValueError("ambient dimension must be positive")
-        rows = list(rows)
-        if any(len(row) != width for row in rows):
-            raise ValueError(f"every row must have {width} entries")
-        _require_integers(rows, "row entries")
-        reduced, pivots = _rref(rows, d)
-        return _trusted(cls, d, width, tuple(tuple(r) for r in reduced[: len(pivots)]))
-
     @property
     def dim(self) -> int:
         return len(self.generators)
@@ -188,18 +167,6 @@ class Subspace:
                 v = [(x - f * y) % self.d for x, y in zip(v, row)]
         return tuple(v)
 
-    def contains_coords(self, coords: Sequence[int]) -> bool:
-        return not any(self.reduce_coords(coords))
-
-    def vectors(self) -> Iterator[Row]:
-        """All d^dim elements, in lexicographic coefficient order."""
-        for coeffs in itertools.product(range(self.d), repeat=self.dim):
-            v = [0] * self.width
-            for c, row in zip(coeffs, self.generators):
-                if c:
-                    v = [(x + c * y) % self.d for x, y in zip(v, row)]
-            yield tuple(v)
-
     def to_json_dict(self) -> dict:
         return {
             "d": self.d,
@@ -207,16 +174,6 @@ class Subspace:
             "dim": self.dim,
             "generators": [list(row) for row in self.generators],
         }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "Subspace":
-        d, n, dim = (json_field(obj, key, int) for key in ("d", "n", "dim"))
-        rows = json_field(obj, "generators", list)
-        if not all(isinstance(row, list) for row in rows):
-            raise ValueError("JSON field 'generators' must hold lists")
-        if dim != len(rows):
-            raise ValueError(f"JSON field 'dim' is {dim}, but there are {len(rows)} generators")
-        return cls(d, 2 * n, tuple(tuple(row) for row in rows))
 
 
 def _form_row(coords: Sequence[int], n: int, d: int) -> Row:

@@ -11,7 +11,9 @@ from pathlib import Path
 import numpy as np
 
 from stabkit import (
+    FramePotentialReport,
     PhaseVector,
+    StabilizerState,
     Subspace,
     coset_representatives,
     gaussian_binomial,
@@ -42,6 +44,50 @@ def source_env() -> dict[str, str]:
 
 def cached_vectors(d: int, n: int) -> list[np.ndarray]:
     return [vec for _, vec in cached_states(d, n)]
+
+
+def zero_vector(d: int, n: int) -> PhaseVector:
+    return PhaseVector(d, n, (0,) * (2 * n))
+
+
+def zero_subspace(d: int, width: int) -> Subspace:
+    return Subspace(d, width, ())
+
+
+def from_rows(rows, *, d: int, width: int) -> Subspace:
+    """The span of integer rows, each of length width: their RREF, built by the validating Subspace constructor."""
+    require_prime(d)  # _rref inverts pivots mod d
+    reduced, pivots = _rref(rows, d)
+    return Subspace(d, width, tuple(tuple(row) for row in reduced[: len(pivots)]))
+
+
+def contains_coords(sub, coords) -> bool:
+    return not any(sub.reduce_coords(coords))
+
+
+def vectors(sub):
+    """All d^dim elements of sub, in lexicographic coefficient order."""
+    for coeffs in itertools.product(range(sub.d), repeat=sub.dim):
+        v = [0] * sub.width
+        for c, row in zip(coeffs, sub.generators):
+            if c:
+                v = [(x + c * y) % sub.d for x, y in zip(v, row)]
+        yield tuple(v)
+
+
+def rebuilt(obj: dict):
+    """The Subspace, StabilizerState or FramePotentialReport whose to_json_dict() is obj, rebuilt by the public
+    constructors (Fraction("p/q") for the rationals); an AssertionError unless it writes obj back exactly."""
+    if "generators" in obj:
+        assert obj["dim"] == len(obj["generators"])
+        value = Subspace(obj["d"], 2 * obj["n"], tuple(map(tuple, obj["generators"])))
+    elif "zeta" in obj:
+        value = StabilizerState(rebuilt(obj["lagrangian"]), PhaseVector(obj["d"], obj["n"], tuple(obj["zeta"])))
+    else:
+        exact = (Fraction(obj[key]) for key in ("recursion", "combinatorial", "welch"))
+        value = FramePotentialReport(obj["d"], obj["n"], obj["t"], *exact, obj["is_design"], obj["bruteforce"])
+    assert value.to_json_dict() == obj
+    return value
 
 
 def intersect(a, b):
@@ -127,7 +173,7 @@ def extensions_through(m_sub, k_sub, *, cap: int = DEFAULT_ENUM_CAP):
     if not is_lagrangian(m_sub):
         raise ValueError("extensions need a Lagrangian reference")
     _check_same_ambient(m_sub, k_sub)
-    if not all(m_sub.contains_coords(g) for g in k_sub.generators):
+    if not all(contains_coords(m_sub, g) for g in k_sub.generators):
         raise ValueError("K must be contained in M")
     m = m_sub.dim - k_sub.dim
     check_cap("Lagrangian extensions", m_sub.d ** (m * (m + 1) // 2), cap)
@@ -153,7 +199,7 @@ def _iter_extensions(m_sub, k_sub, m: int):
                 if a_mat[j][i]:
                     row = [(x + a_mat[j][i] * y) % d for x, y in zip(row, a_rows[i])]
             gens.append(row)
-        yield Subspace.from_rows(gens, d=d, width=w)
+        yield from_rows(gens, d=d, width=w)
 
 
 def lagrangians_by_filter(d: int, n: int) -> list:
@@ -167,7 +213,7 @@ def symplectic_complement(sub):
     One kernel vector per non-pivot column j of the functionals' RREF: 1 at j, -row[j] at each pivot.
     """
     n = sub.n
-    rows = Subspace.from_rows([g[n:] + tuple(-x for x in g[:n]) for g in sub.generators], d=sub.d, width=2 * n)
+    rows = from_rows([g[n:] + tuple(-x for x in g[:n]) for g in sub.generators], d=sub.d, width=2 * n)
     kernel = []
     for j in (j for j in range(2 * n) if j not in rows.pivots):
         v = [0] * (2 * n)
@@ -175,7 +221,7 @@ def symplectic_complement(sub):
         for row, c in zip(rows.generators, rows.pivots):
             v[c] = -row[j]
         kernel.append(v)
-    return Subspace.from_rows(kernel, d=sub.d, width=2 * n)
+    return from_rows(kernel, d=sub.d, width=2 * n)
 
 
 def weyl_word_by_fold(d, n, rows, coefficients) -> tuple[int, tuple[int, ...]]:
@@ -244,7 +290,7 @@ def lagrangian_by_transvections(d, n, steps):
     rows = [[int(i == j) for j in range(2 * n)] for i in range(n)]
     for c, v in steps:
         rows = [[(x + c * _form_lift(row, v, n) * y) % d for x, y in zip(row, v)] for row in rows]
-    return Subspace.from_rows(rows, d=d, width=2 * n)
+    return from_rows(rows, d=d, width=2 * n)
 
 
 def overlap_keys_by_intersection(m_sub, n_sub):

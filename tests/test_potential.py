@@ -1,5 +1,6 @@
 """Frame-potential engines: exact identities and numeric cross-checks."""
 
+import itertools
 import random
 import re
 import tracemalloc
@@ -8,9 +9,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import cached_vectors, pairwise_sum_tree, single_qubit_rays
+from helpers import cached_vectors, pairwise_sum_tree, rebuilt, single_qubit_rays
 from stabkit import (
     FramePotentialReport,
+    combinatorics,
     enumerate_lagrangians,
     frame_potential_bruteforce,
     frame_potentials_bruteforce,
@@ -25,7 +27,7 @@ from stabkit import (
     welch_bound,
 )
 from stabkit.errors import _WORK_BYTES, NonPrimeModulusError, ResourceCapError
-from stabkit.potential import _pairwise_tree, _state_stack, fraction_str, parse_fraction
+from stabkit.potential import _pairwise_tree, _state_stack, fraction_str
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +301,18 @@ def test_report_fields_and_roundtrip():
     assert not report.is_t_design
     obj = report.to_json_dict()
     assert obj["recursion"] == "1/9" and obj["welch"] == "1/10"
-    assert FramePotentialReport.from_json_dict(obj) == report
+    assert rebuilt(obj) == report
+
+
+def test_a_report_tests_d_once_per_check(monkeypatch):
+    # kappa leaves the test of a valid call's d to gaussian_binomial, so it tests d once: n + 4 times per report,
+    # from _validate twice, kappa n + 1 times and stabilizer_count once.
+    calls = []
+    is_prime = combinatorics.is_prime
+    monkeypatch.setattr(combinatorics, "is_prime", lambda d: calls.append(d) or is_prime(d))
+    for n, t in itertools.product(range(1, 7), range(1, 7)):
+        frame_potential_report(2, n, t)
+    assert len(calls) == 270
 
 
 def test_report_invariant_enforced():
@@ -317,4 +330,3 @@ def test_report_invariant_enforced():
 
 def test_fraction_serialization():
     assert fraction_str(Fraction(5, 24)) == "5/24"
-    assert parse_fraction("5/24") == Fraction(5, 24)

@@ -21,7 +21,9 @@ from stabkit.potential import _chunked_tree, _pairwise_tree
 from stabkit.stabilizer import _block, _fill, _overlaps, _points, _span_basis, _stacked_tables, _z_fixed
 
 from helpers import (
+    contains_coords,
     dense_state_vector,
+    from_rows,
     intersect,
     lagrangian_by_transvections,
     overlaps_on_every_shared_point,
@@ -46,15 +48,15 @@ def rows_in(d, n):
 @st.composite
 def subspace_pairs(draw):
     d, n = draw(spaces())
-    a = Subspace.from_rows(draw(rows_in(d, n)), d=d, width=2 * n)
-    b = Subspace.from_rows(draw(rows_in(d, n)), d=d, width=2 * n)
+    a = from_rows(draw(rows_in(d, n)), d=d, width=2 * n)
+    b = from_rows(draw(rows_in(d, n)), d=d, width=2 * n)
     return a, b
 
 
 @st.composite
 def subspace_and_vector(draw):
     d, n = draw(spaces())
-    a = Subspace.from_rows(draw(rows_in(d, n)), d=d, width=2 * n)
+    a = from_rows(draw(rows_in(d, n)), d=d, width=2 * n)
     v = draw(st.lists(st.integers(-2 * d, 2 * d), min_size=2 * n, max_size=2 * n))
     return a, v
 
@@ -68,7 +70,7 @@ def assert_canonical(s):
 @given(subspace_pairs())
 def test_dimension_formula(pair):
     a, b = pair
-    meet, join = intersect(a, b), Subspace.from_rows(a.generators + b.generators, d=a.d, width=a.width)
+    meet, join = intersect(a, b), from_rows(a.generators + b.generators, d=a.d, width=a.width)
     assert meet.dim + join.dim == a.dim + b.dim
     for s in (a, b, meet, join):
         assert_canonical(s)
@@ -88,7 +90,7 @@ def test_complement_dimension_and_involution(pair):
 @given(subspace_pairs())
 def test_canonicalization_is_idempotent(pair):
     a, _ = pair
-    assert Subspace.from_rows(a.generators, d=a.d, width=a.width) == a
+    assert from_rows(a.generators, d=a.d, width=a.width) == a
 
 
 @PROPERTY_SETTINGS
@@ -98,8 +100,8 @@ def test_reduce_coords_is_consistent(case):
     r = a.reduce_coords(v)
     assert all(0 <= x < a.d for x in r)
     assert a.reduce_coords(r) == r
-    assert a.contains_coords([x - y for x, y in zip(v, r)])
-    assert a.contains_coords(v) == (not any(r))
+    assert contains_coords(a, [x - y for x, y in zip(v, r)])
+    assert contains_coords(a, v) == (not any(r))
     shifted = [x + sum(g[j] for g in a.generators) for j, x in enumerate(v)]
     assert a.reduce_coords(shifted) == r
 

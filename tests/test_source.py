@@ -265,7 +265,7 @@ def test_library_modules_use_every_name_they_import():
 
 def _private_functions_and_uses(tree):
     """The private (_x, not dunder) functions and methods defined in tree, and each name tree references, paired
-    with the function definitions that enclose the reference."""
+    with the function definitions that enclose the reference and whether it is an attribute."""
     defined, uses = set(), []
 
     def visit(node, inside):
@@ -274,11 +274,11 @@ def _private_functions_and_uses(tree):
                 defined.add(node.name)
             inside = inside | {node.name}
         elif isinstance(node, ast.Name):
-            uses.append((node.id, inside))
+            uses.append((node.id, inside, False))
         elif isinstance(node, ast.Attribute):
-            uses.append((node.attr, inside))
+            uses.append((node.attr, inside, True))
         elif isinstance(node, ast.alias):
-            uses.append((node.name, inside))
+            uses.append((node.name, inside, False))
         for child in ast.iter_child_nodes(node):
             visit(child, inside)
 
@@ -293,32 +293,47 @@ def test_every_private_function_is_called_in_the_library():
     for path in sorted(SOURCE_DIR.glob("*.py")):
         names, uses = _private_functions_and_uses(_parse(path))
         defined |= {(path.name, name) for name in names}
-        used |= {name for name, inside in uses if name not in inside}
+        used |= {name for name, inside, _ in uses if name not in inside}
     assert len(defined) > 20, "no private functions found"
     assert sorted(f"{module}:{name}" for module, name in defined if name not in used) == []
 
 
-def _unreferenced_public_functions(modules, frozen):
-    """The public module-level functions in modules (file name -> tree, __init__.py left out) that no module
-    references outside the function's own body, less the names in frozen, as sorted "module:name" strings."""
-    defined, used = set(), set()
-    for name, tree in modules.items():
-        functions = [node.name for node in tree.body if isinstance(node, ast.FunctionDef)]
-        defined |= {(name, function) for function in functions if not function.startswith("_")}
-        used |= {use for use, inside in _private_functions_and_uses(tree)[1] if use not in inside}
-    return sorted(f"{module}:{function}" for module, function in defined if function not in used | frozen)
+def _unreferenced_public_names(modules, frozen, frozen_attributes):
+    """The public module-level functions, and the public methods, properties and classmethods of the classes, in
+    modules (file name -> tree, __init__.py left out) that no module references outside their own body, as sorted
+    "module:function" and "module:Class.method" strings. A function counts as referenced by its name as a name, an
+    attribute or an import, or by a name in frozen; a method only as an attribute, since no bare name reaches it, or
+    by a name in frozen_attributes."""
+    defined, names, attributes = [], set(frozen), set(frozen_attributes)
+    for module, tree in modules.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defined.append((f"{module}:{node.name}", node.name, names))
+            elif isinstance(node, ast.ClassDef):
+                methods = [method.name for method in node.body if isinstance(method, ast.FunctionDef)]
+                defined += [(f"{module}:{node.name}.{method}", method, attributes) for method in methods]
+        for use, inside, is_attribute in _private_functions_and_uses(tree)[1]:
+            if use not in inside:
+                names.add(use)
+                if is_attribute:
+                    attributes.add(use)
+    return sorted(label for label, name, referenced in defined if not name.startswith("_") and name not in referenced)
 
 
 def test_every_public_function_is_called_in_the_library_or_frozen_by_acceptance():
-    # The library is the pipeline: a public module-level function that nothing in src/stabkit references outside its
-    # own body (a re-export in __init__.py does not count) is either API that tests/test_acceptance.py imports from
-    # stabkit, or a witness that belongs in tests/helpers.py.
-    imports = _parse(TESTS_DIR / "test_acceptance.py").body
-    frozen = {a.name for node in imports if isinstance(node, ast.ImportFrom) and node.module == "stabkit" for a in node.names}
+    # The library is the pipeline: a public module-level function, method or property that nothing in src/stabkit
+    # references outside its own body (a re-export in __init__.py does not count) is either API that
+    # tests/test_acceptance.py imports from stabkit or reads as an attribute, or a witness that belongs in
+    # tests/helpers.py.
+    acceptance = _parse(TESTS_DIR / "test_acceptance.py")
+    imports = [node for node in acceptance.body if isinstance(node, ast.ImportFrom) and node.module == "stabkit"]
+    frozen = {a.name for node in imports for a in node.names}
+    attributes = {node.attr for node in ast.walk(acceptance) if isinstance(node, ast.Attribute)}
     modules = {path.name: _parse(path) for path in sorted(SOURCE_DIR.glob("*.py")) if path.name != "__init__.py"}
     public = [node for tree in modules.values() for node in tree.body if isinstance(node, ast.FunctionDef)]
-    assert len(public) > 30 and len(frozen) > 10, "no public functions or acceptance imports found"
-    assert _unreferenced_public_functions(modules, frozen) == []
+    classes = [node for tree in modules.values() for node in tree.body if isinstance(node, ast.ClassDef)]
+    assert len(public) > 30 and len(classes) > 3 and len(frozen) > 10, "no functions, classes or acceptance imports"
+    assert _unreferenced_public_names(modules, frozen, attributes) == []
 
 
 def test_the_public_surface_rule_flags_a_function_only_its_own_body_calls():
@@ -328,8 +343,27 @@ def test_the_public_surface_rule_flags_a_function_only_its_own_body_calls():
         "a.py": ast.parse("def used():\n    return 1\n\ndef recursive(k):\n    return recursive(k - 1)\n"),
         "b.py": ast.parse("from .a import used\n\ndef caller():\n    return used()\n\ndef orphan():\n    pass\n"),
     }
-    assert _unreferenced_public_functions(modules, set()) == ["a.py:recursive", "b.py:caller", "b.py:orphan"]
-    assert _unreferenced_public_functions(modules, {"caller", "orphan"}) == ["a.py:recursive"]
+    assert _unreferenced_public_names(modules, set(), set()) == ["a.py:recursive", "b.py:caller", "b.py:orphan"]
+    assert _unreferenced_public_names(modules, {"caller", "orphan"}, set()) == ["a.py:recursive"]
+
+
+def test_the_public_surface_rule_flags_a_method_no_other_library_code_calls():
+    # A method that only its own body references, or that only a test would call, is flagged, and a local name
+    # spelled like it is no reference; a property another module reads is not flagged, nor is a method named as an
+    # attribute in the acceptance suite. A module-level function spelled like such an attribute is still flagged.
+    modules = {
+        "a.py": ast.parse(
+            "class A:\n"
+            "    @property\n    def size(self):\n        return 1\n\n"
+            "    def again(self):\n        return self.again()\n\n"
+            "    @classmethod\n    def for_tests(cls):\n        return cls()\n\n"
+            "    def frozen(self):\n        return 0\n\n"
+            "def frozen():\n    pass\n"
+        ),
+        "b.py": ast.parse("from .a import A\n\ndef reader(a):\n    for_tests = a.size\n    return for_tests\n"),
+    }
+    flagged = ["a.py:A.again", "a.py:A.for_tests", "a.py:frozen"]
+    assert _unreferenced_public_names(modules, {"reader"}, {"frozen"}) == flagged
 
 
 def _unset_keywords(modules, callers):

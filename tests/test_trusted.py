@@ -6,7 +6,7 @@ constructor: rebuilding the value through it must give an equal value.
 
 import pytest
 
-from helpers import cached_states
+from helpers import cached_states, from_rows
 from stabkit import (
     PhaseVector,
     StabilizerState,
@@ -64,24 +64,24 @@ def test_enumeration_and_realization_skip_validation(monkeypatch):
 
 
 def test_from_rows_checks_its_inputs():
-    with pytest.raises(ValueError, match="2 entries"):
-        Subspace.from_rows([(1, 0), (0, 1, 0)], d=2, width=2)
-    with pytest.raises(ValueError, match="2 entries"):
-        Subspace.from_rows([(1, 0, 0)], d=2, width=2)
+    # The tests' span constructor builds through the validating Subspace constructor, never through _trusted.
+    with pytest.raises(ValueError, match="ragged"):
+        from_rows([(1, 0), (0, 1, 0)], d=2, width=2)
+    with pytest.raises(ValueError, match="canonical"):
+        from_rows([(1, 0, 0)], d=2, width=2)
     with pytest.raises(NonPrimeModulusError):
-        Subspace.from_rows([(2, 1)], d=4, width=2)
+        from_rows([(2, 1)], d=4, width=2)
     with pytest.raises(ValueError):
-        Subspace.from_rows([], d=2, width=0)
+        from_rows([], d=2, width=0)
 
 
 def test_public_constructors_take_only_integer_coordinates():
-    # A float or bool coordinate would serialize to JSON that from_json_dict rejects.
+    # A float or bool coordinate would reach the JSON output as 1.0 or true, not as the integer it stands for.
     line = Subspace(2, 2, ((1, 0),))
     for build in (
         lambda: PhaseVector(2, 1, (0.5, 1)),
         lambda: PhaseVector(2, 1, (True, 0)),
         lambda: Subspace(2, 2, ((1.0, 0),)),
-        lambda: Subspace.from_rows([(1.5, 0)], d=2, width=2),
         lambda: StabilizerState(line, PhaseVector(2, 1, (0, 1.0))),
     ):
         with pytest.raises(ValueError, match="integers"):

@@ -20,7 +20,15 @@ from stabkit import (
 from stabkit.errors import _WORK_BYTES, NonPrimeModulusError, ResourceCapError
 from stabkit.weyl import _omega_power, _scatter, _tau_powers, _words, tau_order
 
-from helpers import MALFORMED, enumerate_subspaces, malformed_monomials, weyl_word_by_fold, zx_dense, zx_matrix
+from helpers import (
+    MALFORMED,
+    enumerate_subspaces,
+    malformed_monomials,
+    weyl_word_by_fold,
+    zero_vector,
+    zx_dense,
+    zx_matrix,
+)
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -298,6 +306,6 @@ def test_words_match_fold():
 
 
 def test_matrix_cap():
-    big = PhaseVector.zero(2, 13)  # D = 8192
+    big = zero_vector(2, 13)  # D = 8192
     with pytest.raises(ResourceCapError):
         weyl(big)
