@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import os
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -16,6 +17,7 @@ from stabkit import (
     StabilizerState,
     Subspace,
     coset_representatives,
+    frame_potential_report,
     gaussian_binomial,
     is_isotropic,
     is_lagrangian,
@@ -77,16 +79,18 @@ def vectors(sub):
 
 def rebuilt(obj: dict):
     """The Subspace, StabilizerState or FramePotentialReport whose to_json_dict() is obj, rebuilt by the public
-    constructors (Fraction("p/q") for the rationals); an AssertionError unless it writes obj back exactly."""
+    constructors (Fraction("p/q") for the rationals). A report must also equal the exact engines' report for its
+    (d, n, t). An AssertionError unless the rebuilt object writes obj back exactly, as JSON text."""
     if "generators" in obj:
         assert obj["dim"] == len(obj["generators"])
         value = Subspace(obj["d"], 2 * obj["n"], tuple(map(tuple, obj["generators"])))
-    elif "zeta" in obj:
+    elif "lagrangian" in obj:
         value = StabilizerState(rebuilt(obj["lagrangian"]), PhaseVector(obj["d"], obj["n"], tuple(obj["zeta"])))
     else:
         exact = (Fraction(obj[key]) for key in ("recursion", "combinatorial", "welch"))
         value = FramePotentialReport(obj["d"], obj["n"], obj["t"], *exact, obj["is_design"], obj["bruteforce"])
-    assert value.to_json_dict() == obj
+        assert value == frame_potential_report(value.d, value.n, value.t, bruteforce=value.value_bruteforce)
+    assert json.dumps(value.to_json_dict()) == json.dumps(obj)  # as text, so True is no 1 and 0.0 no 0
     return value
 
 

@@ -14,7 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from stabkit import ResourceCapError, Subspace, potential, stabilizer
+from stabkit import ResourceCapError, Subspace, frame_potential_report, potential, stabilizer
 from stabkit.cli import build_parser, main, run_verification
 from stabkit.errors import _WORK_BYTES
 
@@ -74,6 +74,49 @@ def test_frame_potential_json_roundtrip():
     assert len(rows) == 8
     for row in rows:
         rebuilt(row)  # each row is the JSON of the report its fields build
+
+
+_SUBSPACE = {"d": 2, "n": 1, "dim": 1, "generators": [[1, 0]]}
+_STATE = {"d": 2, "n": 1, "lagrangian": _SUBSPACE, "zeta": [0, 1]}
+_REPORT = frame_potential_report(2, 1, 2).to_json_dict()
+
+
+def _without(obj, key):
+    return {k: v for k, v in obj.items() if k != key}
+
+
+@pytest.mark.parametrize(
+    "obj, error",
+    [
+        ({}, KeyError),
+        ([[1, 0]], TypeError),
+        ({**_SUBSPACE, "generators": 5}, TypeError),
+        ({**_SUBSPACE, "generators": [[1, "0"]]}, ValueError),
+        ({**_SUBSPACE, "dim": 2}, AssertionError),
+        ({**_SUBSPACE, "d": "2"}, ValueError),
+        ({**_SUBSPACE, "n": True}, AssertionError),
+        (_without(_STATE, "zeta"), KeyError),
+        ({**_STATE, "lagrangian": [[1, 0]]}, TypeError),
+        ({**_STATE, "zeta": [0.0, 1]}, ValueError),
+        (_without(_REPORT, "t"), KeyError),
+        ({**_REPORT, "d": 4}, ValueError),
+        ({**_REPORT, "t": 0}, ValueError),
+        ({**_REPORT, "D": 5}, AssertionError),
+        ({**_REPORT, "D": "x"}, AssertionError),
+        (_without(_REPORT, "D"), AssertionError),
+        ({**_REPORT, "recursion": "1"}, ValueError),
+        ({**_REPORT, "welch": "1/0"}, ZeroDivisionError),
+        ({**_REPORT, "combinatorial": 0.25}, ValueError),
+        ({**_REPORT, "is_design": "yes"}, ValueError),
+    ],
+)
+def test_rebuilt_refuses_json_the_cli_never_writes(obj, error):
+    # The CLI tests above check its JSON through rebuilt, so rebuilt must refuse a missing key, a wrong type, a dim
+    # or D that disagrees with the rest, and a (d, n, t) no engine accepts; the unbroken dicts rebuild.
+    for good in (_SUBSPACE, _STATE, _REPORT):
+        assert rebuilt(good).to_json_dict() == good
+    with pytest.raises(error):
+        rebuilt(obj)
 
 
 def test_csv_and_json_encode_the_same_rows():
