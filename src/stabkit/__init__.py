@@ -34,7 +34,6 @@ from .stabilizer import (
     state_blocks,
     state_deviations,
     state_vectors,
-    state_vectors_of,
 )
 from .symplectic import (
     PhaseVector,

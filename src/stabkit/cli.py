@@ -312,7 +312,7 @@ def run_verification(
     checks.append(CheckResult("weyl-commutation", comm_ok, f"{operators**2} pairs"))
     checks.append(CheckResult("weyl-trace", trace_dev <= WEYL_TOL, f"{operators} operators, max dev {trace_dev:.2e}"))
 
-    stack = stabilizer.state_vectors_of(lagrangians, state_cap=state_cap, matrix_cap=matrix_cap)
+    stack = stabilizer.state_vectors(d, n, state_cap=state_cap, matrix_cap=matrix_cap)
     eigen_dev, gram_dev, overlap_dev = stabilizer.state_deviations(lagrangians, stack, zx)
     checks.append(CheckResult("state-eigenvalue", eigen_dev <= 1e-10, f"{count} states, max residual {eigen_dev:.2e}"))
     checks.append(CheckResult("basis-gram", gram_dev <= 1e-10, f"{len(lagrangians)} bases, max dev {gram_dev:.2e}"))

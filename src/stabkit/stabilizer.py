@@ -12,7 +12,7 @@ indices and keys, which the overlap rule reads stacked and realization
 A block is such a run, as many Lagrangians as fit one working memory budget
 (errors._per_batch, shared with the numeric engines); state_blocks yields
 each block's (states, d^n) vectors in enumeration order, and state_vectors,
-state_vectors_of, realized_states and stabilizer_basis read the same blocks.
+realized_states and stabilizer_basis read the same blocks.
 Each entry point checks each cap once. For every m in M, in lexicographic
 coefficient order, w_B(m) = tau^{e_M(m)} z(P_m) x(Q_m) (the closed form of
 weyl._words), and
@@ -59,7 +59,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .combinatorics import lagrangian_count, stabilizer_count
+from .combinatorics import stabilizer_count
 from .errors import DEFAULT_MATRIX_CAP, DEFAULT_STATE_CAP, _batches, _per_batch, check_cap
 from .weyl import _monomials, _point_index, _tau_powers, _words, tau_order
 from .symplectic import (
@@ -134,7 +134,7 @@ def _block(m_subs: Sequence[Subspace]) -> tuple[np.ndarray, np.ndarray]:
     """The stacked point indices (table, element) and keys (table, coset, element) of Lagrangians of one (d, n).
 
     The only producer of lambda and of point indices, P_m d^n + Q_m in
-    zx_matrices order; the coordinate rows of weyl._words stay here. Elements
+    zx_monomials order; the coordinate rows of weyl._words stay here. Elements
     and their exponents e_M(m) are in lexicographic coefficient order. Each
     table's cosets are in coset_representatives order: the points of Z_d^n
     on its free columns, read as zeta_P's and zeta_Q's point indices. The
@@ -291,7 +291,7 @@ def state_deviations(
     """How far realized states stray from the exact rules: the largest entrywise deviation of each check.
 
     lagrangians are Lagrangians of one (d, n), vectors their states' stack
-    (d^n rows each, in order, as state_vectors_of gives them) and zx the pair
+    (d^n rows each, in order, as state_vectors gives them) and zx the pair
     of weyl.zx_monomials(d, n). Returns (eigen, gram, overlap): omega^{[zeta,m]}
     w_B(m)|M,zeta> against |M,zeta> for every state and every m in M, gathered,
     as row rows[x] of w_B(m)|psi> is values[x] psi[x]; each Lagrangian's Gram
@@ -387,45 +387,17 @@ def _runs(d: int, n: int, lagrangians: Iterable[Subspace]) -> Iterator[list[Subs
     return iter(lambda: list(itertools.islice(stream, per_run)), [])
 
 
-def _stacked(d: int, n: int, lagrangians: Iterable[Subspace]) -> np.ndarray:
-    """The blocks of the given Lagrangians, every one in enumeration order, stacked into one (S(d,n), d^n) array."""
-    out = np.empty((stabilizer_count(d, n), d**n), dtype=np.complex128)
-    row = 0
-    for _, block in _state_blocks(d, n, lagrangians):
-        out[row : row + len(block)] = block
-        row += len(block)
-    return out
-
-
 def state_vectors(
     d: int, n: int, *, state_cap: int = DEFAULT_STATE_CAP, matrix_cap: int = DEFAULT_MATRIX_CAP
 ) -> np.ndarray:
     """Every stabilizer state's vector as one (S(d,n), d^n) stack, rows in enumeration order: state_blocks stacked."""
-    _check_realization(d, n, state_cap, matrix_cap)
-    return _stacked(d, n, enumerate_lagrangians(d, n))
-
-
-def state_vectors_of(
-    lagrangians: Sequence[Subspace], *, state_cap: int = DEFAULT_STATE_CAP, matrix_cap: int = DEFAULT_MATRIX_CAP
-) -> np.ndarray:
-    """state_vectors from a list already in hand: every Lagrangian of one (d, n), in enumeration order.
-
-    It enumerates nothing itself, so a caller that holds the list scans the
-    Lagrangians once. The caps are checked as state_vectors checks them. A
-    list of any other length, a member that is not a Lagrangian of the first
-    member's (d, n), or a member listed twice is a ValueError.
-    """
-    if not lagrangians:
-        raise ValueError("needs every Lagrangian, got none")
-    d, n = lagrangians[0].d, lagrangians[0].n
-    _check_realization(d, n, state_cap, matrix_cap)
-    if len(lagrangians) != lagrangian_count(d, n):
-        raise ValueError(f"expected all {lagrangian_count(d, n)} Lagrangians, got {len(lagrangians)}")
-    if not all((m_sub.d, m_sub.width) == (d, 2 * n) and is_lagrangian(m_sub) for m_sub in lagrangians):
-        raise ValueError("needs Lagrangian subspaces of one space")
-    if len(set(lagrangians)) != len(lagrangians):
-        raise ValueError("a Lagrangian is listed twice")
-    return _stacked(d, n, lagrangians)
+    blocks = state_blocks(d, n, state_cap=state_cap, matrix_cap=matrix_cap)  # the caps, before the stack
+    out = np.empty((stabilizer_count(d, n), d**n), dtype=np.complex128)
+    row = 0
+    for block in blocks:
+        out[row : row + len(block)] = block
+        row += len(block)
+    return out
 
 
 def realized_states(

@@ -132,8 +132,8 @@ class Subspace:
 
     def __post_init__(self) -> None:
         require_prime(self.d)
-        if self.width < 1:
-            raise ValueError("ambient dimension must be positive")
+        if type(self.width) is not int or self.width < 1:  # a bool is not an int here, as in _require_space
+            raise ValueError(f"ambient dimension must be a positive int, got {self.width!r}")
         gens = tuple(tuple(row) for row in self.generators)
         object.__setattr__(self, "generators", gens)
         _require_integers(gens, "generator entries")

@@ -406,18 +406,22 @@ def test_each_entry_point_checks_each_cap_once(monkeypatch):
     calls, scans = _record_caps(monkeypatch)
     stabilizer.stabilizer_basis(from_rows([(1, 0, 0, 0), (0, 1, 0, 0)], d=2, width=4))
     assert (calls, scans) == ([("matrix dimension", 4)], [])
-    calls.clear()
-    stabilizer.realized_states(2, 2)
-    assert calls == [("realized states", 60), ("matrix dimension", 4), ("Lagrangians", 15)]
-    assert scans == [(2, 2)]
+    # Each whole-(d, n) realization checks its caps first, then scans the Lagrangians once.
+    for entry_point in (stabilizer.realized_states, stabilizer.state_vectors, stabilizer.state_blocks):
+        calls.clear()
+        scans.clear()
+        entry_point(2, 2)
+        assert calls == [("realized states", 60), ("matrix dimension", 4), ("Lagrangians", 15)], entry_point
+        assert scans == [(2, 2)], entry_point
     calls.clear()
     scans.clear()
     run_verification(2, 2, 4)
-    # Once for the Weyl operators (zx_monomials) and once for the states (state_vectors_of).
+    # Once for the Weyl operators (zx_monomials) and once for the states (state_vectors).
     assert [call for call in calls if call[0] == "matrix dimension"] == [("matrix dimension", 4)] * 2
-    # One scan for the list, the spectrum and the states, checked against --enum-cap.
-    assert [call for call in calls if call[0] == "Lagrangians"] == [("Lagrangians", 15)]
-    assert scans == [(2, 2)]
+    # Two scans: one for the list and the spectrum, checked against --enum-cap, and one inside state_vectors,
+    # checked against DEFAULT_ENUM_CAP; the state pre-check bounds both.
+    assert [call for call in calls if call[0] == "Lagrangians"] == [("Lagrangians", 15)] * 2
+    assert scans == [(2, 2), (2, 2)]
     calls.clear()
     scans.clear()
     assert run_cli(["enumerate", "spectrum", "--d", "2", "--n", "2"])[0] == 0
@@ -557,7 +561,7 @@ def test_verify_reports_an_exact_engine_disagreement_as_a_failed_check(monkeypat
 def test_verify_state_checks_fail_on_one_flipped_amplitude(monkeypatch):
     # Negate one amplitude of one state with two or more nonzero amplitudes: the
     # batched eigenvalue and overlap checks must both see it.
-    real_state_vectors = stabilizer.state_vectors_of
+    real_state_vectors = stabilizer.state_vectors
 
     for d, n in [(2, 2), (3, 1)]:
         flipped = []
@@ -569,7 +573,7 @@ def test_verify_state_checks_fail_on_one_flipped_amplitude(monkeypatch):
             flipped.append(row)
             return vecs
 
-        monkeypatch.setattr(stabilizer, "state_vectors_of", state_vectors)
+        monkeypatch.setattr(stabilizer, "state_vectors", state_vectors)
         passed = {c.name: c.passed for c in run_verification(d, n, 4)}
         assert len(flipped) == 1
         assert not passed["state-eigenvalue"]

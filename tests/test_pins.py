@@ -8,12 +8,16 @@ these bytes as they are.
 import contextlib
 import hashlib
 import io
+import subprocess
+import sys
 
 import pytest
 
 from stabkit import enumerate_lagrangians, state_vectors
 from stabkit.cli import main
 from stabkit.stabilizer import _stacked_tables
+
+from helpers import source_env
 
 
 def sha256(data: bytes) -> str:
@@ -94,3 +98,23 @@ def test_cli_stdout_is_pinned(argv, digest):
         code = main(argv.split())
     assert (code, err.getvalue()) == (0, "")
     assert sha256(out.getvalue().encode()) == digest
+
+
+def test_kernel_independent_pins_hold_under_another_blas_kernel():
+    # Two of the stdout pins above read no bit that the OpenBLAS kernel picked at load time decides, so they must
+    # hold with the Haswell kernel forced. The verify --d 5 --n 1 and frame-potential pins do not (ROADMAP item 15).
+    pins = {
+        "verify --d 2 --n 3 --t-max 4 --threads 2": "346a72becc425fbde55490cbc351d953185837ceb363e35d00691555c440337e",
+        "verify --d 3 --n 2 --t-max 4": "4a4915adb7d2f68c3dedf3a282ae1e60f8919f14ba5528467df901ba3bbd2883",
+    }
+    env = dict(source_env(), OPENBLAS_CORETYPE="Haswell")
+    children = {
+        argv: subprocess.Popen(
+            [sys.executable, "-m", "stabkit", *argv.split()], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+        )
+        for argv in pins
+    }
+    for argv, child in children.items():
+        out, err = child.communicate(timeout=120)
+        assert (child.returncode, err) == (0, b""), argv
+        assert sha256(out) == pins[argv], argv

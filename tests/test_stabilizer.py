@@ -42,7 +42,6 @@ from stabkit import (
     state_blocks,
     state_deviations,
     state_vectors,
-    state_vectors_of,
     symplectic_form,
     weyl,
     weyl_representation,
@@ -247,36 +246,6 @@ def test_state_blocks_work_within_the_budget(monkeypatch):
         assert peak < _WORK_BYTES, (d, n, peak)
 
 
-def test_state_vectors_of_a_list_in_hand_match_state_vectors():
-    for d, n in [(2, 2), (3, 2)]:
-        lagrangians = list(enumerate_lagrangians(d, n))
-        assert state_vectors_of(lagrangians).tobytes() == state_vectors(d, n).tobytes()
-        for wrong in (lagrangians[:-1], lagrangians + lagrangians[:1]):
-            with pytest.raises(ValueError, match=f"expected all {len(lagrangians)} Lagrangians"):
-                state_vectors_of(wrong)
-    with pytest.raises(ValueError, match="got none"):
-        state_vectors_of([])
-    with pytest.raises(ResourceCapError, match="realized states: need 60, cap 10"):
-        state_vectors_of(list(enumerate_lagrangians(2, 2)), state_cap=10)
-
-
-@pytest.mark.parametrize(
-    "last, message",
-    [
-        # Not isotropic: [(1,0 | 0,0), (0,0 | 1,0)] = 1. Realized, it gave 60 rows whose F_1..3 missed the exact values.
-        (from_rows([(1, 0, 0, 0), (0, 0, 1, 0)], d=2, width=4), "Lagrangian subspaces of one space"),
-        (next(enumerate_lagrangians(3, 2)), "Lagrangian subspaces of one space"),
-        (next(enumerate_lagrangians(2, 2)), "listed twice"),
-    ],
-    ids=["not-isotropic", "other-space", "duplicate"],
-)
-def test_state_vectors_of_refuses_a_list_that_is_not_every_lagrangian(last, message):
-    # The right length is not enough: each member must be a Lagrangian of the first member's (d, n), once.
-    lagrangians = list(enumerate_lagrangians(2, 2))
-    with pytest.raises(ValueError, match=message):
-        state_vectors_of(lagrangians[:-1] + [last])
-
-
 def test_state_deviations_work_within_the_budget(monkeypatch):
     # Overlap blocks of 2^18 // d^{3n} tables took every N >= M at once at (2, 3): a 0.44 MB peak under a 2^17
     # budget. The eigenvalue check held all d^n elements of one M at once: 71 KB at (3, 2) under 2^14. The inputs
@@ -284,7 +253,7 @@ def test_state_deviations_work_within_the_budget(monkeypatch):
     # blocks leave every residual its own product, so the deviations keep their bits.
     for d, n, budget, tol in [(2, 3, 2**17, 1e-15), (3, 2, 2**14, 2e-15)]:
         lagrangians = list(enumerate_lagrangians(d, n))
-        vectors, zx = state_vectors_of(lagrangians), zx_monomials(d, n)
+        vectors, zx = state_vectors(d, n), zx_monomials(d, n)
         unbounded = state_deviations(lagrangians, vectors, zx)
         tables = _stacked_tables(lagrangians)
         monkeypatch.setattr("stabkit.stabilizer._stacked_tables", lambda m_subs: tables)
@@ -311,13 +280,13 @@ def test_state_deviations_keep_their_bits():
     }
     for (d, n), triple in expected.items():
         lagrangians = list(enumerate_lagrangians(d, n))
-        deviations = state_deviations(lagrangians, state_vectors_of(lagrangians), zx_monomials(d, n))
+        deviations = state_deviations(lagrangians, state_vectors(d, n), zx_monomials(d, n))
         assert tuple(x.hex() for x in deviations) == triple, (d, n)
 
 
 def test_state_deviations_refuse_inputs_of_another_shape():
     lagrangians = list(enumerate_lagrangians(2, 2))
-    vectors, zx = state_vectors_of(lagrangians), zx_monomials(2, 2)
+    vectors, zx = state_vectors(2, 2), zx_monomials(2, 2)
     for args in [(lagrangians, vectors[:-1], zx), (lagrangians, vectors[:, :2], zx)]:
         with pytest.raises(ValueError, match="expected 60 state vectors of length 4"):
             state_deviations(*args)
@@ -336,7 +305,7 @@ def test_state_deviations_refuse_inputs_of_another_shape():
 def test_state_deviations_refuse_malformed_monomials(what):
     lagrangians = list(enumerate_lagrangians(2, 2))
     with pytest.raises(ValueError, match=r"expected .*rows.* of shape \(16, 4\)"):
-        state_deviations(lagrangians, state_vectors_of(lagrangians), malformed_monomials(2, 2)[what])
+        state_deviations(lagrangians, state_vectors(2, 2), malformed_monomials(2, 2)[what])
 
 
 def test_batched_table_matches_the_one_lagrangian_table():

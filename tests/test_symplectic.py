@@ -128,6 +128,17 @@ def test_subspace_rejects_noncanonical_rows():
         Subspace(3, 2, ((2, 0),))  # leading entry not 1
 
 
+@pytest.mark.parametrize(
+    "width, rows",
+    [(4.0, ((1, 0, 0, 0), (0, 1, 0, 0))), (True, ()), ("4", ((1, 0, 0, 0),)), (0, ()), (-2, ())],
+    ids=["float", "bool", "str", "zero", "negative"],
+)
+def test_subspace_rejects_a_width_that_is_not_a_positive_int(width, rows):
+    # A float width built a Subspace whose n read 2.0 and whose is_lagrangian raised a TypeError; a bool built one.
+    with pytest.raises(ValueError, match=f"ambient dimension must be a positive int, got {width!r}"):
+        Subspace(2, width, rows)
+
+
 def test_subspace_json_roundtrip():
     sub = span(2, 2, (1, 0, 0, 1), (0, 1, 1, 0))
     assert rebuilt(sub.to_json_dict()) == sub
