@@ -15,14 +15,16 @@ of the list summed, so results do not depend on how rows are blocked.
 
 Both take a list of moments t: the overlaps |<x_i, x_j>|^2 are computed once,
 and only the power and the tree run once per t, with the same bits as one call
-per t. Neither holds an array that grows with S beyond the states themselves:
-their working memory is one budget, sized by errors._batches. The brute-force
-engine reads the whole (S, d^n) stack of state vectors, a block of rows at a
-time, and keeps only each block's squared overlaps. The fixed-reference sum
+per t. Neither holds an array that grows with S beyond the states themselves,
+or with the number of moments: their working memory is one budget, at any
+number of moments, sized by errors._per_batch. The brute-force engine reads the
+whole (S, d^n) stack of state vectors, a block of rows at a time, and keeps only
+each block's squared overlaps and its (t, row) totals. The fixed-reference sum
 needs only the reference overlaps: frame_potentials_fixed_state streams the
-states a block at a time from stabilizer.state_blocks. Both feed their sums
-to _chunked_tree, which reduces aligned chunks as they arrive and gives the
-bits of the tree over all of them.
+states a block at a time from stabilizer.state_blocks and powers them a chunk
+at a time. Both feed their sums to _chunked_tree, which reduces aligned chunks
+as they arrive and gives the bits of the tree over all of them; the same budget
+sizes its chunk, so more moments make it shorter.
 """
 
 from __future__ import annotations
@@ -34,11 +36,11 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .combinatorics import kappa, require_prime, stabilizer_count, welch_bound
-from .errors import DEFAULT_MATRIX_CAP, DEFAULT_PAIR_CAP, DEFAULT_STATE_CAP, _batches, check_cap
+from .errors import DEFAULT_MATRIX_CAP, DEFAULT_PAIR_CAP, DEFAULT_STATE_CAP, _batches, _per_batch, check_cap
 from .stabilizer import state_blocks, state_vectors
 
 _OVERLAP_BYTES = 32  # peak bytes per overlap in _row_sums: its |amp|^2, one power and the tree's levels
-_TREE_CHUNK = 2**12  # values per t that _chunked_tree holds; it keeps one sum per chunk
+_TREE_BYTES = 32  # peak bytes per (t, value) in a _chunked_tree chunk, 26 measured: its powers, their stack, the tree
 
 
 def _validate(d: int, n: int, t: int) -> None:
@@ -87,16 +89,14 @@ def _pairwise_tree(vals: np.ndarray) -> np.ndarray:
     return vals[..., 0]
 
 
-def _chunked_tree(pieces: Iterable[np.ndarray], chunk: int) -> np.ndarray:
-    """_pairwise_tree over the pieces joined along their last axis, bit for bit, holding one chunk at a time.
+def _tree_chunk(moments: int) -> int:
+    """The values per t in one _chunked_tree chunk: the largest power of two whose (t, value) chunk fits one batch."""
+    return 1 << (_per_batch(_TREE_BYTES * moments).bit_length() - 1)
 
-    The values are cut into aligned chunks of ``chunk``, a power of two, as
-    they stream in. Each chunk is reduced by the tree on its own, a short last
-    one too, and the tree over the chunk sums finishes the sum. That is the
-    whole tree: its pairs never cross an aligned boundary, and until a short
-    last chunk is one value, its levels are the whole tree's odd tails.
-    """
-    sums, held, size = [], [], 0  # the chunk so far, as views of the pieces, and its length
+
+def _chunk_sums(pieces: Iterable[np.ndarray], chunk: int) -> Iterator[np.ndarray]:
+    """The tree sum of each aligned ``chunk`` of values, the pieces joined on their last axis; a short last one too."""
+    held, size = [], 0  # the chunk so far, as views of the pieces, and its length
     for piece in pieces:
         start = 0
         while start < piece.shape[-1]:
@@ -104,11 +104,36 @@ def _chunked_tree(pieces: Iterable[np.ndarray], chunk: int) -> np.ndarray:
             held.append(piece[..., start : start + take])
             size, start = size + take, start + take
             if size == chunk:
-                sums.append(_pairwise_tree(np.concatenate(held, axis=-1)))
+                yield _pairwise_tree(np.concatenate(held, axis=-1))
                 held, size = [], 0
     if held:
-        sums.append(_pairwise_tree(np.concatenate(held, axis=-1)))
-    return _pairwise_tree(np.stack(sums, axis=-1))
+        yield _pairwise_tree(np.concatenate(held, axis=-1))
+
+
+def _chunked_tree(pieces: Iterable[np.ndarray], chunk: int) -> np.ndarray:
+    """_pairwise_tree over the pieces joined along their last axis, bit for bit, holding one chunk at a time.
+
+    The values are cut into aligned chunks of ``chunk``, a power of two, as
+    they stream in, and each is reduced by the tree on its own, a short last
+    one too: the tree's pairs never cross an aligned boundary, and until a
+    short last chunk is one value, its levels are the whole tree's odd tails.
+    The chunk sums are added as they arrive, as a binary counter adds: two
+    finished subtrees of one size become one of twice that size, and the
+    whole tree adds what is left from the right, its odd tails again. So it
+    holds one chunk and one sum per size. The engines size the chunk by
+    _tree_chunk from the number of moments, the rows of the pieces, so the
+    one working-memory budget holds at any number of moments.
+    """
+    subtrees = []  # (chunks summed, their sum) of each finished subtree, sizes falling
+    for total in _chunk_sums(pieces, chunk):
+        size = 1
+        while subtrees and subtrees[-1][0] == size:
+            total, size = subtrees.pop()[1] + total, 2 * size
+        subtrees.append((size, total))
+    total = subtrees.pop()[1]
+    while subtrees:
+        total = subtrees.pop()[1] + total
+    return total
 
 
 def _state_stack(vectors, count: int, d: int, n: int) -> np.ndarray:
@@ -137,7 +162,8 @@ def _row_sums(stack: np.ndarray, rows: slice, ts: Sequence[int]) -> np.ndarray:
     """sum_j |<x_i, x_j>|^{2t} for each t in ts (axis 0) and each i in rows, each row by the fixed tree.
 
     The block's squared overlaps, its powers and the tree take _OVERLAP_BYTES
-    per overlap at the peak.
+    per overlap at the peak, and the totals 16 bytes per (t, row): each t's row
+    and their stack.
     """
     sq = _squared_overlaps(stack[rows], stack)
     return np.array([_pairwise_tree(sq**t) for t in ts])
@@ -166,8 +192,8 @@ def frame_potentials_bruteforce(
         stack = state_vectors(d, n, state_cap=state_cap, matrix_cap=matrix_cap)
     else:
         stack = _state_stack(vectors, count, d, n)
-    totals = (_row_sums(stack, rows, ts) for rows in _batches(0, count, _OVERLAP_BYTES * count))
-    return [float(total) / (count * count) for total in _chunked_tree(totals, _TREE_CHUNK)]
+    totals = (_row_sums(stack, rows, ts) for rows in _batches(0, count, _OVERLAP_BYTES * count + 16 * len(ts)))
+    return [float(total) / (count * count) for total in _chunked_tree(totals, _tree_chunk(len(ts)))]
 
 
 def frame_potential_bruteforce(d: int, n: int, t: int, **keywords) -> float:
@@ -175,15 +201,20 @@ def frame_potential_bruteforce(d: int, n: int, t: int, **keywords) -> float:
     return frame_potentials_bruteforce(d, n, [t], **keywords)[0]
 
 
-def _reference_powers(blocks: Iterable[np.ndarray], ts: Sequence[int]) -> Iterator[np.ndarray]:
-    """|<x_ref, x_i>|^{2t} for each t in ts (axis 0) and each row x_i of each block; x_ref is the first row."""
+def _reference_powers(blocks: Iterable[np.ndarray], ts: Sequence[int], chunk: int) -> Iterator[np.ndarray]:
+    """|<x_ref, x_i>|^{2t} for each t in ts (axis 0) and each row x_i of each block; x_ref is the first row.
+
+    A block's overlaps are powered ``chunk`` rows at a time, so no piece
+    outgrows one _chunked_tree chunk, whatever the number of moments.
+    """
     ref = None
     for block in blocks:
         if ref is None:
             ref = block[:1].copy()  # a view would hold the first block
         sq = _squared_overlaps(ref, block)[0]
         del block  # the next block is realized while this generator waits: it need not hold this one
-        yield np.array([sq**t for t in ts])
+        for part in np.split(sq, range(chunk, len(sq), chunk)):
+            yield np.array([part**t for t in ts])
 
 
 def frame_potentials_fixed_state(
@@ -213,7 +244,8 @@ def frame_potentials_fixed_state(
     else:
         stack = _state_stack(vectors, count, d, n)
         blocks = (stack[rows] for rows in _batches(0, count, 16 * d**n))  # 16 bytes per complex128 amplitude
-    return [float(total) / count for total in _chunked_tree(_reference_powers(blocks, ts), _TREE_CHUNK)]
+    chunk = _tree_chunk(len(ts))
+    return [float(total) / count for total in _chunked_tree(_reference_powers(blocks, ts, chunk), chunk)]
 
 
 def frame_potential_fixed_state(d: int, n: int, t: int, **keywords) -> float:

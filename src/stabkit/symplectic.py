@@ -260,13 +260,16 @@ def intersection_spectrum_of(m_sub: Subspace, lagrangians: Iterable[Subspace]) -
     """intersection_spectrum over the Lagrangians given, in one pass: a caller that holds them scans them once.
 
     Each N is counted by dim(M ∩ N) = dim M + dim N - dim(M + N), a rank of
-    their stacked generators; no intersection subspace is built.
+    their stacked generators; no intersection subspace is built. Each N must
+    be a Lagrangian of M's space.
     """
     if not is_lagrangian(m_sub):
         raise ValueError("intersection spectrum needs a Lagrangian reference")
     counts = dict.fromkeys(range(m_sub.n + 1), 0)
     for other in lagrangians:
         _check_same_ambient(m_sub, other)
+        if not is_lagrangian(other):
+            raise ValueError(f"intersection spectrum counts only Lagrangians, got {other.generators}")
         counts[m_sub.dim + other.dim - len(_rref(m_sub.generators + other.generators, m_sub.d)[1])] += 1
     return counts
 

@@ -135,6 +135,20 @@ def test_csv_and_json_encode_the_same_rows():
         assert c["bruteforce"] == "" and j["bruteforce"] is None
 
 
+def test_a_sweep_over_t_prints_the_rows_of_one_t_runs():
+    # At 48 moments the numeric engines sum in chunks of 256 values per t, at one moment of 2^14: the bits must
+    # not depend on it. The two outputs are compared with each other, so this holds on any BLAS kernel.
+    argv = ["frame-potential", "--d", "3", "--n", "1..2", "--method", "all", "--format", "csv", "--t"]
+    code, out, _ = run_cli(argv + ["1..48"])
+    assert code == 0
+    singles = []
+    for t in range(1, 49):
+        code, one, _ = run_cli(argv + [str(t)])
+        assert code == 0
+        singles.append(one.splitlines()[1:])  # the rows of n = 1 and n = 2
+    assert out.splitlines()[1:] == [rows[i] for i in range(2) for rows in singles]
+
+
 def test_table_format_has_decimal_column():
     code, out, _ = run_cli(["frame-potential", "--d", "2", "--n", "2", "--t", "2"])
     assert code == 0

@@ -174,7 +174,8 @@ def test_numeric_engines_match_the_per_row_tree_oracle_bit_for_bit():
 
 
 def test_bruteforce_sweep_over_t_is_bit_identical_to_one_t_calls():
-    for d, n, t_max in [(2, 3, 4), (3, 2, 6), (5, 1, 6)]:
+    # At 64 moments the tree's chunk is 256 values per t, so the 360 row totals of (3, 2) sum in two chunks.
+    for d, n, t_max in [(2, 3, 4), (3, 2, 6), (5, 1, 6), (3, 2, 64)]:
         vectors = cached_vectors(d, n)
         ts = range(1, t_max + 1)
         sweep = frame_potentials_bruteforce(d, n, ts, vectors=vectors)
@@ -184,8 +185,9 @@ def test_bruteforce_sweep_over_t_is_bit_identical_to_one_t_calls():
 
 def test_fixed_state_sweep_streams_the_bits_of_the_whole_stack():
     # The oracle reads the reference overlaps off the whole stack; the sweep keeps them block by block.
-    # (3, 3) and (5, 2) realize in several blocks, each ending in a shorter run.
-    for d, n, t_max in [(2, 1, 5), (2, 3, 5), (3, 2, 5), (3, 3, 4), (5, 2, 4), (7, 1, 5), (13, 1, 5)]:
+    # (3, 3) and (5, 2) realize in several blocks, each ending in a shorter run. At 200 moments the tree's chunk
+    # is 64 values per t, so the 360 reference overlaps of (3, 2) sum in six chunks, the last a short one.
+    for d, n, t_max in [(2, 1, 5), (2, 3, 5), (3, 2, 5), (3, 3, 4), (5, 2, 4), (7, 1, 5), (13, 1, 5), (3, 2, 200)]:
         stack = state_vectors(d, n)
         amps = stack @ np.conj(stack[0])
         ts = range(1, t_max + 1)
@@ -228,6 +230,31 @@ def test_bruteforce_engine_works_within_the_budget():
     for t, value in zip(range(1, 5), values):
         assert abs(value - float(frame_potential_combinatorial(3, 2, t))) <= 1e-9
     assert peak < _WORK_BYTES
+
+
+def test_fixed_state_engine_works_within_the_budget_at_many_moments():
+    # One realized block and one tree chunk: the chunk shrinks as the moments grow, and the powers are taken a
+    # chunk at a time.
+    ts = range(1, 201)
+    frame_potentials_fixed_state(3, 3, [1])
+    values, peak = traced_peak(lambda: frame_potentials_fixed_state(3, 3, ts))
+    assert peak < 2 * _WORK_BYTES
+    # The 30240 overlaps sum in 473 chunks of 64, whose sums meet in six subtrees: the bits of the whole tree.
+    stack = state_vectors(3, 3)
+    amps = stack @ np.conj(stack[0])
+    sq = amps.real**2 + amps.imag**2
+    assert [x.hex() for x in values] == [(float(_pairwise_tree(sq**t)) / len(stack)).hex() for t in ts]
+
+
+def test_bruteforce_engine_works_within_the_budget_at_many_moments():
+    # One row block, whose (t, row) totals count in its budget, and one tree chunk.
+    stack = state_vectors(3, 2)
+    ts = range(1, 201)
+    frame_potentials_bruteforce(3, 2, [1], vectors=stack)
+    values, peak = traced_peak(lambda: frame_potentials_bruteforce(3, 2, ts, vectors=stack))
+    for t, value in zip(ts, values, strict=True):
+        assert abs(value - float(frame_potential_combinatorial(3, 2, t))) <= 1e-9
+    assert peak < 2 * _WORK_BYTES
 
 
 def test_numeric_engines_reject_a_partial_vector_list():

@@ -317,6 +317,15 @@ def test_intersection_spectrum_of_the_lagrangians_in_hand():
     for other in (next(enumerate_lagrangians(3, 2)), next(enumerate_lagrangians(2, 3))):
         with pytest.raises(ValueError, match="different ambient spaces"):
             intersection_spectrum_of(m_sub, [other])
+    # A subspace of M's space that is not Lagrangian is refused: zero, the whole space, a non-isotropic plane, a line.
+    for other in (
+        span(2, 2),
+        span(2, 2, (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
+        span(2, 2, (1, 0, 0, 0), (0, 0, 1, 0)),
+        span(2, 2, (1, 0, 0, 0)),
+    ):
+        with pytest.raises(ValueError, match="counts only Lagrangians"):
+            intersection_spectrum_of(m_sub, [other])
 
 
 @pytest.mark.parametrize("d, n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2)])
