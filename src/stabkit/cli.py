@@ -288,9 +288,9 @@ def run_verification(
 ) -> list[CheckResult]:
     """The full cross-check suite for one (d, n); raises on cap violations."""
     require_prime(d)
-    if n < 1 or t_max < 1:
-        raise ValueError("n and t_max must be positive")
-    count = stabilizer_count(d, n)
+    if type(t_max) is not int or t_max < 1:
+        raise ValueError(f"t_max must be a positive int, got {t_max!r}")
+    count = stabilizer_count(d, n)  # refuses a bad n
     check_cap("states", count, state_cap)
     check_cap("overlap cross-check state pairs", count * count, pair_cap)
 

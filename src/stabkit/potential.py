@@ -35,7 +35,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .combinatorics import kappa, require_prime, stabilizer_count, welch_bound
+from .combinatorics import _require_space, kappa, stabilizer_count, welch_bound
 from .errors import DEFAULT_MATRIX_CAP, DEFAULT_PAIR_CAP, DEFAULT_STATE_CAP, _batches, _per_batch, check_cap
 from .stabilizer import state_blocks, state_vectors
 
@@ -44,10 +44,9 @@ _TREE_BYTES = 32  # peak bytes per (t, value) in a _chunked_tree chunk, 26 measu
 
 
 def _validate(d: int, n: int, t: int) -> None:
-    require_prime(d)
-    for name, value in (("n", n), ("t", t)):
-        if type(value) is not int or value < 1:
-            raise ValueError(f"{name} must be a positive int, got {value!r}")
+    _require_space(d, n)
+    if type(t) is not int or t < 1:
+        raise ValueError(f"t must be a positive int, got {t!r}")
 
 
 def _validate_ts(d: int, n: int, ts: Sequence[int]) -> None:

@@ -25,17 +25,18 @@ with eigenvalue tau^{-lambda(zeta,m)}. As m -> omega^{[zeta,m]} w_B(m) is a
 representation of M, and the operators z(P_m) x(Q_m) compose up to phases
 that depend on the points alone, two states' eigenvalue maps on a shared
 subgroup K differ by a character of K. It is trivial once it is trivial on a
-basis of K, at most n elements (_span_basis), so both rules below compare
-lambda on such a basis only, packed into one integer per state.
+basis of K, at most n elements (_span_basis), so the overlap rule below
+compares lambda on such a basis only, packed into one integer per state.
 
-Realization: with k(zeta, m, x) = lambda(zeta, m) + 2 P_m.(x + Q_m) mod the
-order of tau, let x0 be the lexicographically first x in Z_d^n with
-k(zeta, z, x) = 0 for every z in K = M_Z = {z in M : Q_z = 0}: the basis
-vector |x>, on which z(P_z) acts as tau^{2 P_z.x}, has the eigenvalues of
-|M,zeta> there. The vector is |Q(M)|^{-1/2} tau^{k(zeta,m,x0)} at x0 + Q_m
-mod d and 0 elsewhere. By the representation the amplitude depends only on
-m + M_Z, and k = 0 at x0 makes the first nonzero amplitude real positive
-exactly.
+Realization: the basis vector |x> is the state |M_0, x> of the first
+enumerated Lagrangian M_0 = {(p | 0)}, with keys lambda(x, p) =
+2[(0|x), (p|0)] = -2 x.p, and M cap M_0 = M_Z = {z in M : Q_z = 0}. Let x0 be
+the first basis state |M_0, x> that |M,zeta> overlaps, by the overlap rule
+below. With k(zeta, m, x) = lambda(zeta, m) + 2 P_m.(x + Q_m) mod the order
+of tau, that is k(zeta, z, x0) = 0 for every z in M_Z. The vector is
+|Q(M)|^{-1/2} tau^{k(zeta,m,x0)} at x0 + Q_m mod d and 0 elsewhere. By the
+representation the amplitude depends only on m + M_Z, and k = 0 at x0 makes
+the first nonzero amplitude real positive exactly.
 
 Overlaps: |<M,zeta|N,iota>|^2 is d^{-n} |M cap N| when lambda_M(zeta, .) and
 lambda_N(iota, .) agree on K = M cap N, and 0 otherwise, since two
@@ -73,8 +74,8 @@ from .symplectic import (
 )
 
 _FILL_BYTES = 28  # peak bytes per (table, coset, element) in _fill, its vectors included
-# Peak bytes per (pair or Lagrangian, state, amplitude) of a state_deviations eigenvalue or Gram chunk, or per state
-# pair of one of its overlap blocks: 48-63 measured at 4 to 16 pairs or tables, at (2, 3), (3, 2) and (5, 2).
+# Peak bytes per (pair, state, amplitude) of a state_deviations eigenvalue chunk, or per state pair of an overlap
+# block with its Gram check: 47-65 measured over whole calls at 4 to 16 pairs or tables, at (2, 3), (3, 2), (5, 2).
 _CHECK_BYTES = 64
 
 
@@ -208,22 +209,6 @@ def _overlaps(
     return shared.sum(1), here.T[:, :, None] == there[:, None]
 
 
-def _z_fixed(d: int, n: int, points: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Whether k(zeta, z, x) = 0 for every z in M_Z, over (table, coset, x in grid order), from _block's tables.
-
-    On z in M_Z, Q_z = 0, so k(zeta, z, x) = lambda(zeta, z) + 2 P_z.x mod the
-    order of tau, a character of M_Z (the module docstring), tested on
-    _span_basis of M_Z: x passes when the digits 2 P_z.x match the digits
-    -lambda(zeta, z), compared as one integer.
-    """
-    order, dots = tau_order(d), _points(d, n)[1]
-    basis = _span_basis(d, n, points % d**n == 0)  # on Q_z = 0
-    basis_p = np.take_along_axis(points, basis, 1) // d**n  # (table, i)
-    minus_lambda = -np.take_along_axis(keys, basis[:, None], 2) % order  # (table, coset, i)
-    digits = order ** np.arange(n)
-    return (dots[basis_p].swapaxes(1, 2) @ digits)[:, None] == (minus_lambda @ digits)[..., None]
-
-
 def _fill(d: int, n: int, points: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """The vectors of a block of Lagrangians by the module's closed form, shape (table, coset, d^n).
 
@@ -234,10 +219,11 @@ def _fill(d: int, n: int, points: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """
     order, (sums, dots), width = tau_order(d), _points(d, n), d**n
     p_index, q_index = np.divmod(points, width)
-    fixed = _z_fixed(d, n, points, keys)
-    x0 = fixed.argmax(-1)  # the index of x0 in grid, per (table, coset)
-    if not np.take_along_axis(fixed, x0[..., None], axis=-1).all():
+    # M_0's tables in closed form (module docstring): points p d^n, and keys -2 x.p over (coset x, element p).
+    hits = _overlaps(d, n, np.arange(width) * width, -dots % order, points, keys)[1]  # (table, x, coset)
+    if not hits.any(1).all():
         raise RuntimeError("no basis point is fixed by the Z-only elements")
+    x0 = hits.argmax(1)  # the index of x0 in grid, per (table, coset)
     # Over (table, coset, element), each table lookup reads the flat table at row * width + column, which is
     # faster than indexing by a pair of arrays. k(zeta, m, x0) = lambda(zeta, m) + 2 P_m.x0 + 2 P_m.Q_m is left
     # unreduced: three terms, each below the order of tau.
@@ -294,11 +280,12 @@ def state_deviations(
     (d^n rows each, in order, as state_vectors gives them) and zx the pair
     of weyl.zx_monomials(d, n). Returns (eigen, gram, overlap): omega^{[zeta,m]}
     w_B(m)|M,zeta> against |M,zeta> for every state and every m in M, gathered,
-    as row rows[x] of w_B(m)|psi> is values[x] psi[x]; each Lagrangian's Gram
-    matrix against the identity; and |<M,zeta|N,iota>|^2 against the overlap
-    rule for every pair of states with N >= M. The checks take (Lagrangian,
-    element) pairs, Lagrangians and N as many at a time as errors._batches fits
-    at _CHECK_BYTES per (pair or Lagrangian, state, amplitude) or state pair.
+    as row rows[x] of w_B(m)|psi> is values[x] psi[x]; |<M,zeta|N,iota>|^2
+    against the overlap rule for every pair of states with N >= M; and each
+    Lagrangian's Gram matrix against the identity, read off the amplitudes of
+    its N = M block. The checks take (Lagrangian, element) pairs and N as many
+    at a time as errors._batches fits at _CHECK_BYTES per (pair, state,
+    amplitude) or state pair.
     """
     if not lagrangians:
         raise ValueError("needs Lagrangians, got none")
@@ -311,8 +298,8 @@ def state_deviations(
         raise ValueError("needs Lagrangian subspaces of one space")
     points, keys = _stacked_tables(lagrangians)
     bases = vectors.reshape(len(lagrangians), dim, dim)  # a view: (Lagrangian, state, amplitude)
-    taus = _tau_powers(d)
-    unit = _CHECK_BYTES * dim * dim  # per pair of an eigenvalue chunk, Lagrangian of a Gram batch or N of a block
+    taus, identity = _tau_powers(d), np.eye(dim)
+    unit = _CHECK_BYTES * dim * dim  # per pair of an eigenvalue chunk or N of an overlap block
     eigen = gram = overlap = 0.0
     for pairs in _batches(0, points.size, unit):
         tables, elements = np.divmod(np.arange(*pairs.indices(points.size)), dim)
@@ -328,12 +315,12 @@ def state_deviations(
         chunk -= target
         eigen = max(eigen, float(np.max(np.abs(chunk))))
         del chunk, target  # the next chunk need not hold them
-    for chunk in (bases[batch] for batch in _batches(0, len(bases), unit)):
-        gram = max(gram, float(np.max(np.abs(np.conj(chunk) @ chunk.swapaxes(1, 2) - np.eye(dim)))))
     for mi, basis in enumerate(map(np.conj, bases)):
         for tables in _batches(mi, len(bases), unit):
             sizes, hits = _overlaps(d, n, points[mi], keys[mi], points[tables], keys[tables])
             amps = basis @ bases[tables].swapaxes(1, 2)
+            if tables.start == mi:  # M's first block starts at N = M: amps[0] is its Gram matrix
+                gram = max(gram, float(np.abs(amps[0] - identity).max()))  # a method call: this runs once per M
             residual = amps.real**2
             residual += amps.imag**2
             del amps  # the complex block is done with before the residual's absolute value

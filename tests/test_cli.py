@@ -6,6 +6,7 @@ import hashlib
 import importlib
 import io
 import json
+import re
 import subprocess
 import sys
 import time
@@ -396,6 +397,14 @@ def test_verify_cap_precheck_runs_before_enumeration(monkeypatch):
         run_verification(2, 5, 4)
 
 
+def test_verify_refuses_a_bad_t_max_before_any_work(monkeypatch):
+    # 2.5 ran every state check and then raised TypeError from range; True ran as t_max = 1.
+    monkeypatch.setattr("stabkit.cli.enumerate_lagrangians", _refuse("enumerate_lagrangians"))
+    for bad in (2.5, 2.0, True, 0):
+        with pytest.raises(ValueError, match=re.escape(f"t_max must be a positive int, got {bad!r}")):
+            run_verification(2, 1, bad)
+
+
 def _record_caps(monkeypatch):
     """Every check_cap call as (what, need), wrapped where each module looks it up, and each Lagrangian scan."""
     calls, scans = [], []
@@ -543,7 +552,8 @@ def test_verify_builds_one_phase_table_per_lagrangian(monkeypatch):
 
 
 def test_verify_runs_the_overlap_rule_once_per_lagrangian(monkeypatch):
-    # One batched key match per M against every N >= M, not one call per Lagrangian pair (120 at (2, 2)).
+    # One batched key match per M against every N >= M, not one call per Lagrangian pair (120 at (2, 2)). Realization
+    # runs the rule first, once per block against M_0, and every Lagrangian of (2, 2) is in one block.
     stabilizer_module = importlib.import_module("stabkit.stabilizer")
     calls = []
     real_overlaps = stabilizer_module._overlaps
@@ -555,7 +565,7 @@ def test_verify_runs_the_overlap_rule_once_per_lagrangian(monkeypatch):
     monkeypatch.setattr(stabilizer_module, "_overlaps", overlaps)
     checks = run_verification(2, 2, 4)
     assert all(c.passed for c in checks)
-    assert calls == list(range(15, 0, -1))
+    assert calls == [15, *range(15, 0, -1)]
 
 
 def test_verify_reports_an_exact_engine_disagreement_as_a_failed_check(monkeypatch):

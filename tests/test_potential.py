@@ -83,6 +83,17 @@ def test_exact_engines_reject_bad_input():
                 engine(2, bad, 2)
 
 
+def test_exact_engines_refuse_a_space_as_the_state_count_does():
+    # One (d, n) rule, combinatorics._require_space: the same error and message as every other layer, so an n < 1
+    # reads "n must be positive".
+    for d, n in [(4, 1), (2, 0), (2, -1), (2, True), (2, 2.0)]:
+        with pytest.raises(ValueError) as expected:
+            stabilizer_count(d, n)
+        for engine in (frame_potential_recursion, frame_potential_combinatorial):
+            with pytest.raises(type(expected.value), match=re.escape(str(expected.value))):
+                engine(d, n, 2)
+
+
 def test_welch_is_a_lower_bound_with_design_pattern():
     for d in (2, 3, 5):
         for n in range(1, 5):

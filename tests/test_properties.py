@@ -18,7 +18,7 @@ from stabkit import (
     stabilizer_basis,
 )
 from stabkit.potential import _chunked_tree, _pairwise_tree
-from stabkit.stabilizer import _block, _fill, _overlaps, _points, _span_basis, _stacked_tables, _z_fixed
+from stabkit.stabilizer import _block, _fill, _overlaps, _points, _span_basis, _stacked_tables
 
 from helpers import (
     contains_coords,
@@ -147,12 +147,15 @@ def test_fill_is_the_same_for_any_batching_of_the_stream(case):
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(stream_batches())
 def test_generator_z_test_matches_the_per_element_oracle(case):
-    # The Z-only condition read on a greedy basis of each M_Z against every Z-only element of the full keys.
+    # Realization's Z-only condition is the overlap rule against M_0, read on a greedy basis of each M cap M_0 = M_Z:
+    # its (table, x, coset) mask, transposed, against every Z-only element of the full keys.
     _, batches = case
     for batch in batches:
         d, n = batch[0].d, batch[0].n
+        (m0_points,), (m0_keys,) = _stacked_tables(lagrangians_of(d, n)[:1])
         points, keys = _block(batch)
-        assert np.array_equal(_z_fixed(d, n, points, keys), z_fixed_by_every_element(d, n, points, keys))
+        hits = _overlaps(d, n, m0_points, m0_keys, points, keys)[1]
+        assert np.array_equal(hits.transpose(0, 2, 1), z_fixed_by_every_element(d, n, points, keys))
 
 
 def span_of(d, n, basis):

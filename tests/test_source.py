@@ -174,6 +174,20 @@ def test_no_library_function_builds_an_intersection():
     assert calls == []
 
 
+def test_only_the_overlap_rule_reads_a_span_basis():
+    # The character test on a basis of a shared subgroup has one home: realization reads it through _overlaps
+    # against M_0, not through a second Z-only test.
+    callers = [
+        f"{path.name}:{function.name}"
+        for path in sorted(SOURCE_DIR.glob("*.py"))
+        for function in ast.walk(_parse(path))
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "_span_basis"
+    ]
+    assert callers == ["stabilizer.py:_overlaps"]
+
+
 _DENSE_BUILDERS = {"_scatter", "weyl", "weyl_representation"}
 
 

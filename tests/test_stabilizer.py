@@ -48,7 +48,7 @@ from stabkit import (
     zx_monomials,
 )
 from stabkit.errors import _WORK_BYTES, ResourceCapError
-from stabkit.stabilizer import _FILL_BYTES, _block, _overlaps, _stacked_tables
+from stabkit.stabilizer import _FILL_BYTES, _block, _fill, _overlaps, _stacked_tables
 from stabkit.symplectic import _coset_rows, _form_lift
 from stabkit.weyl import _omega_power, _point_index, tau_order
 
@@ -170,6 +170,39 @@ def test_realized_vectors_follow_the_phase_convention_exactly():
                 modulus = 1 / math.sqrt(size)
                 assert set(parts.tolist()) <= {0.0, modulus, -modulus}
                 assert not np.signbit(parts[parts == 0]).any()
+
+
+def test_realization_meets_m0_in_the_tables_of_the_first_lagrangian(monkeypatch):
+    # _fill finds x0 by the overlap rule against M_0 = {(p | 0)}, whose tables it writes in closed form: they are
+    # _block's tables of the first enumerated Lagrangian, dtype included.
+    stabilizer_module = importlib.import_module("stabkit.stabilizer")
+    real_overlaps = stabilizer_module._overlaps
+    tables = []
+
+    def overlaps(d, n, points, keys, their_points, their_keys):
+        tables.append((points, keys))
+        return real_overlaps(d, n, points, keys, their_points, their_keys)
+
+    monkeypatch.setattr(stabilizer_module, "_overlaps", overlaps)
+    for d, n in [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (5, 2)]:
+        m_0 = next(iter(enumerate_lagrangians(d, n)))
+        tables.clear()
+        stabilizer_basis(m_0)
+        ((points, keys),) = tables
+        (expect_points,), (expect_keys,) = _block([m_0])
+        assert np.array_equal(points, expect_points), (d, n)
+        assert np.array_equal(keys, expect_keys) and keys.dtype == expect_keys.dtype, (d, n)
+
+
+def test_realization_refuses_a_state_that_overlaps_no_basis_state():
+    # At d = 2 every 2 P_z.x is even, so an odd key on a Z-only element of M_Z's basis leaves no basis state
+    # |M_0, x> that the state overlaps. The key stays reduced mod the order of tau, as in every valid table.
+    points, keys = _block(list(enumerate_lagrangians(2, 2)))
+    _fill(2, 2, points, keys)
+    first = np.flatnonzero(points[0] % 4 == 0)[1]  # Q = 0: the first Z-only element after 0, the first basis element
+    keys[0, 0, first] = (keys[0, 0, first] + 1) % tau_order(2)
+    with pytest.raises(RuntimeError, match="no basis point is fixed by the Z-only elements"):
+        _fill(2, 2, points, keys)
 
 
 def test_realization_builds_no_matrix(monkeypatch):
